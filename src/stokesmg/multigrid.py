@@ -52,6 +52,8 @@ class SolveReport:
     q: float
     history: list[float]
     converged: bool
+    # final iterate; history[-1] is its error norm
+    x: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -210,13 +212,14 @@ class Multigrid:
               divergence_factor=1e6):
         """Iterate cycles until the error against the known discrete
         solution has dropped by the given factor, and report the iteration
-        count and mean per-cycle contraction rate."""
+        count, mean per-cycle contraction rate and final iterate."""
         system = self.systems[level]
         x = np.zeros(system.n) if x0 is None else x0.copy()
         err0 = self.error_norm(level, x, x_star)
         history = [err0]
         if err0 == 0.0:
-            return SolveReport(n=0, q=0.0, history=history, converged=True)
+            return SolveReport(n=0, q=0.0, history=history, converged=True,
+                               x=x)
 
         converged = False
         for _ in range(max_iter):
@@ -234,4 +237,5 @@ class Multigrid:
         q = float((last / err0) ** (1.0 / n)) if n > 0 and last > 0.0 else 0.0
         if not np.isfinite(q):
             q = float("inf")
-        return SolveReport(n=n, q=q, history=history, converged=converged)
+        return SolveReport(n=n, q=q, history=history, converged=converged,
+                           x=x)

@@ -15,6 +15,11 @@ or Schur solves.
   Note the last substep restarts from the original u, not u_half.  The
   sweep equals x <- x + C^-1 (rhs - A x) for the block matrix
       C = [[Du / tau, B^T], [B, tau B Du^-1 B^T - Dp / sigma]].
+  Because the third substep starts from the same u, its residual is
+      r_u2 = f - A u - B^T p_new = r_u - B^T (p_new - p),
+  so a sweep costs one A, two B^T and one B matvec.  The damped
+  reciprocals tau / Du and sigma / Dp are computed once per scaling and
+  damping pair.
 
 Two diagonal scalings are supported: the level-scaled mass diagonals
 ("mass_diag") and the diagonals taken from the operator itself
@@ -25,7 +30,7 @@ Two diagonal scalings are supported: the level-scaled mass diagonals
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,9 +53,19 @@ class ScalingOperator:
     beta: float
     h: float
 
+    _damped: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
     @cached_property
     def d_full(self):
         return np.concatenate([self.d_u, self.d_p])
+
+    def damped_reciprocals(self, tau, sigma):
+        """(tau / d_u, sigma / d_p), memoized per damping pair."""
+        key = (tau, sigma)
+        if key not in self._damped:
+            self._damped[key] = (tau / self.d_u, sigma / self.d_p)
+        return self._damped[key]
 
 
 @dataclass
@@ -114,15 +129,27 @@ def normal_equation_step(system, scaling, tau, x, rhs):
 
 
 def uzawa_step(system, scaling, tau, sigma, x, rhs):
-    """One symmetric Uzawa sweep (three substeps)."""
+    """One symmetric Uzawa sweep (three substeps), written into a new
+    array; x and rhs are left untouched."""
+    s_u, s_p = scaling.damped_reciprocals(tau, sigma)
     u, p = system.split(x)
     f, g = system.split(rhs)
-    r_u = f - system.A @ u - system.Bt @ p
-    u_half = u + tau * (r_u / scaling.d_u)
-    p_new = p - sigma * ((g - system.B @ u_half) / scaling.d_p)
-    r_u2 = f - system.A @ u - system.Bt @ p_new
-    u_new = u + tau * (r_u2 / scaling.d_u)
-    return system.join(u_new, p_new)
+    out = np.empty_like(x)
+    u_new, p_new = system.split(out)
+    r_u = system.A @ u
+    r_u += system.Bt @ p
+    np.subtract(f, r_u, out=r_u)
+    u_half = s_u * r_u
+    u_half += u
+    # dp = p_new - p = sigma Dp^-1 (B u_half - g)
+    dp = system.B @ u_half
+    dp -= g
+    dp *= s_p
+    np.add(p, dp, out=p_new)
+    r_u -= system.Bt @ dp
+    r_u *= s_u
+    np.add(u, r_u, out=u_new)
+    return out
 
 
 def smoother_step(system, scaling, config, x, rhs):
@@ -135,9 +162,9 @@ def uzawa_block_apply_inverse(system, scaling, tau, sigma, r):
     """Apply the inverse of the Uzawa sweep's block matrix C to a vector;
     equal to the update produced by one sweep from x = 0 with rhs = r."""
     r_u, r_p = system.split(r)
-    d_u, d_p = scaling.d_u, scaling.d_p
-    dp_ = -sigma * ((r_p - tau * (system.B @ (r_u / d_u))) / d_p)
-    du_ = tau * ((r_u - system.Bt @ dp_) / d_u)
+    s_u, s_p = scaling.damped_reciprocals(tau, sigma)
+    dp_ = s_p * (system.B @ (s_u * r_u) - r_p)
+    du_ = s_u * (r_u - system.Bt @ dp_)
     return system.join(du_, dp_)
 
 

@@ -192,6 +192,39 @@ def test_divergence_is_reported_not_raised(
     assert report.n <= 200
 
 
+@pytest.mark.parametrize("exit_path", ["converged", "max_iter", "diverged"])
+def test_solve_returns_final_iterate(systems3_module, transfers3,
+                                     manufactured2, exit_path):
+    x_star, rhs = manufactured2
+    nu = 1 if exit_path == "diverged" else 3
+    cfg = CycleConfig(smoother=SmootherConfig(kind="uzawa"), cycle="W",
+                      nu_pre=nu, nu_post=nu)
+    mg = make_mg(systems3_module, transfers3, 2, config=cfg)
+    x0 = np.zeros_like(x_star)
+    report = mg.solve(2, rhs, x_star, x0=x0,
+                      max_iter=2 if exit_path == "max_iter" else 200)
+    assert report.converged == (exit_path == "converged")
+    if exit_path == "max_iter":
+        assert report.n == 2
+    if exit_path == "diverged":
+        assert report.history[-1] > 1e6 * report.history[0]
+    assert report.x.shape == x_star.shape and report.x is not x0
+    assert not np.any(x0)
+    op = mg.norm_operator(2)
+    assert triple_norm(report.x - x_star, op) == report.history[-1]
+
+
+def test_solve_at_exact_solution_returns_start_copy(
+    systems3_module, transfers3, manufactured2
+):
+    x_star, rhs = manufactured2
+    mg = make_mg(systems3_module, transfers3, 2)
+    x0 = x_star.copy()
+    report = mg.solve(2, rhs, x_star, x0=x0)
+    assert report.n == 0 and report.x is not x0
+    assert np.array_equal(report.x, x_star)
+
+
 def test_pressure_mean_projection_flag(systems3_module, transfers3,
                                        manufactured2):
     x_star, rhs = manufactured2

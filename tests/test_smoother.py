@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -148,6 +150,103 @@ def test_uzawa_equals_compact_block_form(systems3_beta1, level):
     ])
     oracle = x + np.linalg.solve(C, rhs - system.dense() @ x)
     assert np.abs(got - oracle).max() <= 1e-11 * np.abs(oracle).max()
+
+
+@pytest.fixture(scope="module")
+def systems3_by_beta(spaces3, systems3_beta1):
+    by_beta = {1.0: systems3_beta1}
+    for beta in (0.0, 1e10):
+        params = ProblemParams(beta=beta)
+        by_beta[beta] = [build_system(s, params) for s in spaces3]
+    return by_beta
+
+
+def reference_uzawa_step(system, scaling, tau, sigma, x, rhs):
+    """The three substeps as written in the module docstring, with both
+    velocity residuals computed from scratch."""
+    n_u = system.n_u
+    u, p = x[:n_u], x[n_u:]
+    f, g = rhs[:n_u], rhs[n_u:]
+    A, B, Bt = system.A.toarray(), system.B.toarray(), system.B.toarray().T
+    u_half = u + tau * (f - A @ u - Bt @ p) / scaling.d_u
+    p_new = p - sigma * (g - B @ u_half) / scaling.d_p
+    u_new = u + tau * (f - A @ u - Bt @ p_new) / scaling.d_u
+    return np.concatenate([u_new, p_new])
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1e10])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_uzawa_matches_three_substep_reference(systems3_by_beta, level, beta):
+    rng = np.random.default_rng(10 + level)
+    system = systems3_by_beta[beta][level]
+    sc = build_scaling(system, "natural_diag")
+    x = rng.standard_normal(system.n)
+    rhs = rng.standard_normal(system.n)
+    got = uzawa_step(system, sc, 0.8, 0.8, x, rhs)
+    oracle = reference_uzawa_step(system, sc, 0.8, 0.8, x, rhs)
+    assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_smoother_step_leaves_inputs_untouched(systems3_beta1, kind):
+    rng = np.random.default_rng(11)
+    system = systems3_beta1[2]
+    sc = build_scaling(system, "natural_diag")
+    x = rng.standard_normal(system.n)
+    rhs = rng.standard_normal(system.n)
+    x_before, rhs_before = x.copy(), rhs.copy()
+    out = smoother_step(system, sc, SmootherConfig(kind=kind), x, rhs)
+    assert np.array_equal(x, x_before) and np.array_equal(rhs, rhs_before)
+    assert not np.shares_memory(out, x) and not np.shares_memory(out, rhs)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1e10])
+def test_uzawa_update_is_block_inverse_of_residual(systems3_by_beta, beta):
+    rng = np.random.default_rng(12)
+    system = systems3_by_beta[beta][3]
+    sc = build_scaling(system, "natural_diag")
+    x = rng.standard_normal(system.n)
+    rhs = rng.standard_normal(system.n)
+    update = uzawa_step(system, sc, 0.8, 0.8, x, rhs) - x
+    delta = uzawa_block_apply_inverse(system, sc, 0.8, 0.8,
+                                      rhs - system.apply(x))
+    assert np.abs(update - delta).max() <= 1e-12 * np.abs(delta).max()
+
+
+class CountingMatrix:
+    """Sparse matrix stand-in that counts its matvecs."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.shape = matrix.shape
+        self.calls = 0
+
+    def __matmul__(self, v):
+        self.calls += 1
+        return self.matrix @ v
+
+
+def test_uzawa_sweep_matvec_count(systems3_beta1):
+    system = systems3_beta1[2]
+    sc = build_scaling(system, "natural_diag")
+    A, B, Bt = (CountingMatrix(m) for m in (system.A, system.B, system.Bt))
+    counted = dataclasses.replace(system, A=A, B=B)
+    counted.__dict__["Bt"] = Bt  # seed the cached transpose
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(system.n)
+    rhs = rng.standard_normal(system.n)
+    got = uzawa_step(counted, sc, 0.8, 0.8, x, rhs)
+    assert (A.calls, Bt.calls, B.calls) == (1, 2, 1)
+    assert np.array_equal(got, uzawa_step(system, sc, 0.8, 0.8, x, rhs))
+
+
+def test_damped_reciprocals_are_memoized(systems3_beta1):
+    sc = build_scaling(systems3_beta1[1], "natural_diag")
+    s_u, s_p = sc.damped_reciprocals(0.8, 0.7)
+    np.testing.assert_array_equal(s_u, 0.8 / sc.d_u)
+    np.testing.assert_array_equal(s_p, 0.7 / sc.d_p)
+    assert sc.damped_reciprocals(0.8, 0.7)[0] is s_u
+    assert sc.damped_reciprocals(0.5, 0.7)[0] is not s_u
 
 
 def test_uzawa_block_inverse_helper(systems3_beta1):
