@@ -163,14 +163,14 @@ def systems3_by_beta(spaces3, systems3_beta1):
 
 def reference_uzawa_step(system, scaling, tau, sigma, x, rhs):
     """The three substeps as written in the module docstring, with both
-    velocity residuals computed from scratch."""
+    velocity residuals computed in full."""
     n_u = system.n_u
     u, p = x[:n_u], x[n_u:]
     f, g = rhs[:n_u], rhs[n_u:]
-    A, B, Bt = system.A.toarray(), system.B.toarray(), system.B.toarray().T
-    u_half = u + tau * (f - A @ u - Bt @ p) / scaling.d_u
+    A, B = system.A.toarray(), system.B.toarray()
+    u_half = u + tau * (f - A @ u - B.T @ p) / scaling.d_u
     p_new = p - sigma * (g - B @ u_half) / scaling.d_p
-    u_new = u + tau * (f - A @ u - Bt @ p_new) / scaling.d_u
+    u_new = u + tau * (f - A @ u - B.T @ p_new) / scaling.d_u
     return np.concatenate([u_new, p_new])
 
 
