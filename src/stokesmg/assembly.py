@@ -143,7 +143,8 @@ class ProblemParams:
 
 
 class TaylorHoodSpace:
-    """Node bookkeeping for the quadratic/linear pair on one mesh level."""
+    """Node bookkeeping and beta-independent matrices for the
+    quadratic/linear pair on one mesh level."""
 
     def __init__(self, level: MeshLevel):
         self.level = level
@@ -186,6 +187,44 @@ class TaylorHoodSpace:
         """Quadrature points mapped to every triangle, shape (T, nq, 2)."""
         verts = self.level.vertex_coords[self.level.tri_vertices]
         return np.einsum("qk,tkd->tqd", rule.points, verts)
+
+    # The beta-independent blocks are assembled once per space, on first
+    # use, and shared by every SaddleSystem built on it.
+
+    @cached_property
+    def scalar_blocks(self):
+        """Scalar stiffness K and mass M on interior quadratic nodes."""
+        K, M = _scalar_p2_matrices(self, degree4_rule())
+        idx = self.interior_nodes
+        return K[idx][:, idx].tocsr(), M[idx][:, idx].tocsr()
+
+    @cached_property
+    def B(self):
+        """Divergence block: rows are pressure dofs, columns interior
+        velocity dofs in component-blocked order."""
+        Dx, Dy = _divergence_blocks(self, degree4_rule())
+        idx = self.interior_nodes
+        return sp.hstack([Dx[:, idx], Dy[:, idx]], format="csr")
+
+    @cached_property
+    def M_U(self):
+        """Velocity mass matrix on interior dofs (both components)."""
+        M = self.scalar_blocks[1]
+        return sp.block_diag([M, M], format="csr")
+
+    @cached_property
+    def M_P(self):
+        """Pressure mass matrix on all vertex dofs."""
+        rule = degree4_rule()
+        pvals = p1_values(rule.points)
+        m_loc = np.einsum("q,qi,qj->ij", rule.weights, pvals, pvals)
+        m_all = self._geometry[1][:, None, None] * m_loc[None, :, :]
+        tv = self.level.tri_vertices
+        rows = np.broadcast_to(tv[:, :, None], m_all.shape).ravel()
+        cols = np.broadcast_to(tv[:, None, :], m_all.shape).ravel()
+        return from_triplets(
+            self.n_pressure, self.n_pressure, rows, cols, m_all.ravel()
+        )
 
 
 def _scalar_p2_matrices(space, rule):
@@ -237,52 +276,6 @@ def _divergence_blocks(space, rule):
     return Dx, Dy
 
 
-def _interior(matrix, space):
-    idx = space.interior_nodes
-    return matrix[idx][:, idx].tocsr()
-
-
-def assemble_A(space, params, rule=None):
-    """Velocity block: vector Laplacian plus beta times the velocity mass,
-    on interior dofs; symmetric positive definite for beta >= 0."""
-    rule = rule or degree4_rule()
-    K, M = _scalar_p2_matrices(space, rule)
-    scalar = _interior(K, space) + params.beta * _interior(M, space)
-    return sp.block_diag([scalar, scalar], format="csr")
-
-
-def assemble_B(space, rule=None):
-    """Divergence block: rows are pressure dofs, columns interior velocity
-    dofs in component-blocked order."""
-    rule = rule or degree4_rule()
-    Dx, Dy = _divergence_blocks(space, rule)
-    idx = space.interior_nodes
-    return sp.hstack([Dx[:, idx], Dy[:, idx]], format="csr")
-
-
-def assemble_mass_U(space, rule=None):
-    """Velocity mass matrix on interior dofs (both components)."""
-    rule = rule or degree4_rule()
-    _, M = _scalar_p2_matrices(space, rule)
-    Mi = _interior(M, space)
-    return sp.block_diag([Mi, Mi], format="csr")
-
-
-def assemble_mass_P(space, rule=None):
-    """Pressure mass matrix on all vertex dofs."""
-    rule = rule or degree4_rule()
-    det = space._geometry[1]
-    pvals = p1_values(rule.points)
-    m_loc = np.einsum("q,qi,qj->ij", rule.weights, pvals, pvals)
-    m_all = det[:, None, None] * m_loc[None, :, :]
-    tv = space.level.tri_vertices
-    rows = np.broadcast_to(tv[:, :, None], m_all.shape).ravel()
-    cols = np.broadcast_to(tv[:, None, :], m_all.shape).ravel()
-    return from_triplets(
-        space.n_pressure, space.n_pressure, rows, cols, m_all.ravel()
-    )
-
-
 @dataclass
 class SaddleSystem:
     """Assembled blocks of one level: [[A, B^T], [B, 0]] plus the mass
@@ -331,18 +324,15 @@ class SaddleSystem:
         return sp.bmat([[self.A, self.Bt], [self.B, None]]).toarray()
 
 
-def build_system(space, params, rule=None):
-    """Assemble all blocks of one level into a SaddleSystem."""
-    rule = rule or degree4_rule()
-    K, M = _scalar_p2_matrices(space, rule)
-    Ki, Mi = _interior(K, space), _interior(M, space)
-    scalar_A = (Ki + params.beta * Mi).tocsr()
+def build_system(space, params):
+    """SaddleSystem of one level: A = K + beta M per velocity component,
+    with B and the mass matrices shared from the space."""
+    K, M = space.scalar_blocks
+    scalar_A = (K + params.beta * M).tocsr()
     A = sp.block_diag([scalar_A, scalar_A], format="csr")
-    M_U = sp.block_diag([Mi, Mi], format="csr")
-    B = assemble_B(space, rule)
-    M_P = assemble_mass_P(space, rule)
     return SaddleSystem(
-        A=A, B=B, M_U=M_U, M_P=M_P, params=params, h=space.level.h, space=space
+        A=A, B=space.B, M_U=space.M_U, M_P=space.M_P, params=params,
+        h=space.level.h, space=space,
     )
 
 
@@ -396,12 +386,10 @@ def l2_project(space, u_exact, p_exact, rule=None):
     b_ux, b_uy, b_p = _moment_vectors(space, u_exact, p_exact, rule)
 
     idx = space.interior_nodes
-    M_scalar = _interior(_scalar_p2_matrices(space, degree4_rule())[1], space)
-    u_star = np.concatenate(
-        [_mass_cg(M_scalar, b_ux[idx]), _mass_cg(M_scalar, b_uy[idx])]
-    )
+    M = space.scalar_blocks[1]
+    u_star = np.concatenate([_mass_cg(M, b_ux[idx]), _mass_cg(M, b_uy[idx])])
 
-    M_P = assemble_mass_P(space)
+    M_P = space.M_P
     p_star = _mass_cg(M_P, b_p)
     w = M_P @ np.ones(space.n_pressure)
     p_star -= (w @ p_star) / w.sum()

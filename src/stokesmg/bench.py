@@ -99,7 +99,9 @@ class _HierarchyCache:
     """Shared meshes, spaces, transfers and per-beta systems for one grid.
 
     Spaces and transfers are beta-independent; the projected target
-    solution per level is too.  Only the velocity block changes with beta.
+    solution per level is too.  Each space assembles its stiffness, masses
+    and divergence once, so the systems of every beta share them and a new
+    beta only adds its velocity block A = K + beta M.
     """
 
     def __init__(self, max_level, solution=ExactSolution()):

@@ -11,9 +11,6 @@ level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 BOUNDARY_TOL = 1e-12
@@ -37,28 +34,6 @@ CHILD_VERTEX_BARYCENTRIC = np.array(
 
 class ResourceLimitError(RuntimeError):
     """A requested hierarchy is too large to build in memory."""
-
-
-@dataclass(frozen=True)
-class Vertex:
-    x: float
-    y: float
-    on_boundary: bool
-
-
-@dataclass(frozen=True)
-class Edge:
-    v0: int
-    v1: int
-    midpoint: tuple[float, float]
-    on_boundary: bool
-
-
-@dataclass(frozen=True)
-class Triangle:
-    vertex_ids: tuple[int, int, int]
-    # edge_ids[i] is the edge opposite vertex_ids[i]
-    edge_ids: tuple[int, int, int]
 
 
 def _points_on_boundary(points):
@@ -86,12 +61,8 @@ def _edges_from_triangles(tri_vertices):
 
 
 class MeshLevel:
-    """One triangulation of the hierarchy, backed by index arrays.
-
-    Primary storage is numpy arrays (vertex_coords, tri_vertices, ...);
-    the Vertex/Edge/Triangle object views are built lazily for callers
-    that want per-entity records.
-    """
+    """One triangulation of the hierarchy, stored as numpy index arrays
+    (vertex_coords, tri_vertices, edge_vertices, tri_edges, ...)."""
 
     def __init__(self, level_index, vertex_coords, tri_vertices,
                  parent_triangle=None):
@@ -134,36 +105,6 @@ class MeshLevel:
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    @cached_property
-    def vertices(self):
-        return [
-            Vertex(float(x), float(y), bool(b))
-            for (x, y), b in zip(self.vertex_coords, self.vertex_on_boundary)
-        ]
-
-    @cached_property
-    def edges(self):
-        return [
-            Edge(int(v0), int(v1), (float(mx), float(my)), bool(b))
-            for (v0, v1), (mx, my), b in zip(
-                self.edge_vertices, self.edge_midpoints, self.edge_on_boundary
-            )
-        ]
-
-    @cached_property
-    def triangles(self):
-        return [
-            Triangle(tuple(int(v) for v in vs), tuple(int(e) for e in es))
-            for vs, es in zip(self.tri_vertices, self.tri_edges)
-        ]
-
-    def dump(self, stream):
-        """Plain-text dump: one "v x y" line per vertex, "t i j k" per triangle."""
-        for x, y in self.vertex_coords:
-            stream.write(f"v {x!r} {y!r}\n")
-        for a, b, c in self.tri_vertices:
-            stream.write(f"t {a} {b} {c}\n")
 
 
 def build_coarse_mesh():
@@ -227,17 +168,6 @@ class MeshHierarchy:
     @property
     def max_level(self):
         return len(self.levels) - 1
-
-    def vertex_parent(self, k, vertex_id):
-        """Coarse entity refined into a level-k vertex: ("vertex", i) if the
-        vertex already existed on level k-1, else ("edge", e) for the coarse
-        edge whose midpoint it is."""
-        if k <= 0:
-            raise ValueError("level 0 vertices have no parent")
-        nv_coarse = self.levels[k - 1].n_vertices
-        if vertex_id < nv_coarse:
-            return ("vertex", int(vertex_id))
-        return ("edge", int(vertex_id - nv_coarse))
 
 
 def build_hierarchy(max_level):

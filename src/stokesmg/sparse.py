@@ -1,10 +1,7 @@
 """Sparse and dense linear-algebra plumbing.
 
-Matrices are scipy CSR throughout; this module pins down the small set of
-operations the solver relies on (matvec, transpose, triple products, a
-pivoted dense factorization for the coarsest grid) with explicit contract
-checks, plus COO-triplet assembly and a MatrixMarket dump for
-cross-checking against external tools.
+Matrices are scipy CSR throughout; this module holds COO-triplet assembly
+and the pivoted, equilibrated dense factorization for the coarsest grid.
 """
 
 from __future__ import annotations
@@ -26,33 +23,6 @@ def from_triplets(nrows, ncols, rows, cols, values):
         (np.asarray(values, dtype=float), (rows, cols)), shape=(nrows, ncols)
     )
     out = mat.tocsr()
-    out.sum_duplicates()
-    return out
-
-
-def matvec(matrix, x):
-    """y = M x with an explicit dimension check."""
-    x = np.asarray(x)
-    if matrix.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"matvec dimension mismatch: matrix is {matrix.shape}, "
-            f"vector has length {x.shape[0]}"
-        )
-    return matrix @ x
-
-
-def transpose(matrix):
-    """CSR transpose."""
-    return matrix.T.tocsr()
-
-
-def triple_product(R, A, P):
-    """R @ A @ P as CSR, used for Galerkin-identity checks."""
-    if R.shape[1] != A.shape[0] or A.shape[1] != P.shape[0]:
-        raise ValueError(
-            f"triple_product dimension mismatch: {R.shape} x {A.shape} x {P.shape}"
-        )
-    out = (R @ A @ P).tocsr()
     out.sum_duplicates()
     return out
 
@@ -109,15 +79,3 @@ class DenseFactorization:
             (self._lu, self._piv), b / self._row_scale, check_finite=False
         )
         return y / self._col_scale
-
-
-def dense_solve(matrix, b):
-    """Solve M x = b by pivoted LU; raises SingularMatrixError if singular."""
-    return DenseFactorization(matrix).solve(b)
-
-
-def dump_matrix_market(matrix, path):
-    """Write a matrix in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, sp.coo_matrix(matrix))

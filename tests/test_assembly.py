@@ -6,10 +6,6 @@ import pytest
 from stokesmg.assembly import (
     ProblemParams,
     TaylorHoodSpace,
-    assemble_A,
-    assemble_B,
-    assemble_mass_P,
-    assemble_mass_U,
     build_system,
     composite_rule,
     conical_rule,
@@ -95,7 +91,7 @@ def test_p1_local_mass_scales_with_area():
     level = MeshLevel(0, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                       np.array([[0, 1, 2]]))
     space = TaylorHoodSpace(level)
-    m = assemble_mass_P(space).toarray()
+    m = space.M_P.toarray()
     assert np.abs(m - P1_MASS_REF).max() <= 1e-15
 
 
@@ -126,7 +122,7 @@ def test_space_dof_counts(space2):
 
 
 def test_A_symmetric_positive(space2):
-    a0 = assemble_A(space2, ProblemParams(beta=0.0))
+    a0 = build_system(space2, ProblemParams(beta=0.0)).A
     assert np.abs((a0 - a0.T).toarray()).max() <= 1e-13 * np.abs(a0.toarray()).max()
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -135,21 +131,47 @@ def test_A_symmetric_positive(space2):
 
 
 def test_A_linear_in_beta(space2):
-    a0 = assemble_A(space2, ProblemParams(beta=0.0))
-    a4 = assemble_A(space2, ProblemParams(beta=1e4))
-    m = assemble_mass_U(space2)
+    a0 = build_system(space2, ProblemParams(beta=0.0)).A
+    system4 = build_system(space2, ProblemParams(beta=1e4))
+    a4, m = system4.A, system4.M_U
     diff = (a4 - a0 - 1e4 * m).toarray()
     assert np.abs(diff).max() <= 1e-9 * np.abs(a4.toarray()).max()
 
 
 def test_A_dominates_beta_mass(space2):
     beta = 37.0
-    a = assemble_A(space2, ProblemParams(beta=beta))
-    m = assemble_mass_U(space2)
+    system = build_system(space2, ProblemParams(beta=beta))
+    a, m = system.A, system.M_U
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.standard_normal(a.shape[0])
         assert x @ (a @ x) >= beta * (x @ (m @ x)) - 1e-12
+
+
+def test_beta_independent_blocks_assembled_once_per_space(monkeypatch):
+    # systems for several beta and the L2 projection all reuse the blocks
+    # the space assembled on first use
+    from stokesmg import assembly
+    from stokesmg.bench import exact_pressure, exact_velocity
+
+    calls = {"_scalar_p2_matrices": 0, "_divergence_blocks": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(assembly, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(assembly, name, counted)
+    space = TaylorHoodSpace(build_hierarchy(2)[2])
+    for beta in (0.0, 1.0, 1e10):
+        build_system(space, ProblemParams(beta=beta))
+    l2_project(space, exact_velocity, exact_pressure)
+    assert calls == {"_scalar_p2_matrices": 1, "_divergence_blocks": 1}
+
+
+def test_systems_share_beta_independent_blocks(space2):
+    s0 = build_system(space2, ProblemParams(beta=0.0))
+    s1 = build_system(space2, ProblemParams(beta=1e4))
+    assert s0.B is s1.B and s0.M_U is s1.M_U and s0.M_P is s1.M_P
+    assert s0.A is not s1.A
 
 
 def test_B_kernel_contains_constants(system2):
@@ -236,11 +258,11 @@ def test_assembly_independent_of_triangle_order(space2):
     shuffled = TaylorHoodSpace(shuffled_level)
     # edge numbering is derived from sorted vertex pairs, so it is
     # identical and the matrices must agree entrywise
-    a1 = assemble_A(space2, ProblemParams(beta=1.0)).toarray()
-    a2 = assemble_A(shuffled, ProblemParams(beta=1.0)).toarray()
+    s1 = build_system(space2, ProblemParams(beta=1.0))
+    s2 = build_system(shuffled, ProblemParams(beta=1.0))
+    a1, a2 = s1.A.toarray(), s2.A.toarray()
     assert np.abs(a1 - a2).max() <= 1e-13 * np.abs(a1).max()
-    b1 = assemble_B(space2).toarray()
-    b2 = assemble_B(shuffled).toarray()
+    b1, b2 = s1.B.toarray(), s2.B.toarray()
     assert np.abs(b1 - b2).max() <= 1e-13 * max(1.0, np.abs(b1).max())
 
 
@@ -276,7 +298,7 @@ def test_project_reproduces_discrete_function(space2):
     )
     assert np.abs(u_star - expect_u).max() <= 1e-10
     # pressure is reproduced up to the mean shift
-    w = assemble_mass_P(space2) @ np.ones(space2.n_pressure)
+    w = space2.M_P @ np.ones(space2.n_pressure)
     shifted = p_coeff - (w @ p_coeff) / w.sum()
     assert np.abs(p_star - shifted).max() <= 1e-10
     assert abs(w @ p_star) <= 1e-12

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -136,16 +134,13 @@ def test_coarse_coordinates_reappear_on_all_levels():
         assert np.array_equal(coarse, lv.vertex_coords[: coarse.shape[0]])
 
 
-def test_vertex_parent_mapping():
-    hier = build_hierarchy(1)
-    nv0 = hier[0].n_vertices
-    assert hier.vertex_parent(1, 0) == ("vertex", 0)
-    kind, idx = hier.vertex_parent(1, nv0 + 3)
-    assert kind == "edge" and idx == 3
-    mid = hier[1].vertex_coords[nv0 + 3]
-    np.testing.assert_array_equal(mid, hier[0].edge_midpoints[3])
-    with pytest.raises(ValueError):
-        hier.vertex_parent(0, 0)
+def test_refine_numbers_edge_midpoints_after_vertices():
+    # the midpoint of coarse edge e becomes fine vertex n_vertices + e
+    hier = build_hierarchy(2)
+    for coarse, fine in zip(hier.levels, hier.levels[1:]):
+        assert np.array_equal(
+            fine.vertex_coords[coarse.n_vertices:], coarse.edge_midpoints
+        )
 
 
 def test_hierarchy_rejects_bad_levels():
@@ -155,26 +150,3 @@ def test_hierarchy_rejects_bad_levels():
         build_hierarchy(99)
     assert "100" in str(err.value)
 
-
-def test_entity_views():
-    mesh = build_coarse_mesh()
-    assert len(mesh.vertices) == 9
-    assert mesh.vertices[8].x == 0.5 and not mesh.vertices[8].on_boundary
-    assert all(
-        (e.on_boundary == mesh.edge_on_boundary[i])
-        for i, e in enumerate(mesh.edges)
-    )
-    tri = mesh.triangles[0]
-    assert len(tri.vertex_ids) == 3 and len(tri.edge_ids) == 3
-
-
-def test_dump_format():
-    mesh = build_coarse_mesh()
-    buf = io.StringIO()
-    mesh.dump(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == mesh.n_vertices + mesh.n_triangles
-    assert lines[0].startswith("v ")
-    assert lines[-1].startswith("t ")
-    parts = lines[mesh.n_vertices].split()
-    assert parts[0] == "t" and len(parts) == 4

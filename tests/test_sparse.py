@@ -1,120 +1,14 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from stokesmg.sparse import (
-    DenseFactorization,
-    SingularMatrixError,
-    dense_solve,
-    dump_matrix_market,
-    from_triplets,
-    matvec,
-    transpose,
-    triple_product,
-)
-
-
-def random_sparse(rng, nrows, ncols, density=0.3):
-    return sp.random(
-        nrows, ncols, density=density, random_state=np.random.RandomState(
-            rng.integers(2**31)
-        ), format="csr"
-    )
-
-
-def test_matvec_identity_and_zero():
-    x = np.array([3.0, -1.0, 2.0])
-    assert np.array_equal(matvec(sp.identity(3, format="csr"), x), x)
-    assert np.array_equal(matvec(sp.csr_matrix((3, 3)), x), np.zeros(3))
-
-
-def test_matvec_hand_case():
-    m = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
-    np.testing.assert_array_equal(matvec(m, np.ones(2)), [3.0, 3.0])
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matvec(sp.identity(3, format="csr"), np.ones(4))
-
-
-def test_matvec_linearity():
-    rng = np.random.default_rng(0)
-    m = random_sparse(rng, 40, 30)
-    x, y = rng.standard_normal(30), rng.standard_normal(30)
-    a, b = 0.37, -2.1
-    lhs = matvec(m, a * x + b * y)
-    rhs = a * matvec(m, x) + b * matvec(m, y)
-    assert np.abs(lhs - rhs).max() <= 1e-13 * max(1.0, np.abs(rhs).max())
-
-
-def test_transpose_involution_and_symmetry():
-    rng = np.random.default_rng(1)
-    m = random_sparse(rng, 20, 35)
-    assert (transpose(transpose(m)) != m).nnz == 0
-    s = m[:20, :20]
-    s = s + s.T
-    assert (transpose(s.tocsr()) != s).nnz == 0
-
-
-def test_transpose_shape_case():
-    m = sp.csr_matrix(np.array([[1.0, 2.0]]))
-    mt = transpose(m)
-    assert mt.shape == (2, 1)
-    np.testing.assert_array_equal(mt.toarray(), [[1.0], [2.0]])
-
-
-def test_transpose_adjointness():
-    rng = np.random.default_rng(2)
-    m = random_sparse(rng, 25, 40)
-    x, y = rng.standard_normal(40), rng.standard_normal(25)
-    lhs = matvec(m, x) @ y
-    rhs = x @ matvec(transpose(m), y)
-    assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
-
-
-def test_triple_product_identity_and_zero():
-    rng = np.random.default_rng(3)
-    a = random_sparse(rng, 10, 10)
-    eye = sp.identity(10, format="csr")
-    assert np.abs((triple_product(eye, a, eye) - a).toarray()).max() == 0
-    zero = sp.csr_matrix((10, 10))
-    assert triple_product(eye, zero, eye).nnz == 0
-
-
-def test_triple_product_against_dense_oracle():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        r = random_sparse(rng, 12, 30)
-        a = random_sparse(rng, 30, 45)
-        p = random_sparse(rng, 45, 20)
-        oracle = r.toarray() @ a.toarray() @ p.toarray()
-        got = triple_product(r, a, p).toarray()
-        assert np.abs(got - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
-
-
-def test_triple_product_hand_case():
-    r = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
-    a = sp.csr_matrix(np.arange(9, dtype=float).reshape(3, 3))
-    p = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 2.0], [1.0, 0.0]]))
-    oracle = r.toarray() @ a.toarray() @ p.toarray()
-    np.testing.assert_allclose(triple_product(r, a, p).toarray(), oracle)
-
-
-def test_triple_product_dimension_mismatch():
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError):
-        triple_product(
-            random_sparse(rng, 4, 5), random_sparse(rng, 6, 6),
-            random_sparse(rng, 6, 4),
-        )
+from stokesmg.sparse import DenseFactorization, SingularMatrixError, from_triplets
 
 
 def test_dense_solve_identity_and_diagonal():
     b = np.array([2.0, 4.0])
-    np.testing.assert_array_equal(dense_solve(np.eye(2), b), b)
+    np.testing.assert_array_equal(DenseFactorization(np.eye(2)).solve(b), b)
     np.testing.assert_allclose(
-        dense_solve(np.diag([2.0, 4.0]), b), [1.0, 1.0], rtol=1e-15
+        DenseFactorization(np.diag([2.0, 4.0])).solve(b), [1.0, 1.0], rtol=1e-15
     )
 
 
@@ -123,7 +17,7 @@ def test_dense_solve_spd_residual():
     m = rng.standard_normal((20, 20))
     m = m @ m.T + 20 * np.eye(20)
     b = rng.standard_normal(20)
-    x = dense_solve(m, b)
+    x = DenseFactorization(m).solve(b)
     assert np.abs(m @ x - b).max() <= 1e-10 * np.abs(b).max()
 
 
@@ -155,9 +49,9 @@ def test_factorization_handles_badly_scaled_blocks():
 
 def test_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
-        dense_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
+        DenseFactorization(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
-        dense_solve(np.zeros((3, 3)), np.ones(3))
+        DenseFactorization(np.zeros((3, 3)))
 
 
 def test_dense_solve_shape_checks():
@@ -171,13 +65,3 @@ def test_from_triplets_sums_duplicates():
     m = from_triplets(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
     np.testing.assert_array_equal(m.toarray(), [[0.0, 5.0], [1.0, 0.0]])
 
-
-def test_matrix_market_round_trip(tmp_path):
-    from scipy.io import mmread
-
-    rng = np.random.default_rng(9)
-    m = random_sparse(rng, 7, 5)
-    path = tmp_path / "matrix.mtx"
-    dump_matrix_market(m, path)
-    back = mmread(path).tocsr()
-    assert np.abs((back - m).toarray()).max() <= 1e-15

@@ -3,7 +3,6 @@ import pytest
 
 from stokesmg.assembly import TaylorHoodSpace
 from stokesmg.mesh import build_hierarchy
-from stokesmg.sparse import triple_product
 from stokesmg.transfer import build_prolongation, prolongate, restrict
 
 from conftest import eval_p2_function
@@ -102,7 +101,7 @@ def test_galerkin_identity_all_blocks(spaces3, transfers3, systems3_beta1):
             (T.P_p, T.P_p, fine.M_P, coarse.M_P),
         ]
         for row_p, col_p, mat_f, mat_c in blocks:
-            got = triple_product(row_p.T.tocsr(), mat_f, col_p)
+            got = row_p.T @ mat_f @ col_p
             err = np.abs((got - mat_c).toarray()).max()
             assert err <= 1e-10 * np.abs(mat_f.toarray()).max()
 
