@@ -207,6 +207,10 @@ class TaylorHoodSpace:
         return sp.hstack([Dx[:, idx], Dy[:, idx]], format="csr")
 
     @cached_property
+    def Bt(self):
+        return self.B.T.tocsr()
+
+    @cached_property
     def M_U(self):
         """Velocity mass matrix on interior dofs (both components)."""
         M = self.scalar_blocks[1]
@@ -291,6 +295,9 @@ class SaddleSystem:
 
     @cached_property
     def Bt(self):
+        """B^T, shared with every system that uses the space's own B."""
+        if self.space is not None and self.B is self.space.B:
+            return self.space.Bt
         return self.B.T.tocsr()
 
     @property

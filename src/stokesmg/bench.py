@@ -257,11 +257,9 @@ def emit(rows, fmt):
     return _emit_markdown_levels_by_beta(rows)
 
 
-def _smoother_config(name, tau, sigma, scaling):
+def _smoother_config(name, tau, sigma):
     kind = {"normal": "normal_equation", "uzawa": "uzawa"}[name]
-    return SmootherConfig(
-        kind=kind, tau=tau, sigma=sigma, scaling=scaling.replace("-", "_")
-    )
+    return SmootherConfig(kind=kind, tau=tau, sigma=sigma)
 
 
 def _preset_grid(table, args):
@@ -271,8 +269,7 @@ def _preset_grid(table, args):
         configs = []
         for name in ("normal", "uzawa"):
             for nu in NU_SWEEP:
-                smoother = _smoother_config(name, args.tau, args.sigma,
-                                            args.scaling)
+                smoother = _smoother_config(name, args.tau, args.sigma)
                 configs.append(
                     CycleConfig(smoother=smoother, cycle=cycle,
                                 nu_pre=nu, nu_post=nu)
@@ -283,7 +280,7 @@ def _preset_grid(table, args):
         )
     # beta tables for one smoother over levels 4..max_level
     levels = list(range(min(4, args.max_level), args.max_level + 1))
-    smoother = _smoother_config(table, args.tau, args.sigma, args.scaling)
+    smoother = _smoother_config(table, args.tau, args.sigma)
     config = CycleConfig(smoother=smoother, cycle=cycle,
                          nu_pre=args.nu_pre, nu_post=args.nu_post)
     return ExperimentGrid(
@@ -314,8 +311,6 @@ def build_parser():
                         help="smoother damping (defaults: 0.35 normal, 0.8 uzawa)")
     parser.add_argument("--sigma", type=float, default=None,
                         help="uzawa pressure damping (default 0.8)")
-    parser.add_argument("--scaling", choices=["mass-diag", "natural-diag"],
-                        default="natural-diag")
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--max-iter", type=int, default=200)
     parser.add_argument("--format", choices=["csv", "markdown"],
@@ -328,15 +323,14 @@ def build_parser():
 
 def _damping_report(args, out):
     cache = _HierarchyCache(min(3, args.max_level))
-    smoother = _smoother_config(args.smoother, args.tau, args.sigma,
-                                args.scaling)
+    smoother = _smoother_config(args.smoother, args.tau, args.sigma)
     sigma = smoother.sigma if smoother.sigma is not None else smoother.tau
     for beta in (0.0, 1.0, 1e4, 1e10):
         systems = cache.systems(beta, min(3, args.max_level))
         for level, system in enumerate(systems):
             if level == 0:
                 continue
-            scaling = build_scaling(system, smoother.scaling)
+            scaling = build_scaling(system)
             res = check_damping_conditions(system, scaling, smoother.tau, sigma)
             out.write(
                 f"damping level={level} beta={beta:g}: "
@@ -357,8 +351,7 @@ def main(argv=None):
         grid = _preset_grid(args.table, args)
     else:
         betas = [float(b) for b in args.beta.split(",") if b.strip()]
-        smoother = _smoother_config(args.smoother, args.tau, args.sigma,
-                                    args.scaling)
+        smoother = _smoother_config(args.smoother, args.tau, args.sigma)
         cycle = {"v": "V", "w": "W", "two-grid": "two_grid"}[args.cycle]
         config = CycleConfig(smoother=smoother, cycle=cycle,
                              nu_pre=args.nu_pre, nu_post=args.nu_post)

@@ -31,6 +31,9 @@ _CYCLES = ("V", "W", "two_grid")
 # on a level it was never meant for.
 _MAX_EXACT_DIM = 12000
 
+# A solve stops as diverged once its error exceeds err0 by this factor.
+_DIVERGENCE_FACTOR = 1e6
+
 
 @dataclass
 class CycleConfig:
@@ -56,31 +59,13 @@ class SolveReport:
     x: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class NormOperator:
-    """Weights of the measurement norm on one level."""
-
-    M_U: object
-    M_P: object
-    h: float
-    beta: float
-
-    @property
-    def velocity_weight(self):
-        return self.h ** -2 + self.beta
-
-    @property
-    def pressure_weight(self):
-        hm2 = self.h ** -2
-        return hm2 / (self.beta + hm2)
-
-
-def triple_norm(x, op):
-    """Level-scaled L2 norm of a stacked (velocity, pressure) vector."""
-    nu = op.M_U.shape[0]
-    u, p = x[:nu], x[nu:]
-    val = op.velocity_weight * (u @ (op.M_U @ u)) + op.pressure_weight * (
-        p @ (op.M_P @ p)
+def triple_norm(x, system):
+    """Level-scaled L2 norm of a stacked (velocity, pressure) vector on the
+    level of the given SaddleSystem."""
+    hm2, beta = system.h ** -2, system.params.beta
+    u, p = system.split(x)
+    val = (hm2 + beta) * (u @ (system.M_U @ u)) + hm2 / (beta + hm2) * (
+        p @ (system.M_P @ p)
     )
     # tiny negative values can appear from roundoff at x ~ 0
     return float(np.sqrt(max(val, 0.0)))
@@ -90,29 +75,34 @@ class Multigrid:
     """Cycle driver owning the per-level systems, transfers and scalings.
 
     systems[k] is the level-k SaddleSystem; transfers[k] maps level k-1 to
-    level k (transfers[0] is unused and may be None).  The instance never
-    mutates its inputs; solves on the same hierarchy can run concurrently.
+    level k (transfers[0] is unused and may be None); every level has the
+    same beta.  The instance never mutates its inputs; solves on the same
+    hierarchy can run concurrently.
     """
 
-    def __init__(self, systems, transfers, config: CycleConfig,
-                 project_pressure_mean=True):
+    def __init__(self, systems, transfers, config: CycleConfig):
         if len(transfers) != len(systems):
             raise ValueError("need one transfer slot per level")
+        for k in range(1, len(systems)):
+            t, fine, coarse = transfers[k], systems[k], systems[k - 1]
+            if t.n_fine != fine.n or t.n_coarse != coarse.n:
+                raise ValueError(
+                    f"transfer {k} maps {t.n_coarse} to {t.n_fine} dofs, but "
+                    f"levels {k - 1} and {k} have {coarse.n} and {fine.n}"
+                )
+            if fine.params.beta != systems[0].params.beta:
+                raise ValueError(
+                    f"level {k} has beta {fine.params.beta:g}, level 0 has "
+                    f"{systems[0].params.beta:g}"
+                )
         self.systems = list(systems)
         self.transfers = list(transfers)
         self.config = config
-        self.project_pressure_mean = project_pressure_mean
-        self.scalings = [
-            build_scaling(s, config.smoother.scaling) for s in self.systems
-        ]
+        self.scalings = [build_scaling(s) for s in self.systems]
         self._exact = {}
         # weighted pressure means: w = M_P 1
         self._pressure_weights = [
             s.M_P @ np.ones(s.n_p) for s in self.systems
-        ]
-        self._norms = [
-            NormOperator(M_U=s.M_U, M_P=s.M_P, h=s.h, beta=s.params.beta)
-            for s in self.systems
         ]
 
     # -- exact (augmented) solves -------------------------------------
@@ -142,15 +132,6 @@ class Multigrid:
         padded = np.concatenate([rhs, [0.0]])
         return fact.solve(padded)[:-1]
 
-    def coarse_solve(self, rhs):
-        """Exact level-0 solve with the pressure mean pinned to zero."""
-        if rhs.shape[0] != self.systems[0].n:
-            raise ValueError(
-                f"coarse rhs has length {rhs.shape[0]}, "
-                f"expected {self.systems[0].n}"
-            )
-        return self._exact_solve(0, rhs)
-
     # -- cycling -------------------------------------------------------
 
     def project_pressure(self, level, x):
@@ -175,9 +156,7 @@ class Multigrid:
         r_coarse = restrict(
             self.transfers[level], self.systems[level].residual(x, rhs)
         )
-        if level == 1:
-            z = self._exact_solve(0, r_coarse)
-        elif cfg.cycle == "two_grid":
+        if level == 1 or cfg.cycle == "two_grid":
             z = self._exact_solve(level - 1, r_coarse)
         else:
             z = np.zeros(self.systems[level - 1].n)
@@ -195,28 +174,26 @@ class Multigrid:
             )
         if x.shape[0] != self.systems[level].n:
             raise ValueError("iterate length does not match the level")
-        x = self._cycle(level, x, rhs)
-        if self.project_pressure_mean:
-            x = self.project_pressure(level, x)
-        return x
+        return self.project_pressure(level, self._cycle(level, x, rhs))
 
     # -- measured iteration ---------------------------------------------
 
-    def norm_operator(self, level):
-        return self._norms[level]
-
     def error_norm(self, level, x, x_star):
-        return triple_norm(x - x_star, self._norms[level])
+        return triple_norm(x - x_star, self.systems[level])
 
-    def solve(self, level, rhs, x_star, x0=None, tol=1e-9, max_iter=200,
-              divergence_factor=1e6):
+    def solve(self, level, rhs, x_star, x0=None, tol=1e-9, max_iter=200):
         """Iterate cycles until the error against the known discrete
         solution has dropped by the given factor, and report the iteration
-        count, mean per-cycle contraction rate and final iterate."""
+        count, mean per-cycle contraction rate and final iterate.  A
+        non-finite error, at the start or after a cycle, ends the solve as
+        failed with q = inf."""
         system = self.systems[level]
         x = np.zeros(system.n) if x0 is None else x0.copy()
         err0 = self.error_norm(level, x, x_star)
         history = [err0]
+        if not np.isfinite(err0):
+            return SolveReport(n=0, q=float("inf"), history=history,
+                               converged=False, x=x)
         if err0 == 0.0:
             return SolveReport(n=0, q=0.0, history=history, converged=True,
                                x=x)
@@ -226,7 +203,7 @@ class Multigrid:
             x = self.mg_cycle(level, x, rhs)
             err = self.error_norm(level, x, x_star)
             history.append(err)
-            if not np.isfinite(err) or err > divergence_factor * err0:
+            if not np.isfinite(err) or err > _DIVERGENCE_FACTOR * err0:
                 break
             if err <= tol * err0:
                 converged = True
@@ -235,7 +212,7 @@ class Multigrid:
         n = len(history) - 1
         last = history[-1]
         q = float((last / err0) ** (1.0 / n)) if n > 0 and last > 0.0 else 0.0
-        if not np.isfinite(q):
+        if not np.isfinite(last):
             q = float("inf")
         return SolveReport(n=n, q=q, history=history, converged=converged,
                            x=x)

@@ -21,10 +21,9 @@ or Schur solves.
   reciprocals tau / Du and sigma / Dp are computed once per scaling and
   damping pair.
 
-Two diagonal scalings are supported: the level-scaled mass diagonals
-("mass_diag") and the diagonals taken from the operator itself
-("natural_diag", the benchmark default):
-      Du = diag(A),  Dp = diag(B diag(A)^-1 B^T).
+The diagonal scaling is taken from the operator itself:
+      Du = diag(A),  Dp = diag(B diag(A)^-1 B^T),
+so it follows A = K + beta M across beta without a level weight.
 """
 
 from __future__ import annotations
@@ -40,18 +39,14 @@ DEFAULT_TAU_UZAWA = 0.8
 DEFAULT_SIGMA_UZAWA = 0.8
 
 _KINDS = ("normal_equation", "uzawa")
-_VARIANTS = ("mass_diag", "natural_diag")
 
 
 @dataclass
 class ScalingOperator:
     """Positive diagonals for the velocity and pressure blocks."""
 
-    variant: str
     d_u: np.ndarray
     d_p: np.ndarray
-    beta: float
-    h: float
 
     _damped: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -73,13 +68,10 @@ class SmootherConfig:
     kind: str = "normal_equation"
     tau: float | None = None
     sigma: float | None = None
-    scaling: str = "natural_diag"
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown smoother kind {self.kind!r}")
-        if self.scaling not in _VARIANTS:
-            raise ValueError(f"unknown scaling variant {self.scaling!r}")
         if self.tau is None:
             self.tau = (
                 DEFAULT_TAU_NORMAL
@@ -94,31 +86,21 @@ class SmootherConfig:
             raise ValueError("sigma must be positive")
 
 
-def build_scaling(system, variant):
-    """Diagonal scaling of a system, either mass-based or operator-based."""
-    if variant == "mass_diag":
-        beta, h = system.params.beta, system.h
-        hm2 = h ** -2
-        d_u = (hm2 + beta) * system.M_U.diagonal()
-        d_p = hm2 / (beta + hm2) * system.M_P.diagonal()
-    elif variant == "natural_diag":
-        d_u = system.A.diagonal()
-        if np.any(d_u <= 0.0):
-            raise ValueError(
-                "velocity diagonal has nonpositive entries; "
-                "assembled system is broken"
-            )
-        # row i of the inexact Schur diagonal: sum_j B_ij^2 / d_u[j]
-        d_p = system.B.multiply(system.B) @ (1.0 / d_u)
-    else:
-        raise ValueError(f"unknown scaling variant {variant!r}")
-    if np.any(d_u <= 0.0) or np.any(d_p <= 0.0):
+def build_scaling(system):
+    """Operator-based diagonal scaling: Du = diag(A), Dp = diag(B Du^-1 B^T)."""
+    d_u = system.A.diagonal()
+    if np.any(d_u <= 0.0):
+        raise ValueError(
+            "velocity diagonal has nonpositive entries; "
+            "assembled system is broken"
+        )
+    # row i of the inexact Schur diagonal: sum_j B_ij^2 / d_u[j]
+    d_p = system.B.multiply(system.B) @ (1.0 / d_u)
+    if np.any(d_p <= 0.0):
         raise ValueError(
             "scaling diagonal has nonpositive entries; assembled system is broken"
         )
-    return ScalingOperator(
-        variant=variant, d_u=d_u, d_p=d_p, beta=system.params.beta, h=system.h
-    )
+    return ScalingOperator(d_u=d_u, d_p=d_p)
 
 
 def normal_equation_step(system, scaling, tau, x, rhs):

@@ -145,7 +145,7 @@ def test_criterion_7_uzawa_compact_equivalence(runner):
     systems = runner.cache.systems(1.0, 3)
     for k in (1, 2, 3):
         system = systems[k]
-        sc = build_scaling(system, "natural_diag")
+        sc = build_scaling(system)
         B = system.B.toarray()
         C = np.block([
             [np.diag(sc.d_u / 0.8), B.T],
@@ -185,7 +185,7 @@ def test_criterion_9_linearity_and_fixed_point(runner):
     rng = np.random.default_rng(13)
     systems = runner.cache.systems(1.0, 3)
     system = systems[3]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     worst = 0.0
     for kind in ("normal_equation", "uzawa"):
         cfg = SmootherConfig(kind=kind)
@@ -209,8 +209,7 @@ def test_criterion_9_linearity_and_fixed_point(runner):
     x_star = system.join(u_star, p_star)
     rhs_star = manufactured_rhs(system, (u_star, p_star))
     out = mg.mg_cycle(3, x_star.copy(), rhs_star)
-    op = mg.norm_operator(3)
-    fp_err = triple_norm(out - x_star, op) / triple_norm(x_star, op)
+    fp_err = triple_norm(out - x_star, system) / triple_norm(x_star, system)
     ok = worst <= 1e-11 and fp_err <= 1e-10
     report(9, ok, f"smoother and cycle linearity defect {worst:.2e} <= 1e-11; "
            f"manufactured solution fixed-point error {fp_err:.2e}")
@@ -228,7 +227,7 @@ def test_criterion_10_two_grid_dense_realization(runner):
     rhs = rng.standard_normal(s1.n)
     got = mg.mg_cycle(1, x0, rhs)
 
-    sc = build_scaling(s1, "natural_diag")
+    sc = build_scaling(s1)
     dense1 = s1.dense()
     x = x0.copy()
     for _ in range(3):
@@ -260,7 +259,7 @@ def test_criterion_11_spectral_safety(runner):
     for beta in (0.0, 1.0, 1e4, 1e10):
         systems = runner.cache.systems(beta, 4)
         for k in (1, 2, 3, 4):
-            sc = build_scaling(systems[k], "natural_diag")
+            sc = build_scaling(systems[k])
             val = 0.35 * estimate_spectral_radius(
                 systems[k], sc, "normal_equation", tol=1e-3, max_iter=1000
             )

@@ -1,3 +1,4 @@
+import dataclasses
 from math import factorial
 
 import numpy as np
@@ -172,6 +173,16 @@ def test_systems_share_beta_independent_blocks(space2):
     s1 = build_system(space2, ProblemParams(beta=1e4))
     assert s0.B is s1.B and s0.M_U is s1.M_U and s0.M_P is s1.M_P
     assert s0.A is not s1.A
+
+
+def test_systems_share_transposed_divergence(space2):
+    s0 = build_system(space2, ProblemParams(beta=0.0))
+    s1 = build_system(space2, ProblemParams(beta=1e4))
+    assert s0.Bt is s1.Bt is space2.Bt
+    # a system with a divergence block of its own transposes that block
+    scaled = dataclasses.replace(s0, B=2.0 * s0.B)
+    assert scaled.Bt is not space2.Bt
+    assert np.abs((scaled.Bt - 2.0 * space2.Bt).toarray()).max() == 0.0
 
 
 def test_B_kernel_contains_constants(system2):

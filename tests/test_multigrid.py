@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from stokesmg.assembly import ProblemParams, build_system, manufactured_rhs
-from stokesmg.multigrid import CycleConfig, Multigrid, NormOperator, triple_norm
+from stokesmg.multigrid import CycleConfig, Multigrid, triple_norm
 from stokesmg.smoother import SmootherConfig, build_scaling
 
 from conftest import eval_p2_function
 
 
-def make_mg(systems, transfers, level, **kwargs):
-    cfg = kwargs.pop("config", None) or CycleConfig(
+def make_mg(systems, transfers, level, config=None):
+    cfg = config or CycleConfig(
         smoother=SmootherConfig(), cycle="W", nu_pre=3, nu_post=3
     )
-    return Multigrid(
-        systems[: level + 1], transfers[: level + 1], cfg, **kwargs
-    )
+    return Multigrid(systems[: level + 1], transfers[: level + 1], cfg)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +44,20 @@ def test_config_validation():
         CycleConfig(nu_pre=-1)
 
 
+def test_rejects_mismatched_transfers(systems3_beta1, transfers3):
+    cfg = CycleConfig()
+    with pytest.raises(ValueError, match="transfer 1 .* levels 0 and 1"):
+        Multigrid(systems3_beta1[:3], transfers3[1:4], cfg)
+
+
+def test_rejects_mixed_beta(spaces3, systems3_beta1, transfers3):
+    mixed = systems3_beta1[:2] + [
+        build_system(spaces3[2], ProblemParams(beta=0.0))
+    ]
+    with pytest.raises(ValueError, match="level 2 has beta 0"):
+        Multigrid(mixed, transfers3[:3], CycleConfig())
+
+
 def test_cycle_on_unbuilt_level(systems3_beta1, transfers3):
     mg = make_mg(systems3_beta1, transfers3, 2)
     with pytest.raises(ValueError):
@@ -71,19 +83,19 @@ def test_coarse_solve_contracts(systems3_beta1, transfers3):
     # consistency on a mean-zero-pressure solution
     x = rng.standard_normal(s0.n)
     x = mg.project_pressure(0, x)
-    z = mg.coarse_solve(s0.apply(x))
+    z = mg._exact_solve(0, s0.apply(x))
     assert np.abs(z - x).max() <= 1e-10 * max(1.0, np.abs(x).max())
     # zero maps to zero
-    assert np.abs(mg.coarse_solve(np.zeros(s0.n))).max() == 0.0
+    assert np.abs(mg._exact_solve(0, np.zeros(s0.n))).max() == 0.0
     # compatible random right-hand side: residual at solver precision
     rhs = rng.standard_normal(s0.n)
     g = rhs[s0.n_u:]
     rhs[s0.n_u:] = g - g.mean()
-    z = mg.coarse_solve(rhs)
+    z = mg._exact_solve(0, rhs)
     res = rhs - s0.apply(z)
     assert np.abs(res).max() <= 1e-11 * max(1.0, np.abs(rhs).max())
     with pytest.raises(ValueError):
-        mg.coarse_solve(np.zeros(3))
+        mg._exact_solve(0, np.zeros(3))
 
 
 def test_two_grid_matches_dense_oracle(systems3_beta1, transfers3):
@@ -98,7 +110,7 @@ def test_two_grid_matches_dense_oracle(systems3_beta1, transfers3):
     rhs = rng.standard_normal(s1.n)
     got = mg.mg_cycle(1, x0, rhs)
 
-    sc = build_scaling(s1, "natural_diag")
+    sc = build_scaling(s1)
     d = np.concatenate([sc.d_u, sc.d_p])
     dense1 = s1.dense()
     x = x0.copy()
@@ -144,8 +156,9 @@ def test_exact_solution_is_cycle_fixed_point(
     x_star, rhs = manufactured2
     mg = make_mg(systems3_module, transfers3, 2)
     out = mg.mg_cycle(2, x_star.copy(), rhs)
-    op = mg.norm_operator(2)
-    assert triple_norm(out - x_star, op) <= 1e-10 * triple_norm(x_star, op)
+    system = systems3_module[2]
+    err = triple_norm(out - x_star, system)
+    assert err <= 1e-10 * triple_norm(x_star, system)
 
 
 def test_solve_at_exact_solution_reports_zero(
@@ -210,8 +223,27 @@ def test_solve_returns_final_iterate(systems3_module, transfers3,
         assert report.history[-1] > 1e6 * report.history[0]
     assert report.x.shape == x_star.shape and report.x is not x0
     assert not np.any(x0)
-    op = mg.norm_operator(2)
-    assert triple_norm(report.x - x_star, op) == report.history[-1]
+    assert mg.error_norm(2, report.x, x_star) == report.history[-1]
+
+
+@pytest.mark.parametrize("bad", ["nan_rhs", "inf_x_star"])
+def test_non_finite_solve_is_reported_failed(systems3_module, transfers3,
+                                             manufactured2, bad):
+    x_star, rhs = manufactured2
+    x_star, rhs = x_star.copy(), rhs.copy()
+    if bad == "nan_rhs":
+        rhs[5] = np.nan
+    else:
+        x_star[5] = np.inf
+    mg = make_mg(systems3_module, transfers3, 2)
+    with np.errstate(all="ignore"):
+        report = mg.solve(2, rhs, x_star)
+    assert not report.converged
+    assert report.q == float("inf")
+    assert report.x is not None and report.x.shape == x_star.shape
+    if bad == "inf_x_star":
+        # nothing to measure against: no cycle is run
+        assert report.n == 0 and not np.any(report.x)
 
 
 def test_solve_at_exact_solution_returns_start_copy(
@@ -225,24 +257,13 @@ def test_solve_at_exact_solution_returns_start_copy(
     assert np.array_equal(report.x, x_star)
 
 
-def test_pressure_mean_projection_flag(systems3_module, transfers3,
-                                       manufactured2):
-    x_star, rhs = manufactured2
-    mg = make_mg(systems3_module, transfers3, 2, project_pressure_mean=False)
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(systems3_module[2].n)
-    out = mg.mg_cycle(2, x, rhs)
-    # without projection a single cycle generally leaves a nonzero
-    # weighted pressure mean
-    w = systems3_module[2].M_P @ np.ones(systems3_module[2].n_p)
-    assert abs(w @ out[systems3_module[2].n_u:]) > 0
-
-
-@pytest.mark.parametrize("cycle,expected_coarse_solves", [("V", 1), ("W", 2)])
+@pytest.mark.parametrize("cycle,expected_coarse_solves",
+                         [("V", 1), ("W", 2), ("two_grid", 1)])
 def test_cycle_recursion_counts(systems3_beta1, transfers3, cycle,
                                 expected_coarse_solves):
     # at level 2 every recursive visit of level 1 triggers exactly one
-    # exact level-0 solve, so counting them counts the corrections
+    # exact level-0 solve, so counting them counts the corrections; a
+    # two-grid cycle instead solves exactly on level 1, once
     cfg = CycleConfig(smoother=SmootherConfig(), cycle=cycle,
                       nu_pre=1, nu_post=1)
     mg = make_mg(systems3_beta1, transfers3, 2, config=cfg)
@@ -257,18 +278,17 @@ def test_cycle_recursion_counts(systems3_beta1, transfers3, cycle,
     rng = np.random.default_rng(6)
     system = systems3_beta1[2]
     mg.mg_cycle(2, rng.standard_normal(system.n), rng.standard_normal(system.n))
-    assert calls == [0] * expected_coarse_solves
+    exact_level = 1 if cycle == "two_grid" else 0
+    assert calls == [exact_level] * expected_coarse_solves
 
 
 def test_triple_norm_properties(systems3_beta1):
     system = systems3_beta1[1]
-    op = NormOperator(M_U=system.M_U, M_P=system.M_P, h=system.h,
-                      beta=system.params.beta)
-    assert triple_norm(np.zeros(system.n), op) == 0.0
+    assert triple_norm(np.zeros(system.n), system) == 0.0
     rng = np.random.default_rng(5)
     x = rng.standard_normal(system.n)
-    assert triple_norm(3.5 * x, op) == pytest.approx(
-        3.5 * triple_norm(x, op), rel=1e-13
+    assert triple_norm(3.5 * x, system) == pytest.approx(
+        3.5 * triple_norm(x, system), rel=1e-13
     )
 
 
@@ -318,9 +338,8 @@ def test_triple_norm_beta_zero_velocity_matches_quadrature(spaces3):
     u = np.concatenate([coeff[space.interior_nodes],
                         np.zeros(space.n_interior)])
     x = system.join(u, np.zeros(system.n_p))
-    op = NormOperator(M_U=system.M_U, M_P=system.M_P, h=system.h, beta=0.0)
     expect = np.sqrt(total) / system.h
-    assert triple_norm(x, op) == pytest.approx(expect, abs=1e-10 * expect)
+    assert triple_norm(x, system) == pytest.approx(expect, abs=1e-10 * expect)
 
 
 def test_robustness_envelope_small_levels(spaces3, transfers3):

@@ -36,10 +36,7 @@ def make_fixture_system(n=6):
 
 
 def unit_scaling(n_u, n_p):
-    return ScalingOperator(
-        variant="natural_diag", d_u=np.ones(n_u), d_p=np.ones(n_p),
-        beta=0.0, h=1.0,
-    )
+    return ScalingOperator(d_u=np.ones(n_u), d_p=np.ones(n_p))
 
 
 def test_config_defaults():
@@ -56,53 +53,30 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SmootherConfig(kind="jacobi")
     with pytest.raises(ValueError):
-        SmootherConfig(scaling="ilu")
+        SmootherConfig(kind="uzawa", sigma=0.0)
     with pytest.raises(ValueError):
         SmootherConfig(tau=-0.1)
 
 
 def test_natural_scaling_diagonals(systems3_beta1):
     system = systems3_beta1[1]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     np.testing.assert_array_equal(sc.d_u, system.A.diagonal())
     dense = system.B.toarray() @ np.diag(1.0 / sc.d_u) @ system.B.toarray().T
     assert np.abs(sc.d_p - np.diag(dense)).max() <= 1e-12 * np.abs(dense).max()
-
-
-def test_mass_scaling_diagonals(systems3_beta1):
-    system = systems3_beta1[2]
-    beta, h = system.params.beta, system.h
-    sc = build_scaling(system, "mass_diag")
-    np.testing.assert_allclose(
-        sc.d_u, (h**-2 + beta) * system.M_U.diagonal(), rtol=1e-15
-    )
-    np.testing.assert_allclose(
-        sc.d_p,
-        h**-2 / (beta + h**-2) * system.M_P.diagonal(),
-        rtol=1e-15,
-    )
-
-
-def test_mass_scaling_beta_zero(spaces3):
-    from stokesmg.assembly import build_system
-
-    system = build_system(spaces3[1], ProblemParams(beta=0.0))
-    sc = build_scaling(system, "mass_diag")
-    # the pressure factor h^-2 (beta + h^-2)^-1 collapses to 1
-    np.testing.assert_allclose(sc.d_p, system.M_P.diagonal(), rtol=1e-15)
 
 
 def test_scaling_rejects_broken_diagonal():
     system = make_fixture_system()
     system.A = sp.csr_matrix(np.diag([1.0, 0.0, 1.0, 1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
-        build_scaling(system, "natural_diag")
+        build_scaling(system)
 
 
 def test_normal_step_fixed_point_and_tau_zero(systems3_beta1):
     rng = np.random.default_rng(0)
     system = systems3_beta1[1]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     x = rng.standard_normal(system.n)
     rhs = system.apply(x)
     out = normal_equation_step(system, sc, 0.35, x, rhs)
@@ -114,7 +88,7 @@ def test_normal_step_fixed_point_and_tau_zero(systems3_beta1):
 def test_normal_step_matches_dense_oracle(systems3_beta1):
     rng = np.random.default_rng(1)
     system = systems3_beta1[1]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
     got = normal_equation_step(system, sc, 0.35, x, rhs)
@@ -127,7 +101,7 @@ def test_normal_step_matches_dense_oracle(systems3_beta1):
 def test_uzawa_fixed_point(systems3_beta1):
     rng = np.random.default_rng(2)
     system = systems3_beta1[2]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     x = rng.standard_normal(system.n)
     rhs = system.apply(x)
     out = uzawa_step(system, sc, 0.8, 0.8, x, rhs)
@@ -138,7 +112,7 @@ def test_uzawa_fixed_point(systems3_beta1):
 def test_uzawa_equals_compact_block_form(systems3_beta1, level):
     rng = np.random.default_rng(3 + level)
     system = systems3_beta1[level]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     tau, sigma = 0.8, 0.8
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
@@ -179,7 +153,7 @@ def reference_uzawa_step(system, scaling, tau, sigma, x, rhs):
 def test_uzawa_matches_three_substep_reference(systems3_by_beta, level, beta):
     rng = np.random.default_rng(10 + level)
     system = systems3_by_beta[beta][level]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
     got = uzawa_step(system, sc, 0.8, 0.8, x, rhs)
@@ -191,7 +165,7 @@ def test_uzawa_matches_three_substep_reference(systems3_by_beta, level, beta):
 def test_smoother_step_leaves_inputs_untouched(systems3_beta1, kind):
     rng = np.random.default_rng(11)
     system = systems3_beta1[2]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
     x_before, rhs_before = x.copy(), rhs.copy()
@@ -204,7 +178,7 @@ def test_smoother_step_leaves_inputs_untouched(systems3_beta1, kind):
 def test_uzawa_update_is_block_inverse_of_residual(systems3_by_beta, beta):
     rng = np.random.default_rng(12)
     system = systems3_by_beta[beta][3]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
     update = uzawa_step(system, sc, 0.8, 0.8, x, rhs) - x
@@ -228,7 +202,7 @@ class CountingMatrix:
 
 def test_uzawa_sweep_matvec_count(systems3_beta1):
     system = systems3_beta1[2]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     A, B, Bt = (CountingMatrix(m) for m in (system.A, system.B, system.Bt))
     counted = dataclasses.replace(system, A=A, B=B)
     counted.__dict__["Bt"] = Bt  # seed the cached transpose
@@ -241,7 +215,7 @@ def test_uzawa_sweep_matvec_count(systems3_beta1):
 
 
 def test_damped_reciprocals_are_memoized(systems3_beta1):
-    sc = build_scaling(systems3_beta1[1], "natural_diag")
+    sc = build_scaling(systems3_beta1[1])
     s_u, s_p = sc.damped_reciprocals(0.8, 0.7)
     np.testing.assert_array_equal(s_u, 0.8 / sc.d_u)
     np.testing.assert_array_equal(s_p, 0.7 / sc.d_p)
@@ -252,7 +226,7 @@ def test_damped_reciprocals_are_memoized(systems3_beta1):
 def test_uzawa_block_inverse_helper(systems3_beta1):
     rng = np.random.default_rng(4)
     system = systems3_beta1[1]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     r = rng.standard_normal(system.n)
     delta = uzawa_block_apply_inverse(system, sc, 0.8, 0.8, r)
     B = system.B.toarray()
@@ -280,7 +254,7 @@ def test_uzawa_decoupled_pressure_update():
 def test_smoothers_are_linear_iterations(systems3_beta1, kind):
     rng = np.random.default_rng(6)
     system = systems3_beta1[2]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     cfg = SmootherConfig(kind=kind)
     x = rng.standard_normal(system.n)
     y = rng.standard_normal(system.n)
@@ -302,7 +276,7 @@ def test_spectral_radius_identity_fixture():
 
 def test_spectral_radius_homogeneity(systems3_beta1):
     system = systems3_beta1[1]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     rho = estimate_spectral_radius(system, sc, "normal_equation", tol=1e-6)
     scaled = SaddleSystem(
         A=(3.0 * system.A).tocsr(),
@@ -319,20 +293,20 @@ def test_spectral_radius_homogeneity(systems3_beta1):
 
 def test_spectral_radius_uzawa_runs(systems3_beta1):
     system = systems3_beta1[1]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     rho = estimate_spectral_radius(system, sc, "uzawa")
     assert np.isfinite(rho) and rho > 0
 
 
 def test_spectral_radius_unknown_kind(systems3_beta1):
-    sc = build_scaling(systems3_beta1[1], "natural_diag")
+    sc = build_scaling(systems3_beta1[1])
     with pytest.raises(ValueError):
         estimate_spectral_radius(systems3_beta1[1], sc, "gauss_seidel")
 
 
 def test_spectral_radius_warns_on_iteration_cap(systems3_beta1):
     system = systems3_beta1[2]
-    sc = build_scaling(system, "natural_diag")
+    sc = build_scaling(system)
     with pytest.warns(UserWarning, match="best estimate"):
         rho = estimate_spectral_radius(
             system, sc, "normal_equation", tol=1e-14, max_iter=3
@@ -347,7 +321,7 @@ def test_damping_conditions_reported(spaces3, capsys):
     for k in (1, 2, 3):
         for beta in (0.0, 1e4):
             system = build_system(spaces3[k], ProblemParams(beta=beta))
-            sc = build_scaling(system, "natural_diag")
+            sc = build_scaling(system)
             res = check_damping_conditions(system, sc, 0.8, 0.8)
             assert res["lambda_velocity"] > 0
             assert res["lambda_schur"] > 0
