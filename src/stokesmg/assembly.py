@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import CHILD_VERTEX_BARYCENTRIC, MeshLevel
-from .sparse import from_triplets
+from .sparse import from_triplets, two_component
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ class TaylorHoodSpace:
     def physical_quad_points(self, rule):
         """Quadrature points mapped to every triangle, shape (T, nq, 2)."""
         verts = self.level.vertex_coords[self.level.tri_vertices]
-        return np.einsum("qk,tkd->tqd", rule.points, verts)
+        return rule.points @ verts
 
     # The beta-independent blocks are assembled once per space, on first
     # use, and shared by every SaddleSystem built on it.
@@ -213,8 +213,7 @@ class TaylorHoodSpace:
     @cached_property
     def M_U(self):
         """Velocity mass matrix on interior dofs (both components)."""
-        M = self.scalar_blocks[1]
-        return sp.block_diag([M, M], format="csr")
+        return two_component(self.scalar_blocks[1])
 
     @cached_property
     def M_P(self):
@@ -231,20 +230,39 @@ class TaylorHoodSpace:
         )
 
 
-def _scalar_p2_matrices(space, rule):
-    """Scalar stiffness and mass over all quadratic nodes."""
-    inv, det = space._geometry
-    nq = rule.weights.size
-    vals = p2_values(rule.points)          # (nq, 6)
-    grads = p2_reference_gradients(rule.points)  # (nq, 6, 2)
+def _symmetric(a):
+    """Exactly symmetric part of a square reference matrix."""
+    return 0.5 * (a + a.T)
 
-    k_loc = np.zeros((space.level.n_triangles, 6, 6))
-    m_loc = np.zeros_like(k_loc)
-    for q in range(nq):
-        pg = np.einsum("ie,ted->tid", grads[q], inv)  # physical gradients
-        w = rule.weights[q] * det
-        k_loc += w[:, None, None] * np.einsum("tid,tjd->tij", pg, pg)
-        m_loc += w[:, None, None] * np.outer(vals[q], vals[q])
+
+def _scalar_p2_matrices(space, rule):
+    """Scalar stiffness and mass over all quadratic nodes.
+
+    Local matrices come from quadrature-summed reference tensors contracted
+    with per-triangle geometry: with G = |det J| J^-1 J^-T, the stiffness is
+    G00 S00 + G11 S11 + G01 (S01 + S10) for S[e, f]_ij = sum_q w_q
+    d_e phi_i d_f phi_j, and the mass is |det J| times the reference mass.
+    Every term is an elementwise product with a symmetrized reference
+    matrix, so each local matrix, and hence K and M, is exactly symmetric.
+    """
+    inv, det = space._geometry
+    w = rule.weights
+    vals = p2_values(rule.points)                # (nq, 6)
+    grads = p2_reference_gradients(rule.points)  # (nq, 6, 2)
+    s = np.einsum("q,qie,qjf->efij", w, grads, grads)
+    s00, s11 = _symmetric(s[0, 0]), _symmetric(s[1, 1])
+    s01 = _symmetric(s[0, 1] + s[1, 0])
+    m_ref = _symmetric(np.einsum("q,qi,qj->ij", w, vals, vals))
+
+    g00 = det * (inv[:, 0, 0] ** 2 + inv[:, 0, 1] ** 2)
+    g11 = det * (inv[:, 1, 0] ** 2 + inv[:, 1, 1] ** 2)
+    g01 = det * (inv[:, 0, 0] * inv[:, 1, 0] + inv[:, 0, 1] * inv[:, 1, 1])
+    k_loc = (
+        g00[:, None, None] * s00
+        + g11[:, None, None] * s11
+        + g01[:, None, None] * s01
+    )
+    m_loc = det[:, None, None] * m_ref
 
     nodes = space.tri_p2
     rows = np.broadcast_to(nodes[:, :, None], k_loc.shape).ravel()
@@ -257,26 +275,28 @@ def _scalar_p2_matrices(space, rule):
 def _divergence_blocks(space, rule):
     """Pressure-row matrices D_x, D_y over all quadratic columns, with
     D_d[i, j] = integral of (d-derivative of velocity basis j) * pressure
-    basis i."""
+    basis i.
+
+    Local blocks are (|det J| J^-1[:, d]) @ D for the reference tensor
+    D[e]_ij = sum_q w_q psi_i d_e phi_j.
+    """
     inv, det = space._geometry
-    nq = rule.weights.size
     pvals = p1_values(rule.points)               # (nq, 3)
     grads = p2_reference_gradients(rule.points)  # (nq, 6, 2)
-
-    bx_loc = np.zeros((space.level.n_triangles, 3, 6))
-    by_loc = np.zeros_like(bx_loc)
-    for q in range(nq):
-        pg = np.einsum("ie,ted->tid", grads[q], inv)
-        w = rule.weights[q] * det
-        bx_loc += w[:, None, None] * pvals[q][:, None] * pg[:, None, :, 0]
-        by_loc += w[:, None, None] * pvals[q][:, None] * pg[:, None, :, 1]
+    d_ref = np.einsum("q,qi,qje->eij", rule.weights, pvals, grads)
+    d_ref = d_ref.reshape(2, 18)
 
     prows = np.broadcast_to(
-        space.level.tri_vertices[:, :, None], bx_loc.shape
+        space.level.tri_vertices[:, :, None], (det.size, 3, 6)
     ).ravel()
-    vcols = np.broadcast_to(space.tri_p2[:, None, :], bx_loc.shape).ravel()
-    Dx = from_triplets(space.n_pressure, space.n_p2, prows, vcols, bx_loc.ravel())
-    Dy = from_triplets(space.n_pressure, space.n_p2, prows, vcols, by_loc.ravel())
+    vcols = np.broadcast_to(space.tri_p2[:, None, :], (det.size, 3, 6)).ravel()
+    Dx, Dy = (
+        from_triplets(
+            space.n_pressure, space.n_p2, prows, vcols,
+            ((det[:, None] * inv[:, :, d]) @ d_ref).ravel(),
+        )
+        for d in range(2)
+    )
     return Dx, Dy
 
 
@@ -335,8 +355,7 @@ def build_system(space, params):
     """SaddleSystem of one level: A = K + beta M per velocity component,
     with B and the mass matrices shared from the space."""
     K, M = space.scalar_blocks
-    scalar_A = (K + params.beta * M).tocsr()
-    A = sp.block_diag([scalar_A, scalar_A], format="csr")
+    A = two_component(K + params.beta * M)
     return SaddleSystem(
         A=A, B=space.B, M_U=space.M_U, M_P=space.M_P, params=params,
         h=space.level.h, space=space,
@@ -370,15 +389,15 @@ def _moment_vectors(space, u_exact, p_exact, rule):
     vals2 = p2_values(rule.points)  # (nq, 6)
     vals1 = p1_values(rule.points)  # (nq, 3)
 
-    b_ux = np.zeros(space.n_p2)
-    b_uy = np.zeros(space.n_p2)
-    b_p = np.zeros(space.n_pressure)
-    np.add.at(b_ux, space.tri_p2, np.einsum("tq,qi->ti", wdet * ux, vals2))
-    np.add.at(b_uy, space.tri_p2, np.einsum("tq,qi->ti", wdet * uy, vals2))
-    np.add.at(
-        b_p, space.level.tri_vertices, np.einsum("tq,qi->ti", wdet * pv, vals1)
+    def scatter(nodes, local, n):
+        return np.bincount(nodes.ravel(), weights=local.ravel(), minlength=n)
+
+    p2_nodes, p1_nodes = space.tri_p2, space.level.tri_vertices
+    return (
+        scatter(p2_nodes, (wdet * ux) @ vals2, space.n_p2),
+        scatter(p2_nodes, (wdet * uy) @ vals2, space.n_p2),
+        scatter(p1_nodes, (wdet * pv) @ vals1, space.n_pressure),
     )
-    return b_ux, b_uy, b_p
 
 
 def l2_project(space, u_exact, p_exact, rule=None):

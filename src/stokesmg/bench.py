@@ -29,7 +29,12 @@ from .assembly import (
 )
 from .mesh import build_hierarchy
 from .multigrid import CycleConfig, Multigrid
-from .smoother import SmootherConfig, build_scaling, check_damping_conditions
+from .smoother import (
+    SmootherConfig,
+    build_scaling,
+    check_damping_conditions,
+    estimate_spectral_radius,
+)
 from .transfer import build_prolongation
 
 BETA_TABLE = [0.0, 1e2, 1e4, 1e6, 1e8, 1e10]
@@ -316,30 +321,44 @@ def build_parser():
     parser.add_argument("--format", choices=["csv", "markdown"],
                         default="markdown")
     parser.add_argument("--check-damping", action="store_true",
-                        help="report the Uzawa damping-condition margins on "
+                        help="check the selected smoother's damping on "
                         "levels 1-3 before running")
     return parser
 
 
 def _damping_report(args, out):
-    cache = _HierarchyCache(min(3, args.max_level))
+    """Check the damping the run uses on levels 1-3 for four beta.
+
+    Normal equation: tau * rho(D^-1 A D^-1 A), which must stay below 2 for
+    the damped iteration to contract.  Uzawa: the sufficient (not
+    necessary) inequalities tau * lambda_max(Du^-1 A) <= 1 and
+    tau * sigma * lambda_max(Dp^-1 B Du^-1 B^T) <= 1.
+    """
+    top = min(3, args.max_level)
+    cache = _HierarchyCache(top)
     smoother = _smoother_config(args.smoother, args.tau, args.sigma)
-    sigma = smoother.sigma if smoother.sigma is not None else smoother.tau
+    tau, sigma = smoother.tau, smoother.sigma
     for beta in (0.0, 1.0, 1e4, 1e10):
-        systems = cache.systems(beta, min(3, args.max_level))
-        for level, system in enumerate(systems):
+        for level, system in enumerate(cache.systems(beta, top)):
             if level == 0:
                 continue
             scaling = build_scaling(system)
-            res = check_damping_conditions(system, scaling, smoother.tau, sigma)
-            out.write(
-                f"damping level={level} beta={beta:g}: "
-                f"tau*lambda_velocity={smoother.tau * res['lambda_velocity']:.3f} "
-                f"(ok={res['velocity_ok']}), "
-                f"tau*sigma*lambda_schur="
-                f"{smoother.tau * sigma * res['lambda_schur']:.3f} "
-                f"(ok={res['schur_ok']})\n"
-            )
+            if smoother.kind == "normal_equation":
+                rho = tau * estimate_spectral_radius(
+                    system, scaling, "normal_equation"
+                )
+                check = f"tau*rho(D^-1 A D^-1 A)={rho:.3f} (ok={rho < 2.0})"
+            else:
+                res = check_damping_conditions(system, scaling, tau, sigma)
+                check = (
+                    f"tau*lambda_velocity="
+                    f"{tau * res['lambda_velocity']:.3f} "
+                    f"(ok={res['velocity_ok']}), "
+                    f"tau*sigma*lambda_schur="
+                    f"{tau * sigma * res['lambda_schur']:.3f} "
+                    f"(ok={res['schur_ok']})"
+                )
+            out.write(f"damping level={level} beta={beta:g}: {check}\n")
 
 
 def main(argv=None):

@@ -48,14 +48,17 @@ def _edges_from_triangles(tri_vertices):
 
     Returns (edge_vertices, tri_edges) where edge_vertices is (E, 2) with
     v0 < v1 and tri_edges[t, i] is the edge opposite vertex i of triangle t.
-    Edge numbering is lexicographic in the vertex pairs, hence deterministic.
+    Edge numbering is lexicographic in the vertex pairs, hence deterministic:
+    the pair (v0, v1) is keyed as v0 * nv + v1, whose numeric order is the
+    lexicographic order of the pairs.
     """
     t = np.asarray(tri_vertices)
-    pairs = np.stack(
-        [t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1
-    ).reshape(-1, 2)
-    pairs = np.sort(pairs, axis=1)
-    edge_vertices, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    first = t[:, [1, 2, 0]].ravel()
+    second = t[:, [2, 0, 1]].ravel()
+    nv = int(t.max()) + 1
+    keys = np.minimum(first, second) * nv + np.maximum(first, second)
+    edge_keys, inverse = np.unique(keys, return_inverse=True)
+    edge_vertices = np.stack(np.divmod(edge_keys, nv), axis=1)
     tri_edges = inverse.reshape(-1, 3)
     return edge_vertices, tri_edges
 

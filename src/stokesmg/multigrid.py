@@ -57,6 +57,9 @@ class SolveReport:
     converged: bool
     # final iterate; history[-1] is its error norm
     x: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # why the solve stopped: "converged", "max_iter", "diverged" or
+    # "non_finite"
+    stop_reason: str = "converged"
 
 
 def triple_norm(x, system):
@@ -184,29 +187,34 @@ class Multigrid:
     def solve(self, level, rhs, x_star, x0=None, tol=1e-9, max_iter=200):
         """Iterate cycles until the error against the known discrete
         solution has dropped by the given factor, and report the iteration
-        count, mean per-cycle contraction rate and final iterate.  A
-        non-finite error, at the start or after a cycle, ends the solve as
-        failed with q = inf."""
+        count, mean per-cycle contraction rate, final iterate and why it
+        stopped.  A non-finite error, at the start or after a cycle, ends
+        the solve as failed with q = inf and stop_reason "non_finite"; an
+        error above _DIVERGENCE_FACTOR * err0 ends it as "diverged"."""
         system = self.systems[level]
         x = np.zeros(system.n) if x0 is None else x0.copy()
         err0 = self.error_norm(level, x, x_star)
         history = [err0]
         if not np.isfinite(err0):
             return SolveReport(n=0, q=float("inf"), history=history,
-                               converged=False, x=x)
+                               converged=False, x=x, stop_reason="non_finite")
         if err0 == 0.0:
             return SolveReport(n=0, q=0.0, history=history, converged=True,
-                               x=x)
+                               x=x, stop_reason="converged")
 
-        converged = False
+        stop_reason = "max_iter"
         for _ in range(max_iter):
             x = self.mg_cycle(level, x, rhs)
             err = self.error_norm(level, x, x_star)
             history.append(err)
-            if not np.isfinite(err) or err > _DIVERGENCE_FACTOR * err0:
+            if not np.isfinite(err):
+                stop_reason = "non_finite"
+                break
+            if err > _DIVERGENCE_FACTOR * err0:
+                stop_reason = "diverged"
                 break
             if err <= tol * err0:
-                converged = True
+                stop_reason = "converged"
                 break
 
         n = len(history) - 1
@@ -214,5 +222,6 @@ class Multigrid:
         q = float((last / err0) ** (1.0 / n)) if n > 0 and last > 0.0 else 0.0
         if not np.isfinite(last):
             q = float("inf")
-        return SolveReport(n=n, q=q, history=history, converged=converged,
-                           x=x)
+        return SolveReport(n=n, q=q, history=history,
+                           converged=stop_reason == "converged", x=x,
+                           stop_reason=stop_reason)

@@ -27,6 +27,19 @@ def from_triplets(nrows, ncols, rows, cols, values):
     return out
 
 
+def two_component(mat):
+    """CSR block diagonal [[mat, 0], [0, mat]], stacked from mat's own
+    arrays (the layout of a component-blocked two-component operator)."""
+    mat = mat.tocsr()
+    (n_rows, n_cols), nnz = mat.shape, mat.nnz
+    indptr = np.concatenate([mat.indptr, mat.indptr[1:] + nnz])
+    indices = np.concatenate([mat.indices, mat.indices + n_cols])
+    data = np.concatenate([mat.data, mat.data])
+    return sp.csr_matrix(
+        (data, indices, indptr), shape=(2 * n_rows, 2 * n_cols)
+    )
+
+
 class DenseFactorization:
     """Pivoted LU of a square dense matrix with two-sided equilibration.
 

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import CHILD_VERTEX_BARYCENTRIC
+from .sparse import two_component
 from .assembly import TaylorHoodSpace, p1_values, p2_values
 
 
@@ -42,30 +43,33 @@ _W_P2 = p2_values(_CHILD_P2_BARY)                 # (4, 6, 6)
 _W_P1 = p1_values(CHILD_VERTEX_BARYCENTRIC)       # (4, 3, 3)
 
 
-def _embedding_matrix(fine_nodes, coarse_nodes, weights, n_fine, n_coarse):
+def _embedding_matrix(fine_nodes, coarse_nodes, weights, fine_rows,
+                      coarse_columns):
     """CSR embedding from stacked per-child node tables.
 
-    fine_nodes/coarse_nodes are (4, T_c, a/b) global index arrays and
-    weights is the matching (4, a, b) constant table.  Duplicate (row, col)
-    pairs carry identical values; keep the first.
+    fine_nodes is the (4, T_c, a) table of the children's global nodes,
+    coarse_nodes the (T_c, b) table of their parents', and weights the
+    matching (4, a, b) constant table.  Row r of the result
+    is fine node fine_rows[r]; coarse node c lands in column
+    coarse_columns[c], or nowhere if that is negative.  Each fine node
+    takes its row from any one (child, local node) that holds it: every
+    occurrence carries bitwise-identical weights.
     """
-    rows, cols, vals = [], [], []
-    for j in range(4):
-        shape = (fine_nodes.shape[1], weights.shape[1], weights.shape[2])
-        rows.append(np.broadcast_to(fine_nodes[j][:, :, None], shape).ravel())
-        cols.append(np.broadcast_to(coarse_nodes[j][:, None, :], shape).ravel())
-        vals.append(np.broadcast_to(weights[j][None, :, :], shape).ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+    _, tc, a = fine_nodes.shape
+    n_columns = int(coarse_columns.max()) + 1
+    occurrence = np.empty(int(fine_nodes.max()) + 1, dtype=np.int64)
+    occurrence[fine_nodes.ravel()] = np.arange(fine_nodes.size)
+    child, local = np.divmod(occurrence[fine_rows], tc * a)
+    parent, node = np.divmod(local, a)
 
-    keys = rows * n_coarse + cols
-    _, first = np.unique(keys, return_index=True)
-    mat = sp.coo_matrix(
-        (vals[first], (rows[first], cols[first])), shape=(n_fine, n_coarse)
+    cols = coarse_columns[coarse_nodes[parent]]          # (rows, b)
+    vals = weights[child, node]                          # (rows, b)
+    keep = (cols >= 0) & (vals != 0.0)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    out = sp.csr_matrix(
+        (vals[keep], cols[keep], indptr), shape=(fine_rows.size, n_columns)
     )
-    out = mat.tocsr()
-    out.eliminate_zeros()
+    out.sort_indices()
     return out
 
 
@@ -111,21 +115,20 @@ def build_prolongation(coarse_space: TaylorHoodSpace,
     tc = cl.n_triangles
     child_ids = (4 * np.arange(tc)[None, :] + np.arange(4)[:, None])  # (4, Tc)
 
-    fine_p2 = fine_space.tri_p2[child_ids]          # (4, Tc, 6)
-    coarse_p2 = np.broadcast_to(coarse_space.tri_p2, (4, tc, 6))
-    P2_full = _embedding_matrix(
-        fine_p2, coarse_p2, _W_P2, fine_space.n_p2, coarse_space.n_p2
+    # velocity: interior fine rows, interior coarse columns
+    coarse_interior = np.full(coarse_space.n_p2, -1, dtype=np.int64)
+    coarse_interior[coarse_space.interior_nodes] = np.arange(
+        coarse_space.n_interior
     )
-
-    fine_p1 = fl.tri_vertices[child_ids]            # (4, Tc, 3)
-    coarse_p1 = np.broadcast_to(cl.tri_vertices, (4, tc, 3))
+    P2_int = _embedding_matrix(
+        fine_space.tri_p2[child_ids], coarse_space.tri_p2, _W_P2,
+        fine_space.interior_nodes, coarse_interior,
+    )
     P_p = _embedding_matrix(
-        fine_p1, coarse_p1, _W_P1, fl.n_vertices, cl.n_vertices
+        fl.tri_vertices[child_ids], cl.tri_vertices, _W_P1,
+        np.arange(fl.n_vertices), np.arange(cl.n_vertices),
     )
-
-    P2_int = P2_full[fine_space.interior_nodes][:, coarse_space.interior_nodes]
-    P_u = sp.block_diag([P2_int, P2_int], format="csr")
-    return TransferOperators(P_u=P_u, P_p=P_p.tocsr())
+    return TransferOperators(P_u=two_component(P2_int), P_p=P_p)
 
 
 def prolongate(transfer, x_coarse):

@@ -3,6 +3,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stokesmg.assembly import (
     ProblemParams,
@@ -13,10 +14,12 @@ from stokesmg.assembly import (
     degree4_rule,
     l2_project,
     manufactured_rhs,
+    p1_values,
     p2_reference_gradients,
     p2_values,
 )
 from stokesmg.mesh import MeshLevel, build_hierarchy
+from stokesmg.sparse import from_triplets
 
 from conftest import eval_p2_function
 
@@ -166,6 +169,65 @@ def test_beta_independent_blocks_assembled_once_per_space(monkeypatch):
         build_system(space, ProblemParams(beta=beta))
     l2_project(space, exact_velocity, exact_pressure)
     assert calls == {"_scalar_p2_matrices": 1, "_divergence_blocks": 1}
+
+
+def _quadrature_loop_blocks(space, rule):
+    """Reference assembly: physical gradients at every quadrature point,
+    local matrices accumulated point by point; returns the interior K, M
+    and B the way the space lays them out."""
+    inv, det = space._geometry
+    vals = p2_values(rule.points)
+    pvals = p1_values(rule.points)
+    grads = p2_reference_gradients(rule.points)
+    k_loc = np.zeros((space.level.n_triangles, 6, 6))
+    m_loc = np.zeros_like(k_loc)
+    b_loc = np.zeros((2, space.level.n_triangles, 3, 6))
+    for q in range(rule.weights.size):
+        pg = np.einsum("ie,ted->tid", grads[q], inv)
+        w = rule.weights[q] * det
+        k_loc += w[:, None, None] * np.einsum("tid,tjd->tij", pg, pg)
+        m_loc += w[:, None, None] * np.outer(vals[q], vals[q])
+        for d in range(2):
+            b_loc[d] += (w[:, None, None] * pvals[q][:, None]
+                         * pg[:, None, :, d])
+
+    nodes, n = space.tri_p2, space.n_p2
+    rows = np.broadcast_to(nodes[:, :, None], k_loc.shape).ravel()
+    cols = np.broadcast_to(nodes[:, None, :], k_loc.shape).ravel()
+    prows = np.broadcast_to(
+        space.level.tri_vertices[:, :, None], b_loc[0].shape
+    ).ravel()
+    vcols = np.broadcast_to(nodes[:, None, :], b_loc[0].shape).ravel()
+    idx = space.interior_nodes
+    K, M = (from_triplets(n, n, rows, cols, loc.ravel())[idx][:, idx]
+            for loc in (k_loc, m_loc))
+    Dx, Dy = (from_triplets(space.n_pressure, n, prows, vcols, loc.ravel())
+              for loc in b_loc)
+    return K, M, sp.hstack([Dx[:, idx], Dy[:, idx]], format="csr")
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_blocks_match_quadrature_loop_oracle(level):
+    space = TaylorHoodSpace(build_hierarchy(level)[level])
+    got = (*space.scalar_blocks, space.B)
+    want = _quadrature_loop_blocks(space, degree4_rule())
+    for a, b in zip(got, want):
+        a, b = a.tocsr(), b.tocsr()
+        assert a.shape == b.shape
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.abs(a.data - b.data).max() <= 1e-15 * np.abs(b.data).max()
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_velocity_blocks_exactly_symmetric(level):
+    space = TaylorHoodSpace(build_hierarchy(level)[level])
+    blocks = [space.M_U] + [
+        build_system(space, ProblemParams(beta=beta)).A
+        for beta in (0.0, 1.0, 1e10)
+    ]
+    for m in blocks:
+        assert (m != m.T).nnz == 0
 
 
 def test_systems_share_beta_independent_blocks(space2):

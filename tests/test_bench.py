@@ -17,7 +17,12 @@ from stokesmg.bench import (
     run_table,
 )
 from stokesmg.multigrid import CycleConfig
-from stokesmg.smoother import SmootherConfig
+from stokesmg.smoother import (
+    SmootherConfig,
+    build_scaling,
+    check_damping_conditions,
+    estimate_spectral_radius,
+)
 
 
 def test_bump_profile():
@@ -142,13 +147,30 @@ def test_cli_divergent_exit_code(capsys):
 
 
 def test_cli_check_damping(capsys):
-    code = main([
-        "--max-level", "1", "--beta", "1", "--check-damping",
-        "--format", "csv",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "damping level=1" in out
+    # each smoother is checked at the damping it is configured with
+    system = _HierarchyCache(1).systems(0.0, 1)[1]
+    scaling = build_scaling(system)
+    for smoother, damping in (("normal", ["--tau", "0.3"]),
+                              ("uzawa", ["--tau", "0.5", "--sigma", "0.25"])):
+        code = main(["--max-level", "1", "--beta", "1", "--check-damping",
+                     "--format", "csv", "--smoother", smoother, *damping])
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if ln.startswith("damping")]
+        assert len(lines) == 4  # level 1 for four beta
+        assert lines[0].startswith("damping level=1 beta=0: ")
+        if smoother == "normal":
+            rho = 0.3 * estimate_spectral_radius(system, scaling,
+                                                 "normal_equation")
+            assert lines[0].endswith(
+                f"tau*rho(D^-1 A D^-1 A)={rho:.3f} (ok=True)"
+            )
+        else:
+            res = check_damping_conditions(system, scaling, 0.5, 0.25)
+            assert (f"tau*lambda_velocity={0.5 * res['lambda_velocity']:.3f}"
+                    in lines[0])
+            assert ("tau*sigma*lambda_schur="
+                    f"{0.5 * 0.25 * res['lambda_schur']:.3f}" in lines[0])
 
 
 def test_spot_values_against_reference_counts():

@@ -150,3 +150,22 @@ def test_hierarchy_rejects_bad_levels():
         build_hierarchy(99)
     assert "100" in str(err.value)
 
+
+
+def _edges_by_row_unique(tri_vertices):
+    """Reference edge table: 2-D np.unique over sorted vertex pairs."""
+    t = tri_vertices
+    pairs = np.stack(
+        [t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1
+    ).reshape(-1, 2)
+    edge_vertices, inverse = np.unique(
+        np.sort(pairs, axis=1), axis=0, return_inverse=True
+    )
+    return edge_vertices, inverse.reshape(-1, 3)
+
+
+def test_edge_table_matches_row_unique_oracle():
+    for lv in build_hierarchy(5).levels:
+        edge_vertices, tri_edges = _edges_by_row_unique(lv.tri_vertices)
+        assert np.array_equal(lv.edge_vertices, edge_vertices)
+        assert np.array_equal(lv.tri_edges, tri_edges)

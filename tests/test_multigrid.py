@@ -170,6 +170,7 @@ def test_solve_at_exact_solution_reports_zero(
     assert report.n == 0
     assert report.q == 0.0
     assert report.converged
+    assert report.stop_reason == "converged"
 
 
 def test_solve_converges_and_reports_rate(
@@ -217,6 +218,7 @@ def test_solve_returns_final_iterate(systems3_module, transfers3,
     report = mg.solve(2, rhs, x_star, x0=x0,
                       max_iter=2 if exit_path == "max_iter" else 200)
     assert report.converged == (exit_path == "converged")
+    assert report.stop_reason == exit_path
     if exit_path == "max_iter":
         assert report.n == 2
     if exit_path == "diverged":
@@ -239,6 +241,7 @@ def test_non_finite_solve_is_reported_failed(systems3_module, transfers3,
     with np.errstate(all="ignore"):
         report = mg.solve(2, rhs, x_star)
     assert not report.converged
+    assert report.stop_reason == "non_finite"
     assert report.q == float("inf")
     assert report.x is not None and report.x.shape == x_star.shape
     if bad == "inf_x_star":

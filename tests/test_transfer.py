@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stokesmg.assembly import TaylorHoodSpace
 from stokesmg.mesh import build_hierarchy
-from stokesmg.transfer import build_prolongation, prolongate, restrict
+from stokesmg.transfer import (
+    _W_P1,
+    _W_P2,
+    build_prolongation,
+    prolongate,
+    restrict,
+)
 
 from conftest import eval_p2_function
 
@@ -129,3 +136,51 @@ def test_restriction_annihilates_coarse_orthogonal_residuals(
     got = restrict(T, r)
     expect = coarse.apply(e)
     assert np.abs(got - expect).max() <= 1e-10 * max(1.0, np.abs(expect).max())
+
+
+def _embedding_by_pair_dedupe(fine_nodes, coarse_nodes, weights, n_fine,
+                              n_coarse):
+    """Reference embedding: every (child, fine node, coarse node) triplet,
+    deduplicated on (row, col), first occurrence kept.  fine_nodes is
+    (4, T_c, a), coarse_nodes the parents' (T_c, b) node table."""
+    rows, cols, vals = [], [], []
+    for j in range(4):
+        shape = (fine_nodes.shape[1], weights.shape[1], weights.shape[2])
+        rows.append(np.broadcast_to(fine_nodes[j][:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(coarse_nodes[:, None, :], shape).ravel())
+        vals.append(np.broadcast_to(weights[j][None, :, :], shape).ravel())
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    _, first = np.unique(rows * n_coarse + cols, return_index=True)
+    out = sp.coo_matrix(
+        (vals[first], (rows[first], cols[first])), shape=(n_fine, n_coarse)
+    ).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def _same_csr(a, b):
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
+
+
+def test_prolongation_matches_pair_dedupe_oracle():
+    spaces = [TaylorHoodSpace(lv) for lv in build_hierarchy(5).levels]
+    for coarse, fine in zip(spaces, spaces[1:]):
+        t = build_prolongation(coarse, fine)
+        tc = coarse.level.n_triangles
+        child_ids = 4 * np.arange(tc)[None, :] + np.arange(4)[:, None]
+        P2 = _embedding_by_pair_dedupe(
+            fine.tri_p2[child_ids], coarse.tri_p2, _W_P2,
+            fine.n_p2, coarse.n_p2,
+        )
+        P2 = P2[fine.interior_nodes][:, coarse.interior_nodes]
+        P_p = _embedding_by_pair_dedupe(
+            fine.level.tri_vertices[child_ids], coarse.level.tri_vertices,
+            _W_P1, fine.level.n_vertices, coarse.level.n_vertices,
+        )
+        assert _same_csr(t.P_u, sp.block_diag([P2, P2], format="csr"))
+        assert _same_csr(t.P_p, P_p)
