@@ -18,7 +18,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import CHILD_VERTEX_BARYCENTRIC, MeshLevel
-from .sparse import from_triplets, two_component
+from .sparse import (
+    csr_view,
+    from_triplets,
+    interleave,
+    merge_rows,
+    paired_from_triplets,
+    row_block,
+    two_component,
+)
 
 
 @dataclass(frozen=True)
@@ -159,6 +167,11 @@ class TaylorHoodSpace:
         self.tri_p2 = np.hstack([level.tri_vertices, nv + level.tri_edges])
         self.interior_nodes = np.flatnonzero(~self.p2_on_boundary)
         self.n_interior = self.interior_nodes.size
+        # interior index of every quadratic node, -1 on the boundary
+        self.interior_number = np.full(self.n_p2, -1, dtype=np.int32)
+        self.interior_number[self.interior_nodes] = np.arange(
+            self.n_interior, dtype=np.int32
+        )
         self.n_pressure = nv
         # Full-space velocity dof indices that survive boundary elimination,
         # component-blocked: [x at interior nodes, y at interior nodes].
@@ -183,37 +196,61 @@ class TaylorHoodSpace:
         inv /= det[:, None, None]
         return inv, det
 
-    def physical_quad_points(self, rule):
-        """Quadrature points mapped to every triangle, shape (T, nq, 2)."""
-        verts = self.level.vertex_coords[self.level.tri_vertices]
+    def physical_quad_points(self, rule, triangles=slice(None)):
+        """Quadrature points mapped to the given triangles (all by
+        default), shape (T, nq, 2)."""
+        verts = self.level.vertex_coords[self.level.tri_vertices[triangles]]
         return rule.points @ verts
 
-    # The beta-independent blocks are assembled once per space, on first
-    # use, and shared by every SaddleSystem built on it.
+    # The beta-independent blocks and the saddle pattern are built once per
+    # space, on first use, and shared by every SaddleSystem built on it.
 
     @cached_property
     def scalar_blocks(self):
-        """Scalar stiffness K and mass M on interior quadratic nodes."""
-        K, M = _scalar_p2_matrices(self, degree4_rule())
-        idx = self.interior_nodes
-        return K[idx][:, idx].tocsr(), M[idx][:, idx].tocsr()
+        """Scalar stiffness K and mass M on interior quadratic nodes,
+        sharing one index pattern."""
+        return _scalar_p2_matrices(self, degree4_rule())
 
     @cached_property
     def B(self):
-        """Divergence block: rows are pressure dofs, columns interior
-        velocity dofs in component-blocked order."""
+        """Divergence block [D_x, D_y]: rows are pressure dofs, columns
+        interior velocity dofs in component-blocked order."""
         Dx, Dy = _divergence_blocks(self, degree4_rule())
-        idx = self.interior_nodes
-        return sp.hstack([Dx[:, idx], Dy[:, idx]], format="csr")
+        indptr, from_x = merge_rows(Dx.indptr, Dy.indptr)
+        return csr_view(
+            interleave(from_x, Dx.data, Dy.data),
+            interleave(from_x, Dx.indices, Dy.indices + self.n_interior),
+            indptr, (self.n_pressure, self.n_velocity),
+        )
 
     @cached_property
     def Bt(self):
         return self.B.T.tocsr()
 
     @cached_property
-    def M_U(self):
-        """Velocity mass matrix on interior dofs (both components)."""
-        return two_component(self.scalar_blocks[1])
+    def saddle_pattern(self):
+        """(indptr, indices, from_a) of K = [[A, B^T], [B, 0]], shared by
+        the systems of every beta.
+
+        A = K + beta M per component has the scalar pattern twice, so the
+        layout follows from the row counts of A, B^T and B, with no sort:
+        velocity row i holds A's row i, then B^T's; from_a marks A's entries
+        among the velocity rows' entries.  At beta = 0 the stiffness's
+        structural zeros stay in A as explicit zeros.  Every system's K
+        holds these index arrays, so nothing may change them in place.
+        """
+        K_s = self.scalar_blocks[0]
+        n_s, n_u = self.n_interior, self.n_velocity
+        a_indptr = np.concatenate([K_s.indptr, K_s.indptr[1:] + K_s.nnz])
+        velocity_indptr, from_a = merge_rows(a_indptr, self.Bt.indptr)
+        indices = np.empty(from_a.size + self.B.nnz, dtype=K_s.indices.dtype)
+        interleave(from_a, np.concatenate([K_s.indices, K_s.indices + n_s]),
+                   self.Bt.indices + n_u, out=indices[: from_a.size])
+        indices[from_a.size:] = self.B.indices
+        indptr = np.concatenate(
+            [velocity_indptr, self.B.indptr[1:] + from_a.size]
+        )
+        return indptr, indices, from_a
 
     @cached_property
     def M_P(self):
@@ -236,7 +273,8 @@ def _symmetric(a):
 
 
 def _scalar_p2_matrices(space, rule):
-    """Scalar stiffness and mass over all quadratic nodes.
+    """Scalar stiffness and mass on interior quadratic nodes, converted
+    from one set of triplets and sharing their index arrays.
 
     Local matrices come from quadrature-summed reference tensors contracted
     with per-triangle geometry: with G = |det J| J^-1 J^-T, the stiffness is
@@ -264,18 +302,20 @@ def _scalar_p2_matrices(space, rule):
     )
     m_loc = det[:, None, None] * m_ref
 
-    nodes = space.tri_p2
+    # boundary nodes number -1, so their triplets are dropped
+    nodes = space.interior_number[space.tri_p2]
     rows = np.broadcast_to(nodes[:, :, None], k_loc.shape).ravel()
     cols = np.broadcast_to(nodes[:, None, :], k_loc.shape).ravel()
-    K = from_triplets(space.n_p2, space.n_p2, rows, cols, k_loc.ravel())
-    M = from_triplets(space.n_p2, space.n_p2, rows, cols, m_loc.ravel())
-    return K, M
+    n = space.n_interior
+    return paired_from_triplets(n, n, rows, cols, k_loc.ravel(),
+                                m_loc.ravel())
 
 
 def _divergence_blocks(space, rule):
-    """Pressure-row matrices D_x, D_y over all quadratic columns, with
+    """Pressure-row matrices D_x, D_y over interior quadratic columns, with
     D_d[i, j] = integral of (d-derivative of velocity basis j) * pressure
-    basis i.
+    basis i, converted from one set of triplets and sharing their index
+    arrays.
 
     Local blocks are (|det J| J^-1[:, d]) @ D for the reference tensor
     D[e]_ij = sum_q w_q psi_i d_e phi_j.
@@ -289,48 +329,67 @@ def _divergence_blocks(space, rule):
     prows = np.broadcast_to(
         space.level.tri_vertices[:, :, None], (det.size, 3, 6)
     ).ravel()
-    vcols = np.broadcast_to(space.tri_p2[:, None, :], (det.size, 3, 6)).ravel()
-    Dx, Dy = (
-        from_triplets(
-            space.n_pressure, space.n_p2, prows, vcols,
-            ((det[:, None] * inv[:, :, d]) @ d_ref).ravel(),
-        )
-        for d in range(2)
-    )
-    return Dx, Dy
+    vcols = np.broadcast_to(
+        space.interior_number[space.tri_p2][:, None, :], (det.size, 3, 6)
+    ).ravel()
+    dx, dy = (((det[:, None] * inv[:, :, d]) @ d_ref).ravel() for d in range(2))
+    return paired_from_triplets(space.n_pressure, space.n_interior, prows,
+                                vcols, dx, dy)
 
 
 @dataclass
 class SaddleSystem:
-    """Assembled blocks of one level: [[A, B^T], [B, 0]] plus the mass
-    matrices entering norms and scalings."""
+    """One level's saddle operator K = [[A, B^T], [B, 0]], stored as a
+    single CSR matrix, plus the masses entering norms.
 
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    M_U: sp.csr_matrix
+    M is the scalar velocity mass; the velocity mass M_U applies it to each
+    component.  The solver applies K, its velocity rows [A, B^T], B and
+    B^T; A and M_U are built on request, for diagnostics and tests.  B is
+    a view of K's pressure rows: a system given another B
+    (dataclasses.replace(system, B=...)) rebuilds K around it, so a
+    replacement of K itself passes B=None to take the new K's rows.
+    """
+
+    K: sp.csr_matrix
+    M: sp.csr_matrix
     M_P: sp.csr_matrix
     params: ProblemParams
     h: float
-    space: TaylorHoodSpace
+    space: TaylorHoodSpace | None = None
+    B: sp.csr_matrix | None = None
+
+    def __post_init__(self):
+        # plain attributes: split runs several times per smoothing sweep
+        self.n, self.n_p = self.K.shape[0], self.M_P.shape[0]
+        self.n_u = self.n - self.n_p
+        B = self.B
+        if B is not None and not np.may_share_memory(B.data, self.K.data):
+            self.K = sp.bmat([[self.A, B.T], [B, None]], format="csr")
+        self.B = row_block(self.K, self.n_u, self.n, self.n_u)
+
+    @cached_property
+    def velocity_rows(self):
+        """[A, B^T]: K's velocity rows, sharing its arrays."""
+        return row_block(self.K, 0, self.n_u, self.n)
 
     @cached_property
     def Bt(self):
-        """B^T, shared with every system that uses the space's own B."""
-        if self.space is not None and self.B is self.space.B:
-            return self.space.Bt
+        """B^T: the space's own, shared by every system on its saddle
+        pattern; otherwise B transposed."""
+        space = self.space
+        if space is not None and self.K.indices is space.saddle_pattern[1]:
+            return space.Bt
         return self.B.T.tocsr()
 
     @property
-    def n_u(self):
-        return self.A.shape[0]
+    def A(self):
+        """Velocity block, copied out of K."""
+        return self.K[: self.n_u, : self.n_u].tocsr()
 
     @property
-    def n_p(self):
-        return self.B.shape[0]
-
-    @property
-    def n(self):
-        return self.n_u + self.n_p
+    def M_U(self):
+        """Velocity mass matrix (both components)."""
+        return two_component(self.M)
 
     def split(self, x):
         return x[: self.n_u], x[self.n_u:]
@@ -340,25 +399,33 @@ class SaddleSystem:
 
     def apply(self, x):
         """Saddle operator matvec."""
-        u, p = self.split(x)
-        return np.concatenate([self.A @ u + self.Bt @ p, self.B @ u])
+        return self.K @ x
 
     def residual(self, x, rhs):
-        return rhs - self.apply(x)
+        r = self.K @ x
+        np.subtract(rhs, r, out=r)
+        return r
 
     def dense(self):
         """Dense saddle matrix; meant for small levels and test oracles."""
-        return sp.bmat([[self.A, self.Bt], [self.B, None]]).toarray()
+        return self.K.toarray()
 
 
 def build_system(space, params):
-    """SaddleSystem of one level: A = K + beta M per velocity component,
-    with B and the mass matrices shared from the space."""
-    K, M = space.scalar_blocks
-    A = two_component(K + params.beta * M)
+    """SaddleSystem of one level.  K's data is written on the space's saddle
+    pattern: A = K_s + beta M_s on both velocity components, then the
+    space's B^T and B."""
+    K_s, M_s = space.scalar_blocks
+    indptr, indices, from_a = space.saddle_pattern
+    a = K_s.data + params.beta * M_s.data
+    data = np.empty(indices.size)
+    interleave(from_a, np.concatenate([a, a]), space.Bt.data,
+               out=data[: from_a.size])
+    data[from_a.size:] = space.B.data
+    n = indptr.size - 1
     return SaddleSystem(
-        A=A, B=space.B, M_U=space.M_U, M_P=space.M_P, params=params,
-        h=space.level.h, space=space,
+        K=csr_view(data, indices, indptr, (n, n)), M=M_s, M_P=space.M_P,
+        params=params, h=space.level.h, space=space,
     )
 
 
@@ -377,26 +444,38 @@ def _mass_cg(M, b, rtol=1e-13):
     return x
 
 
+# Triangles per block of exact-field evaluations in _moment_vectors: the
+# fields allocate several (triangles, quadrature points) temporaries, which
+# over a whole level-6 mesh would be the peak memory of set-up.
+_MOMENT_BLOCK = 16384
+
+
 def _moment_vectors(space, u_exact, p_exact, rule):
     """Load vectors of the exact fields against all basis functions."""
-    points = space.physical_quad_points(rule)  # (T, nq, 2)
     det = space._geometry[1]
-    wdet = rule.weights[None, :] * det[:, None]  # (T, nq)
-
-    ux, uy = u_exact(points[..., 0], points[..., 1])
-    pv = p_exact(points[..., 0], points[..., 1])
-
     vals2 = p2_values(rule.points)  # (nq, 6)
     vals1 = p1_values(rule.points)  # (nq, 3)
+    n_tri = det.size
+    loc_ux, loc_uy = np.empty((n_tri, 6)), np.empty((n_tri, 6))
+    loc_p = np.empty((n_tri, 3))
+    for start in range(0, n_tri, _MOMENT_BLOCK):
+        block = slice(start, start + _MOMENT_BLOCK)
+        points = space.physical_quad_points(rule, block)  # (b, nq, 2)
+        wdet = rule.weights[None, :] * det[block, None]   # (b, nq)
+        x, y = points[..., 0], points[..., 1]
+        ux, uy = u_exact(x, y)
+        loc_ux[block] = (wdet * ux) @ vals2
+        loc_uy[block] = (wdet * uy) @ vals2
+        loc_p[block] = (wdet * p_exact(x, y)) @ vals1
 
     def scatter(nodes, local, n):
         return np.bincount(nodes.ravel(), weights=local.ravel(), minlength=n)
 
     p2_nodes, p1_nodes = space.tri_p2, space.level.tri_vertices
     return (
-        scatter(p2_nodes, (wdet * ux) @ vals2, space.n_p2),
-        scatter(p2_nodes, (wdet * uy) @ vals2, space.n_p2),
-        scatter(p1_nodes, (wdet * pv) @ vals1, space.n_pressure),
+        scatter(p2_nodes, loc_ux, space.n_p2),
+        scatter(p2_nodes, loc_uy, space.n_p2),
+        scatter(p1_nodes, loc_p, space.n_pressure),
     )
 
 

@@ -104,9 +104,9 @@ class _HierarchyCache:
     """Shared meshes, spaces, transfers and per-beta systems for one grid.
 
     Spaces and transfers are beta-independent; the projected target
-    solution per level is too.  Each space assembles its stiffness, masses
-    and divergence once, so the systems of every beta share them and a new
-    beta only adds its velocity block A = K + beta M.
+    solution per level is too.  Each space assembles its stiffness, masses,
+    divergence and saddle pattern once, so the systems of every beta share
+    them and a new beta only adds the data array of its saddle matrix.
     """
 
     def __init__(self, max_level, solution=ExactSolution()):

@@ -67,9 +67,9 @@ def triple_norm(x, system):
     level of the given SaddleSystem."""
     hm2, beta = system.h ** -2, system.params.beta
     u, p = system.split(x)
-    val = (hm2 + beta) * (u @ (system.M_U @ u)) + hm2 / (beta + hm2) * (
-        p @ (system.M_P @ p)
-    )
+    # M_U applies the scalar mass M to each velocity component
+    uu = sum(c @ (system.M @ c) for c in u.reshape(2, -1))
+    val = (hm2 + beta) * uu + hm2 / (beta + hm2) * (p @ (system.M_P @ p))
     # tiny negative values can appear from roundoff at x ~ 0
     return float(np.sqrt(max(val, 0.0)))
 
@@ -139,11 +139,11 @@ class Multigrid:
 
     def project_pressure(self, level, x):
         """Remove the weighted-mean pressure component."""
-        system = self.systems[level]
-        u, p = system.split(x)
+        x = x.copy()
+        p = x[self.systems[level].n_u:]
         w = self._pressure_weights[level]
-        p = p - (w @ p) / w.sum()
-        return system.join(u, p)
+        p -= (w @ p) / w.sum()
+        return x
 
     def smooth(self, level, x, rhs, steps):
         system, scaling = self.systems[level], self.scalings[level]

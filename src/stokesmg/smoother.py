@@ -17,7 +17,8 @@ or Schur solves.
       C = [[Du / tau, B^T], [B, tau B Du^-1 B^T - Dp / sigma]].
   Because the third substep starts from the same u, its residual is
       r_u2 = f - A u - B^T p_new = r_u - B^T (p_new - p),
-  so a sweep costs one A, two B^T and one B matvec.  The damped
+  so a sweep costs one product with the velocity rows [A, B^T] of the
+  saddle matrix, one with B and one with B^T.  The damped
   reciprocals tau / Du and sigma / Dp are computed once per scaling and
   damping pair.
 
@@ -88,14 +89,14 @@ class SmootherConfig:
 
 def build_scaling(system):
     """Operator-based diagonal scaling: Du = diag(A), Dp = diag(B Du^-1 B^T)."""
-    d_u = system.A.diagonal()
+    d_u = system.velocity_rows.diagonal()
     if np.any(d_u <= 0.0):
         raise ValueError(
             "velocity diagonal has nonpositive entries; "
             "assembled system is broken"
         )
     # row i of the inexact Schur diagonal: sum_j B_ij^2 / d_u[j]
-    d_p = system.B.multiply(system.B) @ (1.0 / d_u)
+    d_p = system.B.power(2) @ (1.0 / d_u)
     if np.any(d_p <= 0.0):
         raise ValueError(
             "scaling diagonal has nonpositive entries; assembled system is broken"
@@ -107,7 +108,12 @@ def normal_equation_step(system, scaling, tau, x, rhs):
     """One damped step preconditioned by Dinv A Dinv."""
     d = scaling.d_full
     r = system.residual(x, rhs)
-    return x + tau * (system.apply(r / d) / d)
+    r /= d
+    step = system.apply(r)
+    step /= d
+    step *= tau
+    step += x
+    return step
 
 
 def uzawa_step(system, scaling, tau, sigma, x, rhs):
@@ -118,8 +124,7 @@ def uzawa_step(system, scaling, tau, sigma, x, rhs):
     f, g = system.split(rhs)
     out = np.empty_like(x)
     u_new, p_new = system.split(out)
-    r_u = system.A @ u
-    r_u += system.Bt @ p
+    r_u = system.velocity_rows @ x
     np.subtract(f, r_u, out=r_u)
     u_half = s_u * r_u
     u_half += u

@@ -1,7 +1,9 @@
 """Sparse and dense linear-algebra plumbing.
 
-Matrices are scipy CSR throughout; this module holds COO-triplet assembly
-and the pivoted, equilibrated dense factorization for the coarsest grid.
+Matrices are scipy CSR throughout; this module holds COO-triplet assembly,
+CSR layouts computed from row counts alone (column concatenation, row
+blocks sharing their parent's arrays) and the pivoted, equilibrated dense
+factorization for the coarsest grid.
 """
 
 from __future__ import annotations
@@ -24,6 +26,68 @@ def from_triplets(nrows, ncols, rows, cols, values):
     )
     out = mat.tocsr()
     out.sum_duplicates()
+    return out
+
+
+def paired_from_triplets(nrows, ncols, rows, cols, first, second):
+    """Two CSR matrices summed from one set of coordinate triplets, converted
+    once and sharing their index arrays; triplets with a negative row or
+    column are dropped.
+
+    The pair is converted as the complex matrix first + i second.  A complex
+    sum adds the real and imaginary parts separately, so each part is summed
+    exactly as its own real conversion would sum it.
+    """
+    keep = (rows >= 0) & (cols >= 0)
+    pair = np.empty(np.count_nonzero(keep), dtype=complex)
+    pair.real, pair.imag = first[keep], second[keep]
+    z = sp.csr_matrix((pair, (rows[keep], cols[keep])), shape=(nrows, ncols))
+    # summing duplicates leaves the arrays views of the unsummed length
+    indices = z.indices.copy()
+    return tuple(
+        csr_view(part.copy(), indices, z.indptr, z.shape)
+        for part in (z.data.real, z.data.imag)
+    )
+
+
+def csr_view(data, indices, indptr, shape):
+    """CSR matrix holding the given arrays themselves.  scipy's constructor
+    would rewrap each array, and copy a slice shorter than half its base
+    array, so row blocks of a larger matrix could not share its memory."""
+    out = sp.csr_matrix(shape, dtype=data.dtype)
+    out.data, out.indices, out.indptr = data, indices, indptr
+    return out
+
+
+def row_block(mat, start, stop, ncols):
+    """Rows start:stop of a CSR matrix, restricted to its first ncols
+    columns (which must hold all their entries), sharing mat's data and
+    indices."""
+    lo, hi = mat.indptr[start], mat.indptr[stop]
+    indptr = mat.indptr[start:stop + 1]
+    return csr_view(mat.data[lo:hi], mat.indices[lo:hi],
+                    indptr - lo if lo else indptr, (stop - start, ncols))
+
+
+def merge_rows(left_indptr, right_indptr):
+    """Layout of the column concatenation [L, R] of two CSR matrices with
+    the same rows: its indptr, and the mask of its entries taken from L.
+    Row i holds L's row i, then R's; only row counts are needed, no sort."""
+    counts = np.stack(
+        [np.diff(left_indptr), np.diff(right_indptr)], axis=1
+    ).ravel()
+    from_left = np.repeat(
+        np.tile([True, False], left_indptr.size - 1), counts
+    )
+    return left_indptr + right_indptr, from_left
+
+
+def interleave(from_left, left, right, out=None):
+    """Array with left's entries where from_left holds, right's elsewhere."""
+    if out is None:
+        out = np.empty(from_left.size, dtype=np.result_type(left, right))
+    out[from_left] = left
+    out[~from_left] = right
     return out
 
 

@@ -19,7 +19,7 @@ from stokesmg.assembly import (
     p2_values,
 )
 from stokesmg.mesh import MeshLevel, build_hierarchy
-from stokesmg.sparse import from_triplets
+from stokesmg.sparse import from_triplets, two_component
 
 from conftest import eval_p2_function
 
@@ -222,19 +222,67 @@ def test_blocks_match_quadrature_loop_oracle(level):
 @pytest.mark.parametrize("level", range(5))
 def test_velocity_blocks_exactly_symmetric(level):
     space = TaylorHoodSpace(build_hierarchy(level)[level])
-    blocks = [space.M_U] + [
-        build_system(space, ProblemParams(beta=beta)).A
-        for beta in (0.0, 1.0, 1e10)
-    ]
-    for m in blocks:
+    systems = [build_system(space, ProblemParams(beta=beta))
+               for beta in (0.0, 1.0, 1e10)]
+    for m in [systems[0].M_U] + [s.A for s in systems]:
         assert (m != m.T).nnz == 0
 
 
 def test_systems_share_beta_independent_blocks(space2):
     s0 = build_system(space2, ProblemParams(beta=0.0))
     s1 = build_system(space2, ProblemParams(beta=1e4))
-    assert s0.B is s1.B and s0.M_U is s1.M_U and s0.M_P is s1.M_P
-    assert s0.A is not s1.A
+    assert s0.M is s1.M is space2.scalar_blocks[1] and s0.M_P is s1.M_P
+    assert not np.shares_memory(s0.K.data, s1.K.data)
+    # each B is a view of its own K's pressure rows, holding the space's B
+    for s in (s0, s1):
+        assert np.shares_memory(s.B.data, s.K.data)
+        assert np.array_equal(s.B.indptr, space2.B.indptr)
+        assert np.array_equal(s.B.indices, space2.B.indices)
+        assert np.array_equal(s.B.data, space2.B.data)
+
+
+def test_systems_share_saddle_pattern(space2):
+    s0 = build_system(space2, ProblemParams(beta=0.0))
+    s1 = build_system(space2, ProblemParams(beta=1e4))
+    assert s0.K.indices is s1.K.indices
+    assert s0.K.indptr is s1.K.indptr
+
+
+@pytest.fixture(scope="module")
+def spaces5():
+    return [TaylorHoodSpace(lv) for lv in build_hierarchy(5).levels]
+
+
+def _pattern(m):
+    out = m.copy()
+    out.data = np.ones(m.nnz)
+    return out
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1e10])
+@pytest.mark.parametrize("level", range(6))
+def test_saddle_matrix_matches_block_oracle(spaces5, level, beta):
+    space = spaces5[level]
+    K_s, M_s = space.scalar_blocks
+    B = space.B
+    want = sp.bmat([[two_component(K_s + beta * M_s), B.T], [B, None]],
+                   format="csr")
+    got = build_system(space, ProblemParams(beta=beta)).K
+    assert got.shape == want.shape
+    assert (got != want).nnz == 0
+    # entries stored beyond the oracle's: only the stiffness's structural
+    # zeros, kept as explicit zeros in A at beta = 0
+    extra = _pattern(got) - _pattern(want)
+    extra.eliminate_zeros()
+    if beta == 0.0:
+        zeros = K_s.copy()
+        zeros.data = (K_s.data == 0.0).astype(float)
+        zeros.eliminate_zeros()
+        expected = sp.block_diag([two_component(zeros),
+                                  sp.csr_matrix((B.shape[0],) * 2)])
+        assert (extra != expected).nnz == 0
+    else:
+        assert extra.nnz == 0
 
 
 def test_systems_share_transposed_divergence(space2):
@@ -245,6 +293,12 @@ def test_systems_share_transposed_divergence(space2):
     scaled = dataclasses.replace(s0, B=2.0 * s0.B)
     assert scaled.Bt is not space2.Bt
     assert np.abs((scaled.Bt - 2.0 * space2.Bt).toarray()).max() == 0.0
+    # and its saddle matrix is rebuilt around that block
+    x = np.random.default_rng(4).standard_normal(s0.n)
+    u, p = s0.split(x)
+    want = np.concatenate([s0.A @ u + 2.0 * (space2.Bt @ p),
+                           2.0 * (space2.B @ u)])
+    assert np.abs(scaled.apply(x) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_B_kernel_contains_constants(system2):

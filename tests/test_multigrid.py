@@ -76,6 +76,43 @@ def test_zero_residual_cycle_without_smoothing(systems3_beta1, transfers3):
     assert np.abs(out - projected).max() <= 1e-9 * np.abs(x).max()
 
 
+def test_project_pressure_returns_projected_copy(systems3_beta1,
+                                                 transfers3):
+    rng = np.random.default_rng(7)
+    mg = make_mg(systems3_beta1, transfers3, 2)
+    system = systems3_beta1[2]
+    x = rng.standard_normal(system.n)
+    x_before = x.copy()
+    out = mg.project_pressure(2, x)
+    assert np.array_equal(x, x_before) and not np.shares_memory(out, x)
+    u, p = system.split(out)
+    w = mg._pressure_weights[2]
+    assert np.array_equal(u, x[: system.n_u])
+    assert abs(w @ p) <= 1e-14 * (np.abs(w) @ np.abs(p))
+
+
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_solve_never_builds_A_or_M_U(monkeypatch, spaces3, transfers3, kind):
+    # the solver applies the saddle matrix and the scalar mass; the blocks
+    # A and M_U exist only for diagnostics, tests and oracles
+    from stokesmg.assembly import SaddleSystem, l2_project
+    from stokesmg.bench import exact_pressure, exact_velocity
+
+    def forbidden(system):
+        raise AssertionError("solve built a velocity block")
+
+    monkeypatch.setattr(SaddleSystem, "A", property(forbidden))
+    monkeypatch.setattr(SaddleSystem, "M_U", property(forbidden))
+    systems = [build_system(s, ProblemParams(beta=1.0)) for s in spaces3]
+    u_star, p_star = l2_project(spaces3[3], exact_velocity, exact_pressure)
+    rhs = manufactured_rhs(systems[3], (u_star, p_star))
+    cfg = CycleConfig(smoother=SmootherConfig(kind=kind), cycle="W")
+    report = Multigrid(systems, transfers3, cfg).solve(
+        3, rhs, systems[3].join(u_star, p_star), max_iter=2
+    )
+    assert report.n == 2
+
+
 def test_coarse_solve_contracts(systems3_beta1, transfers3):
     rng = np.random.default_rng(1)
     mg = make_mg(systems3_beta1, transfers3, 1)

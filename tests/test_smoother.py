@@ -21,17 +21,21 @@ from stokesmg.smoother import (
 )
 
 
-def make_fixture_system(n=6):
+def system_from_blocks(A, B, M, M_P, params, h, space=None):
+    """SaddleSystem whose saddle matrix is assembled from given blocks."""
+    K = sp.bmat([[A, B.T], [B, None]], format="csr")
+    return SaddleSystem(K=K, M=M, M_P=M_P, params=params, h=h, space=space)
+
+
+def make_fixture_system(n=6, A=None):
     """Decoupled toy system: identity velocity block, empty divergence."""
-    ident = sp.identity(n, format="csr")
-    return SaddleSystem(
-        A=ident,
+    return system_from_blocks(
+        A=sp.identity(n, format="csr") if A is None else A,
         B=sp.csr_matrix((1, n)),
-        M_U=ident,
+        M=sp.identity(n // 2, format="csr"),
         M_P=sp.identity(1, format="csr"),
         params=ProblemParams(beta=0.0),
         h=1.0,
-        space=None,
     )
 
 
@@ -67,8 +71,9 @@ def test_natural_scaling_diagonals(systems3_beta1):
 
 
 def test_scaling_rejects_broken_diagonal():
-    system = make_fixture_system()
-    system.A = sp.csr_matrix(np.diag([1.0, 0.0, 1.0, 1.0, 1.0, 1.0]))
+    system = make_fixture_system(
+        A=sp.csr_matrix(np.diag([1.0, 0.0, 1.0, 1.0, 1.0, 1.0]))
+    )
     with pytest.raises(ValueError):
         build_scaling(system)
 
@@ -201,17 +206,62 @@ class CountingMatrix:
 
 
 def test_uzawa_sweep_matvec_count(systems3_beta1):
+    # one product each with K's velocity rows [A, B^T], with B and with B^T
     system = systems3_beta1[2]
     sc = build_scaling(system)
-    A, B, Bt = (CountingMatrix(m) for m in (system.A, system.B, system.Bt))
-    counted = dataclasses.replace(system, A=A, B=B)
-    counted.__dict__["Bt"] = Bt  # seed the cached transpose
+    K, K_u, B, Bt = (CountingMatrix(m) for m in (
+        system.K, system.velocity_rows, system.B, system.Bt))
+    counted = dataclasses.replace(system)
+    counted.K, counted.B = K, B
+    counted.__dict__.update(velocity_rows=K_u, Bt=Bt)  # seed the cached views
     rng = np.random.default_rng(13)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
     got = uzawa_step(counted, sc, 0.8, 0.8, x, rhs)
-    assert (A.calls, Bt.calls, B.calls) == (1, 2, 1)
+    assert (K.calls, K_u.calls, Bt.calls, B.calls) == (0, 1, 1, 1)
     assert np.array_equal(got, uzawa_step(system, sc, 0.8, 0.8, x, rhs))
+
+
+def three_block_apply(system, x):
+    """The saddle operator as three block products."""
+    A, B = system.A, system.B
+    u, p = system.split(x)
+    return np.concatenate([A @ u + B.T @ p, B @ u])
+
+
+def three_block_uzawa_step(system, scaling, tau, sigma, x, rhs):
+    """The Uzawa sweep with its first residual from A and B^T apart."""
+    s_u, s_p = scaling.damped_reciprocals(tau, sigma)
+    A, B = system.A, system.B
+    u, p = system.split(x)
+    f, g = system.split(rhs)
+    r_u = f - (A @ u + B.T @ p)
+    dp = s_p * (B @ (u + s_u * r_u) - g)
+    return np.concatenate([u + s_u * (r_u - B.T @ dp), p + dp])
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1e10])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_saddle_products_match_three_block_formulas(systems3_by_beta, level,
+                                                    beta):
+    rng = np.random.default_rng(14 + level)
+    system = systems3_by_beta[beta][level]
+    sc = build_scaling(system)
+    x = rng.standard_normal(system.n)
+    rhs = rng.standard_normal(system.n)
+    Kx = three_block_apply(system, x)
+    d = sc.d_full
+    r = rhs - Kx
+    pairs = [
+        (system.apply(x), Kx),
+        (system.residual(x, rhs), r),
+        (normal_equation_step(system, sc, 0.35, x, rhs),
+         x + 0.35 * three_block_apply(system, r / d) / d),
+        (uzawa_step(system, sc, 0.8, 0.8, x, rhs),
+         three_block_uzawa_step(system, sc, 0.8, 0.8, x, rhs)),
+    ]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_damped_reciprocals_are_memoized(systems3_beta1):
@@ -278,10 +328,10 @@ def test_spectral_radius_homogeneity(systems3_beta1):
     system = systems3_beta1[1]
     sc = build_scaling(system)
     rho = estimate_spectral_radius(system, sc, "normal_equation", tol=1e-6)
-    scaled = SaddleSystem(
+    scaled = system_from_blocks(
         A=(3.0 * system.A).tocsr(),
         B=(3.0 * system.B).tocsr(),
-        M_U=system.M_U,
+        M=system.M,
         M_P=system.M_P,
         params=system.params,
         h=system.h,
