@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import CHILD_VERTEX_BARYCENTRIC, MeshLevel
+from .mesh import MeshLevel
 from .sparse import (
     csr_view,
     from_triplets,
@@ -80,19 +80,6 @@ def conical_rule(n=5):
     weights = np.outer(wu, wv).ravel()
     points = np.stack([1.0 - x - y, x, y], axis=1)
     return QuadratureRule(2 * n - 1, points, weights)
-
-
-def composite_rule(rule, splits=1):
-    """Apply a rule on the 4**splits congruent sub-triangles of the
-    reference triangle.  Sharper on non-smooth integrands; handy as an
-    independent cross-check of single-panel quadrature."""
-    points, weights = rule.points, rule.weights
-    for _ in range(splits):
-        points = np.concatenate(
-            [points @ bary for bary in CHILD_VERTEX_BARYCENTRIC]
-        )
-        weights = np.tile(0.25 * weights, 4)
-    return QuadratureRule(rule.degree, points, weights)
 
 
 def p2_values(points):

@@ -144,16 +144,19 @@ def run_table(grid: ExperimentGrid, cache=None, progress=None):
     Deterministic: there is no randomness anywhere in a solve, so repeated
     runs return identical iteration counts and rates.
     """
-    cache = cache or _HierarchyCache(max(grid.levels))
+    top = max(grid.levels)
+    cache = cache or _HierarchyCache(top)
     rows = []
     for config in grid.configs:
         for beta in grid.betas:
+            # one Multigrid per (config, beta) serves every level, so its
+            # scalings, level-0 factorization and level-1 map are built once
+            systems = cache.systems(beta, top)
+            mg = Multigrid(systems, cache.transfers[: top + 1], config)
             for level in grid.levels:
-                systems = cache.systems(beta, level)
                 u_star, p_star = cache.target(level)
                 x_star = systems[level].join(u_star, p_star)
                 rhs = manufactured_rhs(systems[level], (u_star, p_star))
-                mg = Multigrid(systems, cache.transfers[: level + 1], config)
                 start = time.perf_counter()
                 report = mg.solve(
                     level, rhs, x_star, tol=grid.tol, max_iter=grid.max_iter

@@ -2,10 +2,20 @@
 
 One cycle: pre-smoothing, residual restriction, coarse correction
 (recursive V/W or exact two-grid), prolongated update, post-smoothing.
-Level 0 is always solved exactly through a dense factorization of the
-saddle matrix augmented with a Lagrange multiplier that pins the weighted
-pressure mean (the pure saddle matrix is singular with the constant
-pressure in its kernel).
+The exact solves run through a dense factorization of the saddle matrix
+augmented with a Lagrange multiplier that pins the weighted pressure mean
+(the pure saddle matrix is singular with the constant pressure in its
+kernel).  Level 0 is solved exactly inside every level-1 visit.
+
+A coarse correction starts from zero, so the one on level 1 (one or two
+level-1 cycles, each ending in an exact level-0 solve) is a fixed linear
+map G1 of its right-hand side.  A level-2 visit inside a coarser level's
+correction applies G1 as one dense product; G1 is built on first use by
+running that correction once on the identity block.  The top visit of a
+level-2 cycle, two-grid cycles and level-1 visits recurse literally.
+
+Every cycle operation takes a vector or an (n, k) block of them, so
+mg_cycle(level, I, 0) gives the cycle's error-propagation matrix.
 
 Convergence of an iteration is measured against the known discrete
 solution in a level-scaled L2 norm built from the full mass matrices:
@@ -103,6 +113,7 @@ class Multigrid:
         self.config = config
         self.scalings = [build_scaling(s) for s in self.systems]
         self._exact = {}
+        self._g1 = None
         # weighted pressure means: w = M_P 1
         self._pressure_weights = [
             s.M_P @ np.ones(s.n_p) for s in self.systems
@@ -132,7 +143,7 @@ class Multigrid:
 
     def _exact_solve(self, level, rhs):
         fact = self._exact_factorization(level)
-        padded = np.concatenate([rhs, [0.0]])
+        padded = np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])])
         return fact.solve(padded)[:-1]
 
     # -- cycling -------------------------------------------------------
@@ -151,7 +162,21 @@ class Multigrid:
             x = smoother_step(system, scaling, self.config.smoother, x, rhs)
         return x
 
-    def _cycle(self, level, x, rhs):
+    def _correction(self, level, rhs):
+        """Coarse correction on the given level: one V or two W cycles
+        from zero."""
+        z = np.zeros((self.systems[level].n,) + rhs.shape[1:])
+        for _ in range(2 if self.config.cycle == "W" else 1):
+            z = self._cycle(level, z, rhs)
+        return z
+
+    def _level1_map(self):
+        """G1, the level-1 correction as a dense matrix (built once)."""
+        if self._g1 is None:
+            self._g1 = self._correction(1, np.eye(self.systems[1].n))
+        return self._g1
+
+    def _cycle(self, level, x, rhs, top=False):
         if level == 0:
             return self._exact_solve(0, rhs)
         cfg = self.config
@@ -161,15 +186,16 @@ class Multigrid:
         )
         if level == 1 or cfg.cycle == "two_grid":
             z = self._exact_solve(level - 1, r_coarse)
+        elif level == 2 and not top:
+            z = self._level1_map() @ r_coarse
         else:
-            z = np.zeros(self.systems[level - 1].n)
-            for _ in range(2 if cfg.cycle == "W" else 1):
-                z = self._cycle(level - 1, z, r_coarse)
+            z = self._correction(level - 1, r_coarse)
         x = x + prolongate(self.transfers[level], z)
         return self.smooth(level, x, rhs, cfg.nu_post)
 
     def mg_cycle(self, level, x, rhs):
-        """One multigrid cycle on the given level."""
+        """One multigrid cycle on the given level, for an iterate vector or
+        an (n, k) block of iterates with matching right-hand sides."""
         if level >= len(self.systems):
             raise ValueError(
                 f"level {level} not built (hierarchy has "
@@ -177,7 +203,8 @@ class Multigrid:
             )
         if x.shape[0] != self.systems[level].n:
             raise ValueError("iterate length does not match the level")
-        return self.project_pressure(level, self._cycle(level, x, rhs))
+        return self.project_pressure(level, self._cycle(level, x, rhs,
+                                                         top=True))
 
     # -- measured iteration ---------------------------------------------
 

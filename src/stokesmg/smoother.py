@@ -25,6 +25,9 @@ or Schur solves.
 The diagonal scaling is taken from the operator itself:
       Du = diag(A),  Dp = diag(B diag(A)^-1 B^T),
 so it follows A = K + beta M across beta without a level weight.
+
+Both sweeps act on a vector or, column by column, on an (n, k) block of
+iterates; the diagonals then scale the block row-wise.
 """
 
 from __future__ import annotations
@@ -104,9 +107,15 @@ def build_scaling(system):
     return ScalingOperator(d_u=d_u, d_p=d_p)
 
 
+def _columns(v, x):
+    """v shaped to scale x row-wise: itself for a vector x, a column for an
+    (n, k) block."""
+    return v.reshape(v.shape + (1,) * (x.ndim - 1))
+
+
 def normal_equation_step(system, scaling, tau, x, rhs):
     """One damped step preconditioned by Dinv A Dinv."""
-    d = scaling.d_full
+    d = _columns(scaling.d_full, x)
     r = system.residual(x, rhs)
     r /= d
     step = system.apply(r)
@@ -120,6 +129,7 @@ def uzawa_step(system, scaling, tau, sigma, x, rhs):
     """One symmetric Uzawa sweep (three substeps), written into a new
     array; x and rhs are left untouched."""
     s_u, s_p = scaling.damped_reciprocals(tau, sigma)
+    s_u, s_p = _columns(s_u, x), _columns(s_p, x)
     u, p = system.split(x)
     f, g = system.split(rhs)
     out = np.empty_like(x)

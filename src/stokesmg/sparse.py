@@ -146,13 +146,17 @@ class DenseFactorization:
             )
 
     def solve(self, b):
+        """Solution for a right-hand side vector, or for each column of an
+        (n, k) block."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise ValueError(
                 f"solve dimension mismatch: factor is {self.shape}, "
                 f"rhs has length {b.shape[0]}"
             )
+        column = (slice(None),) + (None,) * (b.ndim - 1)
         y = scipy.linalg.lu_solve(
-            (self._lu, self._piv), b / self._row_scale, check_finite=False
+            (self._lu, self._piv), b / self._row_scale[column],
+            check_finite=False,
         )
-        return y / self._col_scale
+        return y / self._col_scale[column]

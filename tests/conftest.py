@@ -30,6 +30,15 @@ def systems3_beta1(spaces3):
     return [build_system(s, params) for s in spaces3]
 
 
+@pytest.fixture(scope="session")
+def systems3_by_beta(spaces3, systems3_beta1):
+    by_beta = {1.0: systems3_beta1}
+    for beta in (0.0, 1e10):
+        params = ProblemParams(beta=beta)
+        by_beta[beta] = [build_system(s, params) for s in spaces3]
+    return by_beta
+
+
 def locate_barycentric(space, x, y):
     """Brute-force point location: triangle index and barycentric
     coordinates of each query point.  Test-only helper, independent of the

@@ -269,3 +269,32 @@ def test_criterion_11_spectral_safety(runner):
     report(11, ok, f"tau * rho(Dinv A Dinv A) over k=1..4, beta in "
            f"{{0,1,1e4,1e10}}: max {worst:.3f} at k={worst_at[0]} "
            f"beta={worst_at[1]:g} (accept <= 1.95, power iteration tol 1e-3)")
+
+
+def test_criterion_12_iteration_matrix_spectral_radius(runner):
+    # one W(3,3) cycle applied to the identity block with a zero right-hand
+    # side is the cycle's full error-propagation matrix, so its spectral
+    # radius bounds the contraction for every right-hand side; level 3
+    # (n = 2211) runs only the cell of each smoother with the largest
+    # radius measured over the four beta
+    cells = [(2, beta, kind) for beta in (0.0, 1.0, 1e4, 1e10)
+             for kind in ("uzawa", "normal_equation")]
+    cells += [(3, 0.0, "uzawa"), (3, 1e10, "normal_equation")]
+    bound = {"uzawa": 0.3, "normal_equation": 0.9}
+    worst = dict.fromkeys(bound, (0.0, None))
+    for level, beta, kind in cells:
+        systems = runner.cache.systems(beta, level)
+        cfg = CycleConfig(smoother=SmootherConfig(kind=kind), cycle="W",
+                          nu_pre=3, nu_post=3)
+        mg = Multigrid(systems, runner.cache.transfers[: level + 1], cfg)
+        n = systems[level].n
+        error_map = mg.mg_cycle(level, np.eye(n), np.zeros((n, n)))
+        rho = float(np.abs(np.linalg.eigvals(error_map)).max())
+        if rho > worst[kind][0]:
+            worst[kind] = (rho, (level, beta))
+    ok = all(worst[k][0] <= bound[k] for k in bound)
+    report(12, ok, "; ".join(
+        f"{k} W(3,3) iteration-matrix spectral radius max {r:.3f} at "
+        f"k={at[0]} beta={at[1]:g} (accept <= {bound[k]})"
+        for k, (r, at) in worst.items()
+    ))

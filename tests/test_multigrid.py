@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from stokesmg.assembly import ProblemParams, build_system, manufactured_rhs
+from stokesmg.bench import _HierarchyCache
 from stokesmg.multigrid import CycleConfig, Multigrid, triple_norm
 from stokesmg.smoother import SmootherConfig, build_scaling
+from stokesmg.transfer import prolongate, restrict
 
 from conftest import eval_p2_function
 
@@ -320,6 +322,119 @@ def test_cycle_recursion_counts(systems3_beta1, transfers3, cycle,
     mg.mg_cycle(2, rng.standard_normal(system.n), rng.standard_normal(system.n))
     exact_level = 1 if cycle == "two_grid" else 0
     assert calls == [exact_level] * expected_coarse_solves
+
+
+@pytest.fixture(scope="module")
+def hierarchy4_beta1():
+    cache = _HierarchyCache(4)
+    return cache.systems(1.0, 4), cache.transfers
+
+
+def literal_cycle(mg, level, x, rhs):
+    """Oracle: the cycle recursing down to the level-0 solve on every
+    visit, with no precomputed coarse map."""
+    cfg = mg.config
+    x = mg.smooth(level, x, rhs, cfg.nu_pre)
+    r = restrict(mg.transfers[level], mg.systems[level].residual(x, rhs))
+    if level == 1:
+        z = mg._exact_solve(0, r)
+    else:
+        z = np.zeros(mg.systems[level - 1].n)
+        for _ in range(2 if cfg.cycle == "W" else 1):
+            z = literal_cycle(mg, level - 1, z, r)
+    x = x + prolongate(mg.transfers[level], z)
+    return mg.smooth(level, x, rhs, cfg.nu_post)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_exact_solve_on_a_block_matches_column_solves(systems3_beta1,
+                                                      transfers3, level):
+    # triangular solves with four right-hand sides round differently from
+    # four one-column solves; a row scaling applied along the wrong axis
+    # would be wrong at O(1)
+    rng = np.random.default_rng(30 + level)
+    mg = make_mg(systems3_beta1, transfers3, level)
+    fact = mg._exact_factorization(level)
+    n = systems3_beta1[level].n
+    for solve, b in ((fact.solve, rng.standard_normal((n + 1, 4))),
+                     (lambda b: mg._exact_solve(level, b),
+                      rng.standard_normal((n, 4)))):
+        block = solve(b)
+        columns = np.column_stack([solve(b[:, j]) for j in range(4)])
+        assert block.shape == b.shape
+        assert (np.linalg.norm(block - columns)
+                <= 1e-13 * np.linalg.norm(columns))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e10])
+@pytest.mark.parametrize("cycle", ["W", "V"])
+@pytest.mark.parametrize("kind", ["uzawa", "normal_equation"])
+def test_level1_map_matches_column_recursion(systems3_by_beta, transfers3,
+                                             beta, cycle, kind):
+    cfg = CycleConfig(smoother=SmootherConfig(kind=kind), cycle=cycle)
+    mg = make_mg(systems3_by_beta[beta], transfers3, 2, config=cfg)
+    n = systems3_by_beta[beta][1].n
+    columns = np.column_stack(
+        [mg._correction(1, e) for e in np.eye(n)]
+    )
+    g1 = mg._level1_map()
+    assert g1.shape == (n, n)
+    assert mg._level1_map() is g1
+    assert np.abs(g1 - columns).max() <= 1e-15 * np.abs(columns).max()
+
+
+@pytest.mark.parametrize("cycle,kind", [("W", "uzawa"),
+                                        ("V", "normal_equation")])
+@pytest.mark.parametrize("level", [3, 4])
+def test_cycle_matches_literal_recursion(systems3_beta1, transfers3,
+                                         hierarchy4_beta1, level, cycle, kind):
+    systems, transfers = (
+        (systems3_beta1, transfers3) if level == 3 else hierarchy4_beta1
+    )
+    cfg = CycleConfig(smoother=SmootherConfig(kind=kind), cycle=cycle)
+    mg = make_mg(systems, transfers, level, config=cfg)
+    rng = np.random.default_rng(40 + level)
+    x = rng.standard_normal(systems[level].n)
+    rhs = rng.standard_normal(systems[level].n)
+    for _ in range(2):
+        got = mg.mg_cycle(level, x, rhs)
+        oracle = mg.project_pressure(level, literal_cycle(mg, level, x, rhs))
+        assert np.abs(got - oracle).max() <= 1e-14 * np.abs(oracle).max()
+        x = got
+
+
+def test_coarse_visits_apply_the_level1_map(systems3_beta1, transfers3):
+    # a level-3 W-cycle visits level 2 twice, each time inside level 3's
+    # correction; both apply G1, which the first cycle builds by two
+    # level-1 cycles on the identity block, so level 1 is smoothed and
+    # level 0 solved only then
+    mg = make_mg(systems3_beta1, transfers3, 3)
+    smoothed, solved = [], []
+    smooth, exact_solve = mg.smooth, mg._exact_solve
+
+    def counting_smooth(level, x, rhs, steps):
+        smoothed.append((level, x.ndim))
+        return smooth(level, x, rhs, steps)
+
+    def counting_solve(level, rhs):
+        solved.append((level, rhs.shape))
+        return exact_solve(level, rhs)
+
+    mg.smooth, mg._exact_solve = counting_smooth, counting_solve
+    rng = np.random.default_rng(7)
+    n, n1 = systems3_beta1[3].n, systems3_beta1[1].n
+    x, rhs = rng.standard_normal(n), rng.standard_normal(n)
+    x = mg.mg_cycle(3, x, rhs)
+    identity_block = (systems3_beta1[0].n, n1)
+    assert solved == [(0, identity_block)] * 2
+    assert sorted(smoothed) == sorted(
+        [(1, 2)] * 4 + [(2, 1)] * 4 + [(3, 1)] * 2
+    )
+    smoothed.clear()
+    solved.clear()
+    mg.mg_cycle(3, x, rhs)
+    assert solved == []
+    assert sorted(smoothed) == [(2, 1)] * 4 + [(3, 1)] * 2
 
 
 def test_triple_norm_properties(systems3_beta1):

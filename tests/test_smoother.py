@@ -131,15 +131,6 @@ def test_uzawa_equals_compact_block_form(systems3_beta1, level):
     assert np.abs(got - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
 
-@pytest.fixture(scope="module")
-def systems3_by_beta(spaces3, systems3_beta1):
-    by_beta = {1.0: systems3_beta1}
-    for beta in (0.0, 1e10):
-        params = ProblemParams(beta=beta)
-        by_beta[beta] = [build_system(s, params) for s in spaces3]
-    return by_beta
-
-
 def reference_uzawa_step(system, scaling, tau, sigma, x, rhs):
     """The three substeps as written in the module docstring, with both
     velocity residuals computed in full."""
@@ -164,6 +155,26 @@ def test_uzawa_matches_three_substep_reference(systems3_by_beta, level, beta):
     got = uzawa_step(system, sc, 0.8, 0.8, x, rhs)
     oracle = reference_uzawa_step(system, sc, 0.8, 0.8, x, rhs)
     assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e10])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_sweeps_on_a_block_match_column_sweeps(systems3_by_beta, level, beta):
+    # an (n, 4) block of iterates is swept column by column, each diagonal
+    # scaling its rows
+    rng = np.random.default_rng(20 + level)
+    system = systems3_by_beta[beta][level]
+    sc = build_scaling(system)
+    x = rng.standard_normal((system.n, 4))
+    rhs = rng.standard_normal((system.n, 4))
+    for step in (
+        lambda x, r: normal_equation_step(system, sc, 0.35, x, r),
+        lambda x, r: uzawa_step(system, sc, 0.8, 0.8, x, r),
+    ):
+        block = step(x, rhs)
+        columns = np.column_stack([step(x[:, j], rhs[:, j]) for j in range(4)])
+        assert block.shape == x.shape
+        assert np.abs(block - columns).max() <= 1e-15 * np.abs(columns).max()
 
 
 @pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
