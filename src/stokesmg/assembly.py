@@ -25,8 +25,17 @@ from .sparse import (
     merge_rows,
     paired_from_triplets,
     row_block,
+    select_entries,
     two_component,
 )
+
+# An entry of K_s, M_s or B is zero to working precision, and dropped, when
+# it is at most this times its Cauchy-Schwarz scale: sqrt(a_ii a_jj) for the
+# Gram matrices K_s and M_s, sqrt((M_P)_ii (K_s)_jj) for B.  On the
+# criss-cross meshes the dropped entries are rounding residue of exact zeros
+# (at most 7.1e-16 of that scale, levels 0-6), and every kept one is at least
+# 4.8e-2 of it.
+_ZERO_TOL = 2.0 ** -42
 
 
 @dataclass(frozen=True)
@@ -166,6 +175,7 @@ class TaylorHoodSpace:
             [self.interior_nodes, self.n_p2 + self.interior_nodes]
         )
         self.n_velocity = 2 * self.n_interior
+        self._saddle_patterns = {}
 
     @cached_property
     def _geometry(self):
@@ -189,20 +199,38 @@ class TaylorHoodSpace:
         verts = self.level.vertex_coords[self.level.tri_vertices[triangles]]
         return rule.points @ verts
 
-    # The beta-independent blocks and the saddle pattern are built once per
+    # The beta-independent blocks and the saddle patterns are built once per
     # space, on first use, and shared by every SaddleSystem built on it.
 
     @cached_property
     def scalar_blocks(self):
         """Scalar stiffness K and mass M on interior quadratic nodes,
-        sharing one index pattern."""
-        return _scalar_p2_matrices(self, degree4_rule())
+        sharing one index pattern: the entries where either is nonzero.
+        Entries zero to working precision are set to exact zeros, and
+        dropped where both matrices have one."""
+        K, M = _scalar_p2_matrices(self, degree4_rule())
+        k_zero, m_zero = (_negligible(a, np.sqrt(a.diagonal()))
+                          for a in (K, M))
+        K.data[k_zero] = 0.0
+        M.data[m_zero] = 0.0
+        return select_entries(~(k_zero & m_zero), K, M)
+
+    @cached_property
+    def stiffness(self):
+        """The scalar stiffness on its own nonzeros: A's scalar block at
+        beta = 0."""
+        K_s = self.scalar_blocks[0]
+        return select_entries(K_s.data != 0.0, K_s)[0]
 
     @cached_property
     def B(self):
         """Divergence block [D_x, D_y]: rows are pressure dofs, columns
-        interior velocity dofs in component-blocked order."""
-        Dx, Dy = _divergence_blocks(self, degree4_rule())
+        interior velocity dofs in component-blocked order; entries zero to
+        working precision are dropped."""
+        row_scale = np.sqrt(self.M_P.diagonal())
+        col_scale = np.sqrt(self.scalar_blocks[0].diagonal())
+        Dx, Dy = (select_entries(~_negligible(D, row_scale, col_scale), D)[0]
+                  for D in _divergence_blocks(self, degree4_rule()))
         indptr, from_x = merge_rows(Dx.indptr, Dy.indptr)
         return csr_view(
             interleave(from_x, Dx.data, Dy.data),
@@ -214,24 +242,30 @@ class TaylorHoodSpace:
     def Bt(self):
         return self.B.T.tocsr()
 
-    @cached_property
-    def saddle_pattern(self):
-        """(indptr, indices, from_a) of K = [[A, B^T], [B, 0]], shared by
-        the systems of every beta.
+    def saddle_pattern(self, beta):
+        """(indptr, indices, from_a) of K = [[A, B^T], [B, 0]] for
+        A = K_s + beta M_s, shared by the systems of every beta > 0.  The
+        systems of beta = 0 share a second pattern, on which A holds the
+        stiffness's nonzeros only.  Each is built on first use.
 
-        A = K + beta M per component has the scalar pattern twice, so the
-        layout follows from the row counts of A, B^T and B, with no sort:
-        velocity row i holds A's row i, then B^T's; from_a marks A's entries
-        among the velocity rows' entries.  At beta = 0 the stiffness's
-        structural zeros stay in A as explicit zeros.  Every system's K
-        holds these index arrays, so nothing may change them in place.
+        A has its scalar pattern twice, so the layout follows from the row
+        counts of A, B^T and B, with no sort: velocity row i holds A's row
+        i, then B^T's; from_a marks A's entries among the velocity rows'
+        entries.  Every system's K holds these index arrays, so nothing may
+        change them in place.
         """
-        K_s = self.scalar_blocks[0]
+        stiffness_only = beta == 0.0
+        if stiffness_only not in self._saddle_patterns:
+            A_s = self.stiffness if stiffness_only else self.scalar_blocks[0]
+            self._saddle_patterns[stiffness_only] = self._saddle_layout(A_s)
+        return self._saddle_patterns[stiffness_only]
+
+    def _saddle_layout(self, A_s):
         n_s, n_u = self.n_interior, self.n_velocity
-        a_indptr = np.concatenate([K_s.indptr, K_s.indptr[1:] + K_s.nnz])
+        a_indptr = np.concatenate([A_s.indptr, A_s.indptr[1:] + A_s.nnz])
         velocity_indptr, from_a = merge_rows(a_indptr, self.Bt.indptr)
-        indices = np.empty(from_a.size + self.B.nnz, dtype=K_s.indices.dtype)
-        interleave(from_a, np.concatenate([K_s.indices, K_s.indices + n_s]),
+        indices = np.empty(from_a.size + self.B.nnz, dtype=A_s.indices.dtype)
+        interleave(from_a, np.concatenate([A_s.indices, A_s.indices + n_s]),
                    self.Bt.indices + n_u, out=indices[: from_a.size])
         indices[from_a.size:] = self.B.indices
         indptr = np.concatenate(
@@ -252,6 +286,16 @@ class TaylorHoodSpace:
         return from_triplets(
             self.n_pressure, self.n_pressure, rows, cols, m_all.ravel()
         )
+
+
+def _negligible(mat, row_scale, col_scale=None):
+    """Mask of mat's entries with |a_ij| <= _ZERO_TOL row_scale[i]
+    col_scale[j] (col_scale defaults to row_scale)."""
+    if col_scale is None:
+        col_scale = row_scale
+    bound = np.repeat(_ZERO_TOL * row_scale, np.diff(mat.indptr))
+    bound *= col_scale[mat.indices]
+    return np.abs(mat.data) <= bound
 
 
 def _symmetric(a):
@@ -327,7 +371,9 @@ def _divergence_blocks(space, rule):
 @dataclass
 class SaddleSystem:
     """One level's saddle operator K = [[A, B^T], [B, 0]], stored as a
-    single CSR matrix, plus the masses entering norms.
+    single CSR matrix, plus the masses entering norms.  A system built by
+    build_system stores no entry of K that is zero to working precision:
+    at beta = 0, A holds the stiffness's nonzeros only.
 
     M is the scalar velocity mass; the velocity mass M_U applies it to each
     component.  The solver applies K, its velocity rows [A, B^T], B and
@@ -361,10 +407,11 @@ class SaddleSystem:
 
     @cached_property
     def Bt(self):
-        """B^T: the space's own, shared by every system on its saddle
-        pattern; otherwise B transposed."""
+        """B^T: the space's own, shared by every system on one of its
+        saddle patterns; otherwise B transposed."""
         space = self.space
-        if space is not None and self.K.indices is space.saddle_pattern[1]:
+        if (space is not None and self.K.indices
+                is space.saddle_pattern(self.params.beta)[1]):
             return space.Bt
         return self.B.T.tocsr()
 
@@ -400,11 +447,12 @@ class SaddleSystem:
 
 def build_system(space, params):
     """SaddleSystem of one level.  K's data is written on the space's saddle
-    pattern: A = K_s + beta M_s on both velocity components, then the
-    space's B^T and B."""
+    pattern for beta: A = K_s + beta M_s on both velocity components (the
+    stiffness's nonzeros alone at beta = 0), then the space's B^T and B."""
     K_s, M_s = space.scalar_blocks
-    indptr, indices, from_a = space.saddle_pattern
-    a = K_s.data + params.beta * M_s.data
+    beta = params.beta
+    a = space.stiffness.data if beta == 0.0 else K_s.data + beta * M_s.data
+    indptr, indices, from_a = space.saddle_pattern(beta)
     data = np.empty(indices.size)
     interleave(from_a, np.concatenate([a, a]), space.Bt.data,
                out=data[: from_a.size])

@@ -347,9 +347,7 @@ def _damping_report(args, out):
                 continue
             scaling = build_scaling(system)
             if smoother.kind == "normal_equation":
-                rho = tau * estimate_spectral_radius(
-                    system, scaling, "normal_equation"
-                )
+                rho = tau * estimate_spectral_radius(system, scaling)
                 check = f"tau*rho(D^-1 A D^-1 A)={rho:.3f} (ok={rho < 2.0})"
             else:
                 res = check_damping_conditions(system, scaling, tau, sigma)

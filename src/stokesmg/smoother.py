@@ -155,81 +155,42 @@ def smoother_step(system, scaling, config, x, rhs):
     return uzawa_step(system, scaling, config.tau, config.sigma, x, rhs)
 
 
-def uzawa_block_apply_inverse(system, scaling, tau, sigma, r):
-    """Apply the inverse of the Uzawa sweep's block matrix C to a vector;
-    equal to the update produced by one sweep from x = 0 with rhs = r."""
-    r_u, r_p = system.split(r)
-    s_u, s_p = scaling.damped_reciprocals(tau, sigma)
-    dp_ = s_p * (system.B @ (s_u * r_u) - r_p)
-    du_ = s_u * (r_u - system.Bt @ dp_)
-    return system.join(du_, dp_)
-
-
 def _power_seed(n):
     return np.random.default_rng(1234).standard_normal(n)
 
 
-def estimate_spectral_radius(system, scaling, kind, tau=None, sigma=None,
-                             tol=1e-3, max_iter=1000):
-    """Power-iteration estimate of the spectral radius of the smoother's
-    preconditioned operator.
+def estimate_spectral_radius(system, scaling, tol=1e-3, max_iter=1000):
+    """Power-iteration estimate of rho(Dinv A Dinv A), the spectral radius
+    of the normal-equation smoother's preconditioned operator.
 
-    For the normal-equation smoother this is rho(Dinv A Dinv A), computed
-    on the symmetrized similar operator (D^-1/2 A D^-1 A D^-1/2, which is
-    PSD) so the Rayleigh quotient converges monotonically.  For the Uzawa
-    smoother it is rho(C^-1 A) for the sweep's block matrix C; that
-    operator is only symmetrizable in an indefinite inner product, so the
-    estimate uses the plain dominant-eigenvalue iteration.
+    It is computed on the symmetrized similar operator
+    (D^-1/2 A D^-1 A D^-1/2, which is PSD) so the Rayleigh quotient
+    converges monotonically.
     """
-    if kind == "normal_equation":
-        s = 1.0 / np.sqrt(scaling.d_full)
-        d = scaling.d_full
+    s = 1.0 / np.sqrt(scaling.d_full)
+    d = scaling.d_full
 
-        def op(y):
-            return s * system.apply(system.apply(s * y) / d)
+    def op(y):
+        return s * system.apply(system.apply(s * y) / d)
 
-        v = _power_seed(system.n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = op(v)
-            lam_new = float(v @ w)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-            if abs(lam_new - lam) <= tol * abs(lam_new):
-                return lam_new
-            lam = lam_new
-        warnings.warn(
-            f"power iteration did not reach tol={tol} in {max_iter} steps; "
-            f"returning best estimate {lam}"
-        )
-        return lam
-
-    if kind == "uzawa":
-        tau = DEFAULT_TAU_UZAWA if tau is None else tau
-        sigma = DEFAULT_SIGMA_UZAWA if sigma is None else sigma
-        v = _power_seed(system.n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = uzawa_block_apply_inverse(system, scaling, tau, sigma,
-                                          system.apply(v))
-            lam_new = float(np.linalg.norm(w))
-            if lam_new == 0.0:
-                return 0.0
-            v = w / lam_new
-            if abs(lam_new - lam) <= tol * abs(lam_new):
-                return lam_new
-            lam = lam_new
-        warnings.warn(
-            f"power iteration did not reach tol={tol} in {max_iter} steps; "
-            f"returning best estimate {lam}"
-        )
-        return lam
-
-    raise ValueError(f"unknown smoother kind {kind!r}")
+    v = _power_seed(system.n)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = op(v)
+        lam_new = float(v @ w)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        if abs(lam_new - lam) <= tol * abs(lam_new):
+            return lam_new
+        lam = lam_new
+    warnings.warn(
+        f"power iteration did not reach tol={tol} in {max_iter} steps; "
+        f"returning best estimate {lam}"
+    )
+    return lam
 
 
 def check_damping_conditions(system, scaling, tau, sigma):

@@ -69,6 +69,18 @@ def row_block(mat, start, stop, ncols):
                     indptr - lo if lo else indptr, (stop - start, ncols))
 
 
+def select_entries(keep, *mats):
+    """The entries where keep holds of CSR matrices on one layout, in their
+    stored order, sharing one new layout; its indptr is a running count of
+    keep, with no sort."""
+    first = mats[0]
+    kept = np.zeros(keep.size + 1, dtype=first.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    indptr, indices = kept[first.indptr], first.indices[keep]
+    return tuple(csr_view(m.data[keep], indices, indptr, m.shape)
+                 for m in mats)
+
+
 def merge_rows(left_indptr, right_indptr):
     """Layout of the column concatenation [L, R] of two CSR matrices with
     the same rows: its indptr, and the mask of its entries taken from L.

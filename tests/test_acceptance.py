@@ -261,7 +261,7 @@ def test_criterion_11_spectral_safety(runner):
         for k in (1, 2, 3, 4):
             sc = build_scaling(systems[k])
             val = 0.35 * estimate_spectral_radius(
-                systems[k], sc, "normal_equation", tol=1e-3, max_iter=1000
+                systems[k], sc, tol=1e-3, max_iter=1000
             )
             if val > worst:
                 worst, worst_at = val, (k, beta)

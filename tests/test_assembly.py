@@ -1,14 +1,19 @@
 import dataclasses
+from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from stokesmg.assembly import (
     ProblemParams,
     QuadratureRule,
     TaylorHoodSpace,
+    _divergence_blocks,
+    _scalar_p2_matrices,
     build_system,
     conical_rule,
     degree4_rule,
@@ -222,14 +227,121 @@ def _quadrature_loop_blocks(space, rule):
 @pytest.mark.parametrize("level", range(5))
 def test_blocks_match_quadrature_loop_oracle(level):
     space = TaylorHoodSpace(build_hierarchy(level)[level])
-    got = (*space.scalar_blocks, space.B)
-    want = _quadrature_loop_blocks(space, degree4_rule())
-    for a, b in zip(got, want):
-        a, b = a.tocsr(), b.tocsr()
-        assert a.shape == b.shape
+    rule = degree4_rule()
+    K, M = _scalar_p2_matrices(space, rule)
+    Dx, Dy = _divergence_blocks(space, rule)
+    converted = (K, M, sp.hstack([Dx, Dy], format="csr"))
+    stored = (*space.scalar_blocks, space.B)
+    want = _quadrature_loop_blocks(space, rule)
+    # Cauchy-Schwarz scales sqrt(a_ii a_jj) of each block's entries
+    k, m, p = (np.sqrt(a.diagonal()) for a in (K, M, space.M_P))
+    scales = ((k, k), (m, m), (p, np.tile(k, 2)))
+    for a, kept, b, (row, col) in zip(converted, stored, want, scales):
+        # as converted from triplets: the oracle's pattern and values
+        assert a.shape == kept.shape == b.shape
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
-        assert np.abs(a.data - b.data).max() <= 1e-15 * np.abs(b.data).max()
+        scale = np.abs(b.data).max()
+        assert np.abs(a.data - b.data).max() <= 1e-15 * scale
+        # as the space stores them: the entries kept agree with the oracle,
+        # and every entry dropped or stored as zero is roundoff
+        assert abs(kept - b.multiply(_pattern(kept))).max() <= 1e-15 * scale
+        dropped = (a - kept).tocoo()
+        assert np.all(np.abs(dropped.data)
+                      <= 1e-15 * row[dropped.row] * col[dropped.col])
+
+
+def _exact_blocks(space):
+    """Interior K_s, M_s, D_x and D_y in rational arithmetic, as dicts
+    {(row, column): value}.  Node coordinates are dyadic, so they convert
+    to fractions exactly, and the quadratic basis is integrated exactly
+    with the integral of l0^a l1^b l2^c over T = 2|T| a! b! c! / (a+b+c+2)!.
+    """
+    def integral(*exps):  # over T, divided by 2|T|
+        return Fraction(factorial(exps[0]) * factorial(exps[1])
+                        * factorial(exps[2]), factorial(sum(exps) + 2))
+
+    def mul(f, g):
+        out = {}
+        for (ea, ca), (eb, cb) in product(f.items(), g.items()):
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+        return out
+
+    def ref_integral(f):
+        return sum(c * integral(*e) for e, c in f.items())
+
+    def unit(k, power=1):
+        return tuple(power if i == k else 0 for i in range(3))
+
+    # local nodes 0-2 at vertices, 3+i at the midpoint opposite vertex i,
+    # as polynomials {exponents of (l0, l1, l2): coefficient}
+    phi = [{unit(i, 2): 2, unit(i): -1} for i in range(3)]
+    phi += [{tuple(int(k != i) for k in range(3)): 4} for i in range(3)]
+    dphi = [[{e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
+              for e, c in f.items() if e[k]} for k in range(3)]
+            for f in phi]
+    mass = [[ref_integral(mul(f, g)) for g in phi] for f in phi]
+    # stiff[i][j][k][l] = integral of d_k phi_i d_l phi_j; div[i][j][k] =
+    # integral of l_i d_k phi_j (derivatives with respect to l_k)
+    stiff = [[[[ref_integral(mul(dk, dl)) for dl in dphi[j]]
+               for dk in dphi[i]] for j in range(6)] for i in range(6)]
+    div = [[[ref_integral(mul({unit(i): 1}, dk)) for dk in dphi[j]]
+            for j in range(6)] for i in range(3)]
+
+    K, M, Dx, Dy = {}, {}, {}, {}
+    coords = space.level.vertex_coords
+    number = space.interior_number
+    for t, verts in enumerate(space.level.tri_vertices):
+        (x0, y0), (x1, y1), (x2, y2) = (
+            (Fraction(x), Fraction(y)) for x, y in coords[verts])
+        det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)  # 2|T|
+        g1 = ((y2 - y0) / det, (x0 - x2) / det)
+        g2 = ((y0 - y1) / det, (x1 - x0) / det)
+        grads = [(-g1[0] - g2[0], -g1[1] - g2[1]), g1, g2]
+        gram = [[a[0] * b[0] + a[1] * b[1] for b in grads] for a in grads]
+        nodes = [number[n] for n in space.tri_p2[t]]
+        for i, j in product(range(6), repeat=2):
+            if nodes[i] < 0 or nodes[j] < 0:
+                continue
+            key = (nodes[i], nodes[j])
+            k_ij = sum(gram[k][l] * stiff[i][j][k][l]
+                       for k, l in product(range(3), repeat=2))
+            K[key] = K.get(key, 0) + det * k_ij
+            M[key] = M.get(key, 0) + det * mass[i][j]
+        for i, j in product(range(3), range(6)):
+            if nodes[j] < 0:
+                continue
+            key = (verts[i], nodes[j])
+            for D, d in ((Dx, 0), (Dy, 1)):
+                d_ij = sum(grads[k][d] * div[i][j][k] for k in range(3))
+                D[key] = D.get(key, 0) + det * d_ij
+    return K, M, Dx, Dy
+
+
+def _stored(mat):
+    coo = mat.tocoo()
+    return set(zip(coo.row.tolist(), coo.col.tolist()))
+
+
+def _nonzero(exact, column_shift=0):
+    return {(i, j + column_shift) for (i, j), v in exact.items() if v != 0}
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_stored_patterns_are_exact_nonzeros(level):
+    space = TaylorHoodSpace(build_hierarchy(level)[level])
+    K, M, Dx, Dy = _exact_blocks(space)
+    K_s, M_s = space.scalar_blocks
+    assert _stored(K_s) == _stored(M_s) == _nonzero(K) | _nonzero(M)
+    assert _stored(space.stiffness) == _nonzero(K)
+    assert _stored(space.B) == _nonzero(Dx) | _nonzero(Dy, space.n_interior)
+    # the stored values are those of the exact blocks to quadrature accuracy
+    for mat, exact in ((K_s, K), (M_s, M)):
+        dense = mat.toarray()
+        scale = np.abs(dense).max()
+        for (i, j), v in exact.items():
+            assert abs(dense[i, j] - float(v)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("level", range(5))
@@ -255,10 +367,13 @@ def test_systems_share_beta_independent_blocks(space2):
 
 
 def test_systems_share_saddle_pattern(space2):
-    s0 = build_system(space2, ProblemParams(beta=0.0))
-    s1 = build_system(space2, ProblemParams(beta=1e4))
-    assert s0.K.indices is s1.K.indices
-    assert s0.K.indptr is s1.K.indptr
+    # every beta > 0 shares one pattern, beta = 0 the smaller other one
+    s0, t0 = (build_system(space2, ProblemParams(beta=0.0)) for _ in range(2))
+    s1, s4 = (build_system(space2, ProblemParams(beta=b)) for b in (1.0, 1e4))
+    for a, b in ((s0, t0), (s1, s4)):
+        assert a.K.indices is b.K.indices
+        assert a.K.indptr is b.K.indptr
+    assert s0.K.nnz < s1.K.nnz
 
 
 @pytest.fixture(scope="module")
@@ -278,24 +393,48 @@ def test_saddle_matrix_matches_block_oracle(spaces5, level, beta):
     space = spaces5[level]
     K_s, M_s = space.scalar_blocks
     B = space.B
-    want = sp.bmat([[two_component(K_s + beta * M_s), B.T], [B, None]],
-                   format="csr")
+    # A on the pattern the scalar blocks share, explicit zeros included
+    A_s = K_s.copy()
+    A_s.data = K_s.data + beta * M_s.data
+    want = sp.bmat([[two_component(A_s), B.T], [B, None]], format="csr")
     got = build_system(space, ProblemParams(beta=beta)).K
     assert got.shape == want.shape
     assert (got != want).nnz == 0
-    # entries stored beyond the oracle's: only the stiffness's structural
-    # zeros, kept as explicit zeros in A at beta = 0
-    extra = _pattern(got) - _pattern(want)
-    extra.eliminate_zeros()
-    if beta == 0.0:
-        zeros = K_s.copy()
-        zeros.data = (K_s.data == 0.0).astype(float)
-        zeros.eliminate_zeros()
-        expected = sp.block_diag([two_component(zeros),
-                                  sp.csr_matrix((B.shape[0],) * 2)])
-        assert (extra != expected).nnz == 0
-    else:
-        assert extra.nnz == 0
+    # K stores the oracle's entries, less those where K_s is zero at
+    # beta = 0, and no others
+    zeros = K_s.copy()
+    zeros.data = (K_s.data == 0.0) * float(beta == 0.0)
+    zeros.eliminate_zeros()
+    dropped = sp.block_diag([two_component(zeros),
+                             sp.csr_matrix((B.shape[0],) * 2)])
+    assert (_pattern(got) != _pattern(want) - dropped).nnz == 0
+
+
+@pytest.fixture(scope="module")
+def loop_oracles3():
+    spaces = [TaylorHoodSpace(lv) for lv in build_hierarchy(3).levels]
+    return [(s, _quadrature_loop_blocks(s, degree4_rule())) for s in spaces]
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(0, 3),
+       beta=st.one_of(st.just(0.0), st.floats(0.0, 1e10)),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_loop_oracle_property(loop_oracles3, level, beta, seed):
+    space, (K_s, M_s, B) = loop_oracles3[level]
+    want = sp.bmat([[two_component(K_s + beta * M_s), B.T], [B, None]],
+                   format="csr")
+    system = build_system(space, ProblemParams(beta=beta))
+    x = np.random.default_rng(seed).standard_normal(system.n)
+    # to roundoff of |K||x| over the velocity rows and the pressure rows
+    err = np.abs(system.apply(x) - want @ x)
+    bound = abs(want) @ np.abs(x)
+    for rows in system.split(np.arange(system.n)):
+        assert err[rows].max() <= 1e-14 * bound[rows].max()
+    # B^T 1 = 0, read off K's pressure columns, to roundoff of each row
+    ones = system.join(np.zeros(system.n_u), np.ones(system.n_p))
+    assert np.all(np.abs(system.apply(ones))
+                  <= 1e-14 * (abs(system.K) @ ones))
 
 
 def test_systems_share_transposed_divergence(space2):

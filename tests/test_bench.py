@@ -160,8 +160,7 @@ def test_cli_check_damping(capsys):
         assert len(lines) == 4  # level 1 for four beta
         assert lines[0].startswith("damping level=1 beta=0: ")
         if smoother == "normal":
-            rho = 0.3 * estimate_spectral_radius(system, scaling,
-                                                 "normal_equation")
+            rho = 0.3 * estimate_spectral_radius(system, scaling)
             assert lines[0].endswith(
                 f"tau*rho(D^-1 A D^-1 A)={rho:.3f} (ok=True)"
             )
