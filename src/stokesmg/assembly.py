@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .mesh import MeshLevel
 from .sparse import (
+    csc_view,
     csr_view,
     from_triplets,
     interleave,
@@ -169,13 +170,11 @@ class TaylorHoodSpace:
             self.n_interior, dtype=np.int32
         )
         self.n_pressure = nv
-        # Full-space velocity dof indices that survive boundary elimination,
-        # component-blocked: [x at interior nodes, y at interior nodes].
-        self.interior_velocity_map = np.concatenate(
-            [self.interior_nodes, self.n_p2 + self.interior_nodes]
-        )
         self.n_velocity = 2 * self.n_interior
         self._saddle_patterns = {}
+        # B^T's values in the order K's velocity rows hold them, set with a
+        # saddle pattern: all of B^T that build_system needs
+        self._bt_values = None
 
     @cached_property
     def _geometry(self):
@@ -238,10 +237,6 @@ class TaylorHoodSpace:
             indptr, (self.n_pressure, self.n_velocity),
         )
 
-    @cached_property
-    def Bt(self):
-        return self.B.T.tocsr()
-
     def saddle_pattern(self, beta):
         """(indptr, indices, from_a) of K = [[A, B^T], [B, 0]] for
         A = K_s + beta M_s, shared by the systems of every beta > 0.  The
@@ -251,8 +246,9 @@ class TaylorHoodSpace:
         A has its scalar pattern twice, so the layout follows from the row
         counts of A, B^T and B, with no sort: velocity row i holds A's row
         i, then B^T's; from_a marks A's entries among the velocity rows'
-        entries.  Every system's K holds these index arrays, so nothing may
-        change them in place.
+        entries.  B^T is transposed from B for the layout, and only its
+        values are kept.  Every system's K holds these index arrays, so
+        nothing may change them in place.
         """
         stiffness_only = beta == 0.0
         if stiffness_only not in self._saddle_patterns:
@@ -262,15 +258,16 @@ class TaylorHoodSpace:
 
     def _saddle_layout(self, A_s):
         n_s, n_u = self.n_interior, self.n_velocity
+        B = self.B
+        Bt = B.T.tocsr()
+        self._bt_values = Bt.data
         a_indptr = np.concatenate([A_s.indptr, A_s.indptr[1:] + A_s.nnz])
-        velocity_indptr, from_a = merge_rows(a_indptr, self.Bt.indptr)
-        indices = np.empty(from_a.size + self.B.nnz, dtype=A_s.indices.dtype)
+        velocity_indptr, from_a = merge_rows(a_indptr, Bt.indptr)
+        indices = np.empty(from_a.size + B.nnz, dtype=A_s.indices.dtype)
         interleave(from_a, np.concatenate([A_s.indices, A_s.indices + n_s]),
-                   self.Bt.indices + n_u, out=indices[: from_a.size])
-        indices[from_a.size:] = self.B.indices
-        indptr = np.concatenate(
-            [velocity_indptr, self.B.indptr[1:] + from_a.size]
-        )
+                   Bt.indices + n_u, out=indices[: from_a.size])
+        indices[from_a.size:] = B.indices
+        indptr = np.concatenate([velocity_indptr, B.indptr[1:] + from_a.size])
         return indptr, indices, from_a
 
     @cached_property
@@ -305,7 +302,9 @@ def _symmetric(a):
 
 def _scalar_p2_matrices(space, rule):
     """Scalar stiffness and mass on interior quadratic nodes, converted
-    from one set of triplets and sharing their index arrays.
+    from one set of triplets and sharing their index arrays.  The triplets
+    of two interior nodes are written once, as the complex values
+    stiffness + i mass, each local array freed as soon as it is copied.
 
     Local matrices come from quadrature-summed reference tensors contracted
     with per-triangle geometry: with G = |det J| J^-1 J^-T, the stiffness is
@@ -326,27 +325,28 @@ def _scalar_p2_matrices(space, rule):
     g00 = det * (inv[:, 0, 0] ** 2 + inv[:, 0, 1] ** 2)
     g11 = det * (inv[:, 1, 0] ** 2 + inv[:, 1, 1] ** 2)
     g01 = det * (inv[:, 0, 0] * inv[:, 1, 0] + inv[:, 0, 1] * inv[:, 1, 1])
-    k_loc = (
-        g00[:, None, None] * s00
-        + g11[:, None, None] * s11
-        + g01[:, None, None] * s01
-    )
-    m_loc = det[:, None, None] * m_ref
 
-    # boundary nodes number -1, so their triplets are dropped
+    # boundary nodes number -1: only triplets of two interior nodes are kept
     nodes = space.interior_number[space.tri_p2]
-    rows = np.broadcast_to(nodes[:, :, None], k_loc.shape).ravel()
-    cols = np.broadcast_to(nodes[:, None, :], k_loc.shape).ravel()
+    keep = (nodes[:, :, None] >= 0) & (nodes[:, None, :] >= 0)
+    rows = np.broadcast_to(nodes[:, :, None], keep.shape)[keep]
+    cols = np.broadcast_to(nodes[:, None, :], keep.shape)[keep]
+    pair = np.empty(rows.size, dtype=complex)
+    k_loc = g00[:, None, None] * s00
+    k_loc += g11[:, None, None] * s11
+    k_loc += g01[:, None, None] * s01
+    pair.real = k_loc[keep]
+    del k_loc
+    pair.imag = (det[:, None, None] * m_ref)[keep]
     n = space.n_interior
-    return paired_from_triplets(n, n, rows, cols, k_loc.ravel(),
-                                m_loc.ravel())
+    return paired_from_triplets(n, n, rows, cols, pair)
 
 
 def _divergence_blocks(space, rule):
     """Pressure-row matrices D_x, D_y over interior quadratic columns, with
     D_d[i, j] = integral of (d-derivative of velocity basis j) * pressure
-    basis i, converted from one set of triplets and sharing their index
-    arrays.
+    basis i, converted from one set of triplets, written once as the complex
+    values D_x + i D_y, and sharing their index arrays.
 
     Local blocks are (|det J| J^-1[:, d]) @ D for the reference tensor
     D[e]_ij = sum_q w_q psi_i d_e phi_j.
@@ -357,15 +357,19 @@ def _divergence_blocks(space, rule):
     d_ref = np.einsum("q,qi,qje->eij", rule.weights, pvals, grads)
     d_ref = d_ref.reshape(2, 18)
 
+    # boundary nodes number -1: only triplets of interior columns are kept
+    nodes = space.interior_number[space.tri_p2]
+    keep = np.broadcast_to(nodes[:, None, :] >= 0, (det.size, 3, 6))
     prows = np.broadcast_to(
-        space.level.tri_vertices[:, :, None], (det.size, 3, 6)
-    ).ravel()
-    vcols = np.broadcast_to(
-        space.interior_number[space.tri_p2][:, None, :], (det.size, 3, 6)
-    ).ravel()
-    dx, dy = (((det[:, None] * inv[:, :, d]) @ d_ref).ravel() for d in range(2))
+        space.level.tri_vertices[:, :, None], keep.shape
+    )[keep]
+    vcols = np.broadcast_to(nodes[:, None, :], keep.shape)[keep]
+    pair = np.empty(vcols.size, dtype=complex)
+    for d, part in enumerate((pair.real, pair.imag)):
+        part[...] = ((det[:, None] * inv[:, :, d]) @ d_ref).reshape(
+            keep.shape)[keep]
     return paired_from_triplets(space.n_pressure, space.n_interior, prows,
-                                vcols, dx, dy)
+                                vcols, pair)
 
 
 @dataclass
@@ -378,7 +382,8 @@ class SaddleSystem:
     M is the scalar velocity mass; the velocity mass M_U applies it to each
     component.  The solver applies K, its velocity rows [A, B^T], B and
     B^T; A and M_U are built on request, for diagnostics and tests.  B is
-    a view of K's pressure rows: a system given another B
+    a view of K's pressure rows, and B^T a CSC view of B's arrays, so
+    neither holds memory of its own.  A system given another B
     (dataclasses.replace(system, B=...)) rebuilds K around it, so a
     replacement of K itself passes B=None to take the new K's rows.
     """
@@ -407,13 +412,10 @@ class SaddleSystem:
 
     @cached_property
     def Bt(self):
-        """B^T: the space's own, shared by every system on one of its
-        saddle patterns; otherwise B transposed."""
-        space = self.space
-        if (space is not None and self.K.indices
-                is space.saddle_pattern(self.params.beta)[1]):
-            return space.Bt
-        return self.B.T.tocsr()
+        """B^T as a CSC view of B's arrays, and so of K's pressure rows:
+        no copy."""
+        B = self.B
+        return csc_view(B.data, B.indices, B.indptr, B.shape[::-1])
 
     @property
     def A(self):
@@ -448,13 +450,14 @@ class SaddleSystem:
 def build_system(space, params):
     """SaddleSystem of one level.  K's data is written on the space's saddle
     pattern for beta: A = K_s + beta M_s on both velocity components (the
-    stiffness's nonzeros alone at beta = 0), then the space's B^T and B."""
+    stiffness's nonzeros alone at beta = 0), then the values of the space's
+    B^T and B."""
     K_s, M_s = space.scalar_blocks
     beta = params.beta
     a = space.stiffness.data if beta == 0.0 else K_s.data + beta * M_s.data
     indptr, indices, from_a = space.saddle_pattern(beta)
     data = np.empty(indices.size)
-    interleave(from_a, np.concatenate([a, a]), space.Bt.data,
+    interleave(from_a, np.concatenate([a, a]), space._bt_values,
                out=data[: from_a.size])
     data[from_a.size:] = space.B.data
     n = indptr.size - 1
@@ -481,8 +484,9 @@ def _mass_cg(M, b, rtol=1e-13):
 
 # Triangles per block of exact-field evaluations in _moment_vectors: the
 # fields allocate several (triangles, quadrature points) temporaries, which
-# over a whole level-6 mesh would be the peak memory of set-up.
-_MOMENT_BLOCK = 16384
+# set the peak memory of l2_project (12.5 MB at level 6 with this block,
+# 32 MB with blocks of 16 384 triangles).
+_MOMENT_BLOCK = 4096
 
 
 def _moment_vectors(space, u_exact, p_exact, rule):

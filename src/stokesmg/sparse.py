@@ -1,9 +1,10 @@
 """Sparse and dense linear-algebra plumbing.
 
-Matrices are scipy CSR throughout; this module holds COO-triplet assembly,
-CSR layouts computed from row counts alone (column concatenation, row
-blocks sharing their parent's arrays) and the pivoted, equilibrated dense
-factorization for the coarsest grid.
+Matrices are scipy CSR throughout, apart from transposes held as CSC views;
+this module holds COO-triplet assembly, CSR layouts computed from row counts
+alone (column concatenation, row blocks sharing their parent's arrays),
+CSR and CSC matrices that hold given arrays without a copy, and the pivoted,
+equilibrated dense factorization for the coarsest grid.
 """
 
 from __future__ import annotations
@@ -29,19 +30,15 @@ def from_triplets(nrows, ncols, rows, cols, values):
     return out
 
 
-def paired_from_triplets(nrows, ncols, rows, cols, first, second):
+def paired_from_triplets(nrows, ncols, rows, cols, pair):
     """Two CSR matrices summed from one set of coordinate triplets, converted
-    once and sharing their index arrays; triplets with a negative row or
-    column are dropped.
+    once and sharing their index arrays: the real and imaginary parts of the
+    complex values pair.
 
-    The pair is converted as the complex matrix first + i second.  A complex
-    sum adds the real and imaginary parts separately, so each part is summed
-    exactly as its own real conversion would sum it.
+    A complex sum adds the real and imaginary parts separately, so each part
+    is summed exactly as its own real conversion would sum it.
     """
-    keep = (rows >= 0) & (cols >= 0)
-    pair = np.empty(np.count_nonzero(keep), dtype=complex)
-    pair.real, pair.imag = first[keep], second[keep]
-    z = sp.csr_matrix((pair, (rows[keep], cols[keep])), shape=(nrows, ncols))
+    z = sp.csr_matrix((pair, (rows, cols)), shape=(nrows, ncols))
     # summing duplicates leaves the arrays views of the unsummed length
     indices = z.indices.copy()
     return tuple(
@@ -55,6 +52,15 @@ def csr_view(data, indices, indptr, shape):
     would rewrap each array, and copy a slice shorter than half its base
     array, so row blocks of a larger matrix could not share its memory."""
     out = sp.csr_matrix(shape, dtype=data.dtype)
+    out.data, out.indices, out.indptr = data, indices, indptr
+    return out
+
+
+def csc_view(data, indices, indptr, shape):
+    """CSC matrix holding the given arrays themselves, the counterpart of
+    csr_view: csc_view(B.data, B.indices, B.indptr, B.shape[::-1]) is B^T
+    for a CSR matrix B, sharing its memory."""
+    out = sp.csc_matrix(shape, dtype=data.dtype)
     out.data, out.indices, out.indptr = data, indices, indptr
     return out
 

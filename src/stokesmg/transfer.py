@@ -76,18 +76,19 @@ def _embedding_matrix(fine_nodes, coarse_nodes, weights, fine_rows,
 @dataclass
 class TransferOperators:
     """Prolongations for the velocity (interior, component-blocked) and
-    pressure blocks; restrictions are the cached transposes."""
+    pressure blocks; restrictions are their transposes, cached as CSC views
+    of the prolongations' arrays (no copy)."""
 
     P_u: sp.csr_matrix
     P_p: sp.csr_matrix
 
     @cached_property
     def R_u(self):
-        return self.P_u.T.tocsr()
+        return self.P_u.T
 
     @cached_property
     def R_p(self):
-        return self.P_p.T.tocsr()
+        return self.P_p.T
 
     @property
     def n_fine(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -187,6 +188,34 @@ def test_beta_independent_blocks_assembled_once_per_space(monkeypatch):
         build_system(space, ProblemParams(beta=beta))
     l2_project(space, exact_velocity, exact_pressure)
     assert calls == {"_scalar_p2_matrices": 1, "_divergence_blocks": 1}
+
+
+def _traced_peak(build):
+    """build() and the peak bytes numpy allocated while it ran."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocks_set_up_within_a_multiple_of_what_they_keep():
+    # each pair of blocks writes its kept triplets once, into one complex
+    # array, so set-up peaks at a bounded multiple of what the space keeps
+    # (level 5: 5.0x and 9.0x; 6.4x and 12.1x when every triplet was
+    # copied by boolean indexing before the conversion)
+    space = TaylorHoodSpace(build_hierarchy(5)[5])
+    space._geometry, space.M_P  # inputs shared with other blocks
+
+    (K, M), peak = _traced_peak(lambda: space.scalar_blocks)
+    kept = K.data.nbytes + M.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+    assert K.indices is M.indices and K.indptr is M.indptr
+    assert peak <= 5.5 * kept
+
+    B, peak = _traced_peak(lambda: space.B)
+    assert peak <= 10.5 * (B.data.nbytes + B.indices.nbytes
+                           + B.indptr.nbytes)
 
 
 def _quadrature_loop_blocks(space, rule):
@@ -438,17 +467,21 @@ def test_apply_matches_loop_oracle_property(loop_oracles3, level, beta, seed):
 
 
 def test_systems_share_transposed_divergence(space2):
-    s0 = build_system(space2, ProblemParams(beta=0.0))
-    s1 = build_system(space2, ProblemParams(beta=1e4))
-    assert s0.Bt is s1.Bt is space2.Bt
+    # every system's B^T is B transposed, read from its own K's memory
+    for beta in (0.0, 1e4):
+        s = build_system(space2, ProblemParams(beta=beta))
+        assert np.abs((s.Bt - space2.B.T).toarray()).max() == 0.0
+        assert np.shares_memory(s.Bt.data, s.K.data)
+        assert np.shares_memory(s.Bt.indices, s.K.indices)
     # a system with a divergence block of its own transposes that block
+    s0 = build_system(space2, ProblemParams(beta=0.0))
     scaled = dataclasses.replace(s0, B=2.0 * s0.B)
-    assert scaled.Bt is not space2.Bt
-    assert np.abs((scaled.Bt - 2.0 * space2.Bt).toarray()).max() == 0.0
+    assert np.abs((scaled.Bt - 2.0 * space2.B.T).toarray()).max() == 0.0
+    assert np.shares_memory(scaled.Bt.data, scaled.K.data)
     # and its saddle matrix is rebuilt around that block
     x = np.random.default_rng(4).standard_normal(s0.n)
     u, p = s0.split(x)
-    want = np.concatenate([s0.A @ u + 2.0 * (space2.Bt @ p),
+    want = np.concatenate([s0.A @ u + 2.0 * (space2.B.T @ p),
                            2.0 * (space2.B @ u)])
     assert np.abs(scaled.apply(x) - want).max() <= 1e-14 * np.abs(want).max()
 

@@ -82,6 +82,14 @@ def test_adjoint_identity(transfers3):
     assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
 
 
+def test_restrictions_are_views_of_prolongations(transfers3):
+    # R_u and R_p are the transposes of P_u and P_p, stored in their memory
+    for T in transfers3[1:]:
+        for R, P in ((T.R_u, T.P_u), (T.R_p, T.P_p)):
+            assert np.shares_memory(R.data, P.data)
+            assert np.abs((R - P.T).toarray()).max() == 0.0
+
+
 def test_dimension_checks(transfers3):
     T = transfers3[1]
     with pytest.raises(ValueError):
