@@ -23,6 +23,7 @@ from .sparse import (
     csr_view,
     from_triplets,
     interleave,
+    matvec_add,
     merge_rows,
     paired_from_triplets,
     row_block,
@@ -435,10 +436,10 @@ class SaddleSystem:
 
     def apply(self, x):
         """Saddle operator matvec."""
-        return self.K @ x
+        return matvec_add(self.K, x, np.zeros((self.n,) + x.shape[1:]))
 
     def residual(self, x, rhs):
-        r = self.K @ x
+        r = self.apply(x)
         np.subtract(rhs, r, out=r)
         return r
 
@@ -457,8 +458,12 @@ def build_system(space, params):
     a = space.stiffness.data if beta == 0.0 else K_s.data + beta * M_s.data
     indptr, indices, from_a = space.saddle_pattern(beta)
     data = np.empty(indices.size)
-    interleave(from_a, np.concatenate([a, a]), space._bt_values,
-               out=data[: from_a.size])
+    # each velocity component's rows take A's scalar values once,
+    # interleaved with the B^T values of those rows
+    half, bt = indptr[space.n_interior], space._bt_values
+    for rows, bt_rows in ((slice(0, half), bt[: half - a.size]),
+                          (slice(half, from_a.size), bt[half - a.size:])):
+        interleave(from_a[rows], a, bt_rows, out=data[rows])
     data[from_a.size:] = space.B.data
     n = indptr.size - 1
     return SaddleSystem(

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .smoother import SmootherConfig, build_scaling, smoother_step
-from .sparse import DenseFactorization
+from .sparse import DenseFactorization, matvec_add
 from .transfer import prolongate, restrict
 
 _CYCLES = ("V", "W", "two_grid")
@@ -78,8 +78,10 @@ def triple_norm(x, system):
     hm2, beta = system.h ** -2, system.params.beta
     u, p = system.split(x)
     # M_U applies the scalar mass M to each velocity component
-    uu = sum(c @ (system.M @ c) for c in u.reshape(2, -1))
-    val = (hm2 + beta) * uu + hm2 / (beta + hm2) * (p @ (system.M_P @ p))
+    uu = sum(c @ matvec_add(system.M, c, np.zeros(c.size))
+             for c in u.reshape(2, -1))
+    pp = p @ matvec_add(system.M_P, p, np.zeros(p.size))
+    val = (hm2 + beta) * uu + hm2 / (beta + hm2) * pp
     # tiny negative values can appear from roundoff at x ~ 0
     return float(np.sqrt(max(val, 0.0)))
 
@@ -201,6 +203,9 @@ class Multigrid:
                 f"level {level} not built (hierarchy has "
                 f"{len(self.systems)} levels)"
             )
+        # the sweeps write into float64 arrays
+        x = np.ascontiguousarray(x, dtype=float)
+        rhs = np.ascontiguousarray(rhs, dtype=float)
         if x.shape[0] != self.systems[level].n:
             raise ValueError("iterate length does not match the level")
         return self.project_pressure(level, self._cycle(level, x, rhs,
@@ -219,7 +224,8 @@ class Multigrid:
         the solve as failed with q = inf and stop_reason "non_finite"; an
         error above _DIVERGENCE_FACTOR * err0 ends it as "diverged"."""
         system = self.systems[level]
-        x = np.zeros(system.n) if x0 is None else x0.copy()
+        x = np.zeros(system.n) if x0 is None else np.array(x0, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
         err0 = self.error_norm(level, x, x_star)
         history = [err0]
         if not np.isfinite(err0):

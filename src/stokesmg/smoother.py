@@ -18,9 +18,12 @@ or Schur solves.
   Because the third substep starts from the same u, its residual is
       r_u2 = f - A u - B^T p_new = r_u - B^T (p_new - p),
   so a sweep costs one product with the velocity rows [A, B^T] of the
-  saddle matrix, one with B and one with B^T.  The damped
-  reciprocals tau / Du and sigma / Dp are computed once per scaling and
-  damping pair.
+  saddle matrix, one with B and one with B^T.  Each product accumulates
+  in place onto an array already holding -f, -g or the velocity residual
+  (sparse.matvec_add), so beyond the three kernel calls a sweep makes
+  about five passes over a velocity-sized array and no zero fill.  The
+  damped reciprocals tau / Du and sigma / Dp are computed once per
+  scaling and damping pair.
 
 The diagonal scaling is taken from the operator itself:
       Du = diag(A),  Dp = diag(B diag(A)^-1 B^T),
@@ -37,6 +40,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .sparse import matvec_add
 
 DEFAULT_TAU_NORMAL = 0.35
 DEFAULT_TAU_UZAWA = 0.8
@@ -132,20 +137,19 @@ def uzawa_step(system, scaling, tau, sigma, x, rhs):
     s_u, s_p = _columns(s_u, x), _columns(s_p, x)
     u, p = system.split(x)
     f, g = system.split(rhs)
-    out = np.empty_like(x)
+    out = np.empty(x.shape)
     u_new, p_new = system.split(out)
-    r_u = system.velocity_rows @ x
-    np.subtract(f, r_u, out=r_u)
-    u_half = s_u * r_u
-    u_half += u
-    # dp = p_new - p = sigma Dp^-1 (B u_half - g)
-    dp = system.B @ u_half
-    dp -= g
+    # q = [A, B^T] x - f = -r_u, accumulated onto -f
+    q = matvec_add(system.velocity_rows, x, np.negative(f, order="C"))
+    np.multiply(s_u, q, out=u_new)
+    np.subtract(u, u_new, out=u_new)        # u_half
+    # dp = p_new - p = sigma Dp^-1 (B u_half - g), accumulated onto -g
+    dp = matvec_add(system.B, u_new, np.negative(g, out=p_new))
     dp *= s_p
-    np.add(p, dp, out=p_new)
-    r_u -= system.Bt @ dp
-    r_u *= s_u
-    np.add(u, r_u, out=u_new)
+    matvec_add(system.Bt, dp, q)            # -r_u2 = -r_u + B^T dp
+    dp += p                                 # p_new
+    np.multiply(s_u, q, out=u_new)
+    np.subtract(u, u_new, out=u_new)
     return out
 
 

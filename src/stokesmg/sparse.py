@@ -3,8 +3,9 @@
 Matrices are scipy CSR throughout, apart from transposes held as CSC views;
 this module holds COO-triplet assembly, CSR layouts computed from row counts
 alone (column concatenation, row blocks sharing their parent's arrays),
-CSR and CSC matrices that hold given arrays without a copy, and the pivoted,
-equilibrated dense factorization for the coarsest grid.
+CSR and CSC matrices that hold given arrays without a copy, the in-place
+product every cycle operation goes through, and the pivoted, equilibrated
+dense factorization for the coarsest grid.
 """
 
 from __future__ import annotations
@@ -14,10 +15,43 @@ import warnings
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+# the compiled kernels behind scipy's own sparse products; scipy's `@`
+# calls them after its dispatch, on a zero-filled new output
+from scipy.sparse import _sparsetools
+
+_MATVEC = {
+    "csr": (_sparsetools.csr_matvec, _sparsetools.csr_matvecs),
+    "csc": (_sparsetools.csc_matvec, _sparsetools.csc_matvecs),
+}
 
 
 class SingularMatrixError(ValueError):
     """Dense factorization hit a (numerically) singular matrix."""
+
+
+def matvec_add(mat, x, out):
+    """out += mat @ x in place, for a float64 CSR or CSC matrix and a vector
+    x, or an (n, k) block x with a C-contiguous (m, k) out; returns out.
+
+    Each entry of out is accumulated onto its value on entry, so out = -b
+    gives mat @ x - b with no zero fill and no second pass.  x may be of
+    any real dtype; out must be float64.
+    """
+    n_rows, n_cols = mat.shape
+    if x.shape[0] != n_cols or out.shape != (n_rows,) + x.shape[1:]:
+        raise ValueError(
+            f"matvec_add: matrix {mat.shape}, x {x.shape}, out {out.shape}"
+        )
+    vector, block = _MATVEC[mat.format]
+    if out.ndim == 1:
+        vector(n_rows, n_cols, mat.indptr, mat.indices, mat.data, x, out)
+        return out
+    if out.ndim != 2 or not out.flags.c_contiguous:
+        raise ValueError("matvec_add: a block out must be a C-contiguous "
+                         "(m, k) array")
+    block(n_rows, n_cols, out.shape[1], mat.indptr, mat.indices, mat.data,
+          x.ravel(), out.reshape(-1))
+    return out
 
 
 def from_triplets(nrows, ncols, rows, cols, values):

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import CHILD_VERTEX_BARYCENTRIC
-from .sparse import two_component
+from .sparse import matvec_add, two_component
 from .assembly import TaylorHoodSpace, p1_values, p2_values
 
 
@@ -132,27 +132,33 @@ def build_prolongation(coarse_space: TaylorHoodSpace,
     return TransferOperators(P_u=two_component(P2_int), P_p=P_p)
 
 
+def _apply_blocks(velocity, pressure, x, n_out):
+    """[velocity, 0; 0, pressure] @ x, each block's product written into
+    its part of one new array."""
+    out = np.zeros((n_out,) + x.shape[1:])
+    nu_out, nu_in = velocity.shape
+    matvec_add(velocity, x[:nu_in], out[:nu_out])
+    matvec_add(pressure, x[nu_in:], out[nu_out:])
+    return out
+
+
 def prolongate(transfer, x_coarse):
     """Embed a coarse (velocity, pressure) vector into the fine level."""
-    nu_c = transfer.P_u.shape[1]
     if x_coarse.shape[0] != transfer.n_coarse:
         raise ValueError(
             f"prolongate expects a vector of length {transfer.n_coarse}, "
             f"got {x_coarse.shape[0]}"
         )
-    return np.concatenate(
-        [transfer.P_u @ x_coarse[:nu_c], transfer.P_p @ x_coarse[nu_c:]]
-    )
+    return _apply_blocks(transfer.P_u, transfer.P_p, x_coarse,
+                         transfer.n_fine)
 
 
 def restrict(transfer, r_fine):
     """Transpose-embedding of a fine residual onto the coarse level."""
-    nu_f = transfer.P_u.shape[0]
     if r_fine.shape[0] != transfer.n_fine:
         raise ValueError(
             f"restrict expects a vector of length {transfer.n_fine}, "
             f"got {r_fine.shape[0]}"
         )
-    return np.concatenate(
-        [transfer.R_u @ r_fine[:nu_f], transfer.R_p @ r_fine[nu_f:]]
-    )
+    return _apply_blocks(transfer.R_u, transfer.R_p, r_fine,
+                         transfer.n_coarse)

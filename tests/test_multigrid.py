@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -435,6 +439,70 @@ def test_coarse_visits_apply_the_level1_map(systems3_beta1, transfers3):
     mg.mg_cycle(3, x, rhs)
     assert solved == []
     assert sorted(smoothed) == [(2, 1)] * 4 + [(3, 1)] * 2
+
+
+@pytest.fixture(scope="module")
+def manufactured3(spaces3, systems3_beta1):
+    from stokesmg.assembly import l2_project
+    from stokesmg.bench import exact_pressure, exact_velocity
+
+    u_star, p_star = l2_project(spaces3[3], exact_velocity, exact_pressure)
+    system = systems3_beta1[3]
+    return (system.join(u_star, p_star),
+            manufactured_rhs(system, (u_star, p_star)))
+
+
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_integer_iterate_is_taken_as_float(systems3_beta1, transfers3,
+                                           manufactured3, kind):
+    x_star, rhs = manufactured3
+    cfg = CycleConfig(smoother=SmootherConfig(kind=kind), cycle="W")
+    mg = Multigrid(systems3_beta1, transfers3, cfg)
+    n = x_star.size
+    report = mg.solve(3, rhs, x_star, x0=np.zeros(n, dtype=int))
+    want = mg.solve(3, rhs, x_star)
+    assert report.converged and report.history == want.history
+    assert np.array_equal(report.x, want.x)
+    x, b = np.arange(n) % 3 - 1, np.arange(n) % 5 - 2
+    assert np.array_equal(mg.mg_cycle(3, x, b),
+                          mg.mg_cycle(3, x.astype(float), b.astype(float)))
+
+
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_concurrent_cycles_on_one_hierarchy(systems3_beta1, transfers3,
+                                            kind):
+    # README promises solves on one hierarchy may run concurrently: no
+    # cycle operation may keep scratch arrays on a shared object
+    cfg = CycleConfig(smoother=SmootherConfig(kind=kind), cycle="W")
+    mg = Multigrid(systems3_beta1, transfers3, cfg)
+    mg._level1_map()
+    n = systems3_beta1[3].n
+    rng = np.random.default_rng(22)
+    starts = [rng.standard_normal(n) for _ in range(2)]
+    rhss = [rng.standard_normal(n) for _ in range(2)]
+    barrier = threading.Barrier(2)
+
+    def five_cycles(x, rhs, wait=False):
+        if wait:
+            barrier.wait(timeout=60)
+        for _ in range(5):
+            x = mg.mg_cycle(3, x, rhs)
+        return x
+
+    want = [five_cycles(x, b) for x, b in zip(starts, rhss)]
+    # switch threads often, so that the two solves interleave finely, and
+    # run them together several times
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(10):
+                got = list(pool.map(five_cycles, starts, rhss, [True] * 2,
+                                    timeout=60))
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_triple_norm_properties(systems3_beta1):

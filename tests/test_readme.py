@@ -1,7 +1,14 @@
-"""The documented library usage in README.md runs as written."""
+"""README.md: the documented library usage runs as written, and its
+measured tables print what the solver does."""
 
 import re
 from pathlib import Path
+
+import pytest
+
+from stokesmg.bench import BETA_TABLE, ExperimentGrid, run_table
+from stokesmg.multigrid import CycleConfig
+from stokesmg.smoother import SmootherConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +20,35 @@ def test_readme_library_use_runs(capsys):
     n, q, converged = capsys.readouterr().out.split()
     assert converged == "True"
     assert 0 < int(n) < 200 and 0.0 < float(q) < 1.0
+
+
+def measured_tables():
+    """The tables under "Measured tables", in order, as lists of rows of
+    stripped cells."""
+    section = README.read_text().split("## Measured tables", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    tables, table = [], []
+    for line in section.splitlines() + [""]:
+        if line.startswith("|"):
+            cells = line.strip().strip("|").split("|")
+            table.append([c.strip() for c in cells])
+        elif table:
+            tables.append(table)
+            table = []
+    return tables
+
+
+@pytest.mark.parametrize("table, kind", [(0, "normal_equation"),
+                                         (1, "uzawa")])
+def test_readme_beta_tables_level4_rows(table, kind):
+    # the level-4 row of each beta table, regenerated
+    header, _, *rows = measured_tables()[table]
+    row = next(r for r in rows if r[0] == "4")
+    config = CycleConfig(smoother=SmootherConfig(kind=kind), cycle="W",
+                         nu_pre=3, nu_post=3)
+    got = run_table(ExperimentGrid(levels=[4], betas=list(BETA_TABLE),
+                                   configs=[config]))
+    assert header[1::2] == [f"beta={r.beta:g} n" for r in got]
+    for r, n, q in zip(got, row[1::2], row[2::2]):
+        assert r.converged and r.n == int(n)
+        assert abs(r.q - float(q)) <= 5e-4

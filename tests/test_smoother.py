@@ -1,9 +1,10 @@
-import dataclasses
+import collections
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stokesmg import assembly, smoother
 from stokesmg.assembly import ProblemParams, SaddleSystem, build_system
 from stokesmg.smoother import (
     DEFAULT_SIGMA_UZAWA,
@@ -18,6 +19,7 @@ from stokesmg.smoother import (
     smoother_step,
     uzawa_step,
 )
+from stokesmg.sparse import matvec_add
 
 
 def uzawa_block_apply_inverse(system, scaling, tau, sigma, r):
@@ -212,34 +214,55 @@ def test_uzawa_update_is_block_inverse_of_residual(systems3_by_beta, beta):
     assert np.abs(update - delta).max() <= 1e-12 * np.abs(delta).max()
 
 
-class CountingMatrix:
-    """Sparse matrix stand-in that counts its matvecs."""
+@pytest.fixture
+def matvec_counts(monkeypatch):
+    """Calls of sparse.matvec_add per matrix, keyed by the matrix's id,
+    from the modules whose sweeps and residuals call it."""
+    counts = collections.Counter()
 
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.shape = matrix.shape
-        self.calls = 0
+    def counting(mat, x, out):
+        counts[id(mat)] += 1
+        return matvec_add(mat, x, out)
 
-    def __matmul__(self, v):
-        self.calls += 1
-        return self.matrix @ v
+    for module in (assembly, smoother):
+        monkeypatch.setattr(module, "matvec_add", counting)
+    return counts
 
 
-def test_uzawa_sweep_matvec_count(systems3_beta1):
+def saddle_product_counts(counts, system):
+    """Products with (K, [A, B^T], B^T, B), and whether there were others."""
+    mats = (system.K, system.velocity_rows, system.Bt, system.B)
+    got = tuple(counts[id(m)] for m in mats)
+    return got, sum(counts.values()) == sum(got)
+
+
+def test_uzawa_sweep_matvec_count(systems3_beta1, matvec_counts):
     # one product each with K's velocity rows [A, B^T], with B and with B^T
     system = systems3_beta1[2]
     sc = build_scaling(system)
-    K, K_u, B, Bt = (CountingMatrix(m) for m in (
-        system.K, system.velocity_rows, system.B, system.Bt))
-    counted = dataclasses.replace(system)
-    counted.K, counted.B = K, B
-    counted.__dict__.update(velocity_rows=K_u, Bt=Bt)  # seed the cached views
     rng = np.random.default_rng(13)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
-    got = uzawa_step(counted, sc, 0.8, 0.8, x, rhs)
-    assert (K.calls, K_u.calls, Bt.calls, B.calls) == (0, 1, 1, 1)
-    assert np.array_equal(got, uzawa_step(system, sc, 0.8, 0.8, x, rhs))
+    uzawa_step(system, sc, 0.8, 0.8, x, rhs)
+    assert saddle_product_counts(matvec_counts, system) == ((0, 1, 1, 1),
+                                                            True)
+
+
+def test_normal_sweep_and_residual_matvec_counts(systems3_beta1,
+                                                 matvec_counts):
+    # a residual is one product with K; a normal-equation sweep is two
+    system = systems3_beta1[2]
+    sc = build_scaling(system)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(system.n)
+    rhs = rng.standard_normal(system.n)
+    system.residual(x, rhs)
+    assert saddle_product_counts(matvec_counts, system) == ((1, 0, 0, 0),
+                                                            True)
+    matvec_counts.clear()
+    normal_equation_step(system, sc, 0.35, x, rhs)
+    assert saddle_product_counts(matvec_counts, system) == ((2, 0, 0, 0),
+                                                            True)
 
 
 def three_block_apply(system, x):

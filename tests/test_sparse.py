@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from stokesmg.sparse import DenseFactorization, SingularMatrixError, from_triplets
+from stokesmg.sparse import (
+    DenseFactorization,
+    SingularMatrixError,
+    from_triplets,
+    matvec_add,
+)
 
 
 def test_dense_solve_identity_and_diagonal():
@@ -65,3 +70,73 @@ def test_from_triplets_sums_duplicates():
     m = from_triplets(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
     np.testing.assert_array_equal(m.toarray(), [[0.0, 5.0], [1.0, 0.0]])
 
+
+def cycle_matrices(system, transfer):
+    """The matrices the cycle multiplies by: K and its row blocks (CSR
+    views), B^T and a restriction (CSC views), and a prolongation."""
+    return {
+        "K": system.K, "velocity_rows": system.velocity_rows, "B": system.B,
+        "Bt": system.Bt, "R_u": transfer.R_u, "P_p": transfer.P_p,
+    }
+
+
+@pytest.mark.parametrize("name", ["K", "velocity_rows", "B", "Bt", "R_u",
+                                  "P_p"])
+@pytest.mark.parametrize("k", [None, 3])
+def test_matvec_add_matches_matmul(systems3_beta1, transfers3, name, k):
+    # matvec_add calls scipy's private kernels, so it is pinned to `@`
+    mat = cycle_matrices(systems3_beta1[2], transfers3[2])[name]
+    assert mat.format == ("csc" if name in ("Bt", "R_u") else "csr")
+    rng = np.random.default_rng(9)
+    tail = () if k is None else (k,)
+    x = rng.standard_normal((mat.shape[1],) + tail)
+    want = mat @ x
+    # from zero: the very kernel `@` calls, so bit-equal
+    out = np.zeros((mat.shape[0],) + tail)
+    assert matvec_add(mat, x, out) is out
+    assert np.array_equal(out, want)
+    # from a nonzero start: accumulated onto it
+    start = rng.standard_normal(out.shape)
+    got = matvec_add(mat, x, start.copy())
+    scale = np.abs(start) + abs(mat) @ np.abs(x)
+    assert np.all(np.abs(got - (start + want)) <= 1e-14 * scale)
+
+
+def test_matvec_add_on_a_transposed_block_input(systems3_beta1):
+    # an x that is not C-contiguous is read correctly
+    mat = systems3_beta1[2].K
+    x = np.random.default_rng(10).standard_normal((3, mat.shape[1])).T
+    assert np.array_equal(matvec_add(mat, x, np.zeros((mat.shape[0], 3))),
+                          mat @ x)
+
+
+def test_matvec_add_writes_into_a_strided_vector(systems3_beta1):
+    mat = systems3_beta1[2].B
+    x = np.random.default_rng(11).standard_normal(mat.shape[1])
+    base = np.full(2 * mat.shape[0], 7.0)
+    base[::2] = 0.0
+    matvec_add(mat, x, base[::2])
+    assert np.array_equal(base[::2], mat @ x)
+    assert np.all(base[1::2] == 7.0)
+
+
+def test_matvec_add_rejects_bad_outputs(systems3_beta1):
+    mat = systems3_beta1[1].K
+    n = mat.shape[0]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        matvec_add(mat, np.ones((n, 2)), np.zeros((n, 2), order="F"))
+    with pytest.raises(ValueError):
+        matvec_add(mat, np.ones(n), np.zeros(n, dtype=np.float32))
+    for x, out in ((np.ones(n - 1), np.zeros(n)),
+                   (np.ones(n), np.zeros(n + 1)),
+                   (np.ones((n, 2)), np.zeros((n, 3))),
+                   (np.ones((n, 2, 2)), np.zeros((n, 2, 2)))):
+        with pytest.raises(ValueError):
+            matvec_add(mat, x, out)
+
+
+def test_matvec_add_reads_an_integer_x(systems3_beta1):
+    mat = systems3_beta1[1].K
+    x = np.arange(mat.shape[1])
+    assert np.array_equal(matvec_add(mat, x, np.zeros(mat.shape[0])),
+                          mat @ x.astype(float))
