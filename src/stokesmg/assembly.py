@@ -25,19 +25,48 @@ from .sparse import (
     interleave,
     matvec_add,
     merge_rows,
-    paired_from_triplets,
+    packed_from_triplets,
     row_block,
     select_entries,
     two_component,
 )
 
-# An entry of K_s, M_s or B is zero to working precision, and dropped, when
-# it is at most this times its Cauchy-Schwarz scale: sqrt(a_ii a_jj) for the
-# Gram matrices K_s and M_s, sqrt((M_P)_ii (K_s)_jj) for B.  On the
-# criss-cross meshes the dropped entries are rounding residue of exact zeros
-# (at most 7.1e-16 of that scale, levels 0-6), and every kept one is at least
-# 4.8e-2 of it.
-_ZERO_TOL = 2.0 ** -42
+# Every triangle of the hierarchy is right isosceles with legs l, and every
+# vertex coordinate is a multiple of l, so J = l E with E integer and
+# det E = 1.  Then G = |det J| J^-1 J^-T = adj(E) adj(E)^T and |det J| J^-1
+# = l adj(E), and each local matrix is an integer table times one scale:
+# the stiffness 1/6 (G00 S00 + G11 S11 + G01 S01), the mass l^2/360 M,
+# D_x and D_y l/6 sum_e adj(E)[e, d] D[e] and the pressure mass l^2/24 P.
+# The reference tables below are 6 x the integrals of d_x phi_i d_x phi_j,
+# d_y phi_i d_y phi_j and d_x phi_i d_y phi_j + d_y phi_i d_x phi_j (S),
+# 360 x those of phi_i phi_j (M), 6 x those of psi_i d_e phi_j (D) and
+# 24 x those of psi_i psi_j (P), in the reference coordinates
+# (x, y) = (lambda_1, lambda_2) and the local node order of p2_values.
+_STIFFNESS6 = np.array([
+    [[3, 1, 0, 0, 0, -4], [1, 3, 0, 0, 0, -4], [0, 0, 0, 0, 0, 0],
+     [0, 0, 0, 8, -8, 0], [0, 0, 0, -8, 8, 0], [-4, -4, 0, 0, 0, 8]],
+    [[3, 0, 1, 0, -4, 0], [0, 0, 0, 0, 0, 0], [1, 0, 3, 0, -4, 0],
+     [0, 0, 0, 8, 0, -8], [-4, 0, -4, 0, 8, 0], [0, 0, 0, -8, 0, 8]],
+    [[6, 1, 1, 0, -4, -4], [1, 0, -1, 4, 0, -4], [1, -1, 0, 4, -4, 0],
+     [0, 4, 4, 8, -8, -8], [-4, 0, -4, -8, 8, 8], [-4, -4, 0, -8, 8, 8]],
+])
+_MASS360 = np.array([
+    [6, -1, -1, -4, 0, 0], [-1, 6, -1, 0, -4, 0], [-1, -1, 6, 0, 0, -4],
+    [-4, 0, 0, 32, 16, 16], [0, -4, 0, 16, 32, 16], [0, 0, -4, 16, 16, 32],
+])
+_DIVERGENCE6 = np.array([
+    [[-1, 0, 0, 1, -1, 1], [0, 1, 0, 1, -1, -1], [0, 0, 0, 2, -2, 0]],
+    [[-1, 0, 0, 1, 1, -1], [0, 0, 0, 2, 0, -2], [0, 0, 1, 1, -1, -1]],
+])
+_P1_MASS24 = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+
+# Nodes, then weights, of the five-point Gauss-Jacobi rule for the weight
+# (1 - x) on [-1, 1], as scipy.special.roots_jacobi(5, 1.0, 0.0) returns them
+_JACOBI5_NODES, _JACOBI5_WEIGHTS = np.array([float.fromhex(v) for v in """
+    -0x1.d73c15b79f3d3p-1 -0x1.353bf8784132fp-1 -0x1.fc1c403080601p-4
+    0x1.904f92acb8e03p-2 0x1.9b199e53f1236p-1 0x1.8c6ada4e0dafap-2
+    0x1.565fa81ab0087p-1 0x1.2bccf0d0b5846p-1 0x1.2ebb113d8a0aep-2
+    0x1.02038a7674af7p-4""".split()]).reshape(2, 5)
 
 
 @dataclass(frozen=True)
@@ -53,24 +82,8 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def degree4_rule():
-    """Symmetric 6-point rule, exact through degree 4.
-
-    Exact for every bilinear form assembled here (the quadratic-mass
-    integrand has degree 4).
-    """
-    a1, w1 = 0.816847572980459, 0.109951743655322
-    a2, w2 = 0.108103018168070, 0.223381589678011
-    points, weights = [], []
-    for a, w in ((a1, w1), (a2, w2)):
-        b = 0.5 * (1.0 - a)
-        points += [[a, b, b], [b, a, b], [b, b, a]]
-        weights += [w, w, w]
-    return QuadratureRule(4, np.array(points), 0.5 * np.array(weights))
-
-
-def conical_rule(n=5):
-    """Conical product rule with n^2 points, exact through degree 2n - 1.
+def conical_rule():
+    """Conical product rule with 25 points, exact through degree 9.
 
     Gauss-Legendre x Gauss-Jacobi tensor rule collapsed onto the triangle.
     Used for moments of non-polynomial functions (the benchmark's exact
@@ -78,19 +91,16 @@ def conical_rule(n=5):
     than point economy; tabulated symmetric rules of this order are only
     accurate to their printed digits.
     """
-    from scipy.special import roots_jacobi
-
-    xg, wg = np.polynomial.legendre.leggauss(n)
+    xg, wg = np.polynomial.legendre.leggauss(5)
     u, wu = 0.5 * (xg + 1.0), 0.5 * wg
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
-    v, wv = 0.5 * (xj + 1.0), 0.25 * wj
+    v, wv = 0.5 * (_JACOBI5_NODES + 1.0), 0.25 * _JACOBI5_WEIGHTS
 
     uu, vv = np.meshgrid(u, v, indexing="ij")
     x = (uu * (1.0 - vv)).ravel()
     y = vv.ravel()
     weights = np.outer(wu, wv).ravel()
     points = np.stack([1.0 - x - y, x, y], axis=1)
-    return QuadratureRule(2 * n - 1, points, weights)
+    return QuadratureRule(9, points, weights)
 
 
 def p2_values(points):
@@ -108,26 +118,6 @@ def p2_values(points):
         ],
         axis=-1,
     )
-
-
-def p2_reference_gradients(points):
-    """Gradients of the quadratic basis w.r.t. reference coordinates
-    (x, y) = (lambda_1, lambda_2); shape (..., 6, 2)."""
-    l0, l1, l2 = points[..., 0], points[..., 1], points[..., 2]
-    g = np.empty(points.shape[:-1] + (6, 2))
-    g[..., 0, 0] = 1.0 - 4.0 * l0
-    g[..., 0, 1] = 1.0 - 4.0 * l0
-    g[..., 1, 0] = 4.0 * l1 - 1.0
-    g[..., 1, 1] = 0.0
-    g[..., 2, 0] = 0.0
-    g[..., 2, 1] = 4.0 * l2 - 1.0
-    g[..., 3, 0] = 4.0 * l2
-    g[..., 3, 1] = 4.0 * l1
-    g[..., 4, 0] = -4.0 * l2
-    g[..., 4, 1] = 4.0 * (l0 - l2)
-    g[..., 5, 0] = 4.0 * (l0 - l1)
-    g[..., 5, 1] = -4.0 * l1
-    return g
 
 
 def p1_values(points):
@@ -165,8 +155,10 @@ class TaylorHoodSpace:
         self.tri_p2 = np.hstack([level.tri_vertices, nv + level.tri_edges])
         self.interior_nodes = np.flatnonzero(~self.p2_on_boundary)
         self.n_interior = self.interior_nodes.size
-        # interior index of every quadratic node, -1 on the boundary
-        self.interior_number = np.full(self.n_p2, -1, dtype=np.int32)
+        # interior index of every quadratic node, n_interior (one past the
+        # last) on the boundary
+        self.interior_number = np.full(self.n_p2, self.n_interior,
+                                       dtype=np.int32)
         self.interior_number[self.interior_nodes] = np.arange(
             self.n_interior, dtype=np.int32
         )
@@ -178,20 +170,38 @@ class TaylorHoodSpace:
         self._bt_values = None
 
     @cached_property
-    def _geometry(self):
-        """Per-triangle inverse Jacobians (2x2) and |det J| = 2 * area."""
-        p = self.level.vertex_coords[self.level.tri_vertices]
-        jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        if np.any(det <= 0.0):
+    def _element_classes(self):
+        """(l, classes, adj): the leg length l, each triangle's class and
+        each class's integer adj(J/l).  Raises ValueError unless the vertex
+        coordinates are multiples of a power of two l and every triangle is
+        counterclockwise with det(J/l) = 1."""
+        coords, tv = self.level.vertex_coords, self.level.tri_vertices
+        e1, e2 = coords[tv[0, 1:]] - coords[tv[0, 0]]
+        ell = np.sqrt(abs(e1[0] * e2[1] - e1[1] * e2[0]))
+        grid = coords / ell
+        if np.frexp(ell)[0] != 0.5 or np.any(grid != np.rint(grid)):
+            raise ValueError("mesh vertices are not multiples of a power-of-"
+                             "two leg length")
+        grid = grid.astype(np.int64)
+        # legs[t, k] = (p_{k+1} - p_0) / l, the columns of E = J / l
+        legs = (grid[tv[:, 1:]] - grid[tv[:, :1]]).reshape(-1, 4)
+        det = legs[:, 0] * legs[:, 3] - legs[:, 1] * legs[:, 2]
+        if np.any(det <= 0):
             raise ValueError("mesh contains non-counterclockwise triangles")
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= det[:, None, None]
-        return inv, det
+        if np.any(det != 1):
+            raise ValueError("mesh triangles are not all of area l^2 / 2")
+        # a leg entry m >= 64 makes a diagonal entry of 6 K_s at least 4 m^2,
+        # too large to sum packed; below, the legs key classes in base 2m + 1
+        m = np.abs(legs).max()
+        if m >= 64:
+            raise ValueError("local tables too large to sum packed")
+        _, first, classes = np.unique(
+            (legs + m) @ (2 * m + 1) ** np.arange(4), return_index=True,
+            return_inverse=True)
+        # E = [[a, b], [c, d]] has adj(E) = [[d, -b], [-c, a]]
+        a, c, b, d = legs[first].T
+        adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
+        return ell, classes, adj
 
     def physical_quad_points(self, rule, triangles=slice(None)):
         """Quadrature points mapped to the given triangles (all by
@@ -206,14 +216,14 @@ class TaylorHoodSpace:
     def scalar_blocks(self):
         """Scalar stiffness K and mass M on interior quadratic nodes,
         sharing one index pattern: the entries where either is nonzero.
-        Entries zero to working precision are set to exact zeros, and
-        dropped where both matrices have one."""
-        K, M = _scalar_p2_matrices(self, degree4_rule())
-        k_zero, m_zero = (_negligible(a, np.sqrt(a.diagonal()))
-                          for a in (K, M))
-        K.data[k_zero] = 0.0
-        M.data[m_zero] = 0.0
-        return select_entries(~(k_zero & m_zero), K, M)
+        Each stored value is the exact one, correctly rounded."""
+        ell, _, adj = self._element_classes
+        nodes, n = self.interior_number[self.tri_p2], self.n_interior
+        K, M = _assemble_packed(self, _local_tables(adj)[0], _MASS360,
+                                nodes, nodes, n, n)
+        return (csr_view(K.data / 6.0, K.indices, K.indptr, K.shape),
+                csr_view(M.data / 360.0 * ell ** 2, M.indices, M.indptr,
+                         M.shape))
 
     @cached_property
     def stiffness(self):
@@ -225,15 +235,18 @@ class TaylorHoodSpace:
     @cached_property
     def B(self):
         """Divergence block [D_x, D_y]: rows are pressure dofs, columns
-        interior velocity dofs in component-blocked order; entries zero to
-        working precision are dropped."""
-        row_scale = np.sqrt(self.M_P.diagonal())
-        col_scale = np.sqrt(self.scalar_blocks[0].diagonal())
-        Dx, Dy = (select_entries(~_negligible(D, row_scale, col_scale), D)[0]
-                  for D in _divergence_blocks(self, degree4_rule()))
+        interior velocity dofs in component-blocked order; each of D_x and
+        D_y holds its own nonzeros, at their exact values correctly
+        rounded."""
+        ell, _, adj = self._element_classes
+        d_x, d_y = np.moveaxis(_local_tables(adj)[1], 1, 0)
+        packed = _assemble_packed(
+            self, d_x, d_y, self.level.tri_vertices.astype(np.int32),
+            self.interior_number[self.tri_p2], self.n_pressure, self.n_interior)
+        Dx, Dy = (select_entries(D.data != 0, D)[0] for D in packed)
         indptr, from_x = merge_rows(Dx.indptr, Dy.indptr)
         return csr_view(
-            interleave(from_x, Dx.data, Dy.data),
+            interleave(from_x, Dx.data / 6.0 * ell, Dy.data / 6.0 * ell),
             interleave(from_x, Dx.indices, Dy.indices + self.n_interior),
             indptr, (self.n_pressure, self.n_velocity),
         )
@@ -274,103 +287,46 @@ class TaylorHoodSpace:
     @cached_property
     def M_P(self):
         """Pressure mass matrix on all vertex dofs."""
-        rule = degree4_rule()
-        pvals = p1_values(rule.points)
-        m_loc = np.einsum("q,qi,qj->ij", rule.weights, pvals, pvals)
-        m_all = self._geometry[1][:, None, None] * m_loc[None, :, :]
-        tv = self.level.tri_vertices
-        rows = np.broadcast_to(tv[:, :, None], m_all.shape).ravel()
-        cols = np.broadcast_to(tv[:, None, :], m_all.shape).ravel()
-        return from_triplets(
-            self.n_pressure, self.n_pressure, rows, cols, m_all.ravel()
+        ell, classes, _ = self._element_classes
+        tv, shape = self.level.tri_vertices, (classes.size, 3, 3)
+        M_P = from_triplets(
+            self.n_pressure, self.n_pressure,
+            np.broadcast_to(tv[:, :, None], shape).ravel(),
+            np.broadcast_to(tv[:, None, :], shape).ravel(),
+            np.broadcast_to(_P1_MASS24, shape).ravel(),
         )
+        M_P.data = M_P.data / 24.0 * ell ** 2
+        return M_P
 
 
-def _negligible(mat, row_scale, col_scale=None):
-    """Mask of mat's entries with |a_ij| <= _ZERO_TOL row_scale[i]
-    col_scale[j] (col_scale defaults to row_scale)."""
-    if col_scale is None:
-        col_scale = row_scale
-    bound = np.repeat(_ZERO_TOL * row_scale, np.diff(mat.indptr))
-    bound *= col_scale[mat.indices]
-    return np.abs(mat.data) <= bound
+def _local_tables(adj):
+    """Integer local tables of the triangle classes with the given
+    adj(J/l): 6 x the scalar stiffness, (n, 6, 6), and 6/l x D_x and D_y,
+    (n, 2, 3, 6)."""
+    g = np.einsum("cek,cfk->cef", adj, adj)  # G = adj(E) adj(E)^T
+    k6 = np.einsum("ck,kij->cij",
+                   np.stack([g[:, 0, 0], g[:, 1, 1], g[:, 0, 1]], axis=1),
+                   _STIFFNESS6)
+    return k6, np.einsum("ced,eij->cdij", adj, _DIVERGENCE6)
 
 
-def _symmetric(a):
-    """Exactly symmetric part of a square reference matrix."""
-    return 0.5 * (a + a.T)
-
-
-def _scalar_p2_matrices(space, rule):
-    """Scalar stiffness and mass on interior quadratic nodes, converted
-    from one set of triplets and sharing their index arrays.  The triplets
-    of two interior nodes are written once, as the complex values
-    stiffness + i mass, each local array freed as soon as it is copied.
-
-    Local matrices come from quadrature-summed reference tensors contracted
-    with per-triangle geometry: with G = |det J| J^-1 J^-T, the stiffness is
-    G00 S00 + G11 S11 + G01 (S01 + S10) for S[e, f]_ij = sum_q w_q
-    d_e phi_i d_f phi_j, and the mass is |det J| times the reference mass.
-    Every term is an elementwise product with a symmetrized reference
-    matrix, so each local matrix, and hence K and M, is exactly symmetric.
-    """
-    inv, det = space._geometry
-    w = rule.weights
-    vals = p2_values(rule.points)                # (nq, 6)
-    grads = p2_reference_gradients(rule.points)  # (nq, 6, 2)
-    s = np.einsum("q,qie,qjf->efij", w, grads, grads)
-    s00, s11 = _symmetric(s[0, 0]), _symmetric(s[1, 1])
-    s01 = _symmetric(s[0, 1] + s[1, 0])
-    m_ref = _symmetric(np.einsum("q,qi,qj->ij", w, vals, vals))
-
-    g00 = det * (inv[:, 0, 0] ** 2 + inv[:, 0, 1] ** 2)
-    g11 = det * (inv[:, 1, 0] ** 2 + inv[:, 1, 1] ** 2)
-    g01 = det * (inv[:, 0, 0] * inv[:, 1, 0] + inv[:, 0, 1] * inv[:, 1, 1])
-
-    # boundary nodes number -1: only triplets of two interior nodes are kept
-    nodes = space.interior_number[space.tri_p2]
-    keep = (nodes[:, :, None] >= 0) & (nodes[:, None, :] >= 0)
-    rows = np.broadcast_to(nodes[:, :, None], keep.shape)[keep]
-    cols = np.broadcast_to(nodes[:, None, :], keep.shape)[keep]
-    pair = np.empty(rows.size, dtype=complex)
-    k_loc = g00[:, None, None] * s00
-    k_loc += g11[:, None, None] * s11
-    k_loc += g01[:, None, None] * s01
-    pair.real = k_loc[keep]
-    del k_loc
-    pair.imag = (det[:, None, None] * m_ref)[keep]
-    n = space.n_interior
-    return paired_from_triplets(n, n, rows, cols, pair)
-
-
-def _divergence_blocks(space, rule):
-    """Pressure-row matrices D_x, D_y over interior quadratic columns, with
-    D_d[i, j] = integral of (d-derivative of velocity basis j) * pressure
-    basis i, converted from one set of triplets, written once as the complex
-    values D_x + i D_y, and sharing their index arrays.
-
-    Local blocks are (|det J| J^-1[:, d]) @ D for the reference tensor
-    D[e]_ij = sum_q w_q psi_i d_e phi_j.
-    """
-    inv, det = space._geometry
-    pvals = p1_values(rule.points)               # (nq, 3)
-    grads = p2_reference_gradients(rule.points)  # (nq, 6, 2)
-    d_ref = np.einsum("q,qi,qje->eij", rule.weights, pvals, grads)
-    d_ref = d_ref.reshape(2, 18)
-
-    # boundary nodes number -1: only triplets of interior columns are kept
-    nodes = space.interior_number[space.tri_p2]
-    keep = np.broadcast_to(nodes[:, None, :] >= 0, (det.size, 3, 6))
-    prows = np.broadcast_to(
-        space.level.tri_vertices[:, :, None], keep.shape
-    )[keep]
-    vcols = np.broadcast_to(nodes[:, None, :], keep.shape)[keep]
-    pair = np.empty(vcols.size, dtype=complex)
-    for d, part in enumerate((pair.real, pair.imag)):
-        part[...] = ((det[:, None] * inv[:, :, d]) @ d_ref).reshape(
-            keep.shape)[keep]
-    return paired_from_triplets(space.n_pressure, space.n_interior, prows,
-                                vcols, pair)
+def _assemble_packed(space, high, low, row_nodes, col_nodes, nrows, ncols):
+    """Two integer matrices summed from the per-class local tables high and
+    low of every triangle, at its row and column nodes, in one conversion
+    of the int32 values high * 2^16 + low; row nrows and column ncols mark
+    entries to drop.  Raises ValueError unless both sums stay inside
+    +-2^15, which they do if the tables times the most triangles at a node
+    (two at an edge midpoint) do."""
+    classes = space._element_classes[1]
+    count = max(np.bincount(space.level.tri_vertices.ravel()).max(), 2)
+    if count * max(np.abs(high).max(), np.abs(low).max()) >= 2 ** 15:
+        raise ValueError("local tables too large to sum packed")
+    packed = (high * 2 ** 16 + low).astype(np.int32)
+    shape = (classes.size,) + packed.shape[1:]
+    return packed_from_triplets(
+        nrows, ncols, np.broadcast_to(row_nodes[:, :, None], shape).ravel(),
+        np.broadcast_to(col_nodes[:, None, :], shape).ravel(),
+        packed[classes].ravel())
 
 
 @dataclass
@@ -496,16 +452,16 @@ _MOMENT_BLOCK = 4096
 
 def _moment_vectors(space, u_exact, p_exact, rule):
     """Load vectors of the exact fields against all basis functions."""
-    det = space._geometry[1]
+    det = space._element_classes[0] ** 2  # |det J| of every triangle
     vals2 = p2_values(rule.points)  # (nq, 6)
     vals1 = p1_values(rule.points)  # (nq, 3)
-    n_tri = det.size
+    n_tri = space.level.n_triangles
     loc_ux, loc_uy = np.empty((n_tri, 6)), np.empty((n_tri, 6))
     loc_p = np.empty((n_tri, 3))
     for start in range(0, n_tri, _MOMENT_BLOCK):
         block = slice(start, start + _MOMENT_BLOCK)
         points = space.physical_quad_points(rule, block)  # (b, nq, 2)
-        wdet = rule.weights[None, :] * det[block, None]   # (b, nq)
+        wdet = rule.weights * det                         # (nq,)
         x, y = points[..., 0], points[..., 1]
         ux, uy = u_exact(x, y)
         loc_ux[block] = (wdet * ux) @ vals2
@@ -531,7 +487,7 @@ def l2_project(space, u_exact, p_exact, rule=None):
     weighted mean 1^T M_P p vanishes.  Returns (u_star, p_star) with the
     component-blocked interior velocity layout.
     """
-    rule = rule or conical_rule(5)
+    rule = rule or conical_rule()
     b_ux, b_uy, b_p = _moment_vectors(space, u_exact, p_exact, rule)
 
     idx = space.interior_nodes

@@ -27,7 +27,7 @@ from .assembly import (
     l2_project,
     manufactured_rhs,
 )
-from .mesh import build_hierarchy
+from .mesh import MAX_LEVEL, build_hierarchy
 from .multigrid import CycleConfig, Multigrid
 from .smoother import (
     SmootherConfig,
@@ -297,6 +297,31 @@ def _preset_grid(table, args):
     )
 
 
+def _option(kind, valid, requirement):
+    """argparse type kind(text) for a value with valid(value), so that a
+    value a run would fail on is one usage error, not a traceback."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_LEVEL = _option(int, lambda k: 1 <= k <= MAX_LEVEL,
+                 f"levels run from 1 to {MAX_LEVEL}")
+_COUNT = _option(int, lambda n: n >= 0, "must be a nonnegative integer")
+_POSITIVE = _option(float, lambda v: v > 0.0, "must be positive")
+_BETAS = _option(
+    lambda text: [float(b) for b in text.split(",") if b.strip()],
+    lambda betas: betas and all(0.0 <= b < np.inf for b in betas),
+    "must be nonnegative finite numbers, comma-separated",
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stokesmg-bench",
@@ -305,19 +330,19 @@ def build_parser():
     )
     parser.add_argument("--table", choices=["nu-sweep", "normal", "uzawa"],
                         help="preset experiment; omit for a single custom run")
-    parser.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL,
+    parser.add_argument("--max-level", type=_LEVEL, default=DEFAULT_MAX_LEVEL,
                         help="finest level (default 6; levels 7-8 are "
                         "expensive and opt-in)")
-    parser.add_argument("--beta", default="0",
+    parser.add_argument("--beta", type=_BETAS, default="0",
                         help="comma-separated reaction coefficients")
     parser.add_argument("--smoother", choices=["normal", "uzawa"],
                         default="normal")
-    parser.add_argument("--nu-pre", type=int, default=3)
-    parser.add_argument("--nu-post", type=int, default=3)
+    parser.add_argument("--nu-pre", type=_COUNT, default=3)
+    parser.add_argument("--nu-post", type=_COUNT, default=3)
     parser.add_argument("--cycle", choices=["v", "w", "two-grid"], default="w")
-    parser.add_argument("--tau", type=float, default=None,
+    parser.add_argument("--tau", type=_POSITIVE, default=None,
                         help="smoother damping (defaults: 0.35 normal, 0.8 uzawa)")
-    parser.add_argument("--sigma", type=float, default=None,
+    parser.add_argument("--sigma", type=_POSITIVE, default=None,
                         help="uzawa pressure damping (default 0.8)")
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--max-iter", type=int, default=200)
@@ -370,7 +395,7 @@ def main(argv=None):
     if args.table:
         grid = _preset_grid(args.table, args)
     else:
-        betas = [float(b) for b in args.beta.split(",") if b.strip()]
+        betas = args.beta
         smoother = _smoother_config(args.smoother, args.tau, args.sigma)
         cycle = {"v": "V", "w": "W", "two-grid": "two_grid"}[args.cycle]
         config = CycleConfig(smoother=smoother, cycle=cycle,

@@ -27,6 +27,7 @@ independent of whatever diagonal shortcut the smoother uses.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +117,9 @@ class Multigrid:
         self.scalings = [build_scaling(s) for s in self.systems]
         self._exact = {}
         self._g1 = None
+        # cycles that start together build each factorization and G1 once;
+        # reentrant, since G1's build runs exact level-0 solves
+        self._build_lock = threading.RLock()
         # weighted pressure means: w = M_P 1
         self._pressure_weights = [
             s.M_P @ np.ones(s.n_p) for s in self.systems
@@ -124,24 +128,25 @@ class Multigrid:
     # -- exact (augmented) solves -------------------------------------
 
     def _exact_factorization(self, level):
-        if level not in self._exact:
-            system = self.systems[level]
-            n = system.n
-            if n + 1 > _MAX_EXACT_DIM:
-                raise ValueError(
-                    f"exact solve on level {level} needs a dense "
-                    f"factorization of dimension {n + 1}; use V/W cycles "
-                    "for levels this large"
+        with self._build_lock:
+            if level not in self._exact:
+                system = self.systems[level]
+                n = system.n
+                if n + 1 > _MAX_EXACT_DIM:
+                    raise ValueError(
+                        f"exact solve on level {level} needs a dense "
+                        f"factorization of dimension {n + 1}; use V/W "
+                        "cycles for levels this large"
+                    )
+                aug = np.zeros((n + 1, n + 1))
+                aug[:n, :n] = system.dense()
+                c = np.concatenate(
+                    [np.zeros(system.n_u), self._pressure_weights[level]]
                 )
-            aug = np.zeros((n + 1, n + 1))
-            aug[:n, :n] = system.dense()
-            c = np.concatenate(
-                [np.zeros(system.n_u), self._pressure_weights[level]]
-            )
-            aug[:n, n] = c
-            aug[n, :n] = c
-            self._exact[level] = DenseFactorization(aug)
-        return self._exact[level]
+                aug[:n, n] = c
+                aug[n, :n] = c
+                self._exact[level] = DenseFactorization(aug)
+            return self._exact[level]
 
     def _exact_solve(self, level, rhs):
         fact = self._exact_factorization(level)
@@ -174,9 +179,10 @@ class Multigrid:
 
     def _level1_map(self):
         """G1, the level-1 correction as a dense matrix (built once)."""
-        if self._g1 is None:
-            self._g1 = self._correction(1, np.eye(self.systems[1].n))
-        return self._g1
+        with self._build_lock:
+            if self._g1 is None:
+                self._g1 = self._correction(1, np.eye(self.systems[1].n))
+            return self._g1
 
     def _cycle(self, level, x, rhs, top=False):
         if level == 0:

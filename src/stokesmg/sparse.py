@@ -64,21 +64,27 @@ def from_triplets(nrows, ncols, rows, cols, values):
     return out
 
 
-def paired_from_triplets(nrows, ncols, rows, cols, pair):
-    """Two CSR matrices summed from one set of coordinate triplets, converted
-    once and sharing their index arrays: the real and imaginary parts of the
-    complex values pair.
-
-    A complex sum adds the real and imaginary parts separately, so each part
-    is summed exactly as its own real conversion would sum it.
+def packed_from_triplets(nrows, ncols, rows, cols, packed):
+    """Two integer CSR matrices, high and low, summed from one conversion
+    of coordinate triplets with int32 values high * 2^16 + low, which
+    unpack exactly while both sums stay inside +-2^15.  They share their
+    index arrays and hold the entries where either sum is nonzero.
+    Triplets in row nrows or column ncols, one past the matrix, are
+    dropped, so a caller marks unwanted triplets instead of masking them.
     """
-    z = sp.csr_matrix((pair, (rows, cols)), shape=(nrows, ncols))
-    # summing duplicates leaves the arrays views of the unsummed length
-    indices = z.indices.copy()
-    return tuple(
-        csr_view(part.copy(), indices, z.indptr, z.shape)
-        for part in (z.data.real, z.data.imag)
-    )
+    z = sp.csr_matrix((packed, (rows, cols)), shape=(nrows + 1, ncols + 1))
+    # freed here when the caller passed the triplets as temporaries
+    del rows, cols, packed
+    z = row_block(z, 0, nrows, ncols + 1)
+    (z,) = select_entries((z.data != 0) & (z.indices != ncols), z)
+    total = z.data
+    low = total & 0xFFFF
+    low ^= 0x8000
+    low -= 0x8000
+    total -= low
+    total >>= 16
+    return tuple(csr_view(half, z.indices, z.indptr, (nrows, ncols))
+                 for half in (total, low))
 
 
 def csr_view(data, indices, indptr, shape):

@@ -146,6 +146,29 @@ def test_cli_divergent_exit_code(capsys):
     assert "false" in out
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--max-level", "0"], "--max-level"),
+    (["--max-level", "11"], "--max-level"),
+    (["--beta", ""], "--beta"),
+    (["--beta", "-1"], "--beta"),
+    (["--beta", "1,x"], "--beta"),
+    (["--nu-pre", "-1"], "--nu-pre"),
+    (["--tau", "0"], "--tau"),
+])
+def test_cli_rejects_bad_options_with_a_usage_error(capsys, argv, option):
+    # a value the run would fail on is reported by the parser: exit code
+    # 2 and one error line, before anything is built
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--max-level", "1", *argv])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error" in ln]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"stokesmg-bench: error: argument {option}:")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_check_damping(capsys):
     # each smoother is checked at the damping it is configured with
     system = _HierarchyCache(1).systems(0.0, 1)[1]

@@ -505,6 +505,59 @@ def test_concurrent_cycles_on_one_hierarchy(systems3_beta1, transfers3,
         sys.setswitchinterval(interval)
 
 
+def test_concurrent_first_cycles_build_once(systems3_beta1, transfers3,
+                                            monkeypatch):
+    # two threads start level-3 W-cycles together on a fresh Multigrid:
+    # the level-0 factorization and G1 (the only level-1 corrections of a
+    # level-3 cycle) are each built once, and the cycles match sequential
+    # ones exactly
+    from stokesmg import multigrid
+
+    factorizations = []
+    original = multigrid.DenseFactorization
+
+    def counted(matrix):
+        factorizations.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(multigrid, "DenseFactorization", counted)
+    n = systems3_beta1[3].n
+    rng = np.random.default_rng(23)
+    starts = [rng.standard_normal(n) for _ in range(2)]
+    rhss = [rng.standard_normal(n) for _ in range(2)]
+    sequential = make_mg(systems3_beta1, transfers3, 3)
+    want = [sequential.mg_cycle(3, x, b) for x, b in zip(starts, rhss)]
+    barrier = threading.Barrier(2)
+
+    def first_cycle(mg, x, rhs):
+        barrier.wait(timeout=60)
+        return mg.mg_cycle(3, x, rhs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(10):
+                mg = make_mg(systems3_beta1, transfers3, 3)
+                level1_corrections = []
+
+                def counted_correction(level, rhs, _inner=mg._correction):
+                    if level == 1:
+                        level1_corrections.append(rhs.shape)
+                    return _inner(level, rhs)
+
+                mg._correction = counted_correction
+                factorizations.clear()
+                got = list(pool.map(first_cycle, [mg] * 2, starts, rhss,
+                                    timeout=60))
+                assert level1_corrections == [(systems3_beta1[1].n,) * 2]
+                assert factorizations == [(systems3_beta1[0].n + 1,) * 2]
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_triple_norm_properties(systems3_beta1):
     system = systems3_beta1[1]
     assert triple_norm(np.zeros(system.n), system) == 0.0
