@@ -19,16 +19,15 @@ import scipy.sparse.linalg as spla
 
 from .mesh import MeshLevel
 from .sparse import (
+    block_diagonal,
     csc_view,
     csr_view,
-    from_triplets,
     interleave,
     matvec_add,
     merge_rows,
     packed_from_triplets,
     row_block,
     select_entries,
-    two_component,
 )
 
 # Every triangle of the hierarchy is right isosceles with legs l, and every
@@ -286,17 +285,15 @@ class TaylorHoodSpace:
 
     @cached_property
     def M_P(self):
-        """Pressure mass matrix on all vertex dofs."""
-        ell, classes, _ = self._element_classes
-        tv, shape = self.level.tri_vertices, (classes.size, 3, 3)
-        M_P = from_triplets(
-            self.n_pressure, self.n_pressure,
-            np.broadcast_to(tv[:, :, None], shape).ravel(),
-            np.broadcast_to(tv[:, None, :], shape).ravel(),
-            np.broadcast_to(_P1_MASS24, shape).ravel(),
-        )
-        M_P.data = M_P.data / 24.0 * ell ** 2
-        return M_P
+        """Pressure mass matrix on all vertex dofs, its values exact and
+        correctly rounded."""
+        ell, _, adj = self._element_classes
+        mass = np.broadcast_to(_P1_MASS24, (len(adj), 3, 3))
+        tv = self.level.tri_vertices.astype(np.int32)
+        M_P, _ = _assemble_packed(self, mass, np.zeros_like(mass), tv, tv,
+                                  self.n_pressure, self.n_pressure)
+        return csr_view(M_P.data / 24.0 * ell ** 2, M_P.indices, M_P.indptr,
+                        M_P.shape)
 
 
 def _local_tables(adj):
@@ -382,7 +379,7 @@ class SaddleSystem:
     @property
     def M_U(self):
         """Velocity mass matrix (both components)."""
-        return two_component(self.M)
+        return block_diagonal(self.M, self.M)
 
     def split(self, x):
         return x[: self.n_u], x[self.n_u:]
@@ -479,7 +476,7 @@ def _moment_vectors(space, u_exact, p_exact, rule):
     )
 
 
-def l2_project(space, u_exact, p_exact, rule=None):
+def l2_project(space, u_exact, p_exact):
     """L2-project exact velocity/pressure fields onto the discrete pair.
 
     The velocity is projected onto the zero-trace space directly (interior
@@ -487,8 +484,8 @@ def l2_project(space, u_exact, p_exact, rule=None):
     weighted mean 1^T M_P p vanishes.  Returns (u_star, p_star) with the
     component-blocked interior velocity layout.
     """
-    rule = rule or conical_rule()
-    b_ux, b_uy, b_p = _moment_vectors(space, u_exact, p_exact, rule)
+    b_ux, b_uy, b_p = _moment_vectors(space, u_exact, p_exact,
+                                      conical_rule())
 
     idx = space.interior_nodes
     M = space.scalar_blocks[1]

@@ -314,6 +314,7 @@ def _option(kind, valid, requirement):
 _LEVEL = _option(int, lambda k: 1 <= k <= MAX_LEVEL,
                  f"levels run from 1 to {MAX_LEVEL}")
 _COUNT = _option(int, lambda n: n >= 0, "must be a nonnegative integer")
+_ITERATIONS = _option(int, lambda n: n >= 1, "must be a positive integer")
 _POSITIVE = _option(float, lambda v: v > 0.0, "must be positive")
 _BETAS = _option(
     lambda text: [float(b) for b in text.split(",") if b.strip()],
@@ -344,8 +345,8 @@ def build_parser():
                         help="smoother damping (defaults: 0.35 normal, 0.8 uzawa)")
     parser.add_argument("--sigma", type=_POSITIVE, default=None,
                         help="uzawa pressure damping (default 0.8)")
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--max-iter", type=int, default=200)
+    parser.add_argument("--tol", type=_POSITIVE, default=1e-9)
+    parser.add_argument("--max-iter", type=_ITERATIONS, default=200)
     parser.add_argument("--format", choices=["csv", "markdown"],
                         default="markdown")
     parser.add_argument("--check-damping", action="store_true",

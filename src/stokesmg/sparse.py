@@ -1,11 +1,12 @@
 """Sparse and dense linear-algebra plumbing.
 
 Matrices are scipy CSR throughout, apart from transposes held as CSC views;
-this module holds COO-triplet assembly, CSR layouts computed from row counts
-alone (column concatenation, row blocks sharing their parent's arrays),
-CSR and CSC matrices that hold given arrays without a copy, the in-place
-product every cycle operation goes through, and the pivoted, equilibrated
-dense factorization for the coarsest grid.
+this module holds packed integer COO-triplet assembly, CSR layouts computed
+from row counts alone (column concatenation, row blocks sharing their
+parent's arrays, block diagonals), CSR and CSC matrices that hold given
+arrays without a copy, the in-place product every cycle operation goes
+through, and the pivoted, equilibrated dense factorization for the
+coarsest grid.
 """
 
 from __future__ import annotations
@@ -51,16 +52,6 @@ def matvec_add(mat, x, out):
                          "(m, k) array")
     block(n_rows, n_cols, out.shape[1], mat.indptr, mat.indices, mat.data,
           x.ravel(), out.reshape(-1))
-    return out
-
-
-def from_triplets(nrows, ncols, rows, cols, values):
-    """CSR matrix from coordinate triplets; duplicate entries are summed."""
-    mat = sp.coo_matrix(
-        (np.asarray(values, dtype=float), (rows, cols)), shape=(nrows, ncols)
-    )
-    out = mat.tocsr()
-    out.sum_duplicates()
     return out
 
 
@@ -149,16 +140,23 @@ def interleave(from_left, left, right, out=None):
     return out
 
 
-def two_component(mat):
-    """CSR block diagonal [[mat, 0], [0, mat]], stacked from mat's own
-    arrays (the layout of a component-blocked two-component operator)."""
-    mat = mat.tocsr()
-    (n_rows, n_cols), nnz = mat.shape, mat.nnz
-    indptr = np.concatenate([mat.indptr, mat.indptr[1:] + nnz])
-    indices = np.concatenate([mat.indices, mat.indices + n_cols])
-    data = np.concatenate([mat.data, mat.data])
+def block_diagonal(*mats):
+    """CSR block diagonal of CSR matrices, stacked from their own arrays:
+    each block's rows, with its column indices shifted past the blocks
+    before it."""
+    indptr, indices = [mats[0].indptr[:1]], []
+    n_cols = nnz = 0
+    for mat in mats:
+        # Python int offsets, so int32 index arrays stay int32 (a numpy
+        # int64 offset would promote them, and scipy would copy them back)
+        indptr.append(mat.indptr[1:] + nnz)
+        indices.append(mat.indices + n_cols)
+        n_cols += mat.shape[1]
+        nnz += mat.nnz
     return sp.csr_matrix(
-        (data, indices, indptr), shape=(2 * n_rows, 2 * n_cols)
+        (np.concatenate([mat.data for mat in mats]), np.concatenate(indices),
+         np.concatenate(indptr)),
+        shape=(sum(mat.shape[0] for mat in mats), n_cols),
     )
 
 

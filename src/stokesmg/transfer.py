@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import CHILD_VERTEX_BARYCENTRIC
-from .sparse import matvec_add, two_component
+from .sparse import block_diagonal, matvec_add
 from .assembly import TaylorHoodSpace, p1_values, p2_values
 
 
@@ -44,19 +44,18 @@ _W_P1 = p1_values(CHILD_VERTEX_BARYCENTRIC)       # (4, 3, 3)
 
 
 def _embedding_matrix(fine_nodes, coarse_nodes, weights, fine_rows,
-                      coarse_columns):
+                      coarse_columns, n_columns):
     """CSR embedding from stacked per-child node tables.
 
     fine_nodes is the (4, T_c, a) table of the children's global nodes,
     coarse_nodes the (T_c, b) table of their parents', and weights the
     matching (4, a, b) constant table.  Row r of the result
     is fine node fine_rows[r]; coarse node c lands in column
-    coarse_columns[c], or nowhere if that is negative.  Each fine node
-    takes its row from any one (child, local node) that holds it: every
-    occurrence carries bitwise-identical weights.
+    coarse_columns[c], or nowhere if that is n_columns or more.  Each fine
+    node takes its row from any one (child, local node) that holds it:
+    every occurrence carries bitwise-identical weights.
     """
     _, tc, a = fine_nodes.shape
-    n_columns = int(coarse_columns.max()) + 1
     occurrence = np.empty(int(fine_nodes.max()) + 1, dtype=np.int64)
     occurrence[fine_nodes.ravel()] = np.arange(fine_nodes.size)
     child, local = np.divmod(occurrence[fine_rows], tc * a)
@@ -64,7 +63,7 @@ def _embedding_matrix(fine_nodes, coarse_nodes, weights, fine_rows,
 
     cols = coarse_columns[coarse_nodes[parent]]          # (rows, b)
     vals = weights[child, node]                          # (rows, b)
-    keep = (cols >= 0) & (vals != 0.0)
+    keep = (cols < n_columns) & (vals != 0.0)
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
     out = sp.csr_matrix(
         (vals[keep], cols[keep], indptr), shape=(fine_rows.size, n_columns)
@@ -75,28 +74,24 @@ def _embedding_matrix(fine_nodes, coarse_nodes, weights, fine_rows,
 
 @dataclass
 class TransferOperators:
-    """Prolongations for the velocity (interior, component-blocked) and
-    pressure blocks; restrictions are their transposes, cached as CSC views
-    of the prolongations' arrays (no copy)."""
+    """Prolongation P = diag(P_2, P_2, P_1) of a (velocity, pressure)
+    vector: the interior quadratic embedding on each velocity component,
+    then the linear one on the pressure.  The restriction R = P^T is cached
+    as a CSC view of P's arrays (no copy)."""
 
-    P_u: sp.csr_matrix
-    P_p: sp.csr_matrix
-
-    @cached_property
-    def R_u(self):
-        return self.P_u.T
+    P: sp.csr_matrix
 
     @cached_property
-    def R_p(self):
-        return self.P_p.T
+    def R(self):
+        return self.P.T
 
     @property
     def n_fine(self):
-        return self.P_u.shape[0] + self.P_p.shape[0]
+        return self.P.shape[0]
 
     @property
     def n_coarse(self):
-        return self.P_u.shape[1] + self.P_p.shape[1]
+        return self.P.shape[1]
 
 
 def build_prolongation(coarse_space: TaylorHoodSpace,
@@ -117,29 +112,16 @@ def build_prolongation(coarse_space: TaylorHoodSpace,
     child_ids = (4 * np.arange(tc)[None, :] + np.arange(4)[:, None])  # (4, Tc)
 
     # velocity: interior fine rows, interior coarse columns
-    coarse_interior = np.full(coarse_space.n_p2, -1, dtype=np.int64)
-    coarse_interior[coarse_space.interior_nodes] = np.arange(
-        coarse_space.n_interior
-    )
-    P2_int = _embedding_matrix(
+    P2 = _embedding_matrix(
         fine_space.tri_p2[child_ids], coarse_space.tri_p2, _W_P2,
-        fine_space.interior_nodes, coarse_interior,
+        fine_space.interior_nodes, coarse_space.interior_number,
+        coarse_space.n_interior,
     )
-    P_p = _embedding_matrix(
+    P1 = _embedding_matrix(
         fl.tri_vertices[child_ids], cl.tri_vertices, _W_P1,
-        np.arange(fl.n_vertices), np.arange(cl.n_vertices),
+        np.arange(fl.n_vertices), np.arange(cl.n_vertices), cl.n_vertices,
     )
-    return TransferOperators(P_u=two_component(P2_int), P_p=P_p)
-
-
-def _apply_blocks(velocity, pressure, x, n_out):
-    """[velocity, 0; 0, pressure] @ x, each block's product written into
-    its part of one new array."""
-    out = np.zeros((n_out,) + x.shape[1:])
-    nu_out, nu_in = velocity.shape
-    matvec_add(velocity, x[:nu_in], out[:nu_out])
-    matvec_add(pressure, x[nu_in:], out[nu_out:])
-    return out
+    return TransferOperators(P=block_diagonal(P2, P2, P1))
 
 
 def prolongate(transfer, x_coarse):
@@ -149,8 +131,8 @@ def prolongate(transfer, x_coarse):
             f"prolongate expects a vector of length {transfer.n_coarse}, "
             f"got {x_coarse.shape[0]}"
         )
-    return _apply_blocks(transfer.P_u, transfer.P_p, x_coarse,
-                         transfer.n_fine)
+    out = np.zeros((transfer.n_fine,) + x_coarse.shape[1:])
+    return matvec_add(transfer.P, x_coarse, out)
 
 
 def restrict(transfer, r_fine):
@@ -160,5 +142,5 @@ def restrict(transfer, r_fine):
             f"restrict expects a vector of length {transfer.n_fine}, "
             f"got {r_fine.shape[0]}"
         )
-    return _apply_blocks(transfer.R_u, transfer.R_p, r_fine,
-                         transfer.n_coarse)
+    out = np.zeros((transfer.n_coarse,) + r_fine.shape[1:])
+    return matvec_add(transfer.R, r_fine, out)

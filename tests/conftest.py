@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stokesmg.assembly import ProblemParams, TaylorHoodSpace, build_system
 from stokesmg.mesh import build_hierarchy
@@ -37,6 +38,25 @@ def systems3_by_beta(spaces3, systems3_beta1):
         params = ProblemParams(beta=beta)
         by_beta[beta] = [build_system(s, params) for s in spaces3]
     return by_beta
+
+
+def from_triplets(nrows, ncols, rows, cols, values):
+    """CSR matrix summed in floating point from coordinate triplets: the
+    float assembly oracle for the package's packed integer assembly."""
+    mat = sp.coo_matrix(
+        (np.asarray(values, dtype=float), (rows, cols)), shape=(nrows, ncols)
+    )
+    out = mat.tocsr()
+    out.sum_duplicates()
+    return out
+
+
+def transfer_blocks(transfer, n_u_fine, n_u_coarse):
+    """The velocity and pressure prolongations (P_u, P_p), sliced out of a
+    transfer's block-diagonal P given the fine and coarse velocity
+    sizes."""
+    P = transfer.P
+    return P[:n_u_fine, :n_u_coarse], P[n_u_fine:, n_u_coarse:]
 
 
 def locate_barycentric(space, x, y):

@@ -24,6 +24,8 @@ from stokesmg.smoother import (
     uzawa_step,
 )
 
+from conftest import transfer_blocks
+
 
 class Runner:
     """Shared hierarchy plus memoized measured solves."""
@@ -125,11 +127,12 @@ def test_criterion_6_galerkin_identity(runner):
         for k in (1, 2, 3):
             T = runner.cache.transfers[k]
             fine, coarse = systems[k], systems[k - 1]
+            P_u, P_p = transfer_blocks(T, fine.n_u, coarse.n_u)
             for row_p, col_p, mat_f, mat_c in [
-                (T.P_u, T.P_u, fine.A, coarse.A),
-                (T.P_p, T.P_u, fine.B, coarse.B),
-                (T.P_u, T.P_u, fine.M_U, coarse.M_U),
-                (T.P_p, T.P_p, fine.M_P, coarse.M_P),
+                (P_u, P_u, fine.A, coarse.A),
+                (P_p, P_u, fine.B, coarse.B),
+                (P_u, P_u, fine.M_U, coarse.M_U),
+                (P_p, P_p, fine.M_P, coarse.M_P),
             ]:
                 got = row_p.T @ mat_f @ col_p
                 err = np.abs((got - mat_c).toarray()).max()
@@ -232,9 +235,7 @@ def test_criterion_10_two_grid_dense_realization(runner):
     x = x0.copy()
     for _ in range(3):
         x = normal_equation_step(s1, sc, 0.35, x, rhs)
-    P = np.zeros((s1.n, s0.n))
-    P[: s1.n_u, : s0.n_u] = T.P_u.toarray()
-    P[s1.n_u:, s0.n_u:] = T.P_p.toarray()
+    P = T.P.toarray()
     rc = P.T @ (rhs - dense1 @ x)
     n0 = s0.n
     aug = np.zeros((n0 + 1, n0 + 1))

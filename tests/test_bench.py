@@ -154,6 +154,10 @@ def test_cli_divergent_exit_code(capsys):
     (["--beta", "1,x"], "--beta"),
     (["--nu-pre", "-1"], "--nu-pre"),
     (["--tau", "0"], "--tau"),
+    (["--max-iter", "-1"], "--max-iter"),
+    (["--max-iter", "0"], "--max-iter"),
+    (["--tol", "-1"], "--tol"),
+    (["--tol", "0"], "--tol"),
 ])
 def test_cli_rejects_bad_options_with_a_usage_error(capsys, argv, option):
     # a value the run would fail on is reported by the parser: exit code

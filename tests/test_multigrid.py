@@ -160,9 +160,7 @@ def test_two_grid_matches_dense_oracle(systems3_beta1, transfers3):
     for _ in range(2):
         r = rhs - dense1 @ x
         x = x + 0.35 * (dense1 @ (r / d)) / d
-    P = np.zeros((s1.n, s0.n))
-    P[: s1.n_u, : s0.n_u] = T.P_u.toarray()
-    P[s1.n_u:, s0.n_u:] = T.P_p.toarray()
+    P = T.P.toarray()
     rc = P.T @ (rhs - dense1 @ x)
     n0 = s0.n
     aug = np.zeros((n0 + 1, n0 + 1))

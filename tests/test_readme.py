@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stokesmg.bench import BETA_TABLE, ExperimentGrid, run_table
+from stokesmg.bench import BETA_TABLE, ExperimentGrid, main, run_table
 from stokesmg.multigrid import CycleConfig
 from stokesmg.smoother import SmootherConfig
 
@@ -52,3 +52,13 @@ def test_readme_beta_tables_level4_rows(table, kind):
     for r, n, q in zip(got, row[1::2], row[2::2]):
         assert r.converged and r.n == int(n)
         assert abs(r.q - float(q)) <= 5e-4
+
+
+def test_readme_nu_sweep_table_regenerates(capsys):
+    # the whole smoothing-step sweep, as the CLI prints it, byte for byte;
+    # its 1+1 and 2+2 Uzawa cells diverge, hence exit code 2
+    assert main(["--table", "nu-sweep", "--max-level", "4"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    readme = README.read_text().splitlines()
+    start = readme.index(lines[0])
+    assert readme[start:start + len(lines) + 1] == lines + [""]

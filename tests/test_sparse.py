@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stokesmg.sparse import (
     DenseFactorization,
     SingularMatrixError,
-    from_triplets,
+    block_diagonal,
     matvec_add,
 )
+
+from conftest import from_triplets, transfer_blocks
 
 
 def test_dense_solve_identity_and_diagonal():
@@ -71,22 +74,40 @@ def test_from_triplets_sums_duplicates():
     np.testing.assert_array_equal(m.toarray(), [[0.0, 5.0], [1.0, 0.0]])
 
 
-def cycle_matrices(system, transfer):
+def test_block_diagonal_matches_scipy():
+    rng = np.random.default_rng(12)
+    blocks = [sp.random(m, n, density=0.4, format="csr", random_state=rng)
+              for m, n in ((3, 5), (4, 2), (1, 3))]
+    assert all(b.indices.dtype == np.int32 for b in blocks)
+    got = block_diagonal(*blocks)
+    want = sp.block_diag(blocks, format="csr")
+    assert got.format == "csr" and got.shape == want.shape == (8, 10)
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data, want.data)):
+        assert np.array_equal(a, b)
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+
+
+def cycle_matrices(system, coarse, transfer):
     """The matrices the cycle multiplies by: K and its row blocks (CSR
-    views), B^T and a restriction (CSC views), and a prolongation."""
+    views), B^T and the restriction (CSC views), and the prolongation; and
+    a velocity restriction and pressure prolongation sliced from them."""
+    P_u, P_p = transfer_blocks(transfer, system.n_u, coarse.n_u)
     return {
         "K": system.K, "velocity_rows": system.velocity_rows, "B": system.B,
-        "Bt": system.Bt, "R_u": transfer.R_u, "P_p": transfer.P_p,
+        "Bt": system.Bt, "R": transfer.R, "P": transfer.P, "R_u": P_u.T,
+        "P_p": P_p,
     }
 
 
 @pytest.mark.parametrize("name", ["K", "velocity_rows", "B", "Bt", "R_u",
-                                  "P_p"])
+                                  "P_p", "R", "P"])
 @pytest.mark.parametrize("k", [None, 3])
 def test_matvec_add_matches_matmul(systems3_beta1, transfers3, name, k):
     # matvec_add calls scipy's private kernels, so it is pinned to `@`
-    mat = cycle_matrices(systems3_beta1[2], transfers3[2])[name]
-    assert mat.format == ("csc" if name in ("Bt", "R_u") else "csr")
+    mat = cycle_matrices(systems3_beta1[2], systems3_beta1[1],
+                         transfers3[2])[name]
+    assert mat.format == ("csc" if name in ("Bt", "R_u", "R") else "csr")
     rng = np.random.default_rng(9)
     tail = () if k is None else (k,)
     x = rng.standard_normal((mat.shape[1],) + tail)

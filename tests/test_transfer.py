@@ -12,7 +12,7 @@ from stokesmg.transfer import (
     restrict,
 )
 
-from conftest import eval_p2_function
+from conftest import eval_p2_function, transfer_blocks
 
 
 def test_embedding_reproduces_coarse_functions(spaces3, transfers3):
@@ -28,7 +28,7 @@ def test_embedding_reproduces_coarse_functions(spaces3, transfers3):
         fine.p2_coords[fine.interior_nodes, 0],
         fine.p2_coords[fine.interior_nodes, 1],
     )
-    got = T.P_u[: fine.n_interior, : coarse.n_interior] @ coeff[
+    got = T.P[: fine.n_interior, : coarse.n_interior] @ coeff[
         coarse.interior_nodes
     ]
     assert np.abs(got - fine_vals).max() <= 1e-13
@@ -39,31 +39,36 @@ def test_pressure_embedding_reproduces_linear_functions(spaces3, transfers3):
     T = transfers3[1]
     # a linear function is reproduced exactly by its vertex values
     f = lambda c: 2.0 * c[:, 0] - 0.7 * c[:, 1] + 0.25
-    got = T.P_p @ f(coarse.level.vertex_coords)
+    P_p = transfer_blocks(T, fine.n_velocity, coarse.n_velocity)[1]
+    got = P_p @ f(coarse.level.vertex_coords)
     assert np.abs(got - f(fine.level.vertex_coords)).max() <= 1e-14
 
 
-def test_pressure_embedding_preserves_constants_exactly(transfers3):
-    for T in transfers3[1:]:
-        ones = np.ones(T.P_p.shape[1])
-        assert np.array_equal(T.P_p @ ones, np.ones(T.P_p.shape[0]))
+def test_pressure_embedding_preserves_constants_exactly(spaces3,
+                                                       transfers3):
+    for T, coarse, fine in zip(transfers3[1:], spaces3, spaces3[1:]):
+        P_p = transfer_blocks(T, fine.n_velocity, coarse.n_velocity)[1]
+        ones = np.ones(P_p.shape[1])
+        assert np.array_equal(P_p @ ones, np.ones(P_p.shape[0]))
 
 
 def test_midpoint_row_is_half_half(spaces3, transfers3):
     coarse, fine = spaces3[0], spaces3[1]
     T = transfers3[1]
     nv = coarse.level.n_vertices
+    P_p = transfer_blocks(T, fine.n_velocity, coarse.n_velocity)[1]
     for e in range(coarse.level.n_edges):
-        row = T.P_p[nv + e].toarray().ravel()
+        row = P_p[nv + e].toarray().ravel()
         nz = np.flatnonzero(row)
         assert sorted(nz) == sorted(coarse.level.edge_vertices[e])
         np.testing.assert_array_equal(row[nz], [0.5, 0.5])
 
 
-def test_row_sparsity_bounds(transfers3):
-    for T in transfers3[1:]:
-        assert np.diff(T.P_u.indptr).max() <= 6
-        assert np.diff(T.P_p.indptr).max() <= 3
+def test_row_sparsity_bounds(spaces3, transfers3):
+    for T, coarse, fine in zip(transfers3[1:], spaces3, spaces3[1:]):
+        P_u, P_p = transfer_blocks(T, fine.n_velocity, coarse.n_velocity)
+        assert np.diff(P_u.indptr).max() <= 6
+        assert np.diff(P_p.indptr).max() <= 3
 
 
 def test_prolongate_restrict_zero(spaces3, transfers3):
@@ -83,11 +88,13 @@ def test_adjoint_identity(transfers3):
 
 
 def test_restrictions_are_views_of_prolongations(transfers3):
-    # R_u and R_p are the transposes of P_u and P_p, stored in their memory
+    # R is the transpose of P, stored in its memory
     for T in transfers3[1:]:
-        for R, P in ((T.R_u, T.P_u), (T.R_p, T.P_p)):
-            assert np.shares_memory(R.data, P.data)
-            assert np.abs((R - P.T).toarray()).max() == 0.0
+        assert T.R.format == "csc"
+        for a, b in ((T.R.data, T.P.data), (T.R.indices, T.P.indices),
+                     (T.R.indptr, T.P.indptr)):
+            assert np.shares_memory(a, b)
+        assert np.abs((T.R - T.P.T).toarray()).max() == 0.0
 
 
 def test_dimension_checks(transfers3):
@@ -109,11 +116,12 @@ def test_galerkin_identity_all_blocks(spaces3, transfers3, systems3_beta1):
     for k in (1, 2, 3):
         T = transfers3[k]
         fine, coarse = systems3_beta1[k], systems3_beta1[k - 1]
+        P_u, P_p = transfer_blocks(T, fine.n_u, coarse.n_u)
         blocks = [
-            (T.P_u, T.P_u, fine.A, coarse.A),
-            (T.P_p, T.P_u, fine.B, coarse.B),
-            (T.P_u, T.P_u, fine.M_U, coarse.M_U),
-            (T.P_p, T.P_p, fine.M_P, coarse.M_P),
+            (P_u, P_u, fine.A, coarse.A),
+            (P_p, P_u, fine.B, coarse.B),
+            (P_u, P_u, fine.M_U, coarse.M_U),
+            (P_p, P_p, fine.M_P, coarse.M_P),
         ]
         for row_p, col_p, mat_f, mat_c in blocks:
             got = row_p.T @ mat_f @ col_p
@@ -123,10 +131,12 @@ def test_galerkin_identity_all_blocks(spaces3, transfers3, systems3_beta1):
 
 def test_prolongation_full_column_rank(spaces3, transfers3, systems3_beta1):
     for k in (1, 2):
-        T = transfers3[k]
-        gram = (T.P_u.T @ systems3_beta1[k].M_U @ T.P_u).toarray()
+        fine = systems3_beta1[k]
+        P_u, P_p = transfer_blocks(transfers3[k], fine.n_u,
+                                   systems3_beta1[k - 1].n_u)
+        gram = (P_u.T @ fine.M_U @ P_u).toarray()
         assert np.linalg.eigvalsh(gram).min() > 0
-        gram_p = (T.P_p.T @ systems3_beta1[k].M_P @ T.P_p).toarray()
+        gram_p = (P_p.T @ fine.M_P @ P_p).toarray()
         assert np.linalg.eigvalsh(gram_p).min() > 0
 
 
@@ -190,5 +200,26 @@ def test_prolongation_matches_pair_dedupe_oracle():
             fine.level.tri_vertices[child_ids], coarse.level.tri_vertices,
             _W_P1, fine.level.n_vertices, coarse.level.n_vertices,
         )
-        assert _same_csr(t.P_u, sp.block_diag([P2, P2], format="csr"))
-        assert _same_csr(t.P_p, P_p)
+        assert _same_csr(t.P, sp.block_diag([P2, P2, P_p], format="csr"))
+
+
+@pytest.mark.parametrize("tail", [(), (3,)])
+def test_transfers_apply_each_block_bitwise(tail):
+    # prolongate and restrict equal the products with P_2, P_2 and P_1 and
+    # their transposes, block by block, to the bit
+    spaces = [TaylorHoodSpace(lv) for lv in build_hierarchy(4).levels]
+    rng = np.random.default_rng(13)
+    for coarse, fine in zip(spaces, spaces[1:]):
+        T = build_prolongation(coarse, fine)
+        P2 = T.P[: fine.n_interior, : coarse.n_interior]
+        P1 = transfer_blocks(T, fine.n_velocity, coarse.n_velocity)[1]
+        n = coarse.n_interior
+        x = rng.standard_normal((T.n_coarse,) + tail)
+        want = np.concatenate([P @ part for P, part in
+                               zip((P2, P2, P1), np.split(x, [n, 2 * n]))])
+        assert np.array_equal(prolongate(T, x), want)
+        n = fine.n_interior
+        y = rng.standard_normal((T.n_fine,) + tail)
+        want = np.concatenate([P.T @ part for P, part in
+                               zip((P2, P2, P1), np.split(y, [n, 2 * n]))])
+        assert np.array_equal(restrict(T, y), want)
