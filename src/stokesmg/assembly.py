@@ -25,7 +25,7 @@ from .sparse import (
     interleave,
     matvec_add,
     merge_rows,
-    packed_from_triplets,
+    packed_from_blocks,
     row_block,
     select_entries,
 )
@@ -139,7 +139,10 @@ class ProblemParams:
 
 class TaylorHoodSpace:
     """Node bookkeeping and beta-independent matrices for the
-    quadratic/linear pair on one mesh level."""
+    quadratic/linear pair on one mesh level.  Blocks that only
+    build_system reads, the scalar stiffness and B, are kept as their
+    exact int16 numerators 6 K_s and (6 / l) B and scaled where they are
+    written into a system's K; the node tables are int32."""
 
     def __init__(self, level: MeshLevel):
         self.level = level
@@ -152,7 +155,8 @@ class TaylorHoodSpace:
         # Global quadratic nodes of each triangle, matching the local basis
         # ordering of p2_values.
         self.tri_p2 = np.hstack([level.tri_vertices, nv + level.tri_edges])
-        self.interior_nodes = np.flatnonzero(~self.p2_on_boundary)
+        self.interior_nodes = np.flatnonzero(~self.p2_on_boundary).astype(
+            np.int32)
         self.n_interior = self.interior_nodes.size
         # interior index of every quadratic node, n_interior (one past the
         # last) on the boundary
@@ -164,8 +168,8 @@ class TaylorHoodSpace:
         self.n_pressure = nv
         self.n_velocity = 2 * self.n_interior
         self._saddle_patterns = {}
-        # B^T's values in the order K's velocity rows hold them, set with a
-        # saddle pattern: all of B^T that build_system needs
+        # (6 / l) B^T's values in the order K's velocity rows hold them, set
+        # with a saddle pattern: all of B^T that build_system needs
         self._bt_values = None
 
     @cached_property
@@ -213,39 +217,34 @@ class TaylorHoodSpace:
 
     @cached_property
     def scalar_blocks(self):
-        """Scalar stiffness K and mass M on interior quadratic nodes,
-        sharing one index pattern: the entries where either is nonzero.
-        Each stored value is the exact one, correctly rounded."""
+        """(6 K_s, M_s): the scalar stiffness times 6, as its exact int16
+        integers, and the scalar mass on interior quadratic nodes, sharing
+        one index pattern: the entries where either is nonzero.  Each
+        stored mass value is the exact one, correctly rounded, and so is
+        each stiffness value once divided by 6."""
         ell, _, adj = self._element_classes
         nodes, n = self.interior_number[self.tri_p2], self.n_interior
-        K, M = _assemble_packed(self, _local_tables(adj)[0], _MASS360,
-                                nodes, nodes, n, n)
-        return (csr_view(K.data / 6.0, K.indices, K.indptr, K.shape),
-                csr_view(M.data / 360.0 * ell ** 2, M.indices, M.indptr,
-                         M.shape))
-
-    @cached_property
-    def stiffness(self):
-        """The scalar stiffness on its own nonzeros: A's scalar block at
-        beta = 0."""
-        K_s = self.scalar_blocks[0]
-        return select_entries(K_s.data != 0.0, K_s)[0]
+        K6, M360 = _assemble_packed(self, _local_tables(adj)[0], _MASS360,
+                                    nodes, nodes, n, n)
+        return K6, csr_view(_scaled(M360.data, 360.0, ell ** 2),
+                            M360.indices, M360.indptr, M360.shape)
 
     @cached_property
     def B(self):
-        """Divergence block [D_x, D_y]: rows are pressure dofs, columns
-        interior velocity dofs in component-blocked order; each of D_x and
-        D_y holds its own nonzeros, at their exact values correctly
-        rounded."""
-        ell, _, adj = self._element_classes
+        """(6 / l) B for the divergence block B = [D_x, D_y], as its exact
+        int16 integers: rows are pressure dofs, columns interior velocity
+        dofs in component-blocked order; each of D_x and D_y holds its own
+        nonzeros.  Divided by 6, then scaled by l, each stored value is the
+        exact one, correctly rounded."""
+        _, _, adj = self._element_classes
         d_x, d_y = np.moveaxis(_local_tables(adj)[1], 1, 0)
         packed = _assemble_packed(
-            self, d_x, d_y, self.level.tri_vertices.astype(np.int32),
+            self, d_x, d_y, self.level.tri_vertices,
             self.interior_number[self.tri_p2], self.n_pressure, self.n_interior)
         Dx, Dy = (select_entries(D.data != 0, D)[0] for D in packed)
         indptr, from_x = merge_rows(Dx.indptr, Dy.indptr)
         return csr_view(
-            interleave(from_x, Dx.data / 6.0 * ell, Dy.data / 6.0 * ell),
+            interleave(from_x, Dx.data, Dy.data),
             interleave(from_x, Dx.indices, Dy.indices + self.n_interior),
             indptr, (self.n_pressure, self.n_velocity),
         )
@@ -265,7 +264,9 @@ class TaylorHoodSpace:
         """
         stiffness_only = beta == 0.0
         if stiffness_only not in self._saddle_patterns:
-            A_s = self.stiffness if stiffness_only else self.scalar_blocks[0]
+            A_s = self.scalar_blocks[0]
+            if stiffness_only:
+                (A_s,) = select_entries(A_s.data != 0, A_s)
             self._saddle_patterns[stiffness_only] = self._saddle_layout(A_s)
         return self._saddle_patterns[stiffness_only]
 
@@ -289,11 +290,19 @@ class TaylorHoodSpace:
         correctly rounded."""
         ell, _, adj = self._element_classes
         mass = np.broadcast_to(_P1_MASS24, (len(adj), 3, 3))
-        tv = self.level.tri_vertices.astype(np.int32)
-        M_P, _ = _assemble_packed(self, mass, np.zeros_like(mass), tv, tv,
+        tv = self.level.tri_vertices
+        M24, _ = _assemble_packed(self, mass, np.zeros_like(mass), tv, tv,
                                   self.n_pressure, self.n_pressure)
-        return csr_view(M_P.data / 24.0 * ell ** 2, M_P.indices, M_P.indptr,
-                        M_P.shape)
+        return csr_view(_scaled(M24.data, 24.0, ell ** 2), M24.indices,
+                        M24.indptr, M24.shape)
+
+
+def _scaled(numerators, divisor, scale):
+    """numerators / divisor * scale in float64, rounded as written, with no
+    second float array."""
+    out = np.divide(numerators, divisor, dtype=np.float64)
+    out *= scale
+    return out
 
 
 def _local_tables(adj):
@@ -308,7 +317,7 @@ def _local_tables(adj):
 
 
 def _assemble_packed(space, high, low, row_nodes, col_nodes, nrows, ncols):
-    """Two integer matrices summed from the per-class local tables high and
+    """Two int16 matrices summed from the per-class local tables high and
     low of every triangle, at its row and column nodes, in one conversion
     of the int32 values high * 2^16 + low; row nrows and column ncols mark
     entries to drop.  Raises ValueError unless both sums stay inside
@@ -319,11 +328,8 @@ def _assemble_packed(space, high, low, row_nodes, col_nodes, nrows, ncols):
     if count * max(np.abs(high).max(), np.abs(low).max()) >= 2 ** 15:
         raise ValueError("local tables too large to sum packed")
     packed = (high * 2 ** 16 + low).astype(np.int32)
-    shape = (classes.size,) + packed.shape[1:]
-    return packed_from_triplets(
-        nrows, ncols, np.broadcast_to(row_nodes[:, :, None], shape).ravel(),
-        np.broadcast_to(col_nodes[:, None, :], shape).ravel(),
-        packed[classes].ravel())
+    return packed_from_blocks(nrows, ncols, row_nodes, col_nodes, packed,
+                              classes)
 
 
 @dataclass
@@ -405,19 +411,32 @@ def build_system(space, params):
     """SaddleSystem of one level.  K's data is written on the space's saddle
     pattern for beta: A = K_s + beta M_s on both velocity components (the
     stiffness's nonzeros alone at beta = 0), then the values of the space's
-    B^T and B."""
-    K_s, M_s = space.scalar_blocks
+    B^T and B.  The space's integers are scaled in K's data, so the only
+    float copy of a set-up block is A's scalar values at beta > 0."""
+    K6, M_s = space.scalar_blocks
     beta = params.beta
-    a = space.stiffness.data if beta == 0.0 else K_s.data + beta * M_s.data
+    if beta == 0.0:
+        a = K6.data[K6.data != 0]
+    else:
+        a = beta * M_s.data
+        a += np.divide(K6.data, 6.0, dtype=np.float64)
+    # l is a power of two, so x / (6 / l) rounds as (x / 6) l does
+    scale = 6.0 / space._element_classes[0]
     indptr, indices, from_a = space.saddle_pattern(beta)
-    data = np.empty(indices.size)
+    data = np.zeros(indices.size)
+    velocity, pressure = data[: from_a.size], data[from_a.size:]
     # each velocity component's rows take A's scalar values once,
-    # interleaved with the B^T values of those rows
+    # interleaved with the B^T values of those rows, which are scaled
+    # first in the pressure rows: B holds as many entries as B^T
     half, bt = indptr[space.n_interior], space._bt_values
     for rows, bt_rows in ((slice(0, half), bt[: half - a.size]),
                           (slice(half, from_a.size), bt[half - a.size:])):
-        interleave(from_a[rows], a, bt_rows, out=data[rows])
-    data[from_a.size:] = space.B.data
+        out, to_a = velocity[rows], from_a[rows]
+        out[to_a] = a
+        if beta == 0.0:
+            out /= 6.0  # 6 K_s's values; B^T's entries are still zero
+        out[~to_a] = np.divide(bt_rows, scale, out=pressure[: bt_rows.size])
+    np.divide(space.B.data, scale, out=pressure)
     n = indptr.size - 1
     return SaddleSystem(
         K=csr_view(data, indices, indptr, (n, n)), M=M_s, M_P=space.M_P,

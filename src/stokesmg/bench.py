@@ -98,6 +98,8 @@ class TableRow:
     q: float
     converged: bool
     wall_time_ms: float
+    # why the solve stopped, as SolveReport.stop_reason has it
+    stop_reason: str
 
 
 class _HierarchyCache:
@@ -172,6 +174,7 @@ def run_table(grid: ExperimentGrid, cache=None, progress=None):
                     q=report.q,
                     converged=report.converged,
                     wall_time_ms=elapsed_ms,
+                    stop_reason=report.stop_reason,
                 )
                 rows.append(row)
                 if progress is not None:
@@ -204,8 +207,12 @@ def _emit_csv(rows):
 
 
 def _cells(row):
+    """The (n, q) cells of a markdown table: a solve cut off at max_iter
+    shows its rate, a diverged or non-finite one is "divergent"."""
     if row.converged:
         return str(row.n), f"{row.q:.3f}"
+    if row.stop_reason == "max_iter":
+        return "max_iter", f"{row.q:.3f}"
     return "divergent", ""
 
 

@@ -50,28 +50,31 @@ def _edges_from_triangles(tri_vertices):
     v0 < v1 and tri_edges[t, i] is the edge opposite vertex i of triangle t.
     Edge numbering is lexicographic in the vertex pairs, hence deterministic:
     the pair (v0, v1) is keyed as v0 * nv + v1, whose numeric order is the
-    lexicographic order of the pairs.
+    lexicographic order of the pairs.  The keys are int64, which nv^2
+    needs; both tables are int32.
     """
-    t = np.asarray(tri_vertices)
+    t = np.asarray(tri_vertices, dtype=np.int64)
     first = t[:, [1, 2, 0]].ravel()
     second = t[:, [2, 0, 1]].ravel()
     nv = int(t.max()) + 1
     keys = np.minimum(first, second) * nv + np.maximum(first, second)
     edge_keys, inverse = np.unique(keys, return_inverse=True)
     edge_vertices = np.stack(np.divmod(edge_keys, nv), axis=1)
-    tri_edges = inverse.reshape(-1, 3)
-    return edge_vertices, tri_edges
+    return edge_vertices.astype(np.int32), inverse.reshape(-1, 3).astype(
+        np.int32)
 
 
 class MeshLevel:
     """One triangulation of the hierarchy, stored as numpy index arrays
-    (vertex_coords, tri_vertices, edge_vertices, tri_edges, ...)."""
+    (vertex_coords, tri_vertices, edge_vertices, tri_edges, ...).  The
+    index tables are int32: the finest supported level has 2^23 triangles
+    and about 1.3 * 10^7 edges."""
 
     def __init__(self, level_index, vertex_coords, tri_vertices,
                  parent_triangle=None):
         self.level_index = int(level_index)
         self.vertex_coords = np.ascontiguousarray(vertex_coords, dtype=float)
-        self.tri_vertices = np.ascontiguousarray(tri_vertices, dtype=np.int64)
+        self.tri_vertices = np.ascontiguousarray(tri_vertices, dtype=np.int32)
         self.parent_triangle = parent_triangle
         self.vertex_on_boundary = _points_on_boundary(self.vertex_coords)
         self.edge_vertices, self.tri_edges = _edges_from_triangles(
@@ -145,14 +148,14 @@ def refine(level):
 
     v = level.tri_vertices
     m = nv + level.tri_edges  # m[:, i] = midpoint of edge opposite vertex i
-    children = np.empty((level.n_triangles, 4, 3), dtype=np.int64)
+    children = np.empty((level.n_triangles, 4, 3), dtype=np.int32)
     children[:, 0] = np.stack([v[:, 0], m[:, 2], m[:, 1]], axis=1)
     children[:, 1] = np.stack([v[:, 1], m[:, 0], m[:, 2]], axis=1)
     children[:, 2] = np.stack([v[:, 2], m[:, 1], m[:, 0]], axis=1)
     children[:, 3] = np.stack([m[:, 0], m[:, 1], m[:, 2]], axis=1)
     tris = children.reshape(-1, 3)
 
-    parent = np.repeat(np.arange(level.n_triangles, dtype=np.int64), 4)
+    parent = np.repeat(np.arange(level.n_triangles, dtype=np.int32), 4)
     return MeshLevel(level.level_index + 1, coords, tris, parent_triangle=parent)
 
 

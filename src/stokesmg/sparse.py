@@ -1,9 +1,9 @@
 """Sparse and dense linear-algebra plumbing.
 
 Matrices are scipy CSR throughout, apart from transposes held as CSC views;
-this module holds packed integer COO-triplet assembly, CSR layouts computed
-from row counts alone (column concatenation, row blocks sharing their
-parent's arrays, block diagonals), CSR and CSC matrices that hold given
+this module holds packed integer assembly from element blocks, CSR layouts
+computed from row counts alone (column concatenation, row blocks sharing
+their parent's arrays, block diagonals), CSR and CSC matrices that hold given
 arrays without a copy, the in-place product every cycle operation goes
 through, and the pivoted, equilibrated dense factorization for the
 coarsest grid.
@@ -55,27 +55,43 @@ def matvec_add(mat, x, out):
     return out
 
 
-def packed_from_triplets(nrows, ncols, rows, cols, packed):
-    """Two integer CSR matrices, high and low, summed from one conversion
-    of coordinate triplets with int32 values high * 2^16 + low, which
-    unpack exactly while both sums stay inside +-2^15.  They share their
-    index arrays and hold the entries where either sum is nonzero.
-    Triplets in row nrows or column ncols, one past the matrix, are
-    dropped, so a caller marks unwanted triplets instead of masking them.
+def packed_from_blocks(nrows, ncols, row_nodes, col_nodes, tables, classes):
+    """Two int16 CSR matrices, high and low, summed from dense element
+    blocks: element t adds the int32 values high * 2^16 + low of
+    tables[classes[t]] at rows row_nodes[t] and columns col_nodes[t].
+    They unpack exactly while both sums stay inside +-2^15.  The matrices
+    share their index arrays and hold the entries where either sum is
+    nonzero.  Entries in row nrows or column ncols, one past the matrix,
+    are dropped, so a caller marks unwanted nodes instead of masking them.
+
+    The unsummed CSR is laid out straight from the element rows sorted by
+    global row, so no coordinate triplets are built: it holds 8 bytes an
+    entry where triplets and their conversion held 20.
     """
-    z = sp.csr_matrix((packed, (rows, cols)), shape=(nrows + 1, ncols + 1))
-    # freed here when the caller passed the triplets as temporaries
-    del rows, cols, packed
+    a, b = tables.shape[1:]
+    rows = row_nodes.ravel()
+    order = np.argsort(rows, kind="stable")  # (element, local row) by row
+    indptr = np.zeros(nrows + 2, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=nrows + 1) * b, out=indptr[1:])
+    block_rows = (classes[:, None] * a + np.arange(a)).ravel()[order]
+    data = tables.reshape(-1, b)[block_rows].ravel()
+    del block_rows
+    indices = col_nodes[order // a].ravel()
+    del order
+    z = sp.csr_matrix((data, indices, indptr), shape=(nrows + 1, ncols + 1))
+    # z's are the only references left, so summing may free the unsummed
+    # arrays
+    del data, indices
+    z.sum_duplicates()
     z = row_block(z, 0, nrows, ncols + 1)
     (z,) = select_entries((z.data != 0) & (z.indices != ncols), z)
     total = z.data
-    low = total & 0xFFFF
-    low ^= 0x8000
-    low -= 0x8000
+    # an integer cast wraps: this keeps the low 16 bits, read as signed
+    low = total.astype(np.int16)
     total -= low
     total >>= 16
     return tuple(csr_view(half, z.indices, z.indptr, (nrows, ncols))
-                 for half in (total, low))
+                 for half in (total.astype(np.int16), low))
 
 
 def csr_view(data, indices, indptr, shape):
@@ -109,11 +125,16 @@ def row_block(mat, start, stop, ncols):
 def select_entries(keep, *mats):
     """The entries where keep holds of CSR matrices on one layout, in their
     stored order, sharing one new layout; its indptr is a running count of
-    keep, with no sort."""
+    keep per row, with no sort and no count per entry."""
     first = mats[0]
-    kept = np.zeros(keep.size + 1, dtype=first.indptr.dtype)
-    np.cumsum(keep, out=kept[1:])
-    indptr, indices = kept[first.indptr], first.indices[keep]
+    indptr = np.zeros(first.shape[0] + 1, dtype=first.indptr.dtype)
+    # a nonempty row's entries run up to the next nonempty row's first one
+    rows = np.flatnonzero(np.diff(first.indptr))
+    if rows.size:
+        indptr[rows + 1] = np.add.reduceat(keep, first.indptr[rows],
+                                           dtype=indptr.dtype)
+    np.cumsum(indptr, out=indptr)
+    indices = first.indices[keep]
     return tuple(csr_view(m.data[keep], indices, indptr, m.shape)
                  for m in mats)
 

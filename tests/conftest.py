@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -49,6 +51,27 @@ def from_triplets(nrows, ncols, rows, cols, values):
     out = mat.tocsr()
     out.sum_duplicates()
     return out
+
+
+def float_blocks(space):
+    """The blocks a space keeps as exact integers for set-up, in floating
+    point, scaled as build_system scales them, and its mass M_s:
+    K_s = 6 K_s / 6, the stiffness on its own nonzeros,
+    B = (6 / l) B / 6 * l, and B^T's values in saddle-pattern order (None
+    until the space has built a saddle pattern)."""
+    ell = space._element_classes[0]
+    K6, M_s = space.scalar_blocks
+    K_s = sp.csr_matrix((K6.data / 6.0, K6.indices, K6.indptr),
+                        shape=K6.shape)
+    stiffness = K_s.copy()
+    stiffness.eliminate_zeros()
+    B6, bt6 = space.B, space._bt_values
+    B = sp.csr_matrix((B6.data / 6.0 * ell, B6.indices, B6.indptr),
+                      shape=B6.shape)
+    return SimpleNamespace(
+        K_s=K_s, M_s=M_s, stiffness=stiffness, B=B,
+        bt_values=None if bt6 is None else bt6 / 6.0 * ell,
+    )
 
 
 def transfer_blocks(transfer, n_u_fine, n_u_coarse):

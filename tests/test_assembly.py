@@ -15,6 +15,7 @@ from stokesmg.assembly import (
     ProblemParams,
     QuadratureRule,
     TaylorHoodSpace,
+    _assemble_packed,
     _local_tables,
     _mass_cg,
     _moment_vectors,
@@ -28,7 +29,7 @@ from stokesmg.assembly import (
 from stokesmg.mesh import CHILD_VERTEX_BARYCENTRIC, MeshLevel, build_hierarchy
 from stokesmg.sparse import block_diagonal, interleave
 
-from conftest import eval_p2_function, from_triplets
+from conftest import eval_p2_function, float_blocks, from_triplets
 
 # Reference-element matrices from exact symbolic integration of the
 # quadratic/linear bases over the unit right triangle (frozen oracle).
@@ -253,10 +254,10 @@ def _traced_peak(build):
 
 
 def test_blocks_set_up_within_a_multiple_of_what_they_keep():
-    # each pair of blocks is summed from one set of int32 triplets, which
-    # are freed once converted, so set-up peaks at a bounded multiple of
-    # what the space keeps (level 5: 1.8x and 3.1x; 5.0x and 9.0x when the
-    # triplets were complex floating-point sums)
+    # each pair of blocks is summed from one int32 CSR laid out straight
+    # from the element blocks, with no coordinate triplets, so set-up peaks
+    # at a bounded multiple of what the space keeps, its int16 stiffness
+    # and B included (level 5: 1.8x and 3.9x)
     space = TaylorHoodSpace(build_hierarchy(5)[5])
     # inputs shared with other blocks
     space._element_classes, space.M_P
@@ -357,19 +358,22 @@ def test_blocks_match_quadrature_loop_oracle(level):
     # the stored blocks are those integers summed, here in floating point
     # (exact), then divided by 6, 360, 6 and 24 and scaled by l^0, l^2, l
     # and l^2: bitwise, with nothing stored where both sums of a shared
-    # pattern vanish
+    # pattern vanish; the space keeps 6 K_s and (6 / l) B as the integers
     K6, M360, B6 = _assemble_locals(space, *integer[:3])
     P24 = _pressure_mass_from_locals(space, integer[3])
-    K_s, M_s = space.scalar_blocks
-    for got, want in ((K_s, K6 / 6.0), (M_s, M360 / 360.0 * ell ** 2),
-                      (space.B, B6 / 6.0 * ell),
+    blocks = float_blocks(space)
+    for got, want in ((space.scalar_blocks[0], K6), (space.B, B6),
+                      (blocks.K_s, K6 / 6.0),
+                      (blocks.M_s, M360 / 360.0 * ell ** 2),
+                      (blocks.B, B6 / 6.0 * ell),
                       (space.M_P, P24 / 24.0 * ell ** 2)):
         assert got.shape == want.shape
         assert (got != want).nnz == 0
     for mat in (K6, M360, B6, P24):
         mat.eliminate_zeros()
-    assert _stored(K_s) == _stored(M_s) == _stored(K6) | _stored(M360)
-    assert _stored(space.B) == _stored(B6)
+    assert (_stored(blocks.K_s) == _stored(blocks.M_s)
+            == _stored(K6) | _stored(M360))
+    assert _stored(blocks.B) == _stored(B6)
     assert _stored(space.M_P) == _stored(P24)
 
 
@@ -460,16 +464,18 @@ def _nonzero(exact, column_shift=0):
 def test_stored_patterns_are_exact_nonzeros(level):
     space = TaylorHoodSpace(build_hierarchy(level)[level])
     K, M, Dx, Dy, P = _exact_blocks(space)
-    K_s, M_s = space.scalar_blocks
-    assert _stored(K_s) == _stored(M_s) == _nonzero(K) | _nonzero(M)
-    assert _stored(space.stiffness) == _nonzero(K)
-    assert _stored(space.B) == _nonzero(Dx) | _nonzero(Dy, space.n_interior)
+    blocks = float_blocks(space)
+    assert _stored(blocks.K_s) == _stored(blocks.M_s) == (_nonzero(K)
+                                                          | _nonzero(M))
+    assert _stored(blocks.stiffness) == _nonzero(K)
+    assert _stored(blocks.B) == _nonzero(Dx) | _nonzero(Dy, space.n_interior)
     assert _stored(space.M_P) == _nonzero(P)
     # every stored value is the exact one, correctly rounded
     divergence = {**Dx, **{(i, j + space.n_interior): v
                            for (i, j), v in Dy.items()}}
-    for mat, exact in ((K_s, K), (M_s, M), (space.stiffness, K),
-                       (space.B, divergence), (space.M_P, P)):
+    for mat, exact in ((blocks.K_s, K), (blocks.M_s, M),
+                       (blocks.stiffness, K), (blocks.B, divergence),
+                       (space.M_P, P)):
         coo = mat.tocoo()
         want = np.array([float(exact[key]) for key in
                          zip(coo.row.tolist(), coo.col.tolist())])
@@ -554,7 +560,8 @@ def test_saddle_patterns_match_float_path(level):
     # at values a few ulps from that assembly's
     space = TaylorHoodSpace(build_hierarchy(level)[level])
     K_s, M_s, stiffness, B = _float_path_blocks(space)
-    for got, want in zip((*space.scalar_blocks, space.stiffness, space.B),
+    blocks = float_blocks(space)
+    for got, want in zip((blocks.K_s, blocks.M_s, blocks.stiffness, blocks.B),
                          (K_s, M_s, stiffness, B)):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -602,6 +609,80 @@ def test_assembly_rejects_tables_too_large_to_pack(m):
         TaylorHoodSpace(level).scalar_blocks
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_sums_raise_before_int16_could_overflow(sign):
+    # the check admits tables up to (2^15 - 1) / (most triangles at a
+    # node): their int16 sums are exact at the node where the most
+    # triangles meet, in both halves of the packed values; one more
+    # raises before anything is summed
+    space = TaylorHoodSpace(build_hierarchy(2)[2])
+    tv, n = space.level.tri_vertices, space.n_pressure
+    count = np.bincount(tv.ravel()).max()
+    largest = (2 ** 15 - 1) // count
+    shape = (len(space._element_classes[2]), 3, 3)
+    table = np.full(shape, sign * largest)
+    high, low = _assemble_packed(space, table, -table, tv, tv, n, n)
+    rows = np.broadcast_to(tv[:, :, None], (len(tv), 3, 3)).ravel()
+    cols = np.broadcast_to(tv[:, None, :], (len(tv), 3, 3)).ravel()
+    triangles = from_triplets(n, n, rows, cols, np.ones(rows.size))
+    assert high.data.dtype == low.data.dtype == np.int16
+    assert (high != sign * largest * triangles).nnz == 0
+    assert (low != -sign * largest * triangles).nnz == 0
+    assert np.abs(high.data).max() == count * largest
+    table = np.full(shape, sign * (largest + 1))
+    with pytest.raises(ValueError, match="too large"):
+        _assemble_packed(space, table, -table, tv, tv, n, n)
+
+
+def test_space_keeps_set_up_blocks_as_int16_and_node_tables_as_int32():
+    space = TaylorHoodSpace(build_hierarchy(2)[2])
+    for beta in (0.0, 1.0):
+        build_system(space, ProblemParams(beta=beta))
+    K6, M_s = space.scalar_blocks
+    for values in (K6.data, space.B.data, space._bt_values):
+        assert values.dtype == np.int16
+    level = space.level
+    for table in (level.tri_vertices, level.tri_edges, level.edge_vertices,
+                  level.parent_triangle, space.tri_p2, space.interior_nodes,
+                  space.interior_number):
+        assert table.dtype == np.int32
+    # the only float64 arrays the space holds are what a solve reads, the
+    # masses, and its node coordinates: no float copy of K_s, of the
+    # stiffness at beta = 0, of B or of B^T's values
+    held = []
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            held.append(value)
+        elif sp.issparse(value):
+            held.extend((value.data, value.indices, value.indptr))
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                collect(item)
+        elif isinstance(value, dict):
+            collect(list(value.values()))
+
+    collect([v for k, v in vars(space).items() if k != "level"])
+    floats = {id(a) for a in held if a.dtype == np.float64}
+    assert floats == {id(M_s.data), id(space.M_P.data), id(space.p2_coords)}
+
+
+def test_level5_space_and_two_systems_hold_at_most_16_5_mb():
+    # a level-5 space, its mesh and its beta = 0 and beta = 1 systems hold
+    # 15.9 MB, 19.7 MB when the space kept float64 copies of K_s, B and
+    # B^T's values, the beta = 0 stiffness and int64 node tables
+    tracemalloc.start()
+    try:
+        space = TaylorHoodSpace(build_hierarchy(5)[5])
+        systems = [build_system(space, ProblemParams(beta=beta))
+                   for beta in (0.0, 1.0)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(systems) == 2
+    assert held <= 16.5e6
+
+
 @pytest.mark.parametrize("level", range(5))
 def test_velocity_blocks_exactly_symmetric(level):
     space = TaylorHoodSpace(build_hierarchy(level)[level])
@@ -617,11 +698,12 @@ def test_systems_share_beta_independent_blocks(space2):
     assert s0.M is s1.M is space2.scalar_blocks[1] and s0.M_P is s1.M_P
     assert not np.shares_memory(s0.K.data, s1.K.data)
     # each B is a view of its own K's pressure rows, holding the space's B
+    B = float_blocks(space2).B
     for s in (s0, s1):
         assert np.shares_memory(s.B.data, s.K.data)
-        assert np.array_equal(s.B.indptr, space2.B.indptr)
-        assert np.array_equal(s.B.indices, space2.B.indices)
-        assert np.array_equal(s.B.data, space2.B.data)
+        assert np.array_equal(s.B.indptr, B.indptr)
+        assert np.array_equal(s.B.indices, B.indices)
+        assert np.array_equal(s.B.data, B.data)
 
 
 def test_systems_share_saddle_pattern(space2):
@@ -649,8 +731,8 @@ def _pattern(m):
 @pytest.mark.parametrize("level", range(6))
 def test_saddle_matrix_matches_block_oracle(spaces5, level, beta):
     space = spaces5[level]
-    K_s, M_s = space.scalar_blocks
-    B = space.B
+    blocks = float_blocks(space)
+    K_s, M_s, B = blocks.K_s, blocks.M_s, blocks.B
     # A on the pattern the scalar blocks share, explicit zeros included
     A_s = K_s.copy()
     A_s.data = K_s.data + beta * M_s.data
@@ -672,13 +754,14 @@ def _concatenated_saddle_data(space, beta):
     """K's data written with A's scalar values first concatenated once per
     velocity component, then interleaved with B^T's over all velocity
     rows."""
-    K_s, M_s = space.scalar_blocks
-    a = space.stiffness.data if beta == 0.0 else K_s.data + beta * M_s.data
     _, indices, from_a = space.saddle_pattern(beta)
+    blocks = float_blocks(space)
+    a = (blocks.stiffness.data if beta == 0.0
+         else blocks.K_s.data + beta * blocks.M_s.data)
     data = np.empty(indices.size)
-    interleave(from_a, np.concatenate([a, a]), space._bt_values,
+    interleave(from_a, np.concatenate([a, a]), blocks.bt_values,
                out=data[: from_a.size])
-    data[from_a.size:] = space.B.data
+    data[from_a.size:] = blocks.B.data
     return data
 
 
@@ -695,8 +778,9 @@ def test_saddle_data_matches_concatenated_formula(spaces5, level, beta):
 def test_build_system_peaks_within_a_multiple_of_its_data(spaces5, beta,
                                                           bound):
     # A's scalar values go into each velocity component's rows in turn,
-    # not concatenated for both first: level 5 peaks at 1.05x K's data at
-    # beta = 0 and 1.39x at beta > 0 (1.64x and 2.11x when concatenated)
+    # not concatenated for both first, and the integer numerators are
+    # scaled in K's data: level 5 peaks at 1.12x K's data at beta = 0 and
+    # 1.39x at beta > 0 (1.64x and 2.11x when concatenated)
     space = spaces5[5]
     build_system(space, ProblemParams(beta=beta))  # blocks and pattern
     system, peak = _traced_peak(
@@ -735,21 +819,21 @@ def test_apply_matches_loop_oracle_property(loop_oracles3, level, beta, seed):
 
 def test_systems_share_transposed_divergence(space2):
     # every system's B^T is B transposed, read from its own K's memory
+    B = float_blocks(space2).B
     for beta in (0.0, 1e4):
         s = build_system(space2, ProblemParams(beta=beta))
-        assert np.abs((s.Bt - space2.B.T).toarray()).max() == 0.0
+        assert np.abs((s.Bt - B.T).toarray()).max() == 0.0
         assert np.shares_memory(s.Bt.data, s.K.data)
         assert np.shares_memory(s.Bt.indices, s.K.indices)
     # a system with a divergence block of its own transposes that block
     s0 = build_system(space2, ProblemParams(beta=0.0))
     scaled = dataclasses.replace(s0, B=2.0 * s0.B)
-    assert np.abs((scaled.Bt - 2.0 * space2.B.T).toarray()).max() == 0.0
+    assert np.abs((scaled.Bt - 2.0 * B.T).toarray()).max() == 0.0
     assert np.shares_memory(scaled.Bt.data, scaled.K.data)
     # and its saddle matrix is rebuilt around that block
     x = np.random.default_rng(4).standard_normal(s0.n)
     u, p = s0.split(x)
-    want = np.concatenate([s0.A @ u + 2.0 * (space2.B.T @ p),
-                           2.0 * (space2.B @ u)])
+    want = np.concatenate([s0.A @ u + 2.0 * (B.T @ p), 2.0 * (B @ u)])
     assert np.abs(scaled.apply(x) - want).max() <= 1e-14 * np.abs(want).max()
 
 

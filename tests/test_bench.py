@@ -111,10 +111,12 @@ def test_emit_markdown_levels_by_beta(small_rows):
 
 def test_emit_markdown_nu_sweep_divergent_cells():
     rows = [
-        TableRow(4, 1.0, "uzawa", 1, 1, 200, 1.2, False, 10.0),
-        TableRow(4, 1.0, "uzawa", 3, 3, 14, 0.2, True, 10.0),
-        TableRow(4, 1.0, "normal_equation", 1, 1, 88, 0.789, True, 10.0),
-        TableRow(4, 1.0, "normal_equation", 3, 3, 30, 0.496, True, 10.0),
+        TableRow(4, 1.0, "uzawa", 1, 1, 200, 1.2, False, 10.0, "diverged"),
+        TableRow(4, 1.0, "uzawa", 3, 3, 14, 0.2, True, 10.0, "converged"),
+        TableRow(4, 1.0, "normal_equation", 1, 1, 88, 0.789, True, 10.0,
+                 "converged"),
+        TableRow(4, 1.0, "normal_equation", 3, 3, 30, 0.496, True, 10.0,
+                 "converged"),
     ]
     text = emit(rows, "markdown")
     assert "divergent" in text
@@ -144,6 +146,20 @@ def test_cli_divergent_exit_code(capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "false" in out
+
+
+def test_cli_labels_a_solve_cut_off_at_max_iter(capsys):
+    # a solve that stops on --max-iter while contracting is no divergence:
+    # its cell reads max_iter with its rate, and the exit code is still 2
+    code = main(["--max-level", "1", "--beta", "1", "--tol", "1e-6",
+                 "--max-iter", "5"])
+    out = capsys.readouterr().out
+    assert code == 2
+    row = out.strip().splitlines()[-1]
+    cells = [c.strip() for c in row.strip("|").split("|")]
+    assert cells[:2] == ["1", "max_iter"]
+    assert 0.0 < float(cells[2]) < 1.0
+    assert "divergent" not in out
 
 
 @pytest.mark.parametrize("argv, option", [
