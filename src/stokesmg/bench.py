@@ -182,7 +182,8 @@ def run_table(grid: ExperimentGrid, cache=None, progress=None):
     return rows
 
 
-CSV_HEADER = "level,beta,smoother,nu_pre,nu_post,n,q,converged,wall_time_ms"
+CSV_HEADER = ("level,beta,smoother,nu_pre,nu_post,n,q,converged,wall_time_ms,"
+              "stop_reason")
 
 
 def _emit_csv(rows):
@@ -201,6 +202,7 @@ def _emit_csv(rows):
                 f"{r.q:.3f}",
                 "true" if r.converged else "false",
                 f"{r.wall_time_ms:.1f}",
+                r.stop_reason,
             ]
         )
     return out.getvalue()

@@ -5,13 +5,16 @@ this module holds packed integer assembly from element blocks, CSR layouts
 computed from row counts alone (column concatenation, row blocks sharing
 their parent's arrays, block diagonals), CSR and CSC matrices that hold given
 arrays without a copy, the in-place product every cycle operation goes
-through, and the pivoted, equilibrated dense factorization for the
-coarsest grid.
+through (a large CSR one split by rows over two threads), and the
+pivoted, equilibrated dense factorization for the coarsest grid.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +28,50 @@ _MATVEC = {
     "csc": (_sparsetools.csc_matvec, _sparsetools.csc_matvecs),
 }
 
+# A CSR product with at least this many stored entries runs as two row
+# halves on two cores.  Handing a half to the worker costs 10-20 us, so
+# splitting broke even near 100 000 entries (2-core machine: a level-6 M_P
+# of 115 457 entries took 41 serial against 38-55 us split); a level-5 K
+# at beta = 1 (494 674) took 256-283 against 138-162 us, a level-6 one
+# (2 005 074) 1 026-1 042 against 533-682 us.  Level 4's products, at most
+# 120 402 entries, stay serial.
+_SPLIT_NNZ = 150_000
+_FLOAT64 = np.dtype(np.float64)
+
+# the worker thread for the first half of a split product, started on
+# first use; a forked child has no thread behind its copy, so drops it
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _drop_worker():
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _get_worker():
+    """The split-product worker, or None on a single usable core."""
+    global _worker
+    if _worker is None:
+        if _usable_cores() < 2:
+            return None
+        with _worker_lock:
+            if _worker is None:
+                _worker = ThreadPoolExecutor(
+                    1, thread_name_prefix="stokesmg-matvec")
+    return _worker
+
 
 class SingularMatrixError(ValueError):
     """Dense factorization hit a (numerically) singular matrix."""
@@ -37,21 +84,60 @@ def matvec_add(mat, x, out):
     Each entry of out is accumulated onto its value on entry, so out = -b
     gives mat @ x - b with no zero fill and no second pass.  x may be of
     any real dtype; out must be float64.
+
+    A CSR product with at least _SPLIT_NNZ entries, on a machine with two
+    usable cores, runs its rows in two halves of about equal entries, one
+    on a worker thread.  Each entry of out is still summed by one thread in
+    the same order, so the result is bitwise that of one serial product.
     """
     n_rows, n_cols = mat.shape
     if x.shape[0] != n_cols or out.shape != (n_rows,) + x.shape[1:]:
         raise ValueError(
             f"matvec_add: matrix {mat.shape}, x {x.shape}, out {out.shape}"
         )
+    # checked here, not left to the kernel, so that neither half of a split
+    # product can fail on it while the other still writes
+    if out.dtype != _FLOAT64:
+        raise ValueError(f"matvec_add: out must be float64, not {out.dtype}")
+    if out.ndim > 1 and (out.ndim != 2 or not out.flags.c_contiguous):
+        raise ValueError("matvec_add: a block out must be a C-contiguous "
+                         "(m, k) array")
+    if mat.data.size >= _SPLIT_NNZ and mat.format == "csr":
+        worker = _get_worker()
+        if worker is not None:
+            return _split_product(worker, mat, x, out)
     vector, block = _MATVEC[mat.format]
     if out.ndim == 1:
         vector(n_rows, n_cols, mat.indptr, mat.indices, mat.data, x, out)
-        return out
-    if out.ndim != 2 or not out.flags.c_contiguous:
-        raise ValueError("matvec_add: a block out must be a C-contiguous "
-                         "(m, k) array")
-    block(n_rows, n_cols, out.shape[1], mat.indptr, mat.indices, mat.data,
-          x.ravel(), out.reshape(-1))
+    else:
+        block(n_rows, n_cols, out.shape[1], mat.indptr, mat.indices,
+              mat.data, x.ravel(), out.reshape(-1))
+    return out
+
+
+def _split_product(worker, mat, x, out):
+    """matvec_add for a CSR matrix, its rows in two halves of about equal
+    entries: the first on the worker thread, the second here.  Each half
+    passes its rows' slice of indptr, whose offsets index the full arrays,
+    so every entry of out is summed as in one serial product."""
+    n_rows, n_cols = mat.shape
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    vector, block = _MATVEC["csr"]
+    if out.ndim == 1:
+        kernel, width = vector, ()
+    else:
+        kernel, width, x = block, out.shape[1:], x.ravel()
+
+    def rows(start, stop):
+        return (stop - start, n_cols, *width, indptr[start:stop + 1],
+                indices, data, x, out[start:stop].reshape(-1))
+
+    mid = int(np.searchsorted(indptr, indptr[-1] // 2))
+    first = worker.submit(kernel, *rows(0, mid))
+    try:
+        kernel(*rows(mid, n_rows))
+    finally:
+        first.result()
     return out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stokesmg import sparse
 from stokesmg.assembly import ProblemParams, TaylorHoodSpace, build_system
 from stokesmg.mesh import build_hierarchy
 from stokesmg.transfer import build_prolongation
@@ -40,6 +41,13 @@ def systems3_by_beta(spaces3, systems3_beta1):
         params = ProblemParams(beta=beta)
         by_beta[beta] = [build_system(s, params) for s in spaces3]
     return by_beta
+
+
+def force_split_products(monkeypatch):
+    """Make sparse.matvec_add split every CSR product over two threads,
+    whatever its size and however many cores this process may use."""
+    monkeypatch.setattr(sparse, "_SPLIT_NNZ", 0)
+    monkeypatch.setattr(sparse, "_usable_cores", lambda: 2)
 
 
 def from_triplets(nrows, ncols, rows, cols, values):

@@ -97,6 +97,7 @@ def test_emit_csv_empty_and_round_trip(small_rows):
     assert int(rec["n"]) == rows[0].n
     assert float(rec["q"]) == pytest.approx(rows[0].q, abs=5e-4)
     assert rec["converged"] == "true"
+    assert rec["stop_reason"] == "converged"
 
 
 def test_emit_markdown_levels_by_beta(small_rows):
@@ -130,6 +131,11 @@ def test_emit_rejects_unknown_format(small_rows):
         emit(rows, "latex")
 
 
+def last_csv_record(out):
+    return dict(zip(CSV_HEADER.split(","),
+                    out.strip().splitlines()[-1].split(",")))
+
+
 def test_cli_custom_run(capsys):
     code = main(["--max-level", "1", "--beta", "1", "--format", "csv"])
     out = capsys.readouterr().out
@@ -145,7 +151,9 @@ def test_cli_divergent_exit_code(capsys):
     ])
     out = capsys.readouterr().out
     assert code == 2
-    assert "false" in out
+    rec = last_csv_record(out)
+    assert rec["converged"] == "false"
+    assert rec["stop_reason"] == "diverged"
 
 
 def test_cli_labels_a_solve_cut_off_at_max_iter(capsys):
@@ -160,6 +168,14 @@ def test_cli_labels_a_solve_cut_off_at_max_iter(capsys):
     assert cells[:2] == ["1", "max_iter"]
     assert 0.0 < float(cells[2]) < 1.0
     assert "divergent" not in out
+    # the CSV tells it from a divergence too
+    code = main(["--max-level", "1", "--beta", "1", "--tol", "1e-6",
+                 "--max-iter", "5", "--format", "csv"])
+    out = capsys.readouterr().out
+    assert code == 2
+    rec = last_csv_record(out)
+    assert rec["converged"] == "false"
+    assert rec["stop_reason"] == "max_iter"
 
 
 @pytest.mark.parametrize("argv, option", [

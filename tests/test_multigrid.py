@@ -5,13 +5,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from stokesmg import sparse
 from stokesmg.assembly import ProblemParams, build_system, manufactured_rhs
 from stokesmg.bench import _HierarchyCache
 from stokesmg.multigrid import CycleConfig, Multigrid, triple_norm
 from stokesmg.smoother import SmootherConfig, build_scaling
 from stokesmg.transfer import prolongate, restrict
 
-from conftest import eval_p2_function
+from conftest import eval_p2_function, force_split_products
 
 
 def make_mg(systems, transfers, level, config=None):
@@ -466,15 +467,13 @@ def test_integer_iterate_is_taken_as_float(systems3_beta1, transfers3,
                           mg.mg_cycle(3, x.astype(float), b.astype(float)))
 
 
-@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
-def test_concurrent_cycles_on_one_hierarchy(systems3_beta1, transfers3,
-                                            kind):
-    # README promises solves on one hierarchy may run concurrently: no
-    # cycle operation may keep scratch arrays on a shared object
+def check_concurrent_cycles(systems, transfers, kind, monkeypatch=None):
+    """Two threads' level-3 W-cycles on one Multigrid equal sequential ones
+    bitwise; given monkeypatch, the threads run with every product split."""
     cfg = CycleConfig(smoother=SmootherConfig(kind=kind), cycle="W")
-    mg = Multigrid(systems3_beta1, transfers3, cfg)
+    mg = Multigrid(systems, transfers, cfg)
     mg._level1_map()
-    n = systems3_beta1[3].n
+    n = systems[3].n
     rng = np.random.default_rng(22)
     starts = [rng.standard_normal(n) for _ in range(2)]
     rhss = [rng.standard_normal(n) for _ in range(2)]
@@ -488,6 +487,8 @@ def test_concurrent_cycles_on_one_hierarchy(systems3_beta1, transfers3,
         return x
 
     want = [five_cycles(x, b) for x, b in zip(starts, rhss)]
+    if monkeypatch is not None:
+        force_split_products(monkeypatch)
     # switch threads often, so that the two solves interleave finely, and
     # run them together several times
     interval = sys.getswitchinterval()
@@ -501,6 +502,23 @@ def test_concurrent_cycles_on_one_hierarchy(systems3_beta1, transfers3,
                     assert np.array_equal(g, w)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_concurrent_cycles_on_one_hierarchy(systems3_beta1, transfers3,
+                                            kind):
+    # README promises solves on one hierarchy may run concurrently: no
+    # cycle operation may keep scratch arrays on a shared object
+    check_concurrent_cycles(systems3_beta1, transfers3, kind)
+
+
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_concurrent_cycles_with_split_products(systems3_beta1, transfers3,
+                                               kind, monkeypatch):
+    # both solves hand the first halves of their products to the one
+    # worker thread, which must keep each half with its own product
+    check_concurrent_cycles(systems3_beta1, transfers3, kind, monkeypatch)
+    assert sparse._worker is not None
 
 
 def test_concurrent_first_cycles_build_once(systems3_beta1, transfers3,

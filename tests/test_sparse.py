@@ -1,7 +1,12 @@
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stokesmg import sparse
 from stokesmg.sparse import (
     DenseFactorization,
     SingularMatrixError,
@@ -9,7 +14,7 @@ from stokesmg.sparse import (
     matvec_add,
 )
 
-from conftest import from_triplets, transfer_blocks
+from conftest import force_split_products, from_triplets, transfer_blocks
 
 
 def test_dense_solve_identity_and_diagonal():
@@ -161,3 +166,97 @@ def test_matvec_add_reads_an_integer_x(systems3_beta1):
     x = np.arange(mat.shape[1])
     assert np.array_equal(matvec_add(mat, x, np.zeros(mat.shape[0])),
                           mat @ x.astype(float))
+
+
+def split_cases(mat, rng):
+    """(name, x, out) inputs for a product: a vector, an (n, 3) block, an
+    integer x, a nonzero start and a strided out."""
+    m, n = mat.shape
+    base = np.full(2 * m, 7.0)
+    base[::2] = 0.0
+    return [
+        ("vector", rng.standard_normal(n), np.zeros(m)),
+        ("block", rng.standard_normal((n, 3)), np.zeros((m, 3))),
+        ("integer x", rng.integers(-9, 10, n), np.zeros(m)),
+        ("nonzero start", rng.standard_normal(n), rng.standard_normal(m)),
+        ("strided out", rng.standard_normal(n), base[::2]),
+    ]
+
+
+@pytest.mark.parametrize("name", ["K", "velocity_rows", "B", "M", "M_P",
+                                  "P"])
+def test_split_product_is_bitwise_serial(systems3_beta1, transfers3,
+                                         monkeypatch, name):
+    # each half sums its rows in the serial order, so a split product is
+    # the serial one to the bit, and `@`'s from a zero start
+    system = systems3_beta1[3]
+    mat = {"K": system.K, "velocity_rows": system.velocity_rows,
+           "B": system.B, "M": system.M, "M_P": system.M_P,
+           "P": transfers3[3].P}[name]
+    assert mat.format == "csr"
+    for case, x, start in split_cases(mat, np.random.default_rng(13)):
+        want = start + mat @ x.astype(float)
+        monkeypatch.setattr(sparse, "_SPLIT_NNZ", mat.nnz + 1)
+        serial = matvec_add(mat, x, start.copy())
+        force_split_products(monkeypatch)
+        out = start.copy() if case != "strided out" else start
+        assert matvec_add(mat, x, out) is out
+        assert np.array_equal(out, serial), case
+        if case != "nonzero start":
+            assert np.array_equal(out, want), case
+        if case == "strided out":
+            assert np.all(out.base[1::2] == 7.0)
+    assert sparse._worker is not None
+
+
+def test_split_product_rejects_a_float32_out(systems3_beta1, monkeypatch):
+    force_split_products(monkeypatch)
+    mat = systems3_beta1[2].K
+    out = np.zeros(mat.shape[0], dtype=np.float32)
+    with pytest.raises(ValueError, match="float64"):
+        matvec_add(mat, np.ones(mat.shape[1]), out)
+    assert not out.any()
+
+
+def test_one_usable_core_starts_no_worker(systems3_beta1, monkeypatch):
+    force_split_products(monkeypatch)
+    monkeypatch.setattr(sparse, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(sparse, "_worker", None)
+    threads = threading.active_count()
+    mat = systems3_beta1[3].K
+    x = np.random.default_rng(14).standard_normal(mat.shape[1])
+    assert np.array_equal(matvec_add(mat, x, np.zeros(mat.shape[0])),
+                          mat @ x)
+    assert sparse._worker is None
+    assert threading.active_count() == threads
+
+
+def split_product_in_child(mat, x, want):
+    # a fork copies the parent's worker object but not its thread: the
+    # child must start a worker of its own
+    fresh = sparse._worker is None
+    got = matvec_add(mat, x, np.zeros(mat.shape[0]))
+    sys.exit(0 if fresh and sparse._worker is not None
+             and np.array_equal(got, want) else 1)
+
+
+def test_split_product_in_a_forked_child(systems3_beta1, monkeypatch):
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        pytest.skip("no fork start method on this platform")
+    force_split_products(monkeypatch)
+    mat = systems3_beta1[3].K
+    x = np.random.default_rng(15).standard_normal(mat.shape[1])
+    want = mat @ x
+    assert np.array_equal(matvec_add(mat, x, np.zeros(mat.shape[0])), want)
+    assert sparse._worker is not None
+    child = context.Process(target=split_product_in_child,
+                            args=(mat, x, want))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("a split product in a forked child did not finish")
+    assert child.exitcode == 0
