@@ -133,8 +133,10 @@ class ProblemParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        # written so that a NaN beta fails too
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(
+                f"beta must be nonnegative and finite, got {self.beta}")
 
 
 class TaylorHoodSpace:
@@ -241,7 +243,7 @@ class TaylorHoodSpace:
         packed = _assemble_packed(
             self, d_x, d_y, self.level.tri_vertices,
             self.interior_number[self.tri_p2], self.n_pressure, self.n_interior)
-        Dx, Dy = (select_entries(D.data != 0, D)[0] for D in packed)
+        Dx, Dy = (select_entries(D.data != 0, D) for D in packed)
         indptr, from_x = merge_rows(Dx.indptr, Dy.indptr)
         return csr_view(
             interleave(from_x, Dx.data, Dy.data),
@@ -266,7 +268,7 @@ class TaylorHoodSpace:
         if stiffness_only not in self._saddle_patterns:
             A_s = self.scalar_blocks[0]
             if stiffness_only:
-                (A_s,) = select_entries(A_s.data != 0, A_s)
+                A_s = select_entries(A_s.data != 0, A_s)
             self._saddle_patterns[stiffness_only] = self._saddle_layout(A_s)
         return self._saddle_patterns[stiffness_only]
 

@@ -112,8 +112,8 @@ class _HierarchyCache:
     """
 
     def __init__(self, max_level, solution=ExactSolution()):
-        self.hierarchy = build_hierarchy(max_level)
-        self.spaces = [TaylorHoodSpace(lv) for lv in self.hierarchy.levels]
+        self.spaces = [TaylorHoodSpace(mesh)
+                       for mesh in build_hierarchy(max_level)]
         self.transfers = [None] + [
             build_prolongation(self.spaces[k - 1], self.spaces[k])
             for k in range(1, len(self.spaces))
@@ -123,8 +123,7 @@ class _HierarchyCache:
         self._targets = {}
 
     def systems(self, beta, up_to_level):
-        key = beta
-        levels = self._systems.setdefault(key, [])
+        levels = self._systems.setdefault(beta, [])
         params = ProblemParams(beta=beta)
         while len(levels) <= up_to_level:
             levels.append(build_system(self.spaces[len(levels)], params))
@@ -218,44 +217,33 @@ def _cells(row):
     return "divergent", ""
 
 
-def _emit_markdown_levels_by_beta(rows):
-    betas = sorted({r.beta for r in rows})
-    levels = sorted({r.level for r in rows})
-    by_key = {(r.level, r.beta): r for r in rows}
-    header = ["k"]
-    for b in betas:
-        header += [f"beta={b:g} n", "q"]
+def _emit_markdown(rows):
+    """Pivot of the rows: a line per level (sorted) with an (n, q) column
+    pair per beta (sorted) or, for a smoothing-step sweep, whose rows
+    differ in (nu_pre, nu_post), a line per smoother (in order of first
+    appearance) with a column pair per sorted (nu_pre, nu_post)."""
+    if len({(r.nu_pre, r.nu_post) for r in rows}) > 1:
+        corner, label = "smoother", "nu={0[0]}+{0[1]} n".format
+        line = lambda r: r.smoother
+        column = lambda r: (r.nu_pre, r.nu_post)
+        keys = list(dict.fromkeys(map(line, rows)))
+    else:
+        corner, label = "k", "beta={:g} n".format
+        line, column = (lambda r: r.level), (lambda r: r.beta)
+        keys = sorted(set(map(line, rows)))
+    columns = sorted(set(map(column, rows)))
+    by_key = {(line(r), column(r)): r for r in rows}
+    header = [corner]
+    for c in columns:
+        header += [label(c), "q"]
     lines = [
         "| " + " | ".join(header) + " |",
         "|" + "---|" * len(header),
     ]
-    for k in levels:
-        cells = [str(k)]
-        for b in betas:
-            row = by_key.get((k, b))
-            cells += list(_cells(row)) if row else ["", ""]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_markdown_nu_sweep(rows):
-    nus = sorted({(r.nu_pre, r.nu_post) for r in rows})
-    smoothers = []
-    for r in rows:
-        if r.smoother not in smoothers:
-            smoothers.append(r.smoother)
-    by_key = {(r.smoother, r.nu_pre, r.nu_post): r for r in rows}
-    header = ["smoother"]
-    for pre, post in nus:
-        header += [f"nu={pre}+{post} n", "q"]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "---|" * len(header),
-    ]
-    for s in smoothers:
-        cells = [s]
-        for pre, post in nus:
-            row = by_key.get((s, pre, post))
+    for key in keys:
+        cells = [str(key)]
+        for c in columns:
+            row = by_key.get((key, c))
             cells += list(_cells(row)) if row else ["", ""]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
@@ -267,43 +255,38 @@ def emit(rows, fmt):
         return _emit_csv(rows)
     if fmt != "markdown":
         raise ValueError(f"unknown output format {fmt!r}")
-    if not rows:
-        return ""
-    if len({(r.nu_pre, r.nu_post) for r in rows}) > 1:
-        return _emit_markdown_nu_sweep(rows)
-    return _emit_markdown_levels_by_beta(rows)
+    return _emit_markdown(rows) if rows else ""
 
 
-def _smoother_config(name, tau, sigma):
-    kind = {"normal": "normal_equation", "uzawa": "uzawa"}[name]
-    return SmootherConfig(kind=kind, tau=tau, sigma=sigma)
+_SMOOTHERS = {"normal": "normal_equation", "uzawa": "uzawa"}
+_CYCLES = {"v": "V", "w": "W", "two-grid": "two_grid"}
 
 
-def _preset_grid(table, args):
-    cycle = {"v": "V", "w": "W", "two-grid": "two_grid"}[args.cycle]
-    if table == "nu-sweep":
-        level = min(4, args.max_level)
-        configs = []
-        for name in ("normal", "uzawa"):
-            for nu in NU_SWEEP:
-                smoother = _smoother_config(name, args.tau, args.sigma)
-                configs.append(
-                    CycleConfig(smoother=smoother, cycle=cycle,
-                                nu_pre=nu, nu_post=nu)
-                )
-        return ExperimentGrid(
-            levels=[level], betas=[1.0], configs=configs,
-            tol=args.tol, max_iter=args.max_iter,
+def _grid(args):
+    """The experiment grid of a parsed command line: the smoothing-step
+    sweep at level min(4, max_level) and beta = 1, a beta table of one
+    smoother over levels min(4, max_level)..max_level, or one custom run
+    at max_level."""
+    def config(smoother, nu_pre=args.nu_pre, nu_post=args.nu_post):
+        return CycleConfig(
+            smoother=SmootherConfig(kind=_SMOOTHERS[smoother], tau=args.tau,
+                                    sigma=args.sigma),
+            cycle=_CYCLES[args.cycle], nu_pre=nu_pre, nu_post=nu_post,
         )
-    # beta tables for one smoother over levels 4..max_level
-    levels = list(range(min(4, args.max_level), args.max_level + 1))
-    smoother = _smoother_config(table, args.tau, args.sigma)
-    config = CycleConfig(smoother=smoother, cycle=cycle,
-                         nu_pre=args.nu_pre, nu_post=args.nu_post)
-    return ExperimentGrid(
-        levels=levels, betas=list(BETA_TABLE), configs=[config],
-        tol=args.tol, max_iter=args.max_iter,
-    )
+
+    low = min(4, args.max_level)
+    if args.table == "nu-sweep":
+        levels, betas = [low], [1.0]
+        configs = [config(name, nu, nu) for name in _SMOOTHERS
+                   for nu in NU_SWEEP]
+    elif args.table:
+        levels, betas = list(range(low, args.max_level + 1)), list(BETA_TABLE)
+        configs = [config(args.table)]
+    else:
+        levels, betas = [args.max_level], args.beta
+        configs = [config(args.smoother)]
+    return ExperimentGrid(levels=levels, betas=betas, configs=configs,
+                          tol=args.tol, max_iter=args.max_iter)
 
 
 def _option(kind, valid, requirement):
@@ -374,7 +357,8 @@ def _damping_report(args, out):
     """
     top = min(3, args.max_level)
     cache = _HierarchyCache(top)
-    smoother = _smoother_config(args.smoother, args.tau, args.sigma)
+    smoother = SmootherConfig(kind=_SMOOTHERS[args.smoother], tau=args.tau,
+                              sigma=args.sigma)
     tau, sigma = smoother.tau, smoother.sigma
     for beta in (0.0, 1.0, 1e4, 1e10):
         for level, system in enumerate(cache.systems(beta, top)):
@@ -402,20 +386,7 @@ def main(argv=None):
     if args.check_damping:
         _damping_report(args, sys.stdout)
 
-    if args.table:
-        grid = _preset_grid(args.table, args)
-    else:
-        betas = args.beta
-        smoother = _smoother_config(args.smoother, args.tau, args.sigma)
-        cycle = {"v": "V", "w": "W", "two-grid": "two_grid"}[args.cycle]
-        config = CycleConfig(smoother=smoother, cycle=cycle,
-                             nu_pre=args.nu_pre, nu_post=args.nu_post)
-        grid = ExperimentGrid(
-            levels=[args.max_level], betas=betas, configs=[config],
-            tol=args.tol, max_iter=args.max_iter,
-        )
-
-    rows = run_table(grid)
+    rows = run_table(_grid(args))
     sys.stdout.write(emit(rows, args.format))
     return 2 if any(not r.converged for r in rows) else 0
 

@@ -159,25 +159,9 @@ def refine(level):
     return MeshLevel(level.level_index + 1, coords, tris, parent_triangle=parent)
 
 
-class MeshHierarchy:
-    """Levels 0..K of uniformly refined meshes with parent bookkeeping."""
-
-    def __init__(self, levels):
-        self.levels = list(levels)
-
-    def __len__(self):
-        return len(self.levels)
-
-    def __getitem__(self, k):
-        return self.levels[k]
-
-    @property
-    def max_level(self):
-        return len(self.levels) - 1
-
-
 def build_hierarchy(max_level):
-    """Uniformly refined hierarchy with levels 0..max_level."""
+    """The MeshLevels 0..max_level of the uniformly refined hierarchy, as a
+    list indexed by level."""
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
     if max_level > MAX_LEVEL:
@@ -189,4 +173,4 @@ def build_hierarchy(max_level):
     levels = [build_coarse_mesh()]
     for _ in range(max_level):
         levels.append(refine(levels[-1]))
-    return MeshHierarchy(levels)
+    return levels

@@ -204,18 +204,22 @@ class Multigrid:
     def mg_cycle(self, level, x, rhs):
         """One multigrid cycle on the given level, for an iterate vector or
         an (n, k) block of iterates with matching right-hand sides."""
-        if level >= len(self.systems):
-            raise ValueError(
-                f"level {level} not built (hierarchy has "
-                f"{len(self.systems)} levels)"
-            )
+        system = self._system(level)
         # the sweeps write into float64 arrays
         x = np.ascontiguousarray(x, dtype=float)
         rhs = np.ascontiguousarray(rhs, dtype=float)
-        if x.shape[0] != self.systems[level].n:
+        if x.shape[0] != system.n:
             raise ValueError("iterate length does not match the level")
         return self.project_pressure(level, self._cycle(level, x, rhs,
                                                          top=True))
+
+    def _system(self, level):
+        if not 0 <= level < len(self.systems):
+            raise ValueError(
+                f"level {level} not built (hierarchy has levels 0 to "
+                f"{len(self.systems) - 1})"
+            )
+        return self.systems[level]
 
     # -- measured iteration ---------------------------------------------
 
@@ -229,7 +233,9 @@ class Multigrid:
         stopped.  A non-finite error, at the start or after a cycle, ends
         the solve as failed with q = inf and stop_reason "non_finite"; an
         error above _DIVERGENCE_FACTOR * err0 ends it as "diverged"."""
-        system = self.systems[level]
+        system = self._system(level)
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
         x = np.zeros(system.n) if x0 is None else np.array(x0, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
         err0 = self.error_norm(level, x, x_star)
@@ -258,7 +264,7 @@ class Multigrid:
 
         n = len(history) - 1
         last = history[-1]
-        q = float((last / err0) ** (1.0 / n)) if n > 0 and last > 0.0 else 0.0
+        q = float((last / err0) ** (1.0 / n)) if last > 0.0 else 0.0
         if not np.isfinite(last):
             q = float("inf")
         return SolveReport(n=n, q=q, history=history,

@@ -170,7 +170,7 @@ def packed_from_blocks(nrows, ncols, row_nodes, col_nodes, tables, classes):
     del data, indices
     z.sum_duplicates()
     z = row_block(z, 0, nrows, ncols + 1)
-    (z,) = select_entries((z.data != 0) & (z.indices != ncols), z)
+    z = select_entries((z.data != 0) & (z.indices != ncols), z)
     total = z.data
     # an integer cast wraps: this keeps the low 16 bits, read as signed
     low = total.astype(np.int16)
@@ -208,21 +208,18 @@ def row_block(mat, start, stop, ncols):
                     indptr - lo if lo else indptr, (stop - start, ncols))
 
 
-def select_entries(keep, *mats):
-    """The entries where keep holds of CSR matrices on one layout, in their
-    stored order, sharing one new layout; its indptr is a running count of
-    keep per row, with no sort and no count per entry."""
-    first = mats[0]
-    indptr = np.zeros(first.shape[0] + 1, dtype=first.indptr.dtype)
+def select_entries(keep, mat):
+    """The entries of a CSR matrix where keep holds, in their stored order;
+    the new indptr is a running count of keep per row, with no sort and no
+    count per entry."""
+    indptr = np.zeros(mat.shape[0] + 1, dtype=mat.indptr.dtype)
     # a nonempty row's entries run up to the next nonempty row's first one
-    rows = np.flatnonzero(np.diff(first.indptr))
+    rows = np.flatnonzero(np.diff(mat.indptr))
     if rows.size:
-        indptr[rows + 1] = np.add.reduceat(keep, first.indptr[rows],
+        indptr[rows + 1] = np.add.reduceat(keep, mat.indptr[rows],
                                            dtype=indptr.dtype)
     np.cumsum(indptr, out=indptr)
-    indices = first.indices[keep]
-    return tuple(csr_view(m.data[keep], indices, indptr, m.shape)
-                 for m in mats)
+    return csr_view(mat.data[keep], mat.indices[keep], indptr, mat.shape)
 
 
 def merge_rows(left_indptr, right_indptr):
@@ -284,6 +281,8 @@ class DenseFactorization:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix has non-finite entries")
         self.shape = matrix.shape
         row_scale = np.max(np.abs(matrix), axis=1)
         if matrix.size == 0 or np.any(row_scale == 0.0):
@@ -302,7 +301,8 @@ class DenseFactorization:
             )
         gecon = scipy.linalg.get_lapack_funcs("gecon", (self._lu,))
         rcond, _ = gecon(self._lu, np.linalg.norm(scaled, 1))
-        if rcond < self._RCOND_FLOOR:
+        # written so that a NaN rcond fails too
+        if not rcond >= self._RCOND_FLOOR:
             raise SingularMatrixError(
                 f"matrix of shape {matrix.shape} is singular to working "
                 f"precision (equilibrated rcond {rcond:.1e})"

@@ -126,21 +126,11 @@ def build_prolongation(coarse_space: TaylorHoodSpace,
 
 def prolongate(transfer, x_coarse):
     """Embed a coarse (velocity, pressure) vector into the fine level."""
-    if x_coarse.shape[0] != transfer.n_coarse:
-        raise ValueError(
-            f"prolongate expects a vector of length {transfer.n_coarse}, "
-            f"got {x_coarse.shape[0]}"
-        )
     out = np.zeros((transfer.n_fine,) + x_coarse.shape[1:])
     return matvec_add(transfer.P, x_coarse, out)
 
 
 def restrict(transfer, r_fine):
     """Transpose-embedding of a fine residual onto the coarse level."""
-    if r_fine.shape[0] != transfer.n_fine:
-        raise ValueError(
-            f"restrict expects a vector of length {transfer.n_fine}, "
-            f"got {r_fine.shape[0]}"
-        )
     out = np.zeros((transfer.n_coarse,) + r_fine.shape[1:])
     return matvec_add(transfer.R, r_fine, out)

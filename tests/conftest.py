@@ -17,7 +17,7 @@ def hierarchy3():
 
 @pytest.fixture(scope="session")
 def spaces3(hierarchy3):
-    return [TaylorHoodSpace(lv) for lv in hierarchy3.levels]
+    return [TaylorHoodSpace(lv) for lv in hierarchy3]
 
 
 @pytest.fixture(scope="session")

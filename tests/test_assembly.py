@@ -183,6 +183,12 @@ def test_params_validation():
         ProblemParams(beta=-1.0)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+def test_params_reject_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="finite"):
+        ProblemParams(beta=beta)
+
+
 def test_space_dof_counts(space2):
     lv = space2.level
     assert space2.n_p2 == lv.n_vertices + lv.n_edges
@@ -718,7 +724,7 @@ def test_systems_share_saddle_pattern(space2):
 
 @pytest.fixture(scope="module")
 def spaces5():
-    return [TaylorHoodSpace(lv) for lv in build_hierarchy(5).levels]
+    return [TaylorHoodSpace(lv) for lv in build_hierarchy(5)]
 
 
 def _pattern(m):
@@ -790,7 +796,7 @@ def test_build_system_peaks_within_a_multiple_of_its_data(spaces5, beta,
 
 @pytest.fixture(scope="module")
 def loop_oracles3():
-    spaces = [TaylorHoodSpace(lv) for lv in build_hierarchy(3).levels]
+    spaces = [TaylorHoodSpace(lv) for lv in build_hierarchy(3)]
     return [(s, _assemble_locals(s, *_quadrature_loop_locals(
         s, degree4_rule())[:3])) for s in spaces]
 

@@ -122,7 +122,11 @@ def test_emit_markdown_nu_sweep_divergent_cells():
     text = emit(rows, "markdown")
     assert "divergent" in text
     assert "nu=1+1" in text and "nu=3+3" in text
-    assert text.splitlines()[2].startswith("| uzawa") or "| uzawa" in text
+    # smoothers in order of first appearance
+    lines = text.splitlines()
+    assert lines[2].startswith("| uzawa | divergent |  | 14 | 0.200 |")
+    assert lines[3].startswith("| normal_equation |")
+    assert len(lines) == 4
 
 
 def test_emit_rejects_unknown_format(small_rows):

@@ -69,7 +69,7 @@ def test_refine_preserves_parent_vertices_bitwise():
 
 def test_hierarchy_levels():
     hier = build_hierarchy(2)
-    assert [lv.n_triangles for lv in hier.levels] == [8, 32, 128]
+    assert [lv.n_triangles for lv in hier] == [8, 32, 128]
 
 
 def test_hierarchy_level4_count():
@@ -87,7 +87,7 @@ def test_hierarchy_k0_is_coarse_mesh():
 
 def test_hierarchy_invariants_per_level():
     hier = build_hierarchy(3)
-    for k, lv in enumerate(hier.levels):
+    for k, lv in enumerate(hier):
         assert lv.n_triangles == 8 * 4**k
         assert lv.h == pytest.approx(np.sqrt(2) / 2 * 2**-k, rel=1e-14)
         # Euler formula for a triangulated disk
@@ -99,7 +99,7 @@ def test_hierarchy_invariants_per_level():
 
 def test_edge_sharing_counts():
     hier = build_hierarchy(2)
-    for lv in hier.levels:
+    for lv in hier:
         counts = np.zeros(lv.n_edges, dtype=int)
         for e in lv.tri_edges.ravel():
             counts[e] += 1
@@ -130,14 +130,14 @@ def test_triangle_edges_opposite_vertices():
 def test_coarse_coordinates_reappear_on_all_levels():
     hier = build_hierarchy(3)
     coarse = hier[0].vertex_coords
-    for lv in hier.levels[1:]:
+    for lv in hier[1:]:
         assert np.array_equal(coarse, lv.vertex_coords[: coarse.shape[0]])
 
 
 def test_refine_numbers_edge_midpoints_after_vertices():
     # the midpoint of coarse edge e becomes fine vertex n_vertices + e
     hier = build_hierarchy(2)
-    for coarse, fine in zip(hier.levels, hier.levels[1:]):
+    for coarse, fine in zip(hier, hier[1:]):
         assert np.array_equal(
             fine.vertex_coords[coarse.n_vertices:], coarse.edge_midpoints
         )
@@ -165,7 +165,7 @@ def _edges_by_row_unique(tri_vertices):
 
 
 def test_edge_table_matches_row_unique_oracle():
-    for lv in build_hierarchy(5).levels:
+    for lv in build_hierarchy(5):
         edge_vertices, tri_edges = _edges_by_row_unique(lv.tri_vertices)
         assert np.array_equal(lv.edge_vertices, edge_vertices)
         assert np.array_equal(lv.tri_edges, tri_edges)

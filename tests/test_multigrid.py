@@ -71,6 +71,27 @@ def test_cycle_on_unbuilt_level(systems3_beta1, transfers3):
         mg.mg_cycle(3, np.zeros(1), np.zeros(1))
 
 
+@pytest.mark.parametrize("level", [-1, 3])
+def test_cycle_and_solve_reject_a_level_outside_the_stack(
+    systems3_beta1, transfers3, level
+):
+    mg = make_mg(systems3_beta1, transfers3, 2)
+    with pytest.raises(ValueError, match="not built"):
+        mg.mg_cycle(level, np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError, match="not built"):
+        mg.solve(level, np.zeros(1), np.zeros(1))
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_solve_rejects_max_iter_below_one(systems3_module, transfers3,
+                                          manufactured2, max_iter):
+    # a solve that ran no cycle has no rate to report
+    x_star, rhs = manufactured2
+    mg = make_mg(systems3_module, transfers3, 2)
+    with pytest.raises(ValueError, match="max_iter"):
+        mg.solve(2, rhs, x_star, max_iter=max_iter)
+
+
 def test_zero_residual_cycle_without_smoothing(systems3_beta1, transfers3):
     rng = np.random.default_rng(0)
     system = systems3_beta1[2]

@@ -54,6 +54,19 @@ def test_readme_beta_tables_level4_rows(table, kind):
         assert abs(r.q - float(q)) <= 5e-4
 
 
+@pytest.mark.parametrize("table, kind", [(0, "normal"), (1, "uzawa")])
+def test_readme_beta_tables_print_as_in_readme(capsys, table, kind):
+    # the header, rule and level-4 row of each beta table, as the CLI
+    # prints them, byte for byte
+    assert main(["--table", kind, "--max-level", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    readme = README.read_text().splitlines()
+    starts = [i for i, line in enumerate(readme) if line == lines[0]]
+    assert len(starts) == 2  # both beta tables have this header
+    assert readme[starts[table]:starts[table] + 3] == lines
+    assert lines[2].startswith("| 4 |")
+
+
 def test_readme_nu_sweep_table_regenerates(capsys):
     # the whole smoothing-step sweep, as the CLI prints it, byte for byte;
     # its 1+1 and 2+2 Uzawa cells diverge, hence exit code 2

@@ -67,6 +67,14 @@ def test_singular_matrix_raises():
         DenseFactorization(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("matrix", [np.full((2, 2), np.nan),
+                                    [[1.0, np.inf], [0.0, 1.0]]])
+def test_non_finite_matrix_raises(matrix):
+    # neither may factor into a solve that returns NaN
+    with pytest.raises(ValueError, match="non-finite"):
+        DenseFactorization(matrix)
+
+
 def test_dense_solve_shape_checks():
     with pytest.raises(ValueError):
         DenseFactorization(np.ones((2, 3)))

@@ -186,7 +186,7 @@ def _same_csr(a, b):
 
 
 def test_prolongation_matches_pair_dedupe_oracle():
-    spaces = [TaylorHoodSpace(lv) for lv in build_hierarchy(5).levels]
+    spaces = [TaylorHoodSpace(lv) for lv in build_hierarchy(5)]
     for coarse, fine in zip(spaces, spaces[1:]):
         t = build_prolongation(coarse, fine)
         tc = coarse.level.n_triangles
@@ -207,7 +207,7 @@ def test_prolongation_matches_pair_dedupe_oracle():
 def test_transfers_apply_each_block_bitwise(tail):
     # prolongate and restrict equal the products with P_2, P_2 and P_1 and
     # their transposes, block by block, to the bit
-    spaces = [TaylorHoodSpace(lv) for lv in build_hierarchy(4).levels]
+    spaces = [TaylorHoodSpace(lv) for lv in build_hierarchy(4)]
     rng = np.random.default_rng(13)
     for coarse, fine in zip(spaces, spaces[1:]):
         T = build_prolongation(coarse, fine)
