@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,11 +20,11 @@ import scipy.sparse.linalg as spla
 
 from .mesh import MeshLevel
 from .sparse import (
+    Product,
     block_diagonal,
     csc_view,
     csr_view,
     interleave,
-    matvec_add,
     merge_rows,
     packed_from_blocks,
     row_block,
@@ -342,10 +343,11 @@ class SaddleSystem:
     at beta = 0, A holds the stiffness's nonzeros only.
 
     M is the scalar velocity mass; the velocity mass M_U applies it to each
-    component.  The solver applies K, its velocity rows [A, B^T], B and
-    B^T; A and M_U are built on request, for diagnostics and tests.  B is
-    a view of K's pressure rows, and B^T a CSC view of B's arrays, so
-    neither holds memory of its own.  A system given another B
+    component.  The solver applies K, its velocity rows [A, B^T], B, B^T,
+    M and M_P, each through a product bound once (products); A and M_U
+    are built on request, for diagnostics and tests.  B is a view of K's
+    pressure rows, and B^T a CSC view of B's arrays, so neither holds
+    memory of its own.  A system given another B
     (dataclasses.replace(system, B=...)) rebuilds K around it, so a
     replacement of K itself passes B=None to take the new K's rows.
     """
@@ -379,6 +381,15 @@ class SaddleSystem:
         B = self.B
         return csc_view(B.data, B.indices, B.indptr, B.shape[::-1])
 
+    @cached_property
+    def products(self):
+        """The in-place products out += mat @ x (sparse.Product) with K,
+        velocity_rows, B, Bt, M and M_P, under those names."""
+        return SimpleNamespace(**{
+            name: Product(getattr(self, name))
+            for name in ("K", "velocity_rows", "B", "Bt", "M", "M_P")
+        })
+
     @property
     def A(self):
         """Velocity block, copied out of K."""
@@ -397,11 +408,15 @@ class SaddleSystem:
 
     def apply(self, x):
         """Saddle operator matvec."""
-        return matvec_add(self.K, x, np.zeros((self.n,) + x.shape[1:]))
+        return self.products.K(x, np.zeros((self.n,) + x.shape[1:]))
 
     def residual(self, x, rhs):
+        """rhs - K x, in a new array.  x None stands for the zero iterate,
+        whose residual is rhs itself: no product is made."""
+        if x is None:
+            return np.array(rhs, dtype=float)
         r = self.apply(x)
-        np.subtract(rhs, r, out=r)
+        np.subtract(rhs, r, r)
         return r
 
     def dense(self):

@@ -342,51 +342,57 @@ def build_parser():
     parser.add_argument("--format", choices=["csv", "markdown"],
                         default="markdown")
     parser.add_argument("--check-damping", action="store_true",
-                        help="check the selected smoother's damping on "
-                        "levels 1-3 before running")
+                        help="check the damping of each smoother the run "
+                        "uses on levels 1-3 before running")
     return parser
 
 
-def _damping_report(args, out):
-    """Check the damping the run uses on levels 1-3 for four beta.
+def _damping_report(grid, out):
+    """Check the damping of each smoother the grid runs (in the order it
+    runs them) on levels 1-3 for four beta, one line each, labelled with
+    the smoother.
 
     Normal equation: tau * rho(D^-1 A D^-1 A), which must stay below 2 for
     the damped iteration to contract.  Uzawa: the sufficient (not
     necessary) inequalities tau * lambda_max(Du^-1 A) <= 1 and
     tau * sigma * lambda_max(Dp^-1 B Du^-1 B^T) <= 1.
     """
-    top = min(3, args.max_level)
+    top = min(3, max(grid.levels))
     cache = _HierarchyCache(top)
-    smoother = SmootherConfig(kind=_SMOOTHERS[args.smoother], tau=args.tau,
-                              sigma=args.sigma)
-    tau, sigma = smoother.tau, smoother.sigma
-    for beta in (0.0, 1.0, 1e4, 1e10):
-        for level, system in enumerate(cache.systems(beta, top)):
-            if level == 0:
-                continue
-            scaling = build_scaling(system)
-            if smoother.kind == "normal_equation":
-                rho = tau * estimate_spectral_radius(system, scaling)
-                check = f"tau*rho(D^-1 A D^-1 A)={rho:.3f} (ok={rho < 2.0})"
-            else:
-                res = check_damping_conditions(system, scaling, tau, sigma)
-                check = (
-                    f"tau*lambda_velocity="
-                    f"{tau * res['lambda_velocity']:.3f} "
-                    f"(ok={res['velocity_ok']}), "
-                    f"tau*sigma*lambda_schur="
-                    f"{tau * sigma * res['lambda_schur']:.3f} "
-                    f"(ok={res['schur_ok']})"
-                )
-            out.write(f"damping level={level} beta={beta:g}: {check}\n")
+    smoothers = dict.fromkeys((c.smoother.kind, c.smoother.tau,
+                               c.smoother.sigma) for c in grid.configs)
+    for kind, tau, sigma in smoothers:
+        for beta in (0.0, 1.0, 1e4, 1e10):
+            for level, system in enumerate(cache.systems(beta, top)):
+                if level == 0:
+                    continue
+                scaling = build_scaling(system)
+                if kind == "normal_equation":
+                    rho = tau * estimate_spectral_radius(system, scaling)
+                    check = (f"tau*rho(D^-1 A D^-1 A)={rho:.3f} "
+                             f"(ok={rho < 2.0})")
+                else:
+                    res = check_damping_conditions(system, scaling, tau,
+                                                   sigma)
+                    check = (
+                        f"tau*lambda_velocity="
+                        f"{tau * res['lambda_velocity']:.3f} "
+                        f"(ok={res['velocity_ok']}), "
+                        f"tau*sigma*lambda_schur="
+                        f"{tau * sigma * res['lambda_schur']:.3f} "
+                        f"(ok={res['schur_ok']})"
+                    )
+                out.write(f"damping smoother={kind} level={level} "
+                          f"beta={beta:g}: {check}\n")
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    grid = _grid(args)
     if args.check_damping:
-        _damping_report(args, sys.stdout)
+        _damping_report(grid, sys.stdout)
 
-    rows = run_table(_grid(args))
+    rows = run_table(grid)
     sys.stdout.write(emit(rows, args.format))
     return 2 if any(not r.converged for r in rows) else 0
 

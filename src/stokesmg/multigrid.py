@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .smoother import SmootherConfig, build_scaling, smoother_step
-from .sparse import DenseFactorization, matvec_add
+from .sparse import DenseFactorization
 from .transfer import prolongate, restrict
 
 _CYCLES = ("V", "W", "two_grid")
@@ -78,10 +78,10 @@ def triple_norm(x, system):
     level of the given SaddleSystem."""
     hm2, beta = system.h ** -2, system.params.beta
     u, p = system.split(x)
+    products = system.products
     # M_U applies the scalar mass M to each velocity component
-    uu = sum(c @ matvec_add(system.M, c, np.zeros(c.size))
-             for c in u.reshape(2, -1))
-    pp = p @ matvec_add(system.M_P, p, np.zeros(p.size))
+    uu = sum(c @ products.M(c, np.zeros(c.size)) for c in u.reshape(2, -1))
+    pp = p @ products.M_P(p, np.zeros(p.size))
     val = (hm2 + beta) * uu + hm2 / (beta + hm2) * pp
     # tiny negative values can appear from roundoff at x ~ 0
     return float(np.sqrt(max(val, 0.0)))
@@ -171,20 +171,25 @@ class Multigrid:
 
     def _correction(self, level, rhs):
         """Coarse correction on the given level: one V or two W cycles
-        from zero."""
-        z = np.zeros((self.systems[level].n,) + rhs.shape[1:])
+        from zero, passed on as None, so that the first sweep skips its
+        product with the zero iterate."""
+        z = None
         for _ in range(2 if self.config.cycle == "W" else 1):
             z = self._cycle(level, z, rhs)
         return z
 
     def _level1_map(self):
         """G1, the level-1 correction as a dense matrix (built once)."""
-        with self._build_lock:
-            if self._g1 is None:
-                self._g1 = self._correction(1, np.eye(self.systems[1].n))
-            return self._g1
+        # read without the lock once built: a level-2 visit asks every time
+        if self._g1 is None:
+            with self._build_lock:
+                if self._g1 is None:
+                    self._g1 = self._correction(1, np.eye(self.systems[1].n))
+        return self._g1
 
     def _cycle(self, level, x, rhs, top=False):
+        """One cycle on the given level; x None stands for the zero
+        iterate."""
         if level == 0:
             return self._exact_solve(0, rhs)
         cfg = self.config
@@ -198,18 +203,21 @@ class Multigrid:
             z = self._level1_map() @ r_coarse
         else:
             z = self._correction(level - 1, r_coarse)
-        x = x + prolongate(self.transfers[level], z)
+        correction = prolongate(self.transfers[level], z)
+        if x is not None:
+            np.add(correction, x, correction)
+        # rebound, so the pre-smoothed iterate is freed before the sweeps
+        x = correction
         return self.smooth(level, x, rhs, cfg.nu_post)
 
     def mg_cycle(self, level, x, rhs):
         """One multigrid cycle on the given level, for an iterate vector or
         an (n, k) block of iterates with matching right-hand sides."""
-        system = self._system(level)
+        self._system(level)
         # the sweeps write into float64 arrays
         x = np.ascontiguousarray(x, dtype=float)
         rhs = np.ascontiguousarray(rhs, dtype=float)
-        if x.shape[0] != system.n:
-            raise ValueError("iterate length does not match the level")
+        self._check_shapes(level, x, rhs=rhs.shape)
         return self.project_pressure(level, self._cycle(level, x, rhs,
                                                          top=True))
 
@@ -220,6 +228,20 @@ class Multigrid:
                 f"{len(self.systems) - 1})"
             )
         return self.systems[level]
+
+    def _check_shapes(self, level, x, **shapes):
+        """Raise ValueError unless the iterate x is a vector or an (n, k)
+        block for the level's n dofs and each named shape is x's.  The
+        sweeps slice their input by the level's block sizes, so bad input
+        stops here, before any sweep, rather than in a broadcast."""
+        n = self.systems[level].n
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise ValueError(f"level {level}: the iterate has shape "
+                             f"{x.shape}, the level's vectors ({n},)")
+        for name, shape in shapes.items():
+            if shape != x.shape:
+                raise ValueError(f"level {level}: {name} has shape {shape}, "
+                                 f"the iterate {x.shape}")
 
     # -- measured iteration ---------------------------------------------
 
@@ -238,6 +260,8 @@ class Multigrid:
             raise ValueError(f"max_iter must be at least 1, got {max_iter}")
         x = np.zeros(system.n) if x0 is None else np.array(x0, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
+        self._check_shapes(level, x, rhs=rhs.shape,
+                           x_star=np.shape(x_star))
         err0 = self.error_norm(level, x, x_star)
         history = [err0]
         if not np.isfinite(err0):

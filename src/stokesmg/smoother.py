@@ -20,10 +20,17 @@ or Schur solves.
   so a sweep costs one product with the velocity rows [A, B^T] of the
   saddle matrix, one with B and one with B^T.  Each product accumulates
   in place onto an array already holding -f, -g or the velocity residual
-  (sparse.matvec_add), so beyond the three kernel calls a sweep makes
-  about five passes over a velocity-sized array and no zero fill.  The
-  damped reciprocals tau / Du and sigma / Dp are computed once per
+  (the system's bound products), so beyond the three kernel calls a sweep
+  makes about five passes over a velocity-sized array and no zero fill.
+  The damped reciprocals tau / Du and sigma / Dp are computed once per
   scaling and damping pair.
+
+A coarse correction starts from zero, and so does its first sweep.  Both
+sweeps take x = None for that zero iterate and skip the product with it:
+a zero Uzawa sweep makes the products with B and B^T only, a zero
+normal-equation sweep one product with the saddle operator instead of two.
+The result is that of the sweep from np.zeros, but possibly for the sign of
+zero entries.
 
 The diagonal scaling is taken from the operator itself:
       Du = diag(A),  Dp = diag(B diag(A)^-1 B^T),
@@ -40,8 +47,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-from .sparse import matvec_add
 
 DEFAULT_TAU_NORMAL = 0.35
 DEFAULT_TAU_UZAWA = 0.8
@@ -66,10 +71,11 @@ class ScalingOperator:
 
     def damped_reciprocals(self, tau, sigma):
         """(tau / d_u, sigma / d_p), memoized per damping pair."""
-        key = (tau, sigma)
-        if key not in self._damped:
-            self._damped[key] = (tau / self.d_u, sigma / self.d_p)
-        return self._damped[key]
+        pair = self._damped.get((tau, sigma))
+        if pair is None:
+            pair = self._damped[tau, sigma] = (tau / self.d_u,
+                                               sigma / self.d_p)
+        return pair
 
 
 @dataclass
@@ -112,44 +118,52 @@ def build_scaling(system):
     return ScalingOperator(d_u=d_u, d_p=d_p)
 
 
-def _columns(v, x):
-    """v shaped to scale x row-wise: itself for a vector x, a column for an
-    (n, k) block."""
-    return v.reshape(v.shape + (1,) * (x.ndim - 1))
-
-
 def normal_equation_step(system, scaling, tau, x, rhs):
-    """One damped step preconditioned by Dinv A Dinv."""
-    d = _columns(scaling.d_full, x)
+    """One damped step preconditioned by Dinv A Dinv; x None stands for
+    the zero iterate."""
+    d = scaling.d_full if rhs.ndim == 1 else scaling.d_full[:, None]
     r = system.residual(x, rhs)
-    r /= d
+    np.divide(r, d, r)
     step = system.apply(r)
-    step /= d
-    step *= tau
-    step += x
+    np.divide(step, d, step)
+    np.multiply(step, tau, step)
+    if x is not None:
+        np.add(step, x, step)
     return step
 
 
 def uzawa_step(system, scaling, tau, sigma, x, rhs):
     """One symmetric Uzawa sweep (three substeps), written into a new
-    array; x and rhs are left untouched."""
+    array; x and rhs are left untouched, and x None stands for the zero
+    iterate."""
+    # ufuncs take out positionally: on the small levels, a keyword or an
+    # in-place operator costs as much as the arithmetic
     s_u, s_p = scaling.damped_reciprocals(tau, sigma)
-    s_u, s_p = _columns(s_u, x), _columns(s_p, x)
-    u, p = system.split(x)
-    f, g = system.split(rhs)
-    out = np.empty(x.shape)
-    u_new, p_new = system.split(out)
+    if rhs.ndim > 1:
+        s_u, s_p = s_u[:, None], s_p[:, None]
+    products, n_u = system.products, system.n_u
+    f, g = rhs[:n_u], rhs[n_u:]
+    out = np.empty(rhs.shape)
+    u_new, p_new = out[:n_u], out[n_u:]
     # q = [A, B^T] x - f = -r_u, accumulated onto -f
-    q = matvec_add(system.velocity_rows, x, np.negative(f, order="C"))
-    np.multiply(s_u, q, out=u_new)
-    np.subtract(u, u_new, out=u_new)        # u_half
+    q = np.negative(f, order="C")
+    if x is None:
+        np.multiply(s_u, f, u_new)                      # u_half
+    else:
+        u = x[:n_u]
+        products.velocity_rows(x, q)
+        np.multiply(s_u, q, u_new)
+        np.subtract(u, u_new, u_new)                    # u_half
     # dp = p_new - p = sigma Dp^-1 (B u_half - g), accumulated onto -g
-    dp = matvec_add(system.B, u_new, np.negative(g, out=p_new))
-    dp *= s_p
-    matvec_add(system.Bt, dp, q)            # -r_u2 = -r_u + B^T dp
-    dp += p                                 # p_new
-    np.multiply(s_u, q, out=u_new)
-    np.subtract(u, u_new, out=u_new)
+    dp = products.B(u_new, np.negative(g, p_new))
+    np.multiply(dp, s_p, dp)
+    products.Bt(dp, q)                                  # -r_u2 = -r_u + B^T dp
+    np.multiply(s_u, q, u_new)
+    if x is None:
+        np.negative(u_new, u_new)                       # and p_new = dp
+    else:
+        np.add(dp, x[n_u:], dp)                         # p_new
+        np.subtract(u, u_new, u_new)
     return out
 
 

@@ -4,9 +4,9 @@ Matrices are scipy CSR throughout, apart from transposes held as CSC views;
 this module holds packed integer assembly from element blocks, CSR layouts
 computed from row counts alone (column concatenation, row blocks sharing
 their parent's arrays, block diagonals), CSR and CSC matrices that hold given
-arrays without a copy, the in-place product every cycle operation goes
-through (a large CSR one split by rows over two threads), and the
-pivoted, equilibrated dense factorization for the coarsest grid.
+arrays without a copy, the in-place product bound once per matrix that
+every cycle operation goes through (a large one split over two threads),
+and the pivoted, equilibrated dense factorization for the coarsest grid.
 """
 
 from __future__ import annotations
@@ -28,13 +28,16 @@ _MATVEC = {
     "csc": (_sparsetools.csc_matvec, _sparsetools.csc_matvecs),
 }
 
-# A CSR product with at least this many stored entries runs as two row
-# halves on two cores.  Handing a half to the worker costs 10-20 us, so
+# A product with at least this many stored entries runs as two halves on
+# two cores.  Handing a half to the worker costs 10-20 us, so
 # splitting broke even near 100 000 entries (2-core machine: a level-6 M_P
 # of 115 457 entries took 41 serial against 38-55 us split); a level-5 K
 # at beta = 1 (494 674) took 256-283 against 138-162 us, a level-6 one
 # (2 005 074) 1 026-1 042 against 533-682 us.  Level 4's products, at most
-# 120 402 entries, stay serial.
+# 120 402 entries, stay serial.  R = P^T's column split (CSC, vectors)
+# breaks even below that size too: level 4 (26 403 entries) took 13
+# serial against 18 us split, level 5 (109 571) 54 against 37-38 us,
+# level 6 (446 403) 227 against 127-130 us.
 _SPLIT_NNZ = 150_000
 _FLOAT64 = np.dtype(np.float64)
 
@@ -83,62 +86,105 @@ def matvec_add(mat, x, out):
 
     Each entry of out is accumulated onto its value on entry, so out = -b
     gives mat @ x - b with no zero fill and no second pass.  x may be of
-    any real dtype; out must be float64.
-
-    A CSR product with at least _SPLIT_NNZ entries, on a machine with two
-    usable cores, runs its rows in two halves of about equal entries, one
-    on a worker thread.  Each entry of out is still summed by one thread in
-    the same order, so the result is bitwise that of one serial product.
+    any real dtype; out must be float64.  This is Product(mat), bound for
+    one call; code that multiplies by one matrix many times binds it once.
     """
-    n_rows, n_cols = mat.shape
-    if x.shape[0] != n_cols or out.shape != (n_rows,) + x.shape[1:]:
-        raise ValueError(
-            f"matvec_add: matrix {mat.shape}, x {x.shape}, out {out.shape}"
-        )
-    # checked here, not left to the kernel, so that neither half of a split
-    # product can fail on it while the other still writes
-    if out.dtype != _FLOAT64:
-        raise ValueError(f"matvec_add: out must be float64, not {out.dtype}")
-    if out.ndim > 1 and (out.ndim != 2 or not out.flags.c_contiguous):
-        raise ValueError("matvec_add: a block out must be a C-contiguous "
-                         "(m, k) array")
-    if mat.data.size >= _SPLIT_NNZ and mat.format == "csr":
+    return Product(mat)(x, out)
+
+
+class Product:
+    """out += mat @ x for one float64 CSR or CSC matrix, bound once: the
+    compiled kernels and the matrix's arrays and shape are looked up here,
+    so a call makes no dispatch and no attribute lookup on the matrix.
+    Calling it checks that x and out fit the matrix and that out is
+    float64 (a block out must be a C-contiguous (m, k) array), as the
+    kernels read and write past the ends of arrays that do not fit.
+
+    A product with at least _SPLIT_NNZ entries, on a machine with two
+    usable cores, runs in two halves, one on a worker thread.  A CSR
+    product splits its rows where the entries are halved.  A CSC product
+    splits only where the caller names a column mid such that the columns
+    before it write only rows below those the columns from mid on write
+    (for R = P^T, where P's first velocity block ends), and only into a
+    C-contiguous out.  Each entry of out is still summed by one thread in
+    the serial order, so the result is bitwise that of one serial product.
+    """
+
+    def __init__(self, mat, mid=None):
+        n_rows, n_cols = self.shape = mat.shape
+        self._csr = mat.format == "csr"
+        self._vector, self._block = _MATVEC[mat.format]
+        self._arrays = (mat.indptr, mat.indices, mat.data)
+        self._args = (n_rows, n_cols) + self._arrays
+        self._x_vector, self._out_vector = (n_cols,), (n_rows,)
+        # the rows (CSR) or columns (CSC) the kernel runs over
+        self._stop = n_rows if self._csr else n_cols
+        self._nnz = mat.data.size
+        if self._csr:
+            # where the halves meet: the row that halves the entries
+            mid = int(np.searchsorted(mat.indptr, mat.indptr[-1] // 2))
+        self._mid = mid
+
+    def __call__(self, x, out):
+        if (x.shape != self._x_vector or out.shape != self._out_vector
+                or out.dtype is not _FLOAT64):
+            self._check(x, out)
+        if self._nnz >= _SPLIT_NNZ and self._split(x, out):
+            return out
+        if out.ndim == 1:
+            self._vector(*self._args, x, out)
+        else:
+            kernel, *args = self._part(0, self._stop, x, out)
+            kernel(*args)
+        return out
+
+    def _check(self, x, out):
+        n_rows, n_cols = self.shape
+        if x.shape[0] != n_cols or out.shape != (n_rows,) + x.shape[1:]:
+            raise ValueError(
+                f"product: matrix {self.shape}, x {x.shape}, out {out.shape}"
+            )
+        # the kernels would also take a complex or long double out
+        if out.dtype != _FLOAT64:
+            raise ValueError(f"product: out must be float64, not {out.dtype}")
+        if out.ndim > 1 and (out.ndim != 2 or not out.flags.c_contiguous):
+            raise ValueError("product: a block out must be a C-contiguous "
+                             "(m, k) array")
+
+    def _split(self, x, out):
+        """The product in two halves, the first on the worker thread;
+        False, with nothing written, where it does not split."""
+        mid = self._mid
+        if mid is None or not (self._csr or out.flags.c_contiguous):
+            return False
         worker = _get_worker()
-        if worker is not None:
-            return _split_product(worker, mat, x, out)
-    vector, block = _MATVEC[mat.format]
-    if out.ndim == 1:
-        vector(n_rows, n_cols, mat.indptr, mat.indices, mat.data, x, out)
-    else:
-        block(n_rows, n_cols, out.shape[1], mat.indptr, mat.indices,
-              mat.data, x.ravel(), out.reshape(-1))
-    return out
+        if worker is None:
+            return False
+        # the worker runs the kernel alone: its arguments are made here
+        first = worker.submit(*self._part(0, mid, x, out))
+        try:
+            kernel, *args = self._part(mid, self._stop, x, out)
+            kernel(*args)
+        finally:
+            first.result()
+        return True
 
-
-def _split_product(worker, mat, x, out):
-    """matvec_add for a CSR matrix, its rows in two halves of about equal
-    entries: the first on the worker thread, the second here.  Each half
-    passes its rows' slice of indptr, whose offsets index the full arrays,
-    so every entry of out is summed as in one serial product."""
-    n_rows, n_cols = mat.shape
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    vector, block = _MATVEC["csr"]
-    if out.ndim == 1:
-        kernel, width = vector, ()
-    else:
-        kernel, width, x = block, out.shape[1:], x.ravel()
-
-    def rows(start, stop):
-        return (stop - start, n_cols, *width, indptr[start:stop + 1],
-                indices, data, x, out[start:stop].reshape(-1))
-
-    mid = int(np.searchsorted(indptr, indptr[-1] // 2))
-    first = worker.submit(kernel, *rows(0, mid))
-    try:
-        kernel(*rows(mid, n_rows))
-    finally:
-        first.result()
-    return out
+    def _part(self, start, stop, x, out):
+        """The kernel over rows (CSR) or columns (CSC) start:stop, and its
+        arguments.  Their slice of indptr keeps offsets into the full
+        arrays."""
+        indptr, indices, data = self._arrays
+        n_rows, n_cols = self.shape
+        if self._csr:
+            n_rows, out = stop - start, out[start:stop]
+        else:
+            # each CSC half writes its own rows of the whole of out
+            n_cols, x = stop - start, x[start:stop]
+        indptr = indptr[start:stop + 1]
+        if out.ndim == 1:
+            return self._vector, n_rows, n_cols, indptr, indices, data, x, out
+        return (self._block, n_rows, n_cols, out.shape[1], indptr, indices,
+                data, x.ravel(), out.reshape(-1))
 
 
 def packed_from_blocks(nrows, ncols, row_nodes, col_nodes, tables, classes):

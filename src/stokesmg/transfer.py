@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import CHILD_VERTEX_BARYCENTRIC
-from .sparse import block_diagonal, matvec_add
+from .sparse import Product, block_diagonal
 from .assembly import TaylorHoodSpace, p1_values, p2_values
 
 
@@ -77,21 +78,29 @@ class TransferOperators:
     """Prolongation P = diag(P_2, P_2, P_1) of a (velocity, pressure)
     vector: the interior quadratic embedding on each velocity component,
     then the linear one on the pressure.  The restriction R = P^T is cached
-    as a CSC view of P's arrays (no copy)."""
+    as a CSC view of P's arrays (no copy).  Both are applied through
+    products bound once (products).  split_row is the number of rows of
+    P's first velocity block: R's product, a CSC one, splits over two cores
+    at that column, since R's columns before and from it write disjoint
+    coarse rows (None: R's product stays serial)."""
 
     P: sp.csr_matrix
+    split_row: int | None = None
+
+    def __post_init__(self):
+        # plain attributes: restrict and prolongate read them on every call
+        self.n_fine, self.n_coarse = self.P.shape
 
     @cached_property
     def R(self):
         return self.P.T
 
-    @property
-    def n_fine(self):
-        return self.P.shape[0]
-
-    @property
-    def n_coarse(self):
-        return self.P.shape[1]
+    @cached_property
+    def products(self):
+        """The in-place products out += mat @ x (sparse.Product) with P and
+        R, under those names."""
+        return SimpleNamespace(P=Product(self.P),
+                               R=Product(self.R, self.split_row))
 
 
 def build_prolongation(coarse_space: TaylorHoodSpace,
@@ -121,16 +130,17 @@ def build_prolongation(coarse_space: TaylorHoodSpace,
         fl.tri_vertices[child_ids], cl.tri_vertices, _W_P1,
         np.arange(fl.n_vertices), np.arange(cl.n_vertices), cl.n_vertices,
     )
-    return TransferOperators(P=block_diagonal(P2, P2, P1))
+    return TransferOperators(P=block_diagonal(P2, P2, P1),
+                             split_row=P2.shape[0])
 
 
 def prolongate(transfer, x_coarse):
     """Embed a coarse (velocity, pressure) vector into the fine level."""
     out = np.zeros((transfer.n_fine,) + x_coarse.shape[1:])
-    return matvec_add(transfer.P, x_coarse, out)
+    return transfer.products.P(x_coarse, out)
 
 
 def restrict(transfer, r_fine):
     """Transpose-embedding of a fine residual onto the coarse level."""
     out = np.zeros((transfer.n_coarse,) + r_fine.shape[1:])
-    return matvec_add(transfer.R, r_fine, out)
+    return transfer.products.R(r_fine, out)

@@ -44,10 +44,13 @@ def systems3_by_beta(spaces3, systems3_beta1):
 
 
 def force_split_products(monkeypatch):
-    """Make sparse.matvec_add split every CSR product over two threads,
-    whatever its size and however many cores this process may use."""
+    """Make every product that can split (sparse.Product) split over two
+    threads, whatever its size and however many cores this process may
+    use.  The worker it starts is the test's own and is dropped after it,
+    so later tests see only the worker their own core count gives."""
     monkeypatch.setattr(sparse, "_SPLIT_NNZ", 0)
     monkeypatch.setattr(sparse, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(sparse, "_worker", None)
 
 
 def from_triplets(nrows, ncols, rows, cols, values):

@@ -221,7 +221,8 @@ def test_cli_check_damping(capsys):
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln.startswith("damping")]
         assert len(lines) == 4  # level 1 for four beta
-        assert lines[0].startswith("damping level=1 beta=0: ")
+        kind = {"normal": "normal_equation", "uzawa": "uzawa"}[smoother]
+        assert lines[0].startswith(f"damping smoother={kind} level=1 beta=0: ")
         if smoother == "normal":
             rho = 0.3 * estimate_spectral_radius(system, scaling)
             assert lines[0].endswith(
@@ -233,6 +234,41 @@ def test_cli_check_damping(capsys):
                     in lines[0])
             assert ("tau*sigma*lambda_schur="
                     f"{0.5 * 0.25 * res['lambda_schur']:.3f}" in lines[0])
+
+
+@pytest.mark.parametrize("table, kinds", [
+    ("uzawa", ["uzawa"]),
+    ("normal", ["normal_equation"]),
+    ("nu-sweep", ["normal_equation", "uzawa"]),
+])
+def test_cli_check_damping_follows_the_table(capsys, table, kinds):
+    # a preset picks its smoothers, whatever --smoother says: each one the
+    # table runs is checked once, in the order the table runs them, on
+    # level 1 for four beta, before the table
+    argv = ["--table", table, "--max-level", "1", "--format", "csv"]
+    assert main(argv + ["--check-damping", "--smoother", "normal"]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    checks = [ln for ln in lines if ln.startswith("damping ")]
+    assert lines[:len(checks)] == checks
+    want = [f"damping smoother={kind} level=1 beta={beta}: "
+            for kind in kinds for beta in ("0", "1", "10000", "1e+10")]
+    assert [ln[:len(w)] for ln, w in zip(checks, want)] == want
+    assert len(checks) == len(want)
+    for ln in checks:
+        normal = ln.startswith("damping smoother=normal_equation")
+        assert ("tau*rho(D^-1 A D^-1 A)=" in ln) == normal
+        assert ("tau*lambda_velocity=" in ln) == (not normal)
+    # the table after the checks prints as without them, wall times aside
+    assert main(argv) == 0
+    wall = CSV_HEADER.split(",").index("wall_time_ms")
+
+    def timeless(lines):
+        return [ln.split(",")[:wall] + ln.split(",")[wall + 1:]
+                for ln in lines]
+
+    assert timeless(lines[len(checks):]) == timeless(
+        capsys.readouterr().out.splitlines())
 
 
 def test_spot_values_against_reference_counts():

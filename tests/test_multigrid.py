@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -80,6 +81,75 @@ def test_cycle_and_solve_reject_a_level_outside_the_stack(
         mg.mg_cycle(level, np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError, match="not built"):
         mg.solve(level, np.zeros(1), np.zeros(1))
+
+
+def count_sweeps(monkeypatch):
+    """The number of smoother_step calls the cycles make, as a list that
+    grows by one entry per sweep."""
+    from stokesmg import multigrid
+
+    sweeps, step = [], multigrid.smoother_step
+
+    def counting(*args):
+        sweeps.append(args[0].n)
+        return step(*args)
+
+    monkeypatch.setattr(multigrid, "smoother_step", counting)
+    return sweeps
+
+
+def shape_message(level, *shapes):
+    """A pattern for a shape error naming the level and the given shapes."""
+    return f"level {level}: .*" + ".*".join(
+        re.escape(str(shape)) for shape in shapes)
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("name", ["x", "rhs"])
+def test_cycle_rejects_input_of_the_wrong_length(systems3_beta1, transfers3,
+                                                 monkeypatch, name, change):
+    # a level-3 rhs one entry short used to fail inside the Uzawa sweep
+    # with a broadcast error; it now stops before any sweep
+    cfg = CycleConfig(smoother=SmootherConfig(kind="uzawa"), cycle="W")
+    mg = make_mg(systems3_beta1, transfers3, 3, config=cfg)
+    sweeps = count_sweeps(monkeypatch)
+    n = systems3_beta1[3].n
+    args = {"x": np.zeros(n), "rhs": np.ones(n)}
+    args[name] = np.ones(n + change)
+    with pytest.raises(ValueError,
+                       match=shape_message(3, (n + change,), (n,))):
+        mg.mg_cycle(3, args["x"], args["rhs"])
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_cycle_rejects_a_block_rhs_of_another_width(systems3_beta1,
+                                                    transfers3, monkeypatch,
+                                                    width):
+    mg = make_mg(systems3_beta1, transfers3, 3)
+    sweeps = count_sweeps(monkeypatch)
+    n = systems3_beta1[3].n
+    with pytest.raises(ValueError,
+                       match=shape_message(3, (n, width), (n, 3))):
+        mg.mg_cycle(3, np.zeros((n, 3)), np.ones((n, width)))
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("name", ["rhs", "x_star", "x0"])
+def test_solve_rejects_input_of_the_wrong_length(systems3_beta1, transfers3,
+                                                 monkeypatch, name, change):
+    # a short x_star used to fail with a broadcast error in the error norm
+    cfg = CycleConfig(smoother=SmootherConfig(kind="uzawa"), cycle="W")
+    mg = make_mg(systems3_beta1, transfers3, 3, config=cfg)
+    sweeps = count_sweeps(monkeypatch)
+    n = systems3_beta1[3].n
+    args = {"rhs": np.ones(n), "x_star": np.ones(n), "x0": np.zeros(n)}
+    args[name] = np.ones(n + change)
+    with pytest.raises(ValueError,
+                       match=shape_message(3, (n + change,), (n,))):
+        mg.solve(3, args["rhs"], args["x_star"], x0=args["x0"])
+    assert sweeps == []
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
@@ -370,6 +440,28 @@ def literal_cycle(mg, level, x, rhs):
     return mg.smooth(level, x, rhs, cfg.nu_post)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1e10])
+@pytest.mark.parametrize("cycle", ["V", "W"])
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_corrections_from_no_iterate_match_corrections_from_zeros(
+    systems3_by_beta, transfers3, kind, cycle, beta
+):
+    # a level-2 cycle recurses literally; its level-1 corrections start
+    # from None, skipping the first sweep's product with the zero iterate,
+    # where the oracle's start from np.zeros: equal up to the sign of zero
+    systems = systems3_by_beta[beta]
+    cfg = CycleConfig(smoother=SmootherConfig(kind=kind), cycle=cycle)
+    mg = make_mg(systems, transfers3, 2, config=cfg)
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal(systems[2].n)
+    rhs = rng.standard_normal(systems[2].n)
+    for _ in range(2):
+        got = mg.mg_cycle(2, x, rhs)
+        oracle = mg.project_pressure(2, literal_cycle(mg, 2, x, rhs))
+        assert np.array_equal(got, oracle)
+        x = got
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_exact_solve_on_a_block_matches_column_solves(systems3_beta1,
                                                       transfers3, level):
@@ -437,7 +529,8 @@ def test_coarse_visits_apply_the_level1_map(systems3_beta1, transfers3):
     smooth, exact_solve = mg.smooth, mg._exact_solve
 
     def counting_smooth(level, x, rhs, steps):
-        smoothed.append((level, x.ndim))
+        # x is None on a correction's first visit: rhs has its shape
+        smoothed.append((level, rhs.ndim))
         return smooth(level, x, rhs, steps)
 
     def counting_solve(level, rhs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stokesmg import assembly, smoother
+from stokesmg import sparse
 from stokesmg.assembly import ProblemParams, SaddleSystem, build_system
 from stokesmg.smoother import (
     DEFAULT_SIGMA_UZAWA,
@@ -19,7 +19,6 @@ from stokesmg.smoother import (
     smoother_step,
     uzawa_step,
 )
-from stokesmg.sparse import matvec_add
 
 
 def uzawa_block_apply_inverse(system, scaling, tau, sigma, r):
@@ -216,22 +215,23 @@ def test_uzawa_update_is_block_inverse_of_residual(systems3_by_beta, beta):
 
 @pytest.fixture
 def matvec_counts(monkeypatch):
-    """Calls of sparse.matvec_add per matrix, keyed by the matrix's id,
-    from the modules whose sweeps and residuals call it."""
+    """Calls of every bound product (sparse.Product), keyed by the
+    product's id; a system's products are system.products."""
     counts = collections.Counter()
+    call = sparse.Product.__call__
 
-    def counting(mat, x, out):
-        counts[id(mat)] += 1
-        return matvec_add(mat, x, out)
+    def counting(product, x, out):
+        counts[id(product)] += 1
+        return call(product, x, out)
 
-    for module in (assembly, smoother):
-        monkeypatch.setattr(module, "matvec_add", counting)
+    monkeypatch.setattr(sparse.Product, "__call__", counting)
     return counts
 
 
 def saddle_product_counts(counts, system):
     """Products with (K, [A, B^T], B^T, B), and whether there were others."""
-    mats = (system.K, system.velocity_rows, system.Bt, system.B)
+    products = system.products
+    mats = (products.K, products.velocity_rows, products.Bt, products.B)
     got = tuple(counts[id(m)] for m in mats)
     return got, sum(counts.values()) == sum(got)
 
@@ -263,6 +263,55 @@ def test_normal_sweep_and_residual_matvec_counts(systems3_beta1,
     normal_equation_step(system, sc, 0.35, x, rhs)
     assert saddle_product_counts(matvec_counts, system) == ((2, 0, 0, 0),
                                                             True)
+
+
+@pytest.fixture(scope="module")
+def systems4_by_beta():
+    from stokesmg.bench import _HierarchyCache
+
+    cache = _HierarchyCache(4)
+    return {beta: cache.systems(beta, 4) for beta in (0.0, 1.0, 1e10)}
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "block"])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1e10])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_sweep_from_the_zero_iterate_is_the_sweep_from_zeros(
+    systems4_by_beta, kind, level, beta, shape
+):
+    # x = None skips the product with the zero iterate; == lets +0 and -0
+    # agree, the one difference allowed
+    system = systems4_by_beta[beta][level]
+    sc = build_scaling(system)
+    config = SmootherConfig(kind=kind)
+    rhs = np.random.default_rng(level).standard_normal((system.n,) + shape)
+    want = smoother_step(system, sc, config, np.zeros(rhs.shape), rhs)
+    got = smoother_step(system, sc, config, None, rhs)
+    assert got.shape == want.shape
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, fewer", [("uzawa", 1), ("normal_equation", 0)])
+def test_sweep_from_the_zero_iterate_makes_one_product_fewer(
+    systems3_beta1, matvec_counts, kind, fewer
+):
+    # the one product skipped is the one with the iterate: the velocity
+    # rows for Uzawa, K for the normal equation (its residual)
+    system = systems3_beta1[2]
+    sc = build_scaling(system)
+    config = SmootherConfig(kind=kind)
+    rhs = np.random.default_rng(15).standard_normal(system.n)
+    smoother_step(system, sc, config, np.zeros(system.n), rhs)
+    from_zeros, only = saddle_product_counts(matvec_counts, system)
+    assert only
+    matvec_counts.clear()
+    smoother_step(system, sc, config, None, rhs)
+    from_none, only = saddle_product_counts(matvec_counts, system)
+    assert only
+    assert [a - b for a, b in zip(from_zeros, from_none)] == [
+        int(i == fewer) for i in range(4)]
 
 
 def three_block_apply(system, x):

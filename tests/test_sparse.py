@@ -268,3 +268,122 @@ def test_split_product_in_a_forked_child(systems3_beta1, monkeypatch):
         child.join()
         pytest.fail("a split product in a forked child did not finish")
     assert child.exitcode == 0
+
+
+def bound_products(system, transfer):
+    """(matrix, bound product) of every product a cycle makes on a level:
+    the system's K, velocity rows, B, B^T and masses, the transfer's P and
+    R."""
+    pairs = {name: (getattr(system, name), getattr(system.products, name))
+             for name in ("K", "velocity_rows", "B", "Bt", "M", "M_P")}
+    pairs.update({name: (getattr(transfer, name),
+                         getattr(transfer.products, name))
+                  for name in ("P", "R")})
+    return pairs
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
+                                         monkeypatch, cores):
+    # every product split wherever it can be, on the worker thread, or,
+    # on one usable core, none: a bound product is matvec_add's serial
+    # product to the bit, and both are `@`'s from a zero start
+    pairs = bound_products(systems3_beta1[3], transfers3[3])
+    rng = np.random.default_rng(16)
+    cases = {name: split_cases(mat, rng) for name, (mat, _) in pairs.items()}
+    serial = {name: [matvec_add(mat, x, start.copy())
+                     for _, x, start in cases[name]]
+              for name, (mat, _) in pairs.items()}
+    force_split_products(monkeypatch)
+    if cores == 1:
+        monkeypatch.setattr(sparse, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(sparse, "_worker", None)
+    for name, (mat, product) in pairs.items():
+        for (case, x, start), want in zip(cases[name], serial[name]):
+            got = product(x, start.copy())
+            assert np.array_equal(got, want), (name, case)
+            assert np.array_equal(matvec_add(mat, x, start.copy()), want)
+            if case not in ("nonzero start", "strided out"):
+                assert np.array_equal(got, mat @ x.astype(float))
+    if cores == 1:
+        assert sparse._worker is None
+        return
+    # R's columns split where P's first velocity block ends; B^T's every
+    # column writes both velocity components, so it has no such place
+    n_first = transfers3[3].P.shape[0] - systems3_beta1[3].n_p
+    assert pairs["R"][1]._mid == n_first // 2
+    assert pairs["Bt"][1]._mid is None
+    assert sparse._worker is not None
+
+
+@pytest.fixture(scope="module")
+def transfer6():
+    """The level-5 to level-6 transfer, and level 6's interior nodes."""
+    from stokesmg.assembly import TaylorHoodSpace
+    from stokesmg.mesh import build_hierarchy
+    from stokesmg.transfer import build_prolongation
+
+    meshes = build_hierarchy(6)
+    fine = TaylorHoodSpace(meshes[6])
+    return build_prolongation(TaylorHoodSpace(meshes[5]), fine), fine.n_interior
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_level6_restriction_splits_between_velocity_components(
+    transfer6, monkeypatch, cores
+):
+    # at level 6 R holds 446 403 entries, past the split size as it is:
+    # its columns split where P's first velocity block ends, and each half
+    # writes its own coarse rows, so the product is the serial one
+    transfer, n_interior = transfer6
+    R, product = transfer.R, transfer.products.R
+    assert R.nnz >= sparse._SPLIT_NNZ
+    rng = np.random.default_rng(17)
+    monkeypatch.setattr(sparse, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(sparse, "_worker", None)
+    for tail in ((), (3,)):
+        x = rng.standard_normal((R.shape[1],) + tail)
+        start = rng.standard_normal((R.shape[0],) + tail)
+        want = start.copy()
+        sparse._MATVEC["csc"][len(tail)](
+            *R.shape, *tail, R.indptr, R.indices, R.data, x.ravel(),
+            want.reshape(-1))
+        assert np.array_equal(product(x, start.copy()), want)
+        assert np.array_equal(matvec_add(R, x, start.copy()), want)
+        assert np.array_equal(product(x, np.zeros(want.shape)), R @ x)
+    assert product._mid == n_interior
+    assert (sparse._worker is None) == (cores == 1)
+
+
+def test_restriction_halves_write_disjoint_coarse_rows(transfers3):
+    # R's product trusts split_row: R's columns before it may write only
+    # rows below every row its columns from it on write
+    for transfer in transfers3[1:]:
+        R, cut = transfer.R, transfer.split_row
+        assert 0 < cut < R.shape[1]
+        rows = [R[:, :cut].tocoo().row, R[:, cut:].tocoo().row]
+        assert rows[0].max() < rows[1].min()
+        assert transfer.products.R._mid == cut
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["bound", "matvec_add"])
+def test_products_reject_input_of_the_wrong_length(systems3_beta1, bound):
+    # the kernels would read and write past the ends of such arrays
+    for name in ("K", "Bt"):
+        mat = getattr(systems3_beta1[2], name)
+        product = (getattr(systems3_beta1[2].products, name) if bound
+                   else lambda x, out, mat=mat: matvec_add(mat, x, out))
+        m, n = mat.shape
+        for x, out in ((np.ones(n - 1), np.zeros(m)),
+                       (np.ones(n + 1), np.zeros(m)),
+                       (np.ones(n), np.zeros(m - 1)),
+                       (np.ones(n), np.zeros(m + 1)),
+                       (np.ones((n, 2)), np.zeros((m, 3))),
+                       (np.ones((n, 2)), np.zeros(m)),
+                       (np.ones(n), np.zeros((m, 1))),
+                       (np.ones((n, 2)), np.zeros((m, 2), order="F")),
+                       (np.ones((n, 2, 2)), np.zeros((m, 2, 2)))):
+            untouched = out.copy()
+            with pytest.raises(ValueError):
+                product(x, out)
+            assert np.array_equal(out, untouched)
