@@ -120,11 +120,6 @@ def p2_values(points):
     )
 
 
-def p1_values(points):
-    """Linear basis values are the barycentric coordinates themselves."""
-    return np.asarray(points)
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Reaction coefficient of the generalized Stokes operator
@@ -151,7 +146,6 @@ class TaylorHoodSpace:
         self.level = level
         nv, ne = level.n_vertices, level.n_edges
         self.n_p2 = nv + ne
-        self.p2_coords = np.vstack([level.vertex_coords, level.edge_midpoints])
         self.p2_on_boundary = np.concatenate(
             [level.vertex_on_boundary, level.edge_on_boundary]
         )
@@ -208,12 +202,6 @@ class TaylorHoodSpace:
         a, c, b, d = legs[first].T
         adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
         return ell, classes, adj
-
-    def physical_quad_points(self, rule, triangles=slice(None)):
-        """Quadrature points mapped to the given triangles (all by
-        default), shape (T, nq, 2)."""
-        verts = self.level.vertex_coords[self.level.tri_vertices[triangles]]
-        return rule.points @ verts
 
     # The beta-independent blocks and the saddle patterns are built once per
     # space, on first use, and shared by every SaddleSystem built on it.
@@ -461,7 +449,7 @@ def build_system(space, params):
     )
 
 
-def _mass_cg(M, b, rtol=1e-13):
+def _mass_cg(M, b):
     """Jacobi-preconditioned CG; mass matrices are uniformly
     well-conditioned so this converges in a few dozen iterations at any
     level."""
@@ -470,7 +458,7 @@ def _mass_cg(M, b, rtol=1e-13):
     precond = spla.LinearOperator(
         M.shape, matvec=lambda v, d=1.0 / M.diagonal(): d * v
     )
-    x, info = spla.cg(M, b, rtol=rtol, atol=0.0, M=precond, maxiter=500)
+    x, info = spla.cg(M, b, rtol=1e-13, atol=0.0, M=precond, maxiter=500)
     if info != 0:
         raise RuntimeError(f"mass-matrix CG did not converge (info={info})")
     return x
@@ -485,16 +473,16 @@ _MOMENT_BLOCK = 4096
 
 def _moment_vectors(space, u_exact, p_exact, rule):
     """Load vectors of the exact fields against all basis functions."""
-    det = space._element_classes[0] ** 2  # |det J| of every triangle
+    wdet = rule.weights * space._element_classes[0] ** 2  # times |det J|
     vals2 = p2_values(rule.points)  # (nq, 6)
-    vals1 = p1_values(rule.points)  # (nq, 3)
+    vals1 = rule.points  # (nq, 3): the linear basis values are barycentric
+    coords, tri_vertices = space.level.vertex_coords, space.level.tri_vertices
     n_tri = space.level.n_triangles
     loc_ux, loc_uy = np.empty((n_tri, 6)), np.empty((n_tri, 6))
     loc_p = np.empty((n_tri, 3))
     for start in range(0, n_tri, _MOMENT_BLOCK):
         block = slice(start, start + _MOMENT_BLOCK)
-        points = space.physical_quad_points(rule, block)  # (b, nq, 2)
-        wdet = rule.weights * det                         # (nq,)
+        points = rule.points @ coords[tri_vertices[block]]  # (b, nq, 2)
         x, y = points[..., 0], points[..., 1]
         ux, uy = u_exact(x, y)
         loc_ux[block] = (wdet * ux) @ vals2

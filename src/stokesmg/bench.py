@@ -139,7 +139,7 @@ class _HierarchyCache:
         return self._targets[level]
 
 
-def run_table(grid: ExperimentGrid, cache=None, progress=None):
+def run_table(grid: ExperimentGrid, cache=None):
     """Run every cell of the grid and collect result rows.
 
     Deterministic: there is no randomness anywhere in a solve, so repeated
@@ -163,7 +163,7 @@ def run_table(grid: ExperimentGrid, cache=None, progress=None):
                     level, rhs, x_star, tol=grid.tol, max_iter=grid.max_iter
                 )
                 elapsed_ms = 1e3 * (time.perf_counter() - start)
-                row = TableRow(
+                rows.append(TableRow(
                     level=level,
                     beta=beta,
                     smoother=config.smoother.kind,
@@ -174,10 +174,7 @@ def run_table(grid: ExperimentGrid, cache=None, progress=None):
                     converged=report.converged,
                     wall_time_ms=elapsed_ms,
                     stop_reason=report.stop_reason,
-                )
-                rows.append(row)
-                if progress is not None:
-                    progress(row)
+                ))
     return rows
 
 
@@ -307,7 +304,7 @@ _LEVEL = _option(int, lambda k: 1 <= k <= MAX_LEVEL,
                  f"levels run from 1 to {MAX_LEVEL}")
 _COUNT = _option(int, lambda n: n >= 0, "must be a nonnegative integer")
 _ITERATIONS = _option(int, lambda n: n >= 1, "must be a positive integer")
-_POSITIVE = _option(float, lambda v: v > 0.0, "must be positive")
+_POSITIVE = _option(float, lambda v: 0 < v < np.inf, "must be finite and > 0")
 _BETAS = _option(
     lambda text: [float(b) for b in text.split(",") if b.strip()],
     lambda betas: betas and all(0.0 <= b < np.inf for b in betas),

@@ -105,13 +105,6 @@ class MeshLevel:
     def n_triangles(self):
         return self.tri_vertices.shape[0]
 
-    def triangle_areas(self):
-        """Signed areas; positive for counterclockwise triangles."""
-        p = self.vertex_coords[self.tri_vertices]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
 
 def build_coarse_mesh():
     """The 8-triangle criss-cross mesh of the unit square.

@@ -27,6 +27,7 @@ independent of whatever diagonal shortcut the smoother uses.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -56,6 +57,11 @@ class CycleConfig:
     def __post_init__(self):
         if self.cycle not in _CYCLES:
             raise ValueError(f"unknown cycle kind {self.cycle!r}")
+        try:  # Python or numpy integers: 2.5 fails here, not in a sweep
+            self.nu_pre, self.nu_post = map(operator.index,
+                                            (self.nu_pre, self.nu_post))
+        except TypeError:
+            raise ValueError("smoothing counts must be integers") from None
         if self.nu_pre < 0 or self.nu_post < 0:
             raise ValueError("smoothing counts must be nonnegative")
 

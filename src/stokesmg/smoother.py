@@ -95,10 +95,11 @@ class SmootherConfig:
             )
         if self.sigma is None and self.kind == "uzawa":
             self.sigma = DEFAULT_SIGMA_UZAWA
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if self.kind == "uzawa" and self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.tau < np.inf:  # written so that NaN fails too
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if self.kind == "uzawa" and not 0.0 < self.sigma < np.inf:
+            raise ValueError(
+                f"sigma must be positive and finite, got {self.sigma}")
 
 
 def build_scaling(system):
@@ -173,10 +174,6 @@ def smoother_step(system, scaling, config, x, rhs):
     return uzawa_step(system, scaling, config.tau, config.sigma, x, rhs)
 
 
-def _power_seed(n):
-    return np.random.default_rng(1234).standard_normal(n)
-
-
 def estimate_spectral_radius(system, scaling, tol=1e-3, max_iter=1000):
     """Power-iteration estimate of rho(Dinv A Dinv A), the spectral radius
     of the normal-equation smoother's preconditioned operator.
@@ -191,7 +188,7 @@ def estimate_spectral_radius(system, scaling, tol=1e-3, max_iter=1000):
     def op(y):
         return s * system.apply(system.apply(s * y) / d)
 
-    v = _power_seed(system.n)
+    v = np.random.default_rng(1234).standard_normal(system.n)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iter):

@@ -80,18 +80,6 @@ class SingularMatrixError(ValueError):
     """Dense factorization hit a (numerically) singular matrix."""
 
 
-def matvec_add(mat, x, out):
-    """out += mat @ x in place, for a float64 CSR or CSC matrix and a vector
-    x, or an (n, k) block x with a C-contiguous (m, k) out; returns out.
-
-    Each entry of out is accumulated onto its value on entry, so out = -b
-    gives mat @ x - b with no zero fill and no second pass.  x may be of
-    any real dtype; out must be float64.  This is Product(mat), bound for
-    one call; code that multiplies by one matrix many times binds it once.
-    """
-    return Product(mat)(x, out)
-
-
 class Product:
     """out += mat @ x for one float64 CSR or CSC matrix, bound once: the
     compiled kernels and the matrix's arrays and shape are looked up here,
@@ -100,14 +88,16 @@ class Product:
     float64 (a block out must be a C-contiguous (m, k) array), as the
     kernels read and write past the ends of arrays that do not fit.
 
-    A product with at least _SPLIT_NNZ entries, on a machine with two
-    usable cores, runs in two halves, one on a worker thread.  A CSR
+    A vector product with at least _SPLIT_NNZ entries, on a machine with
+    two usable cores, runs in two halves, one on a worker thread.  A CSR
     product splits its rows where the entries are halved.  A CSC product
     splits only where the caller names a column mid such that the columns
     before it write only rows below those the columns from mid on write
     (for R = P^T, where P's first velocity block ends), and only into a
     C-contiguous out.  Each entry of out is still summed by one thread in
     the serial order, so the result is bitwise that of one serial product.
+    An (n, k) block runs serially: the package's block products, which
+    build the level-1 map, are far below the split size.
     """
 
     def __init__(self, mat, mid=None):
@@ -129,13 +119,13 @@ class Product:
         if (x.shape != self._x_vector or out.shape != self._out_vector
                 or out.dtype is not _FLOAT64):
             self._check(x, out)
+            if out.ndim > 1:
+                self._block(*self.shape, out.shape[1], *self._arrays,
+                            x.ravel(), out.reshape(-1))
+                return out
         if self._nnz >= _SPLIT_NNZ and self._split(x, out):
             return out
-        if out.ndim == 1:
-            self._vector(*self._args, x, out)
-        else:
-            kernel, *args = self._part(0, self._stop, x, out)
-            kernel(*args)
+        self._vector(*self._args, x, out)
         return out
 
     def _check(self, x, out):
@@ -152,8 +142,8 @@ class Product:
                              "(m, k) array")
 
     def _split(self, x, out):
-        """The product in two halves, the first on the worker thread;
-        False, with nothing written, where it does not split."""
+        """The vector product in two halves, the first on the worker
+        thread; False, with nothing written, where it does not split."""
         mid = self._mid
         if mid is None or not (self._csr or out.flags.c_contiguous):
             return False
@@ -161,17 +151,16 @@ class Product:
         if worker is None:
             return False
         # the worker runs the kernel alone: its arguments are made here
-        first = worker.submit(*self._part(0, mid, x, out))
+        first = worker.submit(self._vector, *self._part(0, mid, x, out))
         try:
-            kernel, *args = self._part(mid, self._stop, x, out)
-            kernel(*args)
+            self._vector(*self._part(mid, self._stop, x, out))
         finally:
             first.result()
         return True
 
     def _part(self, start, stop, x, out):
-        """The kernel over rows (CSR) or columns (CSC) start:stop, and its
-        arguments.  Their slice of indptr keeps offsets into the full
+        """The vector kernel's arguments over rows (CSR) or columns (CSC)
+        start:stop.  Their slice of indptr keeps offsets into the full
         arrays."""
         indptr, indices, data = self._arrays
         n_rows, n_cols = self.shape
@@ -180,11 +169,7 @@ class Product:
         else:
             # each CSC half writes its own rows of the whole of out
             n_cols, x = stop - start, x[start:stop]
-        indptr = indptr[start:stop + 1]
-        if out.ndim == 1:
-            return self._vector, n_rows, n_cols, indptr, indices, data, x, out
-        return (self._block, n_rows, n_cols, out.shape[1], indptr, indices,
-                data, x.ravel(), out.reshape(-1))
+        return n_rows, n_cols, indptr[start:stop + 1], indices, data, x, out
 
 
 def packed_from_blocks(nrows, ncols, row_nodes, col_nodes, tables, classes):

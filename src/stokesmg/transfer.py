@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .mesh import CHILD_VERTEX_BARYCENTRIC
 from .sparse import Product, block_diagonal
-from .assembly import TaylorHoodSpace, p1_values, p2_values
+from .assembly import TaylorHoodSpace, p2_values
 
 
 def _child_p2_barycentric():
@@ -38,10 +38,9 @@ def _child_p2_barycentric():
     return out
 
 
-_CHILD_P2_BARY = _child_p2_barycentric()
 # weight tables: fine node a of child j picks up coarse basis b
-_W_P2 = p2_values(_CHILD_P2_BARY)                 # (4, 6, 6)
-_W_P1 = p1_values(CHILD_VERTEX_BARYCENTRIC)       # (4, 3, 3)
+_W_P2 = p2_values(_child_p2_barycentric())  # (4, 6, 6)
+_W_P1 = CHILD_VERTEX_BARYCENTRIC  # (4, 3, 3): P1 values are barycentric
 
 
 def _embedding_matrix(fine_nodes, coarse_nodes, weights, fine_rows,
@@ -82,10 +81,10 @@ class TransferOperators:
     products bound once (products).  split_row is the number of rows of
     P's first velocity block: R's product, a CSC one, splits over two cores
     at that column, since R's columns before and from it write disjoint
-    coarse rows (None: R's product stays serial)."""
+    coarse rows."""
 
     P: sp.csr_matrix
-    split_row: int | None = None
+    split_row: int
 
     def __post_init__(self):
         # plain attributes: restrict and prolongate read them on every call

@@ -85,6 +85,20 @@ def float_blocks(space):
     )
 
 
+def triangle_areas(level):
+    """Signed triangle areas of a mesh level; positive for counterclockwise
+    triangles."""
+    p = level.vertex_coords[level.tri_vertices]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def p2_coords(space):
+    """Coordinates of a space's quadratic nodes: the mesh vertices, then
+    the edge midpoints."""
+    return np.vstack([space.level.vertex_coords, space.level.edge_midpoints])
+
+
 def transfer_blocks(transfer, n_u_fine, n_u_coarse):
     """The velocity and pressure prolongations (P_u, P_p), sliced out of a
     transfer's block-diagonal P given the fine and coarse velocity

@@ -23,13 +23,12 @@ from stokesmg.assembly import (
     conical_rule,
     l2_project,
     manufactured_rhs,
-    p1_values,
     p2_values,
 )
 from stokesmg.mesh import CHILD_VERTEX_BARYCENTRIC, MeshLevel, build_hierarchy
 from stokesmg.sparse import block_diagonal, interleave
 
-from conftest import eval_p2_function, float_blocks, from_triplets
+from conftest import eval_p2_function, float_blocks, from_triplets, p2_coords
 
 # Reference-element matrices from exact symbolic integration of the
 # quadratic/linear bases over the unit right triangle (frozen oracle).
@@ -299,7 +298,7 @@ def _quadrature_loop_locals(space, rule):
     mass (T, 3, 3)."""
     inv, det = _jacobians(space)
     vals = p2_values(rule.points)
-    pvals = p1_values(rule.points)
+    pvals = rule.points  # the linear basis values are barycentric
     grads = p2_reference_gradients(rule.points)
     k_loc = np.zeros((space.level.n_triangles, 6, 6))
     m_loc = np.zeros_like(k_loc)
@@ -523,7 +522,7 @@ def _divergence_blocks(space, rule):
     for the reference tensor D[e]_ij = sum_q w_q psi_i d_e phi_j."""
     inv, det = _jacobians(space)
     grads = p2_reference_gradients(rule.points)
-    d_ref = np.einsum("q,qi,qje->eij", rule.weights, p1_values(rule.points),
+    d_ref = np.einsum("q,qi,qje->eij", rule.weights, rule.points,
                       grads).reshape(2, 18)
     return np.stack([((det[:, None] * inv[:, :, d]) @ d_ref).reshape(-1, 3, 6)
                      for d in range(2)])
@@ -653,8 +652,8 @@ def test_space_keeps_set_up_blocks_as_int16_and_node_tables_as_int32():
                   space.interior_number):
         assert table.dtype == np.int32
     # the only float64 arrays the space holds are what a solve reads, the
-    # masses, and its node coordinates: no float copy of K_s, of the
-    # stiffness at beta = 0, of B or of B^T's values
+    # masses: no float copy of K_s, of the stiffness at beta = 0, of B or
+    # of B^T's values, and no node coordinates
     held = []
 
     def collect(value):
@@ -670,7 +669,7 @@ def test_space_keeps_set_up_blocks_as_int16_and_node_tables_as_int32():
 
     collect([v for k, v in vars(space).items() if k != "level"])
     floats = {id(a) for a in held if a.dtype == np.float64}
-    assert floats == {id(M_s.data), id(space.M_P.data), id(space.p2_coords)}
+    assert floats == {id(M_s.data), id(space.M_P.data)}
 
 
 def test_level5_space_and_two_systems_hold_at_most_16_5_mb():
@@ -860,7 +859,7 @@ def test_divergence_moments_match_symbolic_oracle():
 
     space = TaylorHoodSpace(build_hierarchy(1)[1])
     system = build_system(space, ProblemParams(beta=0.0))
-    coords = space.p2_coords
+    coords = p2_coords(space)
     ux = np.zeros(space.n_p2)
     uy = np.zeros(space.n_p2)
     idx = space.interior_nodes

@@ -190,6 +190,8 @@ def test_cli_labels_a_solve_cut_off_at_max_iter(capsys):
     (["--beta", "1,x"], "--beta"),
     (["--nu-pre", "-1"], "--nu-pre"),
     (["--tau", "0"], "--tau"),
+    (["--tau", "inf"], "--tau"),
+    (["--sigma", "inf"], "--sigma"),
     (["--max-iter", "-1"], "--max-iter"),
     (["--max-iter", "0"], "--max-iter"),
     (["--tol", "-1"], "--tol"),

@@ -13,7 +13,7 @@ from stokesmg.multigrid import CycleConfig, Multigrid, triple_norm
 from stokesmg.smoother import SmootherConfig, build_scaling
 from stokesmg.transfer import prolongate, restrict
 
-from conftest import eval_p2_function, force_split_products
+from conftest import eval_p2_function, force_split_products, p2_coords
 
 
 def make_mg(systems, transfers, level, config=None):
@@ -50,6 +50,17 @@ def test_config_validation():
         CycleConfig(cycle="F")
     with pytest.raises(ValueError):
         CycleConfig(nu_pre=-1)
+
+
+def test_config_takes_integer_smoothing_counts_only():
+    # a count range() cannot take must fail here, not in a solve's first
+    # sweep loop after the whole hierarchy is built
+    for counts in ({"nu_pre": 2.5}, {"nu_post": 2.5}, {"nu_pre": "3"}):
+        with pytest.raises(ValueError, match="must be integers"):
+            CycleConfig(**counts)
+    config = CycleConfig(nu_pre=np.int64(3), nu_post=np.int64(2))
+    assert (config.nu_pre, config.nu_post) == (3, 2)
+    assert type(config.nu_pre) is type(config.nu_post) is int
 
 
 def test_rejects_mismatched_transfers(systems3_beta1, transfers3):
@@ -709,15 +720,13 @@ def test_triple_norm_beta_zero_velocity_matches_quadrature(spaces3):
     X, Y = sympy.symbols("x y")
     f = X * (1 - X) * 2 + X * Y  # quadratic, interpolated exactly
     f_np = sympy.lambdify((X, Y), f, "numpy")
-    coeff = np.asarray(
-        f_np(space.p2_coords[:, 0], space.p2_coords[:, 1]), dtype=float
-    )
+    coords = p2_coords(space)
+    coeff = np.asarray(f_np(coords[:, 0], coords[:, 1]), dtype=float)
     # zero out boundary values to land in the constrained space
     coeff[space.p2_on_boundary] = 0.0
 
     # exact L2 norm of the FE function via symbolic integration per triangle
     total = 0.0
-    coords = space.p2_coords
     for t in range(space.level.n_triangles):
         nodes = space.tri_p2[t]
         mono = [1, X, Y, X**2, X * Y, Y**2]

@@ -72,6 +72,17 @@ def test_config_validation():
         SmootherConfig(tau=-0.1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_damping(value):
+    # `tau <= 0` is false for NaN, and a non-finite damping makes a solve
+    # stop non-finite after one cycle
+    for kind in ("normal_equation", "uzawa"):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            SmootherConfig(kind=kind, tau=value)
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        SmootherConfig(kind="uzawa", sigma=value)
+
+
 def test_natural_scaling_diagonals(systems3_beta1):
     system = systems3_beta1[1]
     sc = build_scaling(system)

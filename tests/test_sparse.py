@@ -9,9 +9,9 @@ import scipy.sparse as sp
 from stokesmg import sparse
 from stokesmg.sparse import (
     DenseFactorization,
+    Product,
     SingularMatrixError,
     block_diagonal,
-    matvec_add,
 )
 
 from conftest import force_split_products, from_triplets, transfer_blocks
@@ -117,7 +117,7 @@ def cycle_matrices(system, coarse, transfer):
                                   "P_p", "R", "P"])
 @pytest.mark.parametrize("k", [None, 3])
 def test_matvec_add_matches_matmul(systems3_beta1, transfers3, name, k):
-    # matvec_add calls scipy's private kernels, so it is pinned to `@`
+    # a product calls scipy's private kernels, so it is pinned to `@`
     mat = cycle_matrices(systems3_beta1[2], systems3_beta1[1],
                          transfers3[2])[name]
     assert mat.format == ("csc" if name in ("Bt", "R_u", "R") else "csr")
@@ -127,11 +127,11 @@ def test_matvec_add_matches_matmul(systems3_beta1, transfers3, name, k):
     want = mat @ x
     # from zero: the very kernel `@` calls, so bit-equal
     out = np.zeros((mat.shape[0],) + tail)
-    assert matvec_add(mat, x, out) is out
+    assert Product(mat)(x, out) is out
     assert np.array_equal(out, want)
     # from a nonzero start: accumulated onto it
     start = rng.standard_normal(out.shape)
-    got = matvec_add(mat, x, start.copy())
+    got = Product(mat)(x, start.copy())
     scale = np.abs(start) + abs(mat) @ np.abs(x)
     assert np.all(np.abs(got - (start + want)) <= 1e-14 * scale)
 
@@ -140,7 +140,7 @@ def test_matvec_add_on_a_transposed_block_input(systems3_beta1):
     # an x that is not C-contiguous is read correctly
     mat = systems3_beta1[2].K
     x = np.random.default_rng(10).standard_normal((3, mat.shape[1])).T
-    assert np.array_equal(matvec_add(mat, x, np.zeros((mat.shape[0], 3))),
+    assert np.array_equal(Product(mat)(x, np.zeros((mat.shape[0], 3))),
                           mat @ x)
 
 
@@ -149,7 +149,7 @@ def test_matvec_add_writes_into_a_strided_vector(systems3_beta1):
     x = np.random.default_rng(11).standard_normal(mat.shape[1])
     base = np.full(2 * mat.shape[0], 7.0)
     base[::2] = 0.0
-    matvec_add(mat, x, base[::2])
+    Product(mat)(x, base[::2])
     assert np.array_equal(base[::2], mat @ x)
     assert np.all(base[1::2] == 7.0)
 
@@ -158,21 +158,21 @@ def test_matvec_add_rejects_bad_outputs(systems3_beta1):
     mat = systems3_beta1[1].K
     n = mat.shape[0]
     with pytest.raises(ValueError, match="C-contiguous"):
-        matvec_add(mat, np.ones((n, 2)), np.zeros((n, 2), order="F"))
+        Product(mat)(np.ones((n, 2)), np.zeros((n, 2), order="F"))
     with pytest.raises(ValueError):
-        matvec_add(mat, np.ones(n), np.zeros(n, dtype=np.float32))
+        Product(mat)(np.ones(n), np.zeros(n, dtype=np.float32))
     for x, out in ((np.ones(n - 1), np.zeros(n)),
                    (np.ones(n), np.zeros(n + 1)),
                    (np.ones((n, 2)), np.zeros((n, 3))),
                    (np.ones((n, 2, 2)), np.zeros((n, 2, 2)))):
         with pytest.raises(ValueError):
-            matvec_add(mat, x, out)
+            Product(mat)(x, out)
 
 
 def test_matvec_add_reads_an_integer_x(systems3_beta1):
     mat = systems3_beta1[1].K
     x = np.arange(mat.shape[1])
-    assert np.array_equal(matvec_add(mat, x, np.zeros(mat.shape[0])),
+    assert np.array_equal(Product(mat)(x, np.zeros(mat.shape[0])),
                           mat @ x.astype(float))
 
 
@@ -205,10 +205,10 @@ def test_split_product_is_bitwise_serial(systems3_beta1, transfers3,
     for case, x, start in split_cases(mat, np.random.default_rng(13)):
         want = start + mat @ x.astype(float)
         monkeypatch.setattr(sparse, "_SPLIT_NNZ", mat.nnz + 1)
-        serial = matvec_add(mat, x, start.copy())
+        serial = Product(mat)(x, start.copy())
         force_split_products(monkeypatch)
         out = start.copy() if case != "strided out" else start
-        assert matvec_add(mat, x, out) is out
+        assert Product(mat)(x, out) is out
         assert np.array_equal(out, serial), case
         if case != "nonzero start":
             assert np.array_equal(out, want), case
@@ -217,12 +217,35 @@ def test_split_product_is_bitwise_serial(systems3_beta1, transfers3,
     assert sparse._worker is not None
 
 
+@pytest.mark.parametrize("name", ["K", "R"])
+def test_block_product_runs_serially(systems3_beta1, transfers3,
+                                     monkeypatch, name):
+    # a block is one call of the block kernel, never split, even where a
+    # vector product with the same matrix would be: it starts no worker,
+    # and each of its columns is that column's vector product to the bit
+    mat = {"K": systems3_beta1[3].K, "R": transfers3[3].R}[name]
+    product = {"K": systems3_beta1[3].products.K,
+               "R": transfers3[3].products.R}[name]
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((mat.shape[1], 3))
+    start = rng.standard_normal((mat.shape[0], 3))
+    columns = [Product(mat)(x[:, j].copy(), start[:, j].copy())
+               for j in range(3)]
+    force_split_products(monkeypatch)
+    threads = threading.active_count()
+    for block in (Product(mat)(x, start.copy()), product(x, start.copy())):
+        for j in range(3):
+            assert np.array_equal(block[:, j], columns[j])
+    assert sparse._worker is None
+    assert threading.active_count() == threads
+
+
 def test_split_product_rejects_a_float32_out(systems3_beta1, monkeypatch):
     force_split_products(monkeypatch)
     mat = systems3_beta1[2].K
     out = np.zeros(mat.shape[0], dtype=np.float32)
     with pytest.raises(ValueError, match="float64"):
-        matvec_add(mat, np.ones(mat.shape[1]), out)
+        Product(mat)(np.ones(mat.shape[1]), out)
     assert not out.any()
 
 
@@ -233,7 +256,7 @@ def test_one_usable_core_starts_no_worker(systems3_beta1, monkeypatch):
     threads = threading.active_count()
     mat = systems3_beta1[3].K
     x = np.random.default_rng(14).standard_normal(mat.shape[1])
-    assert np.array_equal(matvec_add(mat, x, np.zeros(mat.shape[0])),
+    assert np.array_equal(Product(mat)(x, np.zeros(mat.shape[0])),
                           mat @ x)
     assert sparse._worker is None
     assert threading.active_count() == threads
@@ -243,7 +266,7 @@ def split_product_in_child(mat, x, want):
     # a fork copies the parent's worker object but not its thread: the
     # child must start a worker of its own
     fresh = sparse._worker is None
-    got = matvec_add(mat, x, np.zeros(mat.shape[0]))
+    got = Product(mat)(x, np.zeros(mat.shape[0]))
     sys.exit(0 if fresh and sparse._worker is not None
              and np.array_equal(got, want) else 1)
 
@@ -257,7 +280,7 @@ def test_split_product_in_a_forked_child(systems3_beta1, monkeypatch):
     mat = systems3_beta1[3].K
     x = np.random.default_rng(15).standard_normal(mat.shape[1])
     want = mat @ x
-    assert np.array_equal(matvec_add(mat, x, np.zeros(mat.shape[0])), want)
+    assert np.array_equal(Product(mat)(x, np.zeros(mat.shape[0])), want)
     assert sparse._worker is not None
     child = context.Process(target=split_product_in_child,
                             args=(mat, x, want))
@@ -286,12 +309,12 @@ def bound_products(system, transfer):
 def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
                                          monkeypatch, cores):
     # every product split wherever it can be, on the worker thread, or,
-    # on one usable core, none: a bound product is matvec_add's serial
-    # product to the bit, and both are `@`'s from a zero start
+    # on one usable core, none: a bound product is the serial product of a
+    # fresh Product to the bit, and both are `@`'s from a zero start
     pairs = bound_products(systems3_beta1[3], transfers3[3])
     rng = np.random.default_rng(16)
     cases = {name: split_cases(mat, rng) for name, (mat, _) in pairs.items()}
-    serial = {name: [matvec_add(mat, x, start.copy())
+    serial = {name: [Product(mat)(x, start.copy())
                      for _, x, start in cases[name]]
               for name, (mat, _) in pairs.items()}
     force_split_products(monkeypatch)
@@ -302,7 +325,7 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
         for (case, x, start), want in zip(cases[name], serial[name]):
             got = product(x, start.copy())
             assert np.array_equal(got, want), (name, case)
-            assert np.array_equal(matvec_add(mat, x, start.copy()), want)
+            assert np.array_equal(Product(mat)(x, start.copy()), want)
             if case not in ("nonzero start", "strided out"):
                 assert np.array_equal(got, mat @ x.astype(float))
     if cores == 1:
@@ -349,7 +372,7 @@ def test_level6_restriction_splits_between_velocity_components(
             *R.shape, *tail, R.indptr, R.indices, R.data, x.ravel(),
             want.reshape(-1))
         assert np.array_equal(product(x, start.copy()), want)
-        assert np.array_equal(matvec_add(R, x, start.copy()), want)
+        assert np.array_equal(Product(R)(x, start.copy()), want)
         assert np.array_equal(product(x, np.zeros(want.shape)), R @ x)
     assert product._mid == n_interior
     assert (sparse._worker is None) == (cores == 1)
@@ -368,11 +391,12 @@ def test_restriction_halves_write_disjoint_coarse_rows(transfers3):
 
 @pytest.mark.parametrize("bound", [True, False], ids=["bound", "matvec_add"])
 def test_products_reject_input_of_the_wrong_length(systems3_beta1, bound):
-    # the kernels would read and write past the ends of such arrays
+    # the kernels would read and write past the ends of such arrays; a
+    # system's bound products, or a Product bound for one call
     for name in ("K", "Bt"):
         mat = getattr(systems3_beta1[2], name)
         product = (getattr(systems3_beta1[2].products, name) if bound
-                   else lambda x, out, mat=mat: matvec_add(mat, x, out))
+                   else lambda x, out, mat=mat: Product(mat)(x, out))
         m, n = mat.shape
         for x, out in ((np.ones(n - 1), np.zeros(m)),
                        (np.ones(n + 1), np.zeros(m)),

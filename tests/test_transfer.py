@@ -12,7 +12,7 @@ from stokesmg.transfer import (
     restrict,
 )
 
-from conftest import eval_p2_function, transfer_blocks
+from conftest import eval_p2_function, p2_coords, transfer_blocks
 
 
 def test_embedding_reproduces_coarse_functions(spaces3, transfers3):
@@ -23,10 +23,9 @@ def test_embedding_reproduces_coarse_functions(spaces3, transfers3):
     T = transfers3[2]
     coeff = np.zeros(coarse.n_p2)
     coeff[coarse.interior_nodes] = rng.standard_normal(coarse.n_interior)
+    fine_coords = p2_coords(fine)[fine.interior_nodes]
     fine_vals = eval_p2_function(
-        coarse, coeff,
-        fine.p2_coords[fine.interior_nodes, 0],
-        fine.p2_coords[fine.interior_nodes, 1],
+        coarse, coeff, fine_coords[:, 0], fine_coords[:, 1],
     )
     got = T.P[: fine.n_interior, : coarse.n_interior] @ coeff[
         coarse.interior_nodes
