@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-BOUNDARY_TOL = 1e-12
-
 # Hierarchies beyond this level would need tens of millions of triangles;
 # refuse instead of thrashing into swap.
 MAX_LEVEL = 10
@@ -36,18 +34,13 @@ class ResourceLimitError(RuntimeError):
     """A requested hierarchy is too large to build in memory."""
 
 
-def _points_on_boundary(points):
-    """Boundary test for points of the closed unit square."""
-    x, y = points[:, 0], points[:, 1]
-    near = lambda a, c: np.abs(a - c) <= BOUNDARY_TOL
-    return near(x, 0.0) | near(x, 1.0) | near(y, 0.0) | near(y, 1.0)
-
-
 def _edges_from_triangles(tri_vertices):
     """Derive the shared-edge table of a triangulation.
 
-    Returns (edge_vertices, tri_edges) where edge_vertices is (E, 2) with
-    v0 < v1 and tri_edges[t, i] is the edge opposite vertex i of triangle t.
+    Returns (edge_vertices, tri_edges, edge_on_boundary) where
+    edge_vertices is (E, 2) with v0 < v1, tri_edges[t, i] is the edge
+    opposite vertex i of triangle t, and an edge is on the boundary when
+    only one triangle holds it.
     Edge numbering is lexicographic in the vertex pairs, hence deterministic:
     the pair (v0, v1) is keyed as v0 * nv + v1, whose numeric order is the
     lexicographic order of the pairs.  The keys are int64, which nv^2
@@ -58,10 +51,11 @@ def _edges_from_triangles(tri_vertices):
     second = t[:, [2, 0, 1]].ravel()
     nv = int(t.max()) + 1
     keys = np.minimum(first, second) * nv + np.maximum(first, second)
-    edge_keys, inverse = np.unique(keys, return_inverse=True)
+    edge_keys, inverse, counts = np.unique(keys, return_inverse=True,
+                                           return_counts=True)
     edge_vertices = np.stack(np.divmod(edge_keys, nv), axis=1)
-    return edge_vertices.astype(np.int32), inverse.reshape(-1, 3).astype(
-        np.int32)
+    return (edge_vertices.astype(np.int32),
+            inverse.reshape(-1, 3).astype(np.int32), counts == 1)
 
 
 class MeshLevel:
@@ -76,17 +70,16 @@ class MeshLevel:
         self.vertex_coords = np.ascontiguousarray(vertex_coords, dtype=float)
         self.tri_vertices = np.ascontiguousarray(tri_vertices, dtype=np.int32)
         self.parent_triangle = parent_triangle
-        self.vertex_on_boundary = _points_on_boundary(self.vertex_coords)
-        self.edge_vertices, self.tri_edges = _edges_from_triangles(
-            self.tri_vertices
-        )
+        self.edge_vertices, self.tri_edges, self.edge_on_boundary = (
+            _edges_from_triangles(self.tri_vertices))
+        # a vertex is on the boundary when a boundary edge ends there
+        on = np.zeros(self.n_vertices, dtype=bool)
+        on[self.edge_vertices[self.edge_on_boundary]] = True
+        self.vertex_on_boundary = on
         self.edge_midpoints = 0.5 * (
             self.vertex_coords[self.edge_vertices[:, 0]]
             + self.vertex_coords[self.edge_vertices[:, 1]]
         )
-        # Midpoint-on-boundary is equivalent to "whole edge on one side"
-        # for a convex domain, and rules out cut-the-corner chords.
-        self.edge_on_boundary = _points_on_boundary(self.edge_midpoints)
         diffs = (
             self.vertex_coords[self.edge_vertices[:, 1]]
             - self.vertex_coords[self.edge_vertices[:, 0]]

@@ -68,8 +68,6 @@ class CycleConfig:
 
 @dataclass
 class SolveReport:
-    n: int
-    q: float
     history: list[float]
     converged: bool
     # final iterate; history[-1] is its error norm
@@ -77,6 +75,20 @@ class SolveReport:
     # why the solve stopped: "converged", "max_iter", "diverged" or
     # "non_finite"
     stop_reason: str = "converged"
+
+    @property
+    def n(self):
+        """The number of cycles run."""
+        return len(self.history) - 1
+
+    @property
+    def q(self):
+        """The mean per-cycle contraction rate: inf for a non-finite last
+        error, 0 for a zero one."""
+        first, last = self.history[0], self.history[-1]
+        if not np.isfinite(last):
+            return float("inf")
+        return float((last / first) ** (1.0 / self.n)) if last > 0.0 else 0.0
 
 
 def triple_norm(x, system):
@@ -270,33 +282,23 @@ class Multigrid:
                            x_star=np.shape(x_star))
         err0 = self.error_norm(level, x, x_star)
         history = [err0]
-        if not np.isfinite(err0):
-            return SolveReport(n=0, q=float("inf"), history=history,
-                               converged=False, x=x, stop_reason="non_finite")
-        if err0 == 0.0:
-            return SolveReport(n=0, q=0.0, history=history, converged=True,
-                               x=x, stop_reason="converged")
-
-        stop_reason = "max_iter"
-        for _ in range(max_iter):
-            x = self.mg_cycle(level, x, rhs)
-            err = self.error_norm(level, x, x_star)
-            history.append(err)
-            if not np.isfinite(err):
-                stop_reason = "non_finite"
-                break
-            if err > _DIVERGENCE_FACTOR * err0:
-                stop_reason = "diverged"
-                break
-            if err <= tol * err0:
-                stop_reason = "converged"
-                break
-
-        n = len(history) - 1
-        last = history[-1]
-        q = float((last / err0) ** (1.0 / n)) if last > 0.0 else 0.0
-        if not np.isfinite(last):
-            q = float("inf")
-        return SolveReport(n=n, q=q, history=history,
+        # a zero or non-finite start runs no cycle
+        stop_reason = "converged" if err0 == 0.0 else "non_finite"
+        if 0.0 < err0 < np.inf:
+            stop_reason = "max_iter"
+            for _ in range(max_iter):
+                x = self.mg_cycle(level, x, rhs)
+                err = self.error_norm(level, x, x_star)
+                history.append(err)
+                if not np.isfinite(err):
+                    stop_reason = "non_finite"
+                    break
+                if err > _DIVERGENCE_FACTOR * err0:
+                    stop_reason = "diverged"
+                    break
+                if err <= tol * err0:
+                    stop_reason = "converged"
+                    break
+        return SolveReport(history=history,
                            converged=stop_reason == "converged", x=x,
                            stop_reason=stop_reason)

@@ -93,6 +93,9 @@ class SmootherConfig:
                 if self.kind == "normal_equation"
                 else DEFAULT_TAU_UZAWA
             )
+        if self.kind == "normal_equation" and self.sigma is not None:
+            raise ValueError("sigma is the Uzawa smoother's pressure "
+                             "damping; the normal-equation smoother has none")
         if self.sigma is None and self.kind == "uzawa":
             self.sigma = DEFAULT_SIGMA_UZAWA
         if not 0.0 < self.tau < np.inf:  # written so that NaN fails too
@@ -208,25 +211,31 @@ def estimate_spectral_radius(system, scaling, tol=1e-3, max_iter=1000):
     return lam
 
 
-def check_damping_conditions(system, scaling, tau, sigma):
-    """Margins of the Uzawa damping inequalities
-        Du / tau >= A   and   Dp / sigma >= tau B Du^-1 B^T
-    via dense generalized eigenvalues.  Returns a dict with the largest
-    eigenvalues and whether each inequality holds; meant for small levels
-    and diagnostic output, not asserted in production.
+def damping_margins(system, scaling, config):
+    """The damping conditions of the config's smoother on the given level,
+    as {name: (value, holds)}.
+
+    Normal equation: tau * rho(D^-1 A D^-1 A), which must stay below 2 for
+    the damped iteration to contract (by power iteration).  Uzawa: the
+    sufficient (not necessary) inequalities
+        Du / tau >= A   and   Dp / sigma >= tau B Du^-1 B^T,
+    that is tau * lambda_max(Du^-1 A) <= 1 and
+    tau * sigma * lambda_max(Dp^-1 B Du^-1 B^T) <= 1, via dense
+    eigenvalues, so meant for small levels.
     """
+    tau = config.tau
+    if config.kind == "normal_equation":
+        rho = tau * estimate_spectral_radius(system, scaling)
+        return {"tau*rho(D^-1 A D^-1 A)": (rho, rho < 2.0)}
     d_u, d_p = scaling.d_u, scaling.d_p
     su = 1.0 / np.sqrt(d_u)
     A_scaled = su[:, None] * system.A.toarray() * su[None, :]
-    lam_a = float(np.linalg.eigvalsh(A_scaled)[-1])
+    velocity = tau * float(np.linalg.eigvalsh(A_scaled)[-1])
 
-    Bd = system.B.toarray() * (1.0 / np.sqrt(d_u))[None, :]
+    Bd = system.B.toarray() * su[None, :]
     S = Bd @ Bd.T
     sp_ = 1.0 / np.sqrt(d_p)
     lam_s = float(np.linalg.eigvalsh(sp_[:, None] * S * sp_[None, :])[-1])
-    return {
-        "lambda_velocity": lam_a,
-        "lambda_schur": lam_s,
-        "velocity_ok": tau * lam_a <= 1.0,
-        "schur_ok": tau * sigma * lam_s <= 1.0,
-    }
+    schur = tau * config.sigma * lam_s
+    return {"tau*lambda_velocity": (velocity, velocity <= 1.0),
+            "tau*sigma*lambda_schur": (schur, schur <= 1.0)}

@@ -9,6 +9,8 @@ from stokesmg.bench import (
     ExperimentGrid,
     TableRow,
     _HierarchyCache,
+    _grid,
+    build_parser,
     bump,
     emit,
     exact_pressure,
@@ -20,7 +22,7 @@ from stokesmg.multigrid import CycleConfig
 from stokesmg.smoother import (
     SmootherConfig,
     build_scaling,
-    check_damping_conditions,
+    damping_margins,
     estimate_spectral_radius,
 )
 
@@ -112,11 +114,11 @@ def test_emit_markdown_levels_by_beta(small_rows):
 
 def test_emit_markdown_nu_sweep_divergent_cells():
     rows = [
-        TableRow(4, 1.0, "uzawa", 1, 1, 200, 1.2, False, 10.0, "diverged"),
-        TableRow(4, 1.0, "uzawa", 3, 3, 14, 0.2, True, 10.0, "converged"),
-        TableRow(4, 1.0, "normal_equation", 1, 1, 88, 0.789, True, 10.0,
+        TableRow(4, 1.0, "uzawa", 1, 1, 200, 1.2, 10.0, "diverged"),
+        TableRow(4, 1.0, "uzawa", 3, 3, 14, 0.2, 10.0, "converged"),
+        TableRow(4, 1.0, "normal_equation", 1, 1, 88, 0.789, 10.0,
                  "converged"),
-        TableRow(4, 1.0, "normal_equation", 3, 3, 30, 0.496, True, 10.0,
+        TableRow(4, 1.0, "normal_equation", 3, 3, 30, 0.496, 10.0,
                  "converged"),
     ]
     text = emit(rows, "markdown")
@@ -211,6 +213,55 @@ def test_cli_rejects_bad_options_with_a_usage_error(capsys, argv, option):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--max-level", "2", "--smoother", "normal", "--sigma", "0.5"],
+     "sigma"),
+    (["--max-level", "2", "--table", "normal", "--sigma", "0.5"], "sigma"),
+    (["--max-level", "6", "--cycle", "two-grid"],
+     "exact solve on level 5 needs a dense factorization of dimension 36484"),
+])
+def test_cli_reports_a_run_it_cannot_make_as_a_usage_error(capsys, argv,
+                                                          message):
+    # a ValueError from the library (a sigma for the normal-equation
+    # smoother, a two-grid coarse solve too large to factor, met in the
+    # first cycle) is one usage error line with exit code 2, not a traceback
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error" in ln]
+    assert len(errors) == 1 and message in errors[0]
+    assert errors[0].startswith("stokesmg-bench: error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_cli_nu_sweep_gives_sigma_to_its_uzawa_rows(capsys):
+    argv = ["--table", "nu-sweep", "--max-level", "1", "--sigma", "0.5",
+            "--format", "csv"]
+    sigmas = {(c.smoother.kind, c.smoother.sigma)
+              for c in _grid(build_parser().parse_args(argv)).configs}
+    assert sigmas == {("normal_equation", None), ("uzawa", 0.5)}
+    assert main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 2 * 6
+
+
+def test_cli_check_damping_builds_one_hierarchy(monkeypatch, capsys):
+    built = []
+
+    class Counted(_HierarchyCache):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("stokesmg.bench._HierarchyCache", Counted)
+    assert main(["--max-level", "2", "--beta", "1", "--check-damping",
+                 "--format", "csv"]) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out.startswith("damping ")
+
+
 def test_cli_check_damping(capsys):
     # each smoother is checked at the damping it is configured with
     system = _HierarchyCache(1).systems(0.0, 1)[1]
@@ -231,11 +282,12 @@ def test_cli_check_damping(capsys):
                 f"tau*rho(D^-1 A D^-1 A)={rho:.3f} (ok=True)"
             )
         else:
-            res = check_damping_conditions(system, scaling, 0.5, 0.25)
-            assert (f"tau*lambda_velocity={0.5 * res['lambda_velocity']:.3f}"
-                    in lines[0])
-            assert ("tau*sigma*lambda_schur="
-                    f"{0.5 * 0.25 * res['lambda_schur']:.3f}" in lines[0])
+            res = damping_margins(system, scaling, SmootherConfig(
+                kind="uzawa", tau=0.5, sigma=0.25))
+            velocity, schur = (res[name][0] for name in (
+                "tau*lambda_velocity", "tau*sigma*lambda_schur"))
+            assert f"tau*lambda_velocity={velocity:.3f}" in lines[0]
+            assert f"tau*sigma*lambda_schur={schur:.3f}" in lines[0]
 
 
 @pytest.mark.parametrize("table, kinds", [

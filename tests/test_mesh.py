@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stokesmg.mesh import (
+    MeshLevel,
     ResourceLimitError,
     build_coarse_mesh,
     build_hierarchy,
@@ -118,6 +119,28 @@ def test_boundary_flags_match_coordinates():
         | (np.abs(lv.vertex_coords[:, 1] - 1) <= 1e-12)
     )
     assert np.array_equal(lv.vertex_on_boundary, on)
+
+
+def test_boundary_flags_match_the_unit_square_sides_to_level_7():
+    # the flags come from the triangulation (edges one triangle holds);
+    # on this hierarchy they are the points on the square's sides
+    def on_sides(points):
+        x, y = points[:, 0], points[:, 1]
+        return (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
+
+    for lv in build_hierarchy(7):
+        assert np.array_equal(lv.vertex_on_boundary,
+                              on_sides(lv.vertex_coords))
+        assert np.array_equal(lv.edge_on_boundary,
+                              on_sides(lv.edge_midpoints))
+
+
+def test_boundary_of_a_single_triangle():
+    # all three edges, the hypotenuse among them, bound the one triangle
+    lv = MeshLevel(0, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    assert lv.n_edges == 3
+    assert lv.edge_on_boundary.all()
+    assert lv.vertex_on_boundary.all()
 
 
 def test_triangle_edges_opposite_vertices():

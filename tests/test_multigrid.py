@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 import threading
@@ -391,6 +392,47 @@ def test_non_finite_solve_is_reported_failed(systems3_module, transfers3,
     if bad == "inf_x_star":
         # nothing to measure against: no cycle is run
         assert report.n == 0 and not np.any(report.x)
+
+
+@pytest.mark.parametrize("case, stop_reason", [
+    ("converged", "converged"), ("max_iter", "max_iter"),
+    ("diverged", "diverged"), ("nan_rhs", "non_finite"),
+    ("zero_start", "converged"), ("inf_x_star", "non_finite"),
+])
+def test_report_count_and_rate_follow_the_history(
+    systems3_module, transfers3, manufactured2, case, stop_reason
+):
+    # n and q are read off the history, whatever ended the solve
+    x_star, rhs = manufactured2
+    x_star, rhs = x_star.copy(), rhs.copy()
+    nu = 1 if case == "diverged" else 3
+    cfg = CycleConfig(smoother=SmootherConfig(kind="uzawa"), cycle="W",
+                      nu_pre=nu, nu_post=nu)
+    mg = make_mg(systems3_module, transfers3, 2, config=cfg)
+    x0 = x_star.copy() if case == "zero_start" else None
+    if case == "nan_rhs":
+        rhs[5] = np.nan
+    if case == "inf_x_star":
+        x_star[5] = np.inf
+    with np.errstate(all="ignore"):
+        report = mg.solve(2, rhs, x_star, x0=x0,
+                          max_iter=2 if case == "max_iter" else 200)
+    assert report.stop_reason == stop_reason
+    history = report.history
+    assert report.n == len(history) - 1
+    if case in ("zero_start", "inf_x_star"):
+        assert report.n == 0
+    first, last = history[0], history[-1]
+    if not np.isfinite(last):
+        assert report.q == float("inf")
+    elif last == 0.0:
+        assert report.q == 0.0
+    else:
+        assert report.q == (last / first) ** (1.0 / report.n)
+    # neither is stored: a replaced report reads them off its history too
+    assert not {"n", "q"} & {f.name for f in dataclasses.fields(report)}
+    failed = dataclasses.replace(report, converged=False)
+    assert (failed.n, failed.q) == (report.n, report.q)
 
 
 def test_solve_at_exact_solution_returns_start_copy(

@@ -2,6 +2,7 @@ import collections
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from stokesmg import sparse
@@ -13,7 +14,7 @@ from stokesmg.smoother import (
     ScalingOperator,
     SmootherConfig,
     build_scaling,
-    check_damping_conditions,
+    damping_margins,
     estimate_spectral_radius,
     normal_equation_step,
     smoother_step,
@@ -81,6 +82,14 @@ def test_config_rejects_non_finite_damping(value):
             SmootherConfig(kind=kind, tau=value)
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
         SmootherConfig(kind="uzawa", sigma=value)
+
+
+@pytest.mark.parametrize("sigma", [0.5, np.nan])
+def test_normal_equation_config_rejects_a_sigma(sigma):
+    # sigma damps the Uzawa pressure update; the normal-equation sweep
+    # has none to take
+    with pytest.raises(ValueError, match="sigma"):
+        SmootherConfig(kind="normal_equation", sigma=sigma)
 
 
 def test_natural_scaling_diagonals(systems3_beta1):
@@ -452,6 +461,38 @@ def test_spectral_radius_warns_on_iteration_cap(systems3_beta1):
     assert np.isfinite(rho) and rho > 0
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_damping_margins_match_dense_eigenvalues(systems3_beta1, level):
+    system = systems3_beta1[level]
+    sc = build_scaling(system)
+    uzawa = SmootherConfig(kind="uzawa", tau=0.5, sigma=0.25)
+    margins = damping_margins(system, sc, uzawa)
+    # Uzawa: generalized eigenvalues of (A, Du) and (B Du^-1 B^T, Dp)
+    B = system.B.toarray()
+    lam_a = scipy.linalg.eigh(system.A.toarray(), np.diag(sc.d_u),
+                              eigvals_only=True)[-1]
+    lam_s = scipy.linalg.eigh((B / sc.d_u) @ B.T, np.diag(sc.d_p),
+                              eigvals_only=True)[-1]
+    want = {"tau*lambda_velocity": 0.5 * lam_a,
+            "tau*sigma*lambda_schur": 0.5 * 0.25 * lam_s}
+    assert list(margins) == list(want)
+    for name, (value, holds) in margins.items():
+        assert value == pytest.approx(want[name], rel=1e-12)
+        assert holds == (value <= 1.0)
+
+    # normal equation: the power iteration's estimate, which approaches
+    # the dense rho(D^-1 A D^-1 A) from below (up to rounding)
+    normal = SmootherConfig(tau=0.3)
+    (name, (value, holds)), = damping_margins(system, sc, normal).items()
+    assert name == "tau*rho(D^-1 A D^-1 A)"
+    assert value == 0.3 * estimate_spectral_radius(system, sc)
+    s = 1.0 / np.sqrt(sc.d_full)
+    lam = np.linalg.eigvalsh(s[:, None] * system.dense() * s[None, :])
+    rho = np.abs(lam).max() ** 2
+    assert value <= 0.3 * rho * (1.0 + 1e-12)
+    assert holds == (value < 2.0)
+
+
 def test_damping_conditions_reported(spaces3, capsys):
     # the inequalities are diagnostics: report the margins, require only
     # well-defined positive eigenvalues (they do hold for the defaults on
@@ -460,12 +501,8 @@ def test_damping_conditions_reported(spaces3, capsys):
         for beta in (0.0, 1e4):
             system = build_system(spaces3[k], ProblemParams(beta=beta))
             sc = build_scaling(system)
-            res = check_damping_conditions(system, sc, 0.8, 0.8)
-            assert res["lambda_velocity"] > 0
-            assert res["lambda_schur"] > 0
-            print(
-                f"damping level={k} beta={beta:g}: "
-                f"tau*lam_A={0.8 * res['lambda_velocity']:.3f} "
-                f"tau*sigma*lam_S={0.64 * res['lambda_schur']:.3f} "
-                f"ok=({res['velocity_ok']}, {res['schur_ok']})"
-            )
+            res = damping_margins(system, sc, SmootherConfig(kind="uzawa"))
+            assert list(res) == ["tau*lambda_velocity",
+                                 "tau*sigma*lambda_schur"]
+            assert all(value > 0 for value, _ in res.values())
+            print(f"damping level={k} beta={beta:g}: {res}")
