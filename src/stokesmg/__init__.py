@@ -7,7 +7,8 @@ convergence-rate tables.
 """
 
 from .mesh import build_coarse_mesh, build_hierarchy, refine
-from .assembly import ProblemParams, TaylorHoodSpace, build_system
+from .assembly import (ProblemParams, TaylorHoodSpace, build_system,
+                       build_systems)
 from .multigrid import CycleConfig, Multigrid, SolveReport
 from .smoother import SmootherConfig
 
@@ -18,6 +19,7 @@ __all__ = [
     "ProblemParams",
     "TaylorHoodSpace",
     "build_system",
+    "build_systems",
     "CycleConfig",
     "Multigrid",
     "SolveReport",

@@ -136,11 +136,11 @@ class ProblemParams:
 
 
 class TaylorHoodSpace:
-    """Node bookkeeping and beta-independent matrices for the
-    quadratic/linear pair on one mesh level.  Blocks that only
-    build_system reads, the scalar stiffness and B, are kept as their
-    exact int16 numerators 6 K_s and (6 / l) B and scaled where they are
-    written into a system's K; the node tables are int32."""
+    """Node bookkeeping and the beta-independent matrices a solve reads,
+    the scalar velocity mass M and the pressure mass M_P, for the
+    quadratic/linear pair on one mesh level; the node tables are int32.
+    The blocks only the systems' set-up reads are built by each pass of
+    build_systems (SetUpBlocks) and not kept."""
 
     def __init__(self, level: MeshLevel):
         self.level = level
@@ -164,10 +164,6 @@ class TaylorHoodSpace:
         )
         self.n_pressure = nv
         self.n_velocity = 2 * self.n_interior
-        self._saddle_patterns = {}
-        # (6 / l) B^T's values in the order K's velocity rows hold them, set
-        # with a saddle pattern: all of B^T that build_system needs
-        self._bt_values = None
 
     @cached_property
     def _element_classes(self):
@@ -203,77 +199,12 @@ class TaylorHoodSpace:
         adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
         return ell, classes, adj
 
-    # The beta-independent blocks and the saddle patterns are built once per
-    # space, on first use, and shared by every SaddleSystem built on it.
-
     @cached_property
-    def scalar_blocks(self):
-        """(6 K_s, M_s): the scalar stiffness times 6, as its exact int16
-        integers, and the scalar mass on interior quadratic nodes, sharing
-        one index pattern: the entries where either is nonzero.  Each
-        stored mass value is the exact one, correctly rounded, and so is
-        each stiffness value once divided by 6."""
-        ell, _, adj = self._element_classes
-        nodes, n = self.interior_number[self.tri_p2], self.n_interior
-        K6, M360 = _assemble_packed(self, _local_tables(adj)[0], _MASS360,
-                                    nodes, nodes, n, n)
-        return K6, csr_view(_scaled(M360.data, 360.0, ell ** 2),
-                            M360.indices, M360.indptr, M360.shape)
-
-    @cached_property
-    def B(self):
-        """(6 / l) B for the divergence block B = [D_x, D_y], as its exact
-        int16 integers: rows are pressure dofs, columns interior velocity
-        dofs in component-blocked order; each of D_x and D_y holds its own
-        nonzeros.  Divided by 6, then scaled by l, each stored value is the
-        exact one, correctly rounded."""
-        _, _, adj = self._element_classes
-        d_x, d_y = np.moveaxis(_local_tables(adj)[1], 1, 0)
-        packed = _assemble_packed(
-            self, d_x, d_y, self.level.tri_vertices,
-            self.interior_number[self.tri_p2], self.n_pressure, self.n_interior)
-        Dx, Dy = (select_entries(D.data != 0, D) for D in packed)
-        indptr, from_x = merge_rows(Dx.indptr, Dy.indptr)
-        return csr_view(
-            interleave(from_x, Dx.data, Dy.data),
-            interleave(from_x, Dx.indices, Dy.indices + self.n_interior),
-            indptr, (self.n_pressure, self.n_velocity),
-        )
-
-    def saddle_pattern(self, beta):
-        """(indptr, indices, from_a) of K = [[A, B^T], [B, 0]] for
-        A = K_s + beta M_s, shared by the systems of every beta > 0.  The
-        systems of beta = 0 share a second pattern, on which A holds the
-        stiffness's nonzeros only.  Each is built on first use.
-
-        A has its scalar pattern twice, so the layout follows from the row
-        counts of A, B^T and B, with no sort: velocity row i holds A's row
-        i, then B^T's; from_a marks A's entries among the velocity rows'
-        entries.  B^T is transposed from B for the layout, and only its
-        values are kept.  Every system's K holds these index arrays, so
-        nothing may change them in place.
-        """
-        stiffness_only = beta == 0.0
-        if stiffness_only not in self._saddle_patterns:
-            A_s = self.scalar_blocks[0]
-            if stiffness_only:
-                A_s = select_entries(A_s.data != 0, A_s)
-            self._saddle_patterns[stiffness_only] = self._saddle_layout(A_s)
-        return self._saddle_patterns[stiffness_only]
-
-    def _saddle_layout(self, A_s):
-        n_s, n_u = self.n_interior, self.n_velocity
-        B = self.B
-        Bt = B.T.tocsr()
-        self._bt_values = Bt.data
-        a_indptr = np.concatenate([A_s.indptr, A_s.indptr[1:] + A_s.nnz])
-        velocity_indptr, from_a = merge_rows(a_indptr, Bt.indptr)
-        indices = np.empty(from_a.size + B.nnz, dtype=A_s.indices.dtype)
-        interleave(from_a, np.concatenate([A_s.indices, A_s.indices + n_s]),
-                   Bt.indices + n_u, out=indices[: from_a.size])
-        indices[from_a.size:] = B.indices
-        indptr = np.concatenate([velocity_indptr, B.indptr[1:] + from_a.size])
-        return indptr, indices, from_a
+    def M(self):
+        """The scalar velocity mass on interior quadratic nodes, on its own
+        nonzeros, each value the exact one, correctly rounded.  A pass of
+        build_systems sets it from the numerators it sums anyway."""
+        return _mass(self, _scalar_numerators(self)[1])
 
     @cached_property
     def M_P(self):
@@ -286,6 +217,109 @@ class TaylorHoodSpace:
                                   self.n_pressure, self.n_pressure)
         return csr_view(_scaled(M24.data, 24.0, ell ** 2), M24.indices,
                         M24.indptr, M24.shape)
+
+
+class SetUpBlocks:
+    """What the set-up of one level's systems reads and no solve does, for
+    one pass over the betas of build_systems, dropped with the pass.
+
+    The saddle patterns of those betas are laid out first, from 6 K_s,
+    360 M_s / l^2, (6 / l) B and its transpose as exact int16 CSR
+    matrices (_scalar_numerators, _divergence_numerators); the pass then
+    keeps their values and row pointers only, which is all that K's data
+    is written from.  The pressure mass is built first, so its transients
+    come before the pass holds anything, and the space's M is taken from
+    the mass numerators.
+    """
+
+    def __init__(self, space, betas):
+        self.space = space
+        space.M_P  # built first, while the pass holds nothing
+        K6, M360 = _scalar_numerators(space)
+        if "M" not in vars(space):
+            space.M = _mass(space, M360)
+        B = _divergence_numerators(space)
+        Bt = B.T.tocsr()
+        self._patterns = {}
+        for stiffness_only in {beta == 0.0 for beta in betas}:
+            A_s = select_entries(K6.data != 0, K6) if stiffness_only else K6
+            self._patterns[stiffness_only] = _saddle_layout(space, A_s, B, Bt)
+        # the values K's data is written from: 6 K_s's and, for a beta > 0,
+        # 360 M_s / l^2's on their shared pattern, B^T's in the order K's
+        # velocity rows hold them, and B's
+        self.k6, self.scalar_rows = K6.data, K6.indptr
+        self.m360 = M360.data if any(beta != 0.0 for beta in betas) else None
+        self.bt, self.bt_rows, self.b = Bt.data, Bt.indptr, B.data
+
+    def saddle_pattern(self, beta):
+        """(indptr, indices, from_a) of K = [[A, B^T], [B, 0]] for
+        A = K_s + beta M_s: the pass's systems of every beta > 0 share
+        one, those of beta = 0 a second, on which A holds the stiffness's
+        nonzeros only."""
+        return self._patterns[beta == 0.0]
+
+
+def _saddle_layout(space, A_s, B, Bt):
+    """(indptr, indices, from_a) of K = [[A, B^T], [B, 0]] for A = diag(A_s,
+    A_s).  A has its scalar pattern twice, so the layout follows from the
+    row counts of A, B^T and B, with no sort: velocity row i holds A's row
+    i, then B^T's; from_a marks A's entries among the velocity rows'
+    entries.  Every system's K holds the index arrays, so nothing may
+    change them in place."""
+    n_s, n_u = space.n_interior, space.n_velocity
+    a_indptr = np.concatenate([A_s.indptr, A_s.indptr[1:] + A_s.nnz])
+    velocity_indptr, from_a = merge_rows(a_indptr, Bt.indptr)
+    indices = np.empty(from_a.size + B.nnz, dtype=A_s.indices.dtype)
+    # each velocity component's rows, A_s's columns shifted to its own
+    half, bt_half = velocity_indptr[n_s], Bt.indptr[n_s]
+    for first, rows, bt_rows in ((0, slice(0, half), slice(0, bt_half)),
+                                 (n_s, slice(half, from_a.size),
+                                  slice(bt_half, Bt.nnz))):
+        interleave(from_a[rows], A_s.indices + first,
+                   Bt.indices[bt_rows] + n_u, out=indices[rows])
+    indices[from_a.size:] = B.indices
+    indptr = np.concatenate([velocity_indptr, B.indptr[1:] + from_a.size])
+    return indptr, indices, from_a
+
+
+def _scalar_numerators(space):
+    """(6 K_s, 360 M_s / l^2) as their exact int16 integers, on the pattern
+    where either is nonzero.  Each stiffness value once divided by 6, and
+    each mass value once divided by 360 and scaled by l^2, is the exact
+    one, correctly rounded."""
+    _, _, adj = space._element_classes
+    nodes, n = space.interior_number[space.tri_p2], space.n_interior
+    return _assemble_packed(space, _local_tables(adj)[0], _MASS360, nodes,
+                            nodes, n, n)
+
+
+def _divergence_numerators(space):
+    """(6 / l) B for the divergence block B = [D_x, D_y], as its exact
+    int16 integers: rows are pressure dofs, columns interior velocity dofs
+    in component-blocked order; each of D_x and D_y holds its own
+    nonzeros.  Divided by 6, then scaled by l, each stored value is the
+    exact one, correctly rounded."""
+    _, _, adj = space._element_classes
+    d_x, d_y = np.moveaxis(_local_tables(adj)[1], 1, 0)
+    packed = _assemble_packed(
+        space, d_x, d_y, space.level.tri_vertices,
+        space.interior_number[space.tri_p2], space.n_pressure,
+        space.n_interior)
+    Dx, Dy = (select_entries(D.data != 0, D) for D in packed)
+    indptr, from_x = merge_rows(Dx.indptr, Dy.indptr)
+    return csr_view(
+        interleave(from_x, Dx.data, Dy.data),
+        interleave(from_x, Dx.indices, Dy.indices + space.n_interior),
+        indptr, (space.n_pressure, space.n_velocity),
+    )
+
+
+def _mass(space, M360):
+    """The scalar mass from its numerators 360 M_s / l^2, on their
+    nonzeros."""
+    M360 = select_entries(M360.data != 0, M360)
+    return csr_view(_scaled(M360.data, 360.0, space._element_classes[0] ** 2),
+                    M360.indices, M360.indptr, M360.shape)
 
 
 def _scaled(numerators, divisor, scale):
@@ -412,41 +446,70 @@ class SaddleSystem:
         return self.K.toarray()
 
 
-def build_system(space, params):
-    """SaddleSystem of one level.  K's data is written on the space's saddle
+# Scalar rows per block in which build_system writes K's velocity rows, so
+# that no set-up value is scaled into an array larger than one block.
+_ROWS = 1 << 13
+
+
+def build_system(space, params, blocks=None):
+    """SaddleSystem of one level.  K's data is written on the saddle
     pattern for beta: A = K_s + beta M_s on both velocity components (the
-    stiffness's nonzeros alone at beta = 0), then the values of the space's
-    B^T and B.  The space's integers are scaled in K's data, so the only
-    float copy of a set-up block is A's scalar values at beta > 0."""
-    K6, M_s = space.scalar_blocks
+    stiffness's nonzeros alone at beta = 0), then the values of B^T and B.
+    The integer numerators of blocks (the SetUpBlocks of a pass over betas
+    that include this one; None builds them for this system alone) are
+    scaled as they are written, a block of _ROWS scalar rows of each
+    velocity component at a time, so the only float array of set-up size
+    is K's data."""
     beta = params.beta
-    if beta == 0.0:
-        a = K6.data[K6.data != 0]
-    else:
-        a = beta * M_s.data
-        a += np.divide(K6.data, 6.0, dtype=np.float64)
+    if blocks is None:
+        blocks = SetUpBlocks(space, [beta])
+    indptr, indices, from_a = blocks.saddle_pattern(beta)
     # l is a power of two, so x / (6 / l) rounds as (x / 6) l does
     scale = 6.0 / space._element_classes[0]
-    indptr, indices, from_a = space.saddle_pattern(beta)
     data = np.zeros(indices.size)
-    velocity, pressure = data[: from_a.size], data[from_a.size:]
-    # each velocity component's rows take A's scalar values once,
-    # interleaved with the B^T values of those rows, which are scaled
-    # first in the pressure rows: B holds as many entries as B^T
-    half, bt = indptr[space.n_interior], space._bt_values
-    for rows, bt_rows in ((slice(0, half), bt[: half - a.size]),
-                          (slice(half, from_a.size), bt[half - a.size:])):
-        out, to_a = velocity[rows], from_a[rows]
-        out[to_a] = a
-        if beta == 0.0:
-            out /= 6.0  # 6 K_s's values; B^T's entries are still zero
-        out[~to_a] = np.divide(bt_rows, scale, out=pressure[: bt_rows.size])
-    np.divide(space.B.data, scale, out=pressure)
+    # velocity row i holds A's values of scalar row i mod n_s, then B^T's
+    n_s, bt, bt_rows = space.n_interior, blocks.bt, blocks.bt_rows
+    for first in (0, n_s):
+        for start in range(0, n_s, _ROWS):
+            stop = min(start + _ROWS, n_s)
+            rows = slice(indptr[first + start], indptr[first + stop])
+            out, to_a = data[rows], from_a[rows]
+            out[to_a] = _scalar_values(blocks, beta, start, stop)
+            out[~to_a] = np.divide(
+                bt[bt_rows[first + start]:bt_rows[first + stop]], scale)
+    np.divide(blocks.b, scale, out=data[from_a.size:])
     n = indptr.size - 1
     return SaddleSystem(
-        K=csr_view(data, indices, indptr, (n, n)), M=M_s, M_P=space.M_P,
+        K=csr_view(data, indices, indptr, (n, n)), M=space.M, M_P=space.M_P,
         params=params, h=space.level.h, space=space,
     )
+
+
+def _scalar_values(blocks, beta, start, stop):
+    """A_s's values in scalar rows start:stop: at beta = 0 the stiffness's
+    nonzeros, else K_s + beta M_s, which adds the same two values as
+    beta M_s + K_s does."""
+    entries = slice(blocks.scalar_rows[start], blocks.scalar_rows[stop])
+    k6 = blocks.k6[entries]
+    if beta == 0.0:
+        return np.divide(k6[k6 != 0], 6.0, dtype=np.float64)
+    a = np.divide(k6, 6.0, dtype=np.float64)
+    m = _scaled(blocks.m360[entries], 360.0,
+                blocks.space._element_classes[0] ** 2)
+    m *= beta
+    a += m
+    return a
+
+
+def build_systems(space, betas):
+    """The SaddleSystems of one level for each beta, in order, in one pass:
+    the blocks only set-up reads (SetUpBlocks) are built once for all of
+    them and dropped on return, so systems of another beta built later
+    build them again.  The pass's systems of every beta > 0 share K's
+    index arrays, and so do those of beta = 0."""
+    params = [ProblemParams(beta=beta) for beta in betas]
+    blocks = SetUpBlocks(space, betas)
+    return [build_system(space, p, blocks) for p in params]
 
 
 def _mass_cg(M, b):
@@ -466,9 +529,9 @@ def _mass_cg(M, b):
 
 # Triangles per block of exact-field evaluations in _moment_vectors: the
 # fields allocate several (triangles, quadrature points) temporaries, which
-# set the peak memory of l2_project (12.5 MB at level 6 with this block,
-# 32 MB with blocks of 16 384 triangles).
-_MOMENT_BLOCK = 4096
+# set the peak memory of l2_project (7.4 MB at level 6 with this block,
+# 9.8 MB with blocks of 4 096 triangles, which also took 30 % longer).
+_MOMENT_BLOCK = 1024
 
 
 def _moment_vectors(space, u_exact, p_exact, rule):
@@ -512,7 +575,7 @@ def l2_project(space, u_exact, p_exact):
                                       conical_rule())
 
     idx = space.interior_nodes
-    M = space.scalar_blocks[1]
+    M = space.M
     u_star = np.concatenate([_mass_cg(M, b_ux[idx]), _mass_cg(M, b_uy[idx])])
 
     M_P = space.M_P

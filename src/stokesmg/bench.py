@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (
-    ProblemParams,
     TaylorHoodSpace,
-    build_system,
+    build_systems,
     l2_project,
     manufactured_rhs,
 )
@@ -104,9 +103,11 @@ class _HierarchyCache:
     """Shared meshes, spaces, transfers and per-beta systems for one grid.
 
     Spaces and transfers are beta-independent; the projected target
-    solution per level is too.  Each space assembles its stiffness, masses,
-    divergence and saddle pattern once, so the systems of every beta share
-    them and a new beta only adds the data array of its saddle matrix.
+    solution per level is too.  The systems of every beta asked for
+    together are built level by level, each level's in one pass
+    (build_systems), so they share its masses and saddle patterns, and the
+    blocks only set-up reads are assembled once per level and dropped
+    before the next level's.  A beta asked for later builds them again.
     """
 
     def __init__(self, max_level, solution=ExactSolution()):
@@ -120,12 +121,21 @@ class _HierarchyCache:
         self._systems = {}
         self._targets = {}
 
+    def build(self, betas, up_to_level):
+        """Build the systems of every given beta up to the level, from the
+        finest level down: a level's pass then peaks while only the finer
+        levels' systems are held, the coarser ones not yet built."""
+        for level in range(up_to_level, -1, -1):
+            missing = [beta for beta in dict.fromkeys(betas)
+                       if level not in self._systems.setdefault(beta, {})]
+            if missing:
+                for beta, system in zip(missing, build_systems(
+                        self.spaces[level], missing)):
+                    self._systems[beta][level] = system
+
     def systems(self, beta, up_to_level):
-        levels = self._systems.setdefault(beta, [])
-        params = ProblemParams(beta=beta)
-        while len(levels) <= up_to_level:
-            levels.append(build_system(self.spaces[len(levels)], params))
-        return levels[: up_to_level + 1]
+        self.build([beta], up_to_level)
+        return [self._systems[beta][k] for k in range(up_to_level + 1)]
 
     def target(self, level):
         if level not in self._targets:
@@ -145,6 +155,7 @@ def run_table(grid: ExperimentGrid, cache=None):
     """
     top = max(grid.levels)
     cache = cache or _HierarchyCache(top)
+    cache.build(grid.betas, top)
     rows = []
     for config in grid.configs:
         for beta in grid.betas:
@@ -350,8 +361,8 @@ def _damping_report(grid, cache, out):
     order it runs them) on levels 1-3 for four beta, one line each,
     labelled with the smoother."""
     top = min(3, max(grid.levels))
-    smoothers = {(c.smoother.kind, c.smoother.tau, c.smoother.sigma):
-                 c.smoother for c in grid.configs}
+    smoothers = {(c.smoother.kind, c.smoother.damping): c.smoother
+                 for c in grid.configs}
     for smoother in smoothers.values():
         for beta in (0.0, 1.0, 1e4, 1e10):
             for level, system in enumerate(cache.systems(beta, top)):

@@ -91,6 +91,14 @@ class SolveReport:
         return float((last / first) ** (1.0 / self.n)) if last > 0.0 else 0.0
 
 
+def _dot(a, b):
+    """The dot product of a vector with a vector, or with each column of
+    an (n, k) block, summed without BLAS: OpenBLAS runs a dot of more than
+    10 000 entries on several threads, which then spin on the core that the
+    split-product worker needs."""
+    return np.einsum("i,i...->...", a, b)
+
+
 def triple_norm(x, system):
     """Level-scaled L2 norm of a stacked (velocity, pressure) vector on the
     level of the given SaddleSystem."""
@@ -98,8 +106,9 @@ def triple_norm(x, system):
     u, p = system.split(x)
     products = system.products
     # M_U applies the scalar mass M to each velocity component
-    uu = sum(c @ products.M(c, np.zeros(c.size)) for c in u.reshape(2, -1))
-    pp = p @ products.M_P(p, np.zeros(p.size))
+    uu = sum(_dot(c, products.M(c, np.zeros(c.size)))
+             for c in u.reshape(2, -1))
+    pp = _dot(p, products.M_P(p, np.zeros(p.size)))
     val = (hm2 + beta) * uu + hm2 / (beta + hm2) * pp
     # tiny negative values can appear from roundoff at x ~ 0
     return float(np.sqrt(max(val, 0.0)))
@@ -178,7 +187,7 @@ class Multigrid:
         x = x.copy()
         p = x[self.systems[level].n_u:]
         w = self._pressure_weights[level]
-        p -= (w @ p) / w.sum()
+        p -= _dot(w, p) / w.sum()
         return x
 
     def smooth(self, level, x, rhs, steps):
@@ -276,6 +285,8 @@ class Multigrid:
         system = self._system(level)
         if max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+        if not 0.0 < tol < np.inf:  # written so that NaN fails too
+            raise ValueError(f"tol must be positive and finite, got {tol}")
         x = np.zeros(system.n) if x0 is None else np.array(x0, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
         self._check_shapes(level, x, rhs=rhs.shape,

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +56,8 @@ _KINDS = ("normal_equation", "uzawa")
 
 @dataclass
 class ScalingOperator:
-    """Positive diagonals for the velocity and pressure blocks."""
+    """Positive diagonals for the velocity and pressure blocks, held as
+    one array d_full of which d_u and d_p are views."""
 
     d_u: np.ndarray
     d_p: np.ndarray
@@ -65,9 +65,9 @@ class ScalingOperator:
     _damped: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
-    @cached_property
-    def d_full(self):
-        return np.concatenate([self.d_u, self.d_p])
+    def __post_init__(self):
+        self.d_full = np.concatenate([self.d_u, self.d_p])
+        self.d_u, self.d_p = np.split(self.d_full, [self.d_u.size])
 
     def damped_reciprocals(self, tau, sigma):
         """(tau / d_u, sigma / d_p), memoized per damping pair."""
@@ -78,8 +78,21 @@ class ScalingOperator:
         return pair
 
 
+# each smoother's (tau, sigma) where its config gives none; the
+# normal-equation smoother has no sigma
+_DEFAULT_DAMPING = {
+    "normal_equation": (DEFAULT_TAU_NORMAL, None),
+    "uzawa": (DEFAULT_TAU_UZAWA, DEFAULT_SIGMA_UZAWA),
+}
+
+
 @dataclass
 class SmootherConfig:
+    """A smoother and its damping.  tau and sigma hold what was given,
+    None for the kind's default, so a config derived with
+    dataclasses.replace(config, kind=...) takes the new kind's defaults;
+    damping is the (tau, sigma) the smoother runs with."""
+
     kind: str = "normal_equation"
     tau: float | None = None
     sigma: float | None = None
@@ -87,22 +100,22 @@ class SmootherConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown smoother kind {self.kind!r}")
-        if self.tau is None:
-            self.tau = (
-                DEFAULT_TAU_NORMAL
-                if self.kind == "normal_equation"
-                else DEFAULT_TAU_UZAWA
-            )
         if self.kind == "normal_equation" and self.sigma is not None:
             raise ValueError("sigma is the Uzawa smoother's pressure "
                              "damping; the normal-equation smoother has none")
-        if self.sigma is None and self.kind == "uzawa":
-            self.sigma = DEFAULT_SIGMA_UZAWA
-        if not 0.0 < self.tau < np.inf:  # written so that NaN fails too
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if self.kind == "uzawa" and not 0.0 < self.sigma < np.inf:
-            raise ValueError(
-                f"sigma must be positive and finite, got {self.sigma}")
+        tau, sigma = self.damping
+        if not 0.0 < tau < np.inf:  # written so that NaN fails too
+            raise ValueError(f"tau must be positive and finite, got {tau}")
+        if self.kind == "uzawa" and not 0.0 < sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+    @property
+    def damping(self):
+        """(tau, sigma): the given values, the kind's defaults where none
+        was given; sigma is None for the normal-equation smoother."""
+        tau, sigma = _DEFAULT_DAMPING[self.kind]
+        return (tau if self.tau is None else self.tau,
+                sigma if self.sigma is None else self.sigma)
 
 
 def build_scaling(system):
@@ -172,9 +185,10 @@ def uzawa_step(system, scaling, tau, sigma, x, rhs):
 
 
 def smoother_step(system, scaling, config, x, rhs):
+    tau, sigma = config.damping
     if config.kind == "normal_equation":
-        return normal_equation_step(system, scaling, config.tau, x, rhs)
-    return uzawa_step(system, scaling, config.tau, config.sigma, x, rhs)
+        return normal_equation_step(system, scaling, tau, x, rhs)
+    return uzawa_step(system, scaling, tau, sigma, x, rhs)
 
 
 def estimate_spectral_radius(system, scaling, tol=1e-3, max_iter=1000):
@@ -223,7 +237,7 @@ def damping_margins(system, scaling, config):
     tau * sigma * lambda_max(Dp^-1 B Du^-1 B^T) <= 1, via dense
     eigenvalues, so meant for small levels.
     """
-    tau = config.tau
+    tau, sigma = config.damping
     if config.kind == "normal_equation":
         rho = tau * estimate_spectral_radius(system, scaling)
         return {"tau*rho(D^-1 A D^-1 A)": (rho, rho < 2.0)}
@@ -236,6 +250,6 @@ def damping_margins(system, scaling, config):
     S = Bd @ Bd.T
     sp_ = 1.0 / np.sqrt(d_p)
     lam_s = float(np.linalg.eigvalsh(sp_[:, None] * S * sp_[None, :])[-1])
-    schur = tau * config.sigma * lam_s
+    schur = tau * sigma * lam_s
     return {"tau*lambda_velocity": (velocity, velocity <= 1.0),
             "tau*sigma*lambda_schur": (schur, schur <= 1.0)}

@@ -28,16 +28,17 @@ _MATVEC = {
     "csc": (_sparsetools.csc_matvec, _sparsetools.csc_matvecs),
 }
 
-# A product with at least this many stored entries runs as two halves on
-# two cores.  Handing a half to the worker costs 10-20 us, so
+# A product with at least this many stored entries runs as two parts on
+# two cores.  Handing a part to the worker costs 10-20 us, so
 # splitting broke even near 100 000 entries (2-core machine: a level-6 M_P
 # of 115 457 entries took 41 serial against 38-55 us split); a level-5 K
 # at beta = 1 (494 674) took 256-283 against 138-162 us, a level-6 one
 # (2 005 074) 1 026-1 042 against 533-682 us.  Level 4's products, at most
-# 120 402 entries, stay serial.  R = P^T's column split (CSC, vectors)
-# breaks even below that size too: level 4 (26 403 entries) took 13
-# serial against 18 us split, level 5 (109 571) 54 against 37-38 us,
-# level 6 (446 403) 227 against 127-130 us.
+# 120 402 entries, stay serial.  A transfer's products (P = diag(P_2, P_2,
+# P_1) and its transpose) break even below that size too: split between
+# the first velocity component and the rest, level 4 (26 403 entries) took
+# 13 serial against 18 us, level 5 (109 571) 54 against 37-38 us, level 6
+# (446 403) 227 against 127-130 us.
 _SPLIT_NNZ = 150_000
 _FLOAT64 = np.dtype(np.float64)
 
@@ -80,6 +81,37 @@ class SingularMatrixError(ValueError):
     """Dense factorization hit a (numerically) singular matrix."""
 
 
+def _check_product(shape, x, out):
+    """Raise ValueError unless x and out fit a product with a matrix of
+    the given shape and out is float64 (a block out a C-contiguous (m, k)
+    array)."""
+    n_rows, n_cols = shape
+    if x.shape[0] != n_cols or out.shape != (n_rows,) + x.shape[1:]:
+        raise ValueError(
+            f"product: matrix {shape}, x {x.shape}, out {out.shape}")
+    # the kernels would also take a complex or long double out
+    if out.dtype != _FLOAT64:
+        raise ValueError(f"product: out must be float64, not {out.dtype}")
+    if out.ndim > 1 and (out.ndim != 2 or not out.flags.c_contiguous):
+        raise ValueError("product: a block out must be a C-contiguous "
+                         "(m, k) array")
+
+
+def _on_two_cores(kernel, first, rest):
+    """kernel(*first) on the worker thread while rest() runs here, then
+    wait for both; False, with nothing run, on one usable core."""
+    worker = _get_worker()
+    if worker is None:
+        return False
+    # the worker runs the kernel alone: its arguments are made here
+    future = worker.submit(kernel, *first)
+    try:
+        rest()
+    finally:
+        future.result()
+    return True
+
+
 class Product:
     """out += mat @ x for one float64 CSR or CSC matrix, bound once: the
     compiled kernels and the matrix's arrays and shape are looked up here,
@@ -88,88 +120,104 @@ class Product:
     float64 (a block out must be a C-contiguous (m, k) array), as the
     kernels read and write past the ends of arrays that do not fit.
 
-    A vector product with at least _SPLIT_NNZ entries, on a machine with
-    two usable cores, runs in two halves, one on a worker thread.  A CSR
-    product splits its rows where the entries are halved.  A CSC product
-    splits only where the caller names a column mid such that the columns
-    before it write only rows below those the columns from mid on write
-    (for R = P^T, where P's first velocity block ends), and only into a
-    C-contiguous out.  Each entry of out is still summed by one thread in
-    the serial order, so the result is bitwise that of one serial product.
-    An (n, k) block runs serially: the package's block products, which
+    A CSR vector product with at least _SPLIT_NNZ entries, on a machine
+    with two usable cores, runs in two halves, one on a worker thread,
+    split at the row that halves the entries.  Each entry of out is still
+    summed by one thread in the serial order, so the result is bitwise
+    that of one serial product.  A CSC product, which scatters into rows,
+    and an (n, k) block run serially: the package's block products, which
     build the level-1 map, are far below the split size.
     """
 
-    def __init__(self, mat, mid=None):
+    def __init__(self, mat):
         n_rows, n_cols = self.shape = mat.shape
         self._csr = mat.format == "csr"
         self._vector, self._block = _MATVEC[mat.format]
         self._arrays = (mat.indptr, mat.indices, mat.data)
         self._args = (n_rows, n_cols) + self._arrays
         self._x_vector, self._out_vector = (n_cols,), (n_rows,)
-        # the rows (CSR) or columns (CSC) the kernel runs over
-        self._stop = n_rows if self._csr else n_cols
         self._nnz = mat.data.size
-        if self._csr:
-            # where the halves meet: the row that halves the entries
-            mid = int(np.searchsorted(mat.indptr, mat.indptr[-1] // 2))
-        self._mid = mid
+        # where the halves meet: the row that halves the entries
+        self._mid = int(np.searchsorted(mat.indptr, mat.indptr[-1] // 2))
 
     def __call__(self, x, out):
         if (x.shape != self._x_vector or out.shape != self._out_vector
                 or out.dtype is not _FLOAT64):
-            self._check(x, out)
+            _check_product(self.shape, x, out)
             if out.ndim > 1:
                 self._block(*self.shape, out.shape[1], *self._arrays,
                             x.ravel(), out.reshape(-1))
                 return out
-        if self._nnz >= _SPLIT_NNZ and self._split(x, out):
-            return out
+        if self._csr and self._nnz >= _SPLIT_NNZ:
+            mid, vector = self._mid, self._vector
+            if _on_two_cores(
+                    vector, self._rows(0, mid, x, out),
+                    lambda: vector(*self._rows(mid, self.shape[0], x, out))):
+                return out
         self._vector(*self._args, x, out)
         return out
 
-    def _check(self, x, out):
-        n_rows, n_cols = self.shape
-        if x.shape[0] != n_cols or out.shape != (n_rows,) + x.shape[1:]:
-            raise ValueError(
-                f"product: matrix {self.shape}, x {x.shape}, out {out.shape}"
-            )
-        # the kernels would also take a complex or long double out
-        if out.dtype != _FLOAT64:
-            raise ValueError(f"product: out must be float64, not {out.dtype}")
-        if out.ndim > 1 and (out.ndim != 2 or not out.flags.c_contiguous):
-            raise ValueError("product: a block out must be a C-contiguous "
-                             "(m, k) array")
-
-    def _split(self, x, out):
-        """The vector product in two halves, the first on the worker
-        thread; False, with nothing written, where it does not split."""
-        mid = self._mid
-        if mid is None or not (self._csr or out.flags.c_contiguous):
-            return False
-        worker = _get_worker()
-        if worker is None:
-            return False
-        # the worker runs the kernel alone: its arguments are made here
-        first = worker.submit(self._vector, *self._part(0, mid, x, out))
-        try:
-            self._vector(*self._part(mid, self._stop, x, out))
-        finally:
-            first.result()
-        return True
-
-    def _part(self, start, stop, x, out):
-        """The vector kernel's arguments over rows (CSR) or columns (CSC)
-        start:stop.  Their slice of indptr keeps offsets into the full
-        arrays."""
+    def _rows(self, start, stop, x, out):
+        """The vector kernel's arguments over rows start:stop.  Their
+        slice of indptr keeps offsets into the full arrays."""
         indptr, indices, data = self._arrays
-        n_rows, n_cols = self.shape
-        if self._csr:
-            n_rows, out = stop - start, out[start:stop]
-        else:
-            # each CSC half writes its own rows of the whole of out
-            n_cols, x = stop - start, x[start:stop]
-        return n_rows, n_cols, indptr[start:stop + 1], indices, data, x, out
+        return (stop - start, self.shape[1], indptr[start:stop + 1], indices,
+                data, x, out[start:stop])
+
+
+class BlockDiagonalProduct:
+    """out += diag(mats) @ x for float64 CSR or CSC matrices mats, bound
+    once: each block multiplies its own rows of x into its own rows of
+    out through its serial kernel, so a block that appears twice (a
+    transfer's P_2, once per velocity component) is stored once.  Calls
+    are checked as Product's are.
+
+    A vector product with at least _SPLIT_NNZ entries in all, on two
+    usable cores, runs the first block on the worker thread and the others
+    here: one handoff.  Each block is one serial kernel call either way,
+    so the result is bitwise that of Product(block_diagonal(*mats)).  An
+    (n, k) block runs serially.
+    """
+
+    def __init__(self, *mats):
+        rows = np.cumsum([0] + [mat.shape[0] for mat in mats]).tolist()
+        cols = np.cumsum([0] + [mat.shape[1] for mat in mats]).tolist()
+        self.shape = (rows[-1], cols[-1])
+        self._x_vector, self._out_vector = (cols[-1],), (rows[-1],)
+        # (matrix, columns of x, rows of out) of each block
+        self._blocks = [(mat, slice(cols[i], cols[i + 1]),
+                         slice(rows[i], rows[i + 1]))
+                        for i, mat in enumerate(mats)]
+        # (vector kernel, its arguments before x and out, columns, rows)
+        self._parts = [(_MATVEC[mat.format][0],
+                        (*mat.shape, mat.indptr, mat.indices, mat.data),
+                        cols_, rows_) for mat, cols_, rows_ in self._blocks]
+        self._nnz = sum(mat.data.size for mat in mats)
+
+    def __call__(self, x, out):
+        if (x.shape != self._x_vector or out.shape != self._out_vector
+                or out.dtype is not _FLOAT64):
+            _check_product(self.shape, x, out)
+            if out.ndim > 1:
+                for mat, cols, rows in self._blocks:
+                    _MATVEC[mat.format][1](
+                        *mat.shape, out.shape[1], mat.indptr, mat.indices,
+                        mat.data, x[cols].ravel(), out[rows].reshape(-1))
+                return out
+        parts = self._parts
+        if self._nnz >= _SPLIT_NNZ:
+            vector, args, cols, rows = parts[0]
+            if _on_two_cores(vector, args + (x[cols], out[rows]),
+                             lambda: self._serial(parts[1:], x, out)):
+                return out
+        self._serial(parts, x, out)
+        return out
+
+    @staticmethod
+    def _serial(parts, x, out):
+        """Each part's vector kernel on its own columns and rows."""
+        for vector, args, cols, rows in parts:
+            vector(*args, x[cols], out[rows])
 
 
 def packed_from_blocks(nrows, ncols, row_nodes, col_nodes, tables, classes):

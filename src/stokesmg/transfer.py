@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import CHILD_VERTEX_BARYCENTRIC
-from .sparse import Product, block_diagonal
+from .sparse import BlockDiagonalProduct, block_diagonal, csc_view
 from .assembly import TaylorHoodSpace, p2_values
 
 
@@ -75,31 +75,41 @@ def _embedding_matrix(fine_nodes, coarse_nodes, weights, fine_rows,
 @dataclass
 class TransferOperators:
     """Prolongation P = diag(P_2, P_2, P_1) of a (velocity, pressure)
-    vector: the interior quadratic embedding on each velocity component,
-    then the linear one on the pressure.  The restriction R = P^T is cached
-    as a CSC view of P's arrays (no copy).  Both are applied through
-    products bound once (products).  split_row is the number of rows of
-    P's first velocity block: R's product, a CSC one, splits over two cores
-    at that column, since R's columns before and from it write disjoint
-    coarse rows."""
+    vector: the interior quadratic embedding P_2 on each velocity
+    component, then the linear one P_1 on the pressure.  P_2 is held once
+    and applied per component.  P and the restriction R = P^T are applied
+    through block products bound once (products), R's blocks CSC views of
+    P_2's and P_1's arrays (no copy); at level 6 the worker thread takes
+    the first velocity component, so a transfer makes one handoff.  P and
+    R as matrices are built on request, for diagnostics and tests."""
 
-    P: sp.csr_matrix
-    split_row: int
+    P2: sp.csr_matrix
+    P1: sp.csr_matrix
 
     def __post_init__(self):
         # plain attributes: restrict and prolongate read them on every call
-        self.n_fine, self.n_coarse = self.P.shape
+        (n2_fine, n2_coarse), (n1_fine, n1_coarse) = (self.P2.shape,
+                                                        self.P1.shape)
+        self.n_fine = 2 * n2_fine + n1_fine
+        self.n_coarse = 2 * n2_coarse + n1_coarse
 
-    @cached_property
+    @property
+    def P(self):
+        return block_diagonal(self.P2, self.P2, self.P1)
+
+    @property
     def R(self):
         return self.P.T
 
     @cached_property
     def products(self):
-        """The in-place products out += mat @ x (sparse.Product) with P and
-        R, under those names."""
-        return SimpleNamespace(P=Product(self.P),
-                               R=Product(self.R, self.split_row))
+        """The in-place products out += mat @ x
+        (sparse.BlockDiagonalProduct) with P and R, under those names."""
+        R2, R1 = (csc_view(m.data, m.indices, m.indptr, m.shape[::-1])
+                  for m in (self.P2, self.P1))
+        return SimpleNamespace(
+            P=BlockDiagonalProduct(self.P2, self.P2, self.P1),
+            R=BlockDiagonalProduct(R2, R2, R1))
 
 
 def build_prolongation(coarse_space: TaylorHoodSpace,
@@ -129,8 +139,7 @@ def build_prolongation(coarse_space: TaylorHoodSpace,
         fl.tri_vertices[child_ids], cl.tri_vertices, _W_P1,
         np.arange(fl.n_vertices), np.arange(cl.n_vertices), cl.n_vertices,
     )
-    return TransferOperators(P=block_diagonal(P2, P2, P1),
-                             split_row=P2.shape[0])
+    return TransferOperators(P2=P2, P1=P1)
 
 
 def prolongate(transfer, x_coarse):

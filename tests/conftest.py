@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from stokesmg import sparse
-from stokesmg.assembly import ProblemParams, TaylorHoodSpace, build_system
+from stokesmg.assembly import (ProblemParams, TaylorHoodSpace,
+                               _divergence_numerators, _scalar_numerators,
+                               build_system)
 from stokesmg.mesh import build_hierarchy
 from stokesmg.transfer import build_prolongation
 
@@ -65,23 +67,25 @@ def from_triplets(nrows, ncols, rows, cols, values):
 
 
 def float_blocks(space):
-    """The blocks a space keeps as exact integers for set-up, in floating
-    point, scaled as build_system scales them, and its mass M_s:
-    K_s = 6 K_s / 6, the stiffness on its own nonzeros,
-    B = (6 / l) B / 6 * l, and B^T's values in saddle-pattern order (None
-    until the space has built a saddle pattern)."""
+    """The blocks a pass of build_systems lays out its saddle patterns
+    from (SetUpBlocks), exact integers, in floating point, scaled as
+    build_system scales them: K_s = 6 K_s / 6 and
+    M_s = 360 M_s / l^2 / 360 * l^2 on their shared pattern, the stiffness
+    on its own nonzeros, B = (6 / l) B / 6 * l, and B^T's values in
+    saddle-pattern order."""
     ell = space._element_classes[0]
-    K6, M_s = space.scalar_blocks
-    K_s = sp.csr_matrix((K6.data / 6.0, K6.indices, K6.indptr),
-                        shape=K6.shape)
+    K6, M360 = _scalar_numerators(space)
+    K_s, M_s = (sp.csr_matrix((mat.data / d * s, mat.indices, mat.indptr),
+                              shape=mat.shape)
+                for mat, d, s in ((K6, 6.0, 1.0), (M360, 360.0, ell ** 2)))
     stiffness = K_s.copy()
     stiffness.eliminate_zeros()
-    B6, bt6 = space.B, space._bt_values
+    B6 = _divergence_numerators(space)
     B = sp.csr_matrix((B6.data / 6.0 * ell, B6.indices, B6.indptr),
                       shape=B6.shape)
     return SimpleNamespace(
         K_s=K_s, M_s=M_s, stiffness=stiffness, B=B,
-        bt_values=None if bt6 is None else bt6 / 6.0 * ell,
+        bt_values=B6.T.tocsr().data / 6.0 * ell,
     )
 
 

@@ -14,19 +14,25 @@ from stokesmg.assembly import (
     _P1_MASS24,
     ProblemParams,
     QuadratureRule,
+    SetUpBlocks,
     TaylorHoodSpace,
     _assemble_packed,
+    _divergence_numerators,
     _local_tables,
+    _mass,
     _mass_cg,
     _moment_vectors,
+    _scalar_numerators,
     build_system,
+    build_systems,
     conical_rule,
     l2_project,
     manufactured_rhs,
     p2_values,
 )
+from stokesmg.bench import BETA_TABLE
 from stokesmg.mesh import CHILD_VERTEX_BARYCENTRIC, MeshLevel, build_hierarchy
-from stokesmg.sparse import block_diagonal, interleave
+from stokesmg.sparse import Product, block_diagonal, interleave
 
 from conftest import eval_p2_function, float_blocks, from_triplets, p2_coords
 
@@ -226,9 +232,10 @@ def test_A_dominates_beta_mass(space2):
 
 
 def test_beta_independent_blocks_assembled_once_per_space(monkeypatch):
-    # systems for several beta and the L2 projection all reuse the blocks
-    # the space assembled on first use: one packed assembly for K_s and
-    # M_s, one for D_x and D_y, one for M_P
+    # one pass's systems for several beta and the L2 projection all reuse
+    # the blocks assembled on first use: one packed assembly for K_s and
+    # M_s (which also gives the space its mass M), one for D_x and D_y,
+    # one for M_P
     from stokesmg import assembly
     from stokesmg.bench import exact_pressure, exact_velocity
 
@@ -241,8 +248,7 @@ def test_beta_independent_blocks_assembled_once_per_space(monkeypatch):
 
     monkeypatch.setattr(assembly, "_assemble_packed", counted)
     space = TaylorHoodSpace(build_hierarchy(2)[2])
-    for beta in (0.0, 1.0, 1e10):
-        build_system(space, ProblemParams(beta=beta))
+    build_systems(space, (0.0, 1.0, 1e10))
     l2_project(space, exact_velocity, exact_pressure)
     n, n_p = space.n_interior, space.n_pressure
     assert sorted(calls) == sorted([(n, n), (n_p, n), (n_p, n_p)])
@@ -261,18 +267,24 @@ def _traced_peak(build):
 def test_blocks_set_up_within_a_multiple_of_what_they_keep():
     # each pair of blocks is summed from one int32 CSR laid out straight
     # from the element blocks, with no coordinate triplets, so set-up peaks
-    # at a bounded multiple of what the space keeps, its int16 stiffness
-    # and B included (level 5: 1.8x and 3.9x)
+    # at a bounded multiple of what a pass keeps of them, its int16
+    # stiffness, mass numerators and B included, and the space's mass M
+    # taken from the numerators (level 5: 1.4x and 3.9x)
     space = TaylorHoodSpace(build_hierarchy(5)[5])
     # inputs shared with other blocks
     space._element_classes, space.M_P
 
-    (K, M), peak = _traced_peak(lambda: space.scalar_blocks)
-    kept = K.data.nbytes + M.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+    def scalar():
+        K, M = _scalar_numerators(space)
+        return K, M, _mass(space, M)
+
+    (K, M, mass), peak = _traced_peak(scalar)
+    kept = sum(a.nbytes for a in (K.data, M.data, K.indices, K.indptr,
+                                  mass.data, mass.indices, mass.indptr))
     assert K.indices is M.indices and K.indptr is M.indptr
     assert peak <= 2.5 * kept
 
-    B, peak = _traced_peak(lambda: space.B)
+    B, peak = _traced_peak(lambda: _divergence_numerators(space))
     assert peak <= 4.5 * (B.data.nbytes + B.indices.nbytes + B.indptr.nbytes)
 
 
@@ -367,7 +379,8 @@ def test_blocks_match_quadrature_loop_oracle(level):
     K6, M360, B6 = _assemble_locals(space, *integer[:3])
     P24 = _pressure_mass_from_locals(space, integer[3])
     blocks = float_blocks(space)
-    for got, want in ((space.scalar_blocks[0], K6), (space.B, B6),
+    for got, want in ((_scalar_numerators(space)[0], K6),
+                      (_divergence_numerators(space), B6),
                       (blocks.K_s, K6 / 6.0),
                       (blocks.M_s, M360 / 360.0 * ell ** 2),
                       (blocks.B, B6 / 6.0 * ell),
@@ -588,9 +601,11 @@ def test_assembly_rejects_vertices_off_the_lattice():
     coords = level.vertex_coords.copy()
     coords[np.flatnonzero(~level.vertex_on_boundary)[3]] += 2.0 ** -3 / 3
     space = TaylorHoodSpace(MeshLevel(2, coords, level.tri_vertices))
-    for block in ("scalar_blocks", "B", "M_P"):
+    for block in (lambda: _scalar_numerators(space),
+                  lambda: _divergence_numerators(space), lambda: space.M,
+                  lambda: space.M_P):
         with pytest.raises(ValueError, match="multiples"):
-            getattr(space, block)
+            block()
 
 
 def test_assembly_rejects_clockwise_triangles():
@@ -598,9 +613,11 @@ def test_assembly_rejects_clockwise_triangles():
     tris = level.tri_vertices.copy()
     tris[5, [1, 2]] = tris[5, [2, 1]]
     space = TaylorHoodSpace(MeshLevel(2, level.vertex_coords, tris))
-    for block in ("scalar_blocks", "B", "M_P"):
+    for block in (lambda: _scalar_numerators(space),
+                  lambda: _divergence_numerators(space), lambda: space.M,
+                  lambda: space.M_P):
         with pytest.raises(ValueError, match="non-counterclockwise"):
-            getattr(space, block)
+            block()
 
 
 @pytest.mark.parametrize("m", [63, 64])
@@ -611,7 +628,7 @@ def test_assembly_rejects_tables_too_large_to_pack(m):
     level = MeshLevel(0, np.array([[0.0, 0.0], [m, 1.0], [m - 1.0, 1.0]]),
                       np.array([[0, 1, 2]]))
     with pytest.raises(ValueError, match="too large"):
-        TaylorHoodSpace(level).scalar_blocks
+        _scalar_numerators(TaylorHoodSpace(level))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -641,10 +658,11 @@ def test_packed_sums_raise_before_int16_could_overflow(sign):
 
 def test_space_keeps_set_up_blocks_as_int16_and_node_tables_as_int32():
     space = TaylorHoodSpace(build_hierarchy(2)[2])
+    blocks = SetUpBlocks(space, (0.0, 1.0))
     for beta in (0.0, 1.0):
-        build_system(space, ProblemParams(beta=beta))
-    K6, M_s = space.scalar_blocks
-    for values in (K6.data, space.B.data, space._bt_values):
+        build_system(space, ProblemParams(beta=beta), blocks)
+    M_s = space.M
+    for values in (blocks.k6, blocks.m360, blocks.b, blocks.bt):
         assert values.dtype == np.int16
     level = space.level
     for table in (level.tri_vertices, level.tri_edges, level.edge_vertices,
@@ -700,7 +718,7 @@ def test_velocity_blocks_exactly_symmetric(level):
 def test_systems_share_beta_independent_blocks(space2):
     s0 = build_system(space2, ProblemParams(beta=0.0))
     s1 = build_system(space2, ProblemParams(beta=1e4))
-    assert s0.M is s1.M is space2.scalar_blocks[1] and s0.M_P is s1.M_P
+    assert s0.M is s1.M is space2.M and s0.M_P is s1.M_P
     assert not np.shares_memory(s0.K.data, s1.K.data)
     # each B is a view of its own K's pressure rows, holding the space's B
     B = float_blocks(space2).B
@@ -712,9 +730,9 @@ def test_systems_share_beta_independent_blocks(space2):
 
 
 def test_systems_share_saddle_pattern(space2):
-    # every beta > 0 shares one pattern, beta = 0 the smaller other one
-    s0, t0 = (build_system(space2, ProblemParams(beta=0.0)) for _ in range(2))
-    s1, s4 = (build_system(space2, ProblemParams(beta=b)) for b in (1.0, 1e4))
+    # in one pass, every beta > 0 shares one pattern, beta = 0 the smaller
+    # other one
+    s0, t0, s1, s4 = build_systems(space2, (0.0, 0.0, 1.0, 1e4))
     for a, b in ((s0, t0), (s1, s4)):
         assert a.K.indices is b.K.indices
         assert a.K.indptr is b.K.indptr
@@ -759,7 +777,7 @@ def _concatenated_saddle_data(space, beta):
     """K's data written with A's scalar values first concatenated once per
     velocity component, then interleaved with B^T's over all velocity
     rows."""
-    _, indices, from_a = space.saddle_pattern(beta)
+    _, indices, from_a = SetUpBlocks(space, [beta]).saddle_pattern(beta)
     blocks = float_blocks(space)
     a = (blocks.stiffness.data if beta == 0.0
          else blocks.K_s.data + beta * blocks.M_s.data)
@@ -787,10 +805,64 @@ def test_build_system_peaks_within_a_multiple_of_its_data(spaces5, beta,
     # scaled in K's data: level 5 peaks at 1.12x K's data at beta = 0 and
     # 1.39x at beta > 0 (1.64x and 2.11x when concatenated)
     space = spaces5[5]
-    build_system(space, ProblemParams(beta=beta))  # blocks and pattern
+    blocks = SetUpBlocks(space, (beta, 2.0 * beta))
+    build_system(space, ProblemParams(beta=beta), blocks)
     system, peak = _traced_peak(
-        lambda: build_system(space, ProblemParams(beta=2.0 * beta)))
+        lambda: build_system(space, ProblemParams(beta=2.0 * beta), blocks))
     assert peak <= bound * system.K.data.nbytes
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_one_pass_build_equals_builds_per_beta(spaces5, level):
+    # the systems one pass builds for the six table beta are those each
+    # beta builds alone, to the bit
+    space = spaces5[level]
+    together = build_systems(space, BETA_TABLE)
+    for beta, system in zip(BETA_TABLE, together):
+        alone = build_system(space, ProblemParams(beta=beta))
+        assert system.params.beta == beta
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(system.K, name), getattr(alone.K, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    # and share two index patterns, one for beta = 0 and one for beta > 0
+    assert len({id(s.K.indices) for s in together}) == 2
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_compact_mass_stores_no_zero(spaces5, level):
+    # the space's M holds the nonzeros of the mass the pass sums on the
+    # stiffness's pattern too, with the same values and the same products
+    space = spaces5[level]
+    M, union = space.M, float_blocks(space).M_s
+    assert np.all(M.data != 0.0)
+    assert M.has_sorted_indices
+    keep = union.data != 0.0
+    assert M.nnz == np.count_nonzero(keep) < union.nnz or level == 0
+    assert (M != union).nnz == 0
+    rng = np.random.default_rng(level)
+    for x in (rng.standard_normal(M.shape[1]),
+              rng.standard_normal((M.shape[1], 3))):
+        want = Product(union)(x, np.zeros((M.shape[0],) + x.shape[1:]))
+        got = Product(M)(x, np.zeros(want.shape))
+        assert np.array_equal(got, want)
+    assert M.diagonal().tolist() == union.diagonal().tolist()
+
+
+def test_one_pass_peaks_within_a_bound_of_what_it_keeps():
+    # the six table systems of a fresh level-5 space, built in one pass:
+    # the set-up blocks live only for the pass, so it peaks at 1.13x what
+    # it keeps (the systems and the space's mass)
+    space = TaylorHoodSpace(build_hierarchy(5)[5])
+    space._element_classes, space.M_P  # inputs shared with the projection
+    tracemalloc.start()
+    try:
+        systems = build_systems(space, BETA_TABLE)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(systems) == len(BETA_TABLE)
+    assert peak <= 1.3 * kept
 
 
 @pytest.fixture(scope="module")
@@ -983,7 +1055,7 @@ def test_project_zero_is_zero(space2):
 def _project_with_rule(space, u_exact, p_exact, rule):
     """l2_project with its moments taken by the given quadrature rule."""
     b_ux, b_uy, b_p = _moment_vectors(space, u_exact, p_exact, rule)
-    idx, M, M_P = space.interior_nodes, space.scalar_blocks[1], space.M_P
+    idx, M, M_P = space.interior_nodes, space.M, space.M_P
     u_star = np.concatenate([_mass_cg(M, b_ux[idx]), _mass_cg(M, b_uy[idx])])
     p_star = _mass_cg(M_P, b_p)
     w = M_P @ np.ones(space.n_pressure)

@@ -349,3 +349,51 @@ def test_spot_values_against_reference_counts():
     assert row.converged
     assert 3 <= row.n <= 14
     assert row.q <= 0.25
+
+
+def test_spaces_keep_no_set_up_block_after_the_table_is_built(monkeypatch):
+    # run_table builds every beta of the grid level by level, from the
+    # finest down, in one pass each: the set-up blocks (int16 numerators,
+    # the saddle layout's mask) die with the pass, so a space holds its
+    # node tables, its triangle classes and the two masses a solve reads,
+    # and nothing else; the blocks of each level are assembled once
+    from stokesmg import assembly
+
+    passes = []
+    original = assembly.SetUpBlocks.__init__
+
+    def counted(self, space, betas):
+        passes.append(space.level.level_index)
+        original(self, space, betas)
+
+    monkeypatch.setattr(assembly.SetUpBlocks, "__init__", counted)
+    cache = _HierarchyCache(3)
+    grid = ExperimentGrid(
+        levels=[2, 3], betas=[0.0, 1.0, 1e10],
+        configs=[CycleConfig(smoother=SmootherConfig(kind="uzawa"))])
+    rows = run_table(grid, cache=cache)
+    assert len(rows) == 6 and all(r.converged for r in rows)
+    assert passes == [3, 2, 1, 0]
+    for space in cache.spaces:
+        held = []
+
+        def collect(value):
+            if isinstance(value, np.ndarray):
+                held.append(value)
+            elif hasattr(value, "indptr"):
+                held.extend((value.data, value.indices, value.indptr))
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    collect(item)
+            elif isinstance(value, dict):
+                collect(list(value.values()))
+
+        collect([v for k, v in vars(space).items() if k != "level"])
+        assert set(vars(space)) == {
+            "level", "n_p2", "p2_on_boundary", "tri_p2", "interior_nodes",
+            "n_interior", "interior_number", "n_pressure", "n_velocity",
+            "_element_classes", "M", "M_P"}
+        assert not any(a.dtype == np.int16 for a in held)
+        assert [a for a in held if a.dtype == bool] == [space.p2_on_boundary]
+        assert ({id(a) for a in held if a.dtype == np.float64}
+                == {id(space.M.data), id(space.M_P.data)})

@@ -174,6 +174,19 @@ def test_solve_rejects_max_iter_below_one(systems3_module, transfers3,
         mg.solve(2, rhs, x_star, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_solve_rejects_a_tol_that_is_not_positive_and_finite(
+        systems3_module, transfers3, manufactured2, monkeypatch, tol):
+    # such a tol stops no solve: a level-2 solve ran all 200 cycles and
+    # reported max_iter
+    x_star, rhs = manufactured2
+    mg = make_mg(systems3_module, transfers3, 2)
+    sweeps = count_sweeps(monkeypatch)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        mg.solve(2, rhs, x_star, tol=tol)
+    assert sweeps == []
+
+
 def test_zero_residual_cycle_without_smoothing(systems3_beta1, transfers3):
     rng = np.random.default_rng(0)
     system = systems3_beta1[2]

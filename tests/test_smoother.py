@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -55,13 +56,34 @@ def unit_scaling(n_u, n_p):
 
 
 def test_config_defaults():
+    # the fields keep what was given; damping is what the smoother runs with
     cfg = SmootherConfig()
     assert cfg.kind == "normal_equation"
-    assert cfg.tau == DEFAULT_TAU_NORMAL
-    assert cfg.sigma is None
+    assert cfg.damping[0] == DEFAULT_TAU_NORMAL
+    assert cfg.damping[1] is None
     uz = SmootherConfig(kind="uzawa")
-    assert uz.tau == DEFAULT_TAU_UZAWA
-    assert uz.sigma == DEFAULT_SIGMA_UZAWA
+    assert uz.damping[0] == DEFAULT_TAU_UZAWA
+    assert uz.damping[1] == DEFAULT_SIGMA_UZAWA
+    assert cfg.tau is cfg.sigma is uz.tau is uz.sigma is None
+    assert SmootherConfig(kind="uzawa", tau=0.5).damping == (
+        0.5, DEFAULT_SIGMA_UZAWA)
+    assert SmootherConfig(tau=0.3).damping == (0.3, None)
+
+
+def test_replaced_kind_takes_its_own_defaults():
+    # a config derived for another smoother carries no default of the
+    # first: the normal-equation smoother gets its own tau and no sigma
+    uz = SmootherConfig(kind="uzawa")
+    normal = dataclasses.replace(uz, kind="normal_equation")
+    assert normal.damping == (DEFAULT_TAU_NORMAL, None)
+    assert dataclasses.replace(normal, kind="uzawa").damping == (
+        DEFAULT_TAU_UZAWA, DEFAULT_SIGMA_UZAWA)
+    # a damping that was given is carried
+    assert dataclasses.replace(SmootherConfig(kind="uzawa", tau=0.5),
+                               kind="normal_equation").damping == (0.5, None)
+    with pytest.raises(ValueError, match="sigma"):
+        dataclasses.replace(SmootherConfig(kind="uzawa", sigma=0.5),
+                            kind="normal_equation")
 
 
 def test_config_validation():
@@ -90,6 +112,13 @@ def test_normal_equation_config_rejects_a_sigma(sigma):
     # has none to take
     with pytest.raises(ValueError, match="sigma"):
         SmootherConfig(kind="normal_equation", sigma=sigma)
+
+
+def test_scaling_diagonals_are_views_of_one_array(systems3_beta1):
+    sc = build_scaling(systems3_beta1[2])
+    assert sc.d_u.base is sc.d_full and sc.d_p.base is sc.d_full
+    assert sc.d_u.size + sc.d_p.size == sc.d_full.size
+    assert np.array_equal(sc.d_full, np.concatenate([sc.d_u, sc.d_p]))
 
 
 def test_natural_scaling_diagonals(systems3_beta1):

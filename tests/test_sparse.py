@@ -13,6 +13,7 @@ from stokesmg.sparse import (
     SingularMatrixError,
     block_diagonal,
 )
+from stokesmg.transfer import prolongate, restrict
 
 from conftest import force_split_products, from_triplets, transfer_blocks
 
@@ -331,11 +332,14 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
     if cores == 1:
         assert sparse._worker is None
         return
-    # R's columns split where P's first velocity block ends; B^T's every
-    # column writes both velocity components, so it has no such place
+    # the transfers' worker takes P's first velocity block, which R's
+    # columns up to where that block ends multiply; B^T's every column
+    # writes both velocity components, so it has no such place and, a CSC
+    # product, runs serially
     n_first = transfers3[3].P.shape[0] - systems3_beta1[3].n_p
-    assert pairs["R"][1]._mid == n_first // 2
-    assert pairs["Bt"][1]._mid is None
+    assert pairs["R"][1]._parts[0][2] == slice(0, n_first // 2)
+    assert pairs["P"][1]._parts[0][3] == slice(0, n_first // 2)
+    assert not pairs["Bt"][1]._csr
     assert sparse._worker is not None
 
 
@@ -374,19 +378,62 @@ def test_level6_restriction_splits_between_velocity_components(
         assert np.array_equal(product(x, start.copy()), want)
         assert np.array_equal(Product(R)(x, start.copy()), want)
         assert np.array_equal(product(x, np.zeros(want.shape)), R @ x)
-    assert product._mid == n_interior
+    assert product._parts[0][2] == slice(0, n_interior)
+    assert (sparse._worker is None) == (cores == 1)
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_level6_transfers_make_one_handoff(transfer6, monkeypatch, cores):
+    # P_2 is applied per velocity component: at level 6 the worker takes
+    # the first component and the caller the rest, one handoff per
+    # transfer, and both transfers are the one matrix P's and P^T's
+    # products to the bit
+    transfer, n_interior = transfer6
+    P = transfer.P
+    monkeypatch.setattr(sparse, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(sparse, "_worker", None)
+    submits = []
+    original = sparse._get_worker
+
+    class Counting:
+        def __init__(self, worker):
+            self.worker = worker
+
+        def submit(self, *args):
+            submits.append(args[0])
+            return self.worker.submit(*args)
+
+    def counting():
+        worker = original()
+        return None if worker is None else Counting(worker)
+
+    monkeypatch.setattr(sparse, "_get_worker", counting)
+    rng = np.random.default_rng(19)
+    xc = rng.standard_normal(transfer.n_coarse)
+    rf = rng.standard_normal(transfer.n_fine)
+    with monkeypatch.context() as serial:
+        serial.setattr(sparse, "_SPLIT_NNZ", P.nnz + 1)
+        want_p = Product(P)(xc, np.zeros(transfer.n_fine))
+        want_r = Product(P.T)(rf, np.zeros(transfer.n_coarse))
+    assert submits == []
+    assert np.array_equal(prolongate(transfer, xc), want_p)
+    assert np.array_equal(restrict(transfer, rf), want_r)
+    assert np.array_equal(want_p, P @ xc)
+    assert np.array_equal(want_r, P.T @ rf)
+    assert len(submits) == (2 if cores == 2 else 0)
     assert (sparse._worker is None) == (cores == 1)
 
 
 def test_restriction_halves_write_disjoint_coarse_rows(transfers3):
-    # R's product trusts split_row: R's columns before it may write only
-    # rows below every row its columns from it on write
+    # R's product trusts its blocks: R's columns of the first, the
+    # worker's, may write only rows below every row its other columns write
     for transfer in transfers3[1:]:
-        R, cut = transfer.R, transfer.split_row
+        R, first = transfer.R, transfer.products.R._parts[0]
+        cut = first[2].stop
         assert 0 < cut < R.shape[1]
         rows = [R[:, :cut].tocoo().row, R[:, cut:].tocoo().row]
         assert rows[0].max() < rows[1].min()
-        assert transfer.products.R._mid == cut
+        assert rows[0].max() < first[3].stop
 
 
 @pytest.mark.parametrize("bound", [True, False], ids=["bound", "matvec_add"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stokesmg import sparse
 from stokesmg.assembly import TaylorHoodSpace
 from stokesmg.mesh import build_hierarchy
 from stokesmg.transfer import (
@@ -87,13 +88,31 @@ def test_adjoint_identity(transfers3):
 
 
 def test_restrictions_are_views_of_prolongations(transfers3):
-    # R is the transpose of P, stored in its memory
+    # R is the transpose of P; the restriction's blocks are stored in the
+    # memory of P_2 and P_1, and are multiplied as CSC matrices
     for T in transfers3[1:]:
         assert T.R.format == "csc"
-        for a, b in ((T.R.data, T.P.data), (T.R.indices, T.P.indices),
-                     (T.R.indptr, T.P.indptr)):
-            assert np.shares_memory(a, b)
+        for (vector, args, _, _), mat in zip(T.products.R._parts,
+                                             (T.P2, T.P2, T.P1)):
+            assert vector is sparse._MATVEC["csc"][0]
+            assert args[:2] == mat.shape[::-1]
+            indptr, indices, data = args[2:]
+            for a, b in ((data, mat.data), (indices, mat.indices),
+                         (indptr, mat.indptr)):
+                assert np.shares_memory(a, b)
         assert np.abs((T.R - T.P.T).toarray()).max() == 0.0
+
+
+def test_velocity_components_share_one_P2(transfers3):
+    # P_2 is held once: both velocity components' blocks of the
+    # prolongation and of the restriction read its arrays
+    for T in transfers3[1:]:
+        for product in (T.products.P, T.products.R):
+            x_block, y_block, p_block = (part[1] for part in product._parts)
+            assert all(a is b for a, b in zip(x_block[2:], y_block[2:]))
+            assert x_block[2] is T.P2.indptr and p_block[2] is T.P1.indptr
+        held = {id(v) for v in vars(T).values() if sp.issparse(v)}
+        assert held == {id(T.P2), id(T.P1)}
 
 
 def test_dimension_checks(transfers3):
