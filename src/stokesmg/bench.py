@@ -121,20 +121,21 @@ class _HierarchyCache:
         self._systems = {}
         self._targets = {}
 
-    def build(self, betas, up_to_level):
-        """Build the systems of every given beta up to the level, from the
-        finest level down: a level's pass then peaks while only the finer
-        levels' systems are held, the coarser ones not yet built."""
-        for level in range(up_to_level, -1, -1):
-            missing = [beta for beta in dict.fromkeys(betas)
-                       if level not in self._systems.setdefault(beta, {})]
+    def build(self, tops):
+        """Build the systems of each beta in tops up to its level there,
+        from the finest level down, all of a level's in one pass: the pass
+        then peaks while only the finer levels' systems are held, the
+        coarser ones not yet built."""
+        for level in range(max(tops.values()), -1, -1):
+            missing = [beta for beta, top in tops.items() if top >= level
+                       and level not in self._systems.setdefault(beta, {})]
             if missing:
                 for beta, system in zip(missing, build_systems(
                         self.spaces[level], missing)):
                     self._systems[beta][level] = system
 
     def systems(self, beta, up_to_level):
-        self.build([beta], up_to_level)
+        self.build({beta: up_to_level})
         return [self._systems[beta][k] for k in range(up_to_level + 1)]
 
     def target(self, level):
@@ -155,7 +156,7 @@ def run_table(grid: ExperimentGrid, cache=None):
     """
     top = max(grid.levels)
     cache = cache or _HierarchyCache(top)
-    cache.build(grid.betas, top)
+    cache.build(dict.fromkeys(grid.betas, top))
     rows = []
     for config in grid.configs:
         for beta in grid.betas:
@@ -360,11 +361,14 @@ def _damping_report(grid, cache, out):
     """Print the damping_margins of each smoother the grid runs (in the
     order it runs them) on levels 1-3 for four beta, one line each,
     labelled with the smoother."""
-    top = min(3, max(grid.levels))
+    top, betas = min(3, max(grid.levels)), (0.0, 1.0, 1e4, 1e10)
+    # with the grid's systems, so each level is set up in one pass
+    cache.build({**dict.fromkeys(betas, top),
+                 **dict.fromkeys(grid.betas, max(grid.levels))})
     smoothers = {(c.smoother.kind, c.smoother.damping): c.smoother
                  for c in grid.configs}
     for smoother in smoothers.values():
-        for beta in (0.0, 1.0, 1e4, 1e10):
+        for beta in betas:
             for level, system in enumerate(cache.systems(beta, top)):
                 if level == 0:
                     continue

@@ -4,9 +4,9 @@ Matrices are scipy CSR throughout, apart from transposes held as CSC views;
 this module holds packed integer assembly from element blocks, CSR layouts
 computed from row counts alone (column concatenation, row blocks sharing
 their parent's arrays, block diagonals), CSR and CSC matrices that hold given
-arrays without a copy, the in-place product bound once per matrix that
-every cycle operation goes through (a large one split over two threads),
-and the pivoted, equilibrated dense factorization for the coarsest grid.
+arrays without a copy, the in-place product every cycle operation goes
+through (bound once per matrix or block diagonal, a large one split over
+two threads), and the pivoted, equilibrated dense LU for the coarsest grid.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -81,102 +82,26 @@ class SingularMatrixError(ValueError):
     """Dense factorization hit a (numerically) singular matrix."""
 
 
-def _check_product(shape, x, out):
-    """Raise ValueError unless x and out fit a product with a matrix of
-    the given shape and out is float64 (a block out a C-contiguous (m, k)
-    array)."""
-    n_rows, n_cols = shape
-    if x.shape[0] != n_cols or out.shape != (n_rows,) + x.shape[1:]:
-        raise ValueError(
-            f"product: matrix {shape}, x {x.shape}, out {out.shape}")
-    # the kernels would also take a complex or long double out
-    if out.dtype != _FLOAT64:
-        raise ValueError(f"product: out must be float64, not {out.dtype}")
-    if out.ndim > 1 and (out.ndim != 2 or not out.flags.c_contiguous):
-        raise ValueError("product: a block out must be a C-contiguous "
-                         "(m, k) array")
-
-
-def _on_two_cores(kernel, first, rest):
-    """kernel(*first) on the worker thread while rest() runs here, then
-    wait for both; False, with nothing run, on one usable core."""
-    worker = _get_worker()
-    if worker is None:
-        return False
-    # the worker runs the kernel alone: its arguments are made here
-    future = worker.submit(kernel, *first)
-    try:
-        rest()
-    finally:
-        future.result()
-    return True
-
-
 class Product:
-    """out += mat @ x for one float64 CSR or CSC matrix, bound once: the
-    compiled kernels and the matrix's arrays and shape are looked up here,
-    so a call makes no dispatch and no attribute lookup on the matrix.
-    Calling it checks that x and out fit the matrix and that out is
-    float64 (a block out must be a C-contiguous (m, k) array), as the
-    kernels read and write past the ends of arrays that do not fit.
+    """out += diag(mats) @ x for float64 CSR or CSC matrices mats, bound
+    once; a single matrix is its own block diagonal.  The compiled kernels
+    and each block's arrays, shape, columns of x and rows of out are looked
+    up here, so a call makes no dispatch and no attribute lookup on a
+    matrix, and a block that appears twice (a transfer's P_2, once per
+    velocity component) is stored once.  Calling it checks that x and out
+    fit and that out is float64 (a block out must be a C-contiguous
+    (m, k) array), as the kernels read and write past the ends of arrays
+    that do not fit.
 
-    A CSR vector product with at least _SPLIT_NNZ entries, on a machine
-    with two usable cores, runs in two halves, one on a worker thread,
-    split at the row that halves the entries.  Each entry of out is still
-    summed by one thread in the serial order, so the result is bitwise
-    that of one serial product.  A CSC product, which scatters into rows,
+    A vector product with at least _SPLIT_NNZ entries in all, on a machine
+    with two usable cores, gives the worker thread its first part and runs
+    the others here, one handoff: the parts are the blocks of a block
+    diagonal, or the two halves of a single CSR matrix's rows, split at
+    the row that halves its entries.  Each part is one serial kernel call
+    over the same rows in the same order, so the result is bitwise that of
+    one serial product.  A single CSC matrix, which scatters into rows,
     and an (n, k) block run serially: the package's block products, which
     build the level-1 map, are far below the split size.
-    """
-
-    def __init__(self, mat):
-        n_rows, n_cols = self.shape = mat.shape
-        self._csr = mat.format == "csr"
-        self._vector, self._block = _MATVEC[mat.format]
-        self._arrays = (mat.indptr, mat.indices, mat.data)
-        self._args = (n_rows, n_cols) + self._arrays
-        self._x_vector, self._out_vector = (n_cols,), (n_rows,)
-        self._nnz = mat.data.size
-        # where the halves meet: the row that halves the entries
-        self._mid = int(np.searchsorted(mat.indptr, mat.indptr[-1] // 2))
-
-    def __call__(self, x, out):
-        if (x.shape != self._x_vector or out.shape != self._out_vector
-                or out.dtype is not _FLOAT64):
-            _check_product(self.shape, x, out)
-            if out.ndim > 1:
-                self._block(*self.shape, out.shape[1], *self._arrays,
-                            x.ravel(), out.reshape(-1))
-                return out
-        if self._csr and self._nnz >= _SPLIT_NNZ:
-            mid, vector = self._mid, self._vector
-            if _on_two_cores(
-                    vector, self._rows(0, mid, x, out),
-                    lambda: vector(*self._rows(mid, self.shape[0], x, out))):
-                return out
-        self._vector(*self._args, x, out)
-        return out
-
-    def _rows(self, start, stop, x, out):
-        """The vector kernel's arguments over rows start:stop.  Their
-        slice of indptr keeps offsets into the full arrays."""
-        indptr, indices, data = self._arrays
-        return (stop - start, self.shape[1], indptr[start:stop + 1], indices,
-                data, x, out[start:stop])
-
-
-class BlockDiagonalProduct:
-    """out += diag(mats) @ x for float64 CSR or CSC matrices mats, bound
-    once: each block multiplies its own rows of x into its own rows of
-    out through its serial kernel, so a block that appears twice (a
-    transfer's P_2, once per velocity component) is stored once.  Calls
-    are checked as Product's are.
-
-    A vector product with at least _SPLIT_NNZ entries in all, on two
-    usable cores, runs the first block on the worker thread and the others
-    here: one handoff.  Each block is one serial kernel call either way,
-    so the result is bitwise that of Product(block_diagonal(*mats)).  An
-    (n, k) block runs serially.
     """
 
     def __init__(self, *mats):
@@ -184,39 +109,79 @@ class BlockDiagonalProduct:
         cols = np.cumsum([0] + [mat.shape[1] for mat in mats]).tolist()
         self.shape = (rows[-1], cols[-1])
         self._x_vector, self._out_vector = (cols[-1],), (rows[-1],)
-        # (matrix, columns of x, rows of out) of each block
-        self._blocks = [(mat, slice(cols[i], cols[i + 1]),
+        self._nnz = sum(mat.data.size for mat in mats)
+        # (vector kernel, block kernel, shape and arrays, columns of x,
+        # rows of out) of each block
+        self._blocks = [(*_MATVEC[mat.format],
+                         (*mat.shape, mat.indptr, mat.indices, mat.data),
+                         slice(cols[i], cols[i + 1]),
                          slice(rows[i], rows[i + 1]))
                         for i, mat in enumerate(mats)]
-        # (vector kernel, its arguments before x and out, columns, rows)
-        self._parts = [(_MATVEC[mat.format][0],
-                        (*mat.shape, mat.indptr, mat.indices, mat.data),
-                        cols_, rows_) for mat, cols_, rows_ in self._blocks]
-        self._nnz = sum(mat.data.size for mat in mats)
+        # the serial vector product: one kernel call for a single matrix,
+        # each block's for a block diagonal
+        self._vector, _, self._args = self._blocks[0][:3]
+        if len(mats) > 1:
+            self._vector, self._args = self._serial, (self._blocks,)
+
+    @cached_property
+    def _parts(self):
+        """The parts of a split vector product, laid out as the blocks
+        are, the worker's first: the blocks, or a single CSR matrix's
+        halves of rows, which meet at the row that halves its entries;
+        None for a single CSC matrix.  Laid out on first use: most
+        products are never split."""
+        if len(self._blocks) > 1:
+            return self._blocks
+        vector, block, (m, n, indptr, *arrays), cols, _ = self._blocks[0]
+        if vector is _MATVEC["csc"][0]:
+            return None
+        mid = int(np.searchsorted(indptr, indptr[-1] // 2))
+        return [(vector, block, (stop - start, n, indptr[start:stop + 1],
+                                 *arrays), cols, slice(start, stop))
+                for start, stop in ((0, mid), (mid, m))]
 
     def __call__(self, x, out):
         if (x.shape != self._x_vector or out.shape != self._out_vector
                 or out.dtype is not _FLOAT64):
-            _check_product(self.shape, x, out)
+            self._check(x, out)
             if out.ndim > 1:
-                for mat, cols, rows in self._blocks:
-                    _MATVEC[mat.format][1](
-                        *mat.shape, out.shape[1], mat.indptr, mat.indices,
-                        mat.data, x[cols].ravel(), out[rows].reshape(-1))
+                for _, block, (m, n, *arrays), cols, rows in self._blocks:
+                    block(m, n, out.shape[1], *arrays, x[cols].ravel(),
+                          out[rows].reshape(-1))
                 return out
-        parts = self._parts
-        if self._nnz >= _SPLIT_NNZ:
-            vector, args, cols, rows = parts[0]
-            if _on_two_cores(vector, args + (x[cols], out[rows]),
-                             lambda: self._serial(parts[1:], x, out)):
+        if self._nnz >= _SPLIT_NNZ and self._parts:
+            worker = _get_worker()
+            if worker is not None:
+                (vector, _, args, cols, rows), *rest = self._parts
+                # the worker runs its kernel alone: its arguments are made
+                # here; then it is waited for, whatever this thread raises
+                future = worker.submit(vector, *args, x[cols], out[rows])
+                try:
+                    self._serial(rest, x, out)
+                finally:
+                    future.result()
                 return out
-        self._serial(parts, x, out)
+        self._vector(*self._args, x, out)
         return out
+
+    def _check(self, x, out):
+        """Raise ValueError unless x and out fit and out is float64 (a
+        block out a C-contiguous (m, k) array)."""
+        n_rows, n_cols = self.shape
+        if x.shape[0] != n_cols or out.shape != (n_rows,) + x.shape[1:]:
+            raise ValueError(f"product: matrix {self.shape}, x {x.shape}, "
+                             f"out {out.shape}")
+        # the kernels would also take a complex or long double out
+        if out.dtype != _FLOAT64:
+            raise ValueError(f"product: out must be float64, not {out.dtype}")
+        if out.ndim > 1 and (out.ndim != 2 or not out.flags.c_contiguous):
+            raise ValueError("product: a block out must be a C-contiguous "
+                             "(m, k) array")
 
     @staticmethod
     def _serial(parts, x, out):
         """Each part's vector kernel on its own columns and rows."""
-        for vector, args, cols, rows in parts:
+        for vector, _, args, cols, rows in parts:
             vector(*args, x[cols], out[rows])
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import CHILD_VERTEX_BARYCENTRIC
-from .sparse import BlockDiagonalProduct, block_diagonal, csc_view
+from .sparse import Product, block_diagonal, csc_view
 from .assembly import TaylorHoodSpace, p2_values
 
 
@@ -103,13 +103,12 @@ class TransferOperators:
 
     @cached_property
     def products(self):
-        """The in-place products out += mat @ x
-        (sparse.BlockDiagonalProduct) with P and R, under those names."""
+        """The in-place products out += mat @ x (sparse.Product) with P
+        and R, under those names."""
         R2, R1 = (csc_view(m.data, m.indices, m.indptr, m.shape[::-1])
                   for m in (self.P2, self.P1))
         return SimpleNamespace(
-            P=BlockDiagonalProduct(self.P2, self.P2, self.P1),
-            R=BlockDiagonalProduct(R2, R2, R1))
+            P=Product(self.P2, self.P2, self.P1), R=Product(R2, R2, R1))
 
 
 def build_prolongation(coarse_space: TaylorHoodSpace,

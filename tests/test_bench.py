@@ -18,6 +18,7 @@ from stokesmg.bench import (
     main,
     run_table,
 )
+from stokesmg.assembly import SetUpBlocks
 from stokesmg.multigrid import CycleConfig
 from stokesmg.smoother import (
     SmootherConfig,
@@ -260,6 +261,24 @@ def test_cli_check_damping_builds_one_hierarchy(monkeypatch, capsys):
                  "--format", "csv"]) == 0
     assert len(built) == 1
     assert capsys.readouterr().out.startswith("damping ")
+
+
+def test_cli_check_damping_sets_up_each_level_once(monkeypatch, capsys):
+    # the check's four beta on levels 0-3 and the run's beta up to level 4
+    # are built together: one set-up pass per level
+    passes = []
+    init = SetUpBlocks.__init__
+
+    def counted(self, space, betas):
+        passes.append(space.level.level_index)
+        init(self, space, betas)
+
+    monkeypatch.setattr(SetUpBlocks, "__init__", counted)
+    assert main(["--max-level", "4", "--beta", "1", "--check-damping",
+                 "--format", "csv"]) == 0
+    assert sorted(passes) == [0, 1, 2, 3, 4]
+    lines = capsys.readouterr().out.splitlines()
+    assert len([ln for ln in lines if ln.startswith("damping ")]) == 3 * 4
 
 
 def test_cli_check_damping(capsys):

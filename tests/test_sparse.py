@@ -311,8 +311,12 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
                                          monkeypatch, cores):
     # every product split wherever it can be, on the worker thread, or,
     # on one usable core, none: a bound product is the serial product of a
-    # fresh Product to the bit, and both are `@`'s from a zero start
-    pairs = bound_products(systems3_beta1[3], transfers3[3])
+    # fresh Product to the bit, and both are `@`'s from a zero start; so is
+    # a CSR block diagonal that is not a transfer, diag(M, M, M_P)
+    system = systems3_beta1[3]
+    pairs = bound_products(system, transfers3[3])
+    blocks = (system.M, system.M, system.M_P)
+    pairs["diag(M, M, M_P)"] = (block_diagonal(*blocks), Product(*blocks))
     rng = np.random.default_rng(16)
     cases = {name: split_cases(mat, rng) for name, (mat, _) in pairs.items()}
     serial = {name: [Product(mat)(x, start.copy())
@@ -335,11 +339,17 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
     # the transfers' worker takes P's first velocity block, which R's
     # columns up to where that block ends multiply; B^T's every column
     # writes both velocity components, so it has no such place and, a CSC
-    # product, runs serially
-    n_first = transfers3[3].P.shape[0] - systems3_beta1[3].n_p
-    assert pairs["R"][1]._parts[0][2] == slice(0, n_first // 2)
-    assert pairs["P"][1]._parts[0][3] == slice(0, n_first // 2)
-    assert not pairs["Bt"][1]._csr
+    # product, runs serially; a single CSR matrix's worker takes the first
+    # half of its rows, a block diagonal's its first block
+    n_first = transfers3[3].P.shape[0] - system.n_p
+    assert pairs["R"][1]._parts[0][3] == slice(0, n_first // 2)
+    assert pairs["P"][1]._parts[0][4] == slice(0, n_first // 2)
+    assert pairs["Bt"][1]._parts is None
+    K = system.K
+    assert pairs["K"][1]._parts[0][4] == slice(
+        0, np.searchsorted(K.indptr, K.nnz // 2))
+    n = system.M.shape[0]
+    assert pairs["diag(M, M, M_P)"][1]._parts[0][3:] == (slice(0, n),) * 2
     assert sparse._worker is not None
 
 
@@ -378,7 +388,7 @@ def test_level6_restriction_splits_between_velocity_components(
         assert np.array_equal(product(x, start.copy()), want)
         assert np.array_equal(Product(R)(x, start.copy()), want)
         assert np.array_equal(product(x, np.zeros(want.shape)), R @ x)
-    assert product._parts[0][2] == slice(0, n_interior)
+    assert product._parts[0][3] == slice(0, n_interior)
     assert (sparse._worker is None) == (cores == 1)
 
 
@@ -429,11 +439,11 @@ def test_restriction_halves_write_disjoint_coarse_rows(transfers3):
     # worker's, may write only rows below every row its other columns write
     for transfer in transfers3[1:]:
         R, first = transfer.R, transfer.products.R._parts[0]
-        cut = first[2].stop
+        cut = first[3].stop
         assert 0 < cut < R.shape[1]
         rows = [R[:, :cut].tocoo().row, R[:, cut:].tocoo().row]
         assert rows[0].max() < rows[1].min()
-        assert rows[0].max() < first[3].stop
+        assert rows[0].max() < first[4].stop
 
 
 @pytest.mark.parametrize("bound", [True, False], ids=["bound", "matvec_add"])
