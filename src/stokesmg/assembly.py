@@ -16,7 +16,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import MeshLevel
 from .sparse import (
@@ -24,6 +23,7 @@ from .sparse import (
     block_diagonal,
     csc_view,
     csr_view,
+    dot,
     interleave,
     merge_rows,
     packed_from_blocks,
@@ -512,19 +512,41 @@ def build_systems(space, betas):
     return [build_system(space, p, blocks) for p in params]
 
 
+# The mass CG stops once its recursive residual is at most this fraction
+# of the right-hand side's norm, or fails after _CG_MAX_ITER iterations.
+_CG_RTOL = 1e-13
+_CG_MAX_ITER = 500
+
+
 def _mass_cg(M, b):
     """Jacobi-preconditioned CG; mass matrices are uniformly
     well-conditioned so this converges in a few dozen iterations at any
-    level."""
+    level.  Its products go through a bound sparse.Product and its sums
+    through sparse.dot, so no step calls BLAS and the result does not
+    depend on the BLAS thread count."""
+    x = np.zeros_like(b)
     if not np.any(b):
-        return np.zeros_like(b)
-    precond = spla.LinearOperator(
-        M.shape, matvec=lambda v, d=1.0 / M.diagonal(): d * v
-    )
-    x, info = spla.cg(M, b, rtol=1e-13, atol=0.0, M=precond, maxiter=500)
-    if info != 0:
-        raise RuntimeError(f"mass-matrix CG did not converge (info={info})")
-    return x
+        return x
+    product, inv_diag = Product(M), 1.0 / M.diagonal()
+    stop = _CG_RTOL ** 2 * dot(b, b)
+    r = b.copy()
+    p = inv_diag * r
+    rho = dot(r, p)
+    q = np.empty_like(b)
+    for _ in range(_CG_MAX_ITER):
+        q.fill(0.0)
+        product(p, q)
+        alpha = rho / dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        if dot(r, r) <= stop:
+            return x
+        z = inv_diag * r
+        rho, rho_old = dot(r, z), rho
+        p *= rho / rho_old
+        p += z
+    raise RuntimeError(f"mass-matrix CG did not converge in {_CG_MAX_ITER} "
+                       "iterations")
 
 
 # Triangles per block of exact-field evaluations in _moment_vectors: the
@@ -535,7 +557,9 @@ _MOMENT_BLOCK = 1024
 
 
 def _moment_vectors(space, u_exact, p_exact, rule):
-    """Load vectors of the exact fields against all basis functions."""
+    """Load vectors of the exact fields against all basis functions.
+    Raises ValueError, naming the field, where either takes a NaN or
+    infinite value at a quadrature point."""
     wdet = rule.weights * space._element_classes[0] ** 2  # times |det J|
     vals2 = p2_values(rule.points)  # (nq, 6)
     vals1 = rule.points  # (nq, 3): the linear basis values are barycentric
@@ -548,9 +572,15 @@ def _moment_vectors(space, u_exact, p_exact, rule):
         points = rule.points @ coords[tri_vertices[block]]  # (b, nq, 2)
         x, y = points[..., 0], points[..., 1]
         ux, uy = u_exact(x, y)
+        p = p_exact(x, y)
+        # a NaN or inf moment would run every iteration of the mass CG
+        if not (np.isfinite(ux).all() and np.isfinite(uy).all()):
+            raise ValueError("the exact velocity field has non-finite values")
+        if not np.isfinite(p).all():
+            raise ValueError("the exact pressure field has non-finite values")
         loc_ux[block] = (wdet * ux) @ vals2
         loc_uy[block] = (wdet * uy) @ vals2
-        loc_p[block] = (wdet * p_exact(x, y)) @ vals1
+        loc_p[block] = (wdet * p) @ vals1
 
     def scatter(nodes, local, n):
         return np.bincount(nodes.ravel(), weights=local.ravel(), minlength=n)
@@ -581,7 +611,7 @@ def l2_project(space, u_exact, p_exact):
     M_P = space.M_P
     p_star = _mass_cg(M_P, b_p)
     w = M_P @ np.ones(space.n_pressure)
-    p_star -= (w @ p_star) / w.sum()
+    p_star -= dot(w, p_star) / w.sum()
     return u_star, p_star
 
 

@@ -34,6 +34,7 @@ from .transfer import build_prolongation
 BETA_TABLE = [0.0, 1e2, 1e4, 1e6, 1e8, 1e10]
 NU_SWEEP = [1, 2, 3, 4, 8, 16]
 DEFAULT_MAX_LEVEL = 6
+DEFAULT_NU = 3
 
 
 def bump(x, y):
@@ -272,28 +273,41 @@ def _grid(args):
     """The experiment grid of a parsed command line: the smoothing-step
     sweep at level min(4, max_level) and beta = 1, a beta table of one
     smoother over levels min(4, max_level)..max_level, or one custom run
-    at max_level."""
+    at max_level.  A table sets its own betas and smoothers, and the sweep
+    its smoothing counts, so a ValueError names any of those options the
+    command line gives with it."""
+    table = args.table
+    fixed = {"--beta": args.beta, "--smoother": args.smoother} if table else {}
+    if table == "nu-sweep":
+        fixed.update({"--nu-pre": args.nu_pre, "--nu-post": args.nu_post})
+    for option, value in fixed.items():
+        if value is not None:
+            raise ValueError(f"{option} does not apply to --table {table}")
+
     def config(smoother, nu_pre=args.nu_pre, nu_post=args.nu_post,
                sigma=args.sigma):
         return CycleConfig(
             smoother=SmootherConfig(kind=_SMOOTHERS[smoother], tau=args.tau,
                                     sigma=sigma),
-            cycle=_CYCLES[args.cycle], nu_pre=nu_pre, nu_post=nu_post,
+            cycle=_CYCLES[args.cycle],
+            nu_pre=DEFAULT_NU if nu_pre is None else nu_pre,
+            nu_post=DEFAULT_NU if nu_post is None else nu_post,
         )
 
     low = min(4, args.max_level)
-    if args.table == "nu-sweep":
+    if table == "nu-sweep":
         # --sigma is the Uzawa rows' pressure damping
         levels, betas = [low], [1.0]
         configs = [config(name, nu, nu,
                           args.sigma if name == "uzawa" else None)
                    for name in _SMOOTHERS for nu in NU_SWEEP]
-    elif args.table:
+    elif table:
         levels, betas = list(range(low, args.max_level + 1)), list(BETA_TABLE)
-        configs = [config(args.table)]
+        configs = [config(table)]
     else:
-        levels, betas = [args.max_level], args.beta
-        configs = [config(args.smoother)]
+        levels = [args.max_level]
+        betas = [0.0] if args.beta is None else args.beta
+        configs = [config(args.smoother or "normal")]
     return ExperimentGrid(levels=levels, betas=betas, configs=configs,
                           tol=args.tol, max_iter=args.max_iter)
 
@@ -335,12 +349,15 @@ def build_parser():
     parser.add_argument("--max-level", type=_LEVEL, default=DEFAULT_MAX_LEVEL,
                         help="finest level (default 6; levels 7-8 are "
                         "expensive and opt-in)")
-    parser.add_argument("--beta", type=_BETAS, default="0",
-                        help="comma-separated reaction coefficients")
+    # None defaults, so that a table can reject what it would not use
+    parser.add_argument("--beta", type=_BETAS,
+                        help="comma-separated reaction coefficients "
+                        "(default 0; custom runs only)")
     parser.add_argument("--smoother", choices=["normal", "uzawa"],
-                        default="normal")
-    parser.add_argument("--nu-pre", type=_COUNT, default=3)
-    parser.add_argument("--nu-post", type=_COUNT, default=3)
+                        help="default normal; custom runs only")
+    for option in ("--nu-pre", "--nu-post"):
+        parser.add_argument(option, type=_COUNT, help=f"default {DEFAULT_NU}; "
+                            "not with --table nu-sweep")
     parser.add_argument("--cycle", choices=["v", "w", "two-grid"], default="w")
     parser.add_argument("--tau", type=_POSITIVE, default=None,
                         help="smoother damping (defaults: 0.35 normal, 0.8 uzawa)")

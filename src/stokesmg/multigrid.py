@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .smoother import SmootherConfig, build_scaling, smoother_step
-from .sparse import DenseFactorization
+from .sparse import DenseFactorization, dot
 from .transfer import prolongate, restrict
 
 _CYCLES = ("V", "W", "two_grid")
@@ -91,14 +91,6 @@ class SolveReport:
         return float((last / first) ** (1.0 / self.n)) if last > 0.0 else 0.0
 
 
-def _dot(a, b):
-    """The dot product of a vector with a vector, or with each column of
-    an (n, k) block, summed without BLAS: OpenBLAS runs a dot of more than
-    10 000 entries on several threads, which then spin on the core that the
-    split-product worker needs."""
-    return np.einsum("i,i...->...", a, b)
-
-
 def triple_norm(x, system):
     """Level-scaled L2 norm of a stacked (velocity, pressure) vector on the
     level of the given SaddleSystem."""
@@ -106,9 +98,9 @@ def triple_norm(x, system):
     u, p = system.split(x)
     products = system.products
     # M_U applies the scalar mass M to each velocity component
-    uu = sum(_dot(c, products.M(c, np.zeros(c.size)))
+    uu = sum(dot(c, products.M(c, np.zeros(c.size)))
              for c in u.reshape(2, -1))
-    pp = _dot(p, products.M_P(p, np.zeros(p.size)))
+    pp = dot(p, products.M_P(p, np.zeros(p.size)))
     val = (hm2 + beta) * uu + hm2 / (beta + hm2) * pp
     # tiny negative values can appear from roundoff at x ~ 0
     return float(np.sqrt(max(val, 0.0)))
@@ -187,7 +179,7 @@ class Multigrid:
         x = x.copy()
         p = x[self.systems[level].n_u:]
         w = self._pressure_weights[level]
-        p -= _dot(w, p) / w.sum()
+        p -= dot(w, p) / w.sum()
         return x
 
     def smooth(self, level, x, rhs, steps):

@@ -6,19 +6,21 @@ computed from row counts alone (column concatenation, row blocks sharing
 their parent's arrays, block diagonals), CSR and CSC matrices that hold given
 arrays without a copy, the in-place product every cycle operation goes
 through (bound once per matrix or block diagonal, a large one split over
-two threads), and the pivoted, equilibrated dense LU for the coarsest grid.
+two threads), the dot product every reduction goes through (summed without
+BLAS), and the equilibrated dense inverse for the coarsest grid.  Nothing
+here, and nothing in the package, calls scipy.linalg or
+scipy.sparse.linalg: importing either maps scipy's own BLAS next to
+numpy's.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 # the compiled kernels behind scipy's own sparse products; scipy's `@`
 # calls them after its dispatch, on a zero-filled new output
@@ -76,6 +78,15 @@ def _get_worker():
                 _worker = ThreadPoolExecutor(
                     1, thread_name_prefix="stokesmg-matvec")
     return _worker
+
+
+def dot(a, b):
+    """The dot product of a vector with a vector, or with each column of
+    an (n, k) block, summed without BLAS: OpenBLAS runs a dot of more than
+    10 000 entries on several threads, which then spin on the core that the
+    split-product worker needs, and the sum would depend on the BLAS
+    thread count."""
+    return np.einsum("i,i...->...", a, b)
 
 
 class SingularMatrixError(ValueError):
@@ -309,14 +320,15 @@ def block_diagonal(*mats):
 
 
 class DenseFactorization:
-    """Pivoted LU of a square dense matrix with two-sided equilibration.
+    """Inverse of a square dense matrix with two-sided equilibration.
 
-    Row/column max-norm scaling keeps the factorization meaningful for the
-    badly scaled saddle matrices that appear at large reaction
-    coefficients; singularity is detected through a reciprocal condition
-    estimate of the equilibrated matrix, which stays many orders of
-    magnitude above the threshold for every nonsingular system this
-    package produces.
+    Row/column max-norm scaling keeps the inverse meaningful for the badly
+    scaled saddle matrices that appear at large reaction coefficients;
+    singularity is detected through the reciprocal 1-norm condition number
+    of the equilibrated matrix, which stays many orders of magnitude above
+    the threshold for every nonsingular system this package produces.  The
+    inverse takes about four times an LU's work to build, but a solve is
+    one product with it, with numpy alone.
     """
 
     _RCOND_FLOOR = 1e-14
@@ -338,13 +350,13 @@ class DenseFactorization:
         scaled = scaled / col_scale[None, :]
         self._row_scale = row_scale
         self._col_scale = col_scale
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self._lu, self._piv = scipy.linalg.lu_factor(
-                scaled, check_finite=False
-            )
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (self._lu,))
-        rcond, _ = gecon(self._lu, np.linalg.norm(scaled, 1))
+        try:
+            self._inverse = np.linalg.inv(scaled)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            rcond = 0.0
+        else:
+            rcond = 1.0 / (np.linalg.norm(scaled, 1)
+                           * np.linalg.norm(self._inverse, 1))
         # written so that a NaN rcond fails too
         if not rcond >= self._RCOND_FLOOR:
             raise SingularMatrixError(
@@ -362,8 +374,6 @@ class DenseFactorization:
                 f"rhs has length {b.shape[0]}"
             )
         column = (slice(None),) + (None,) * (b.ndim - 1)
-        y = scipy.linalg.lu_solve(
-            (self._lu, self._piv), b / self._row_scale[column],
-            check_finite=False,
-        )
-        return y / self._col_scale[column]
+        y = self._inverse @ (b / self._row_scale[column])
+        y /= self._col_scale[column]
+        return y

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import stokesmg
 from stokesmg import sparse
 from stokesmg.assembly import (ProblemParams, TaylorHoodSpace,
                                _divergence_numerators, _scalar_numerators,
@@ -53,6 +57,19 @@ def force_split_products(monkeypatch):
     monkeypatch.setattr(sparse, "_SPLIT_NNZ", 0)
     monkeypatch.setattr(sparse, "_usable_cores", lambda: 2)
     monkeypatch.setattr(sparse, "_worker", None)
+
+
+def run_python(code, **env):
+    """Standard output of a new interpreter that runs code with the given
+    environment variables set, importing the stokesmg these tests do."""
+    path = [os.path.dirname(os.path.dirname(stokesmg.__file__)),
+            os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def from_triplets(nrows, ncols, rows, cols, values):

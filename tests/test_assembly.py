@@ -34,7 +34,8 @@ from stokesmg.bench import BETA_TABLE
 from stokesmg.mesh import CHILD_VERTEX_BARYCENTRIC, MeshLevel, build_hierarchy
 from stokesmg.sparse import Product, block_diagonal, interleave
 
-from conftest import eval_p2_function, float_blocks, from_triplets, p2_coords
+from conftest import (eval_p2_function, float_blocks, from_triplets,
+                      p2_coords, run_python)
 
 # Reference-element matrices from exact symbolic integration of the
 # quadratic/linear bases over the unit right triangle (frozen oracle).
@@ -1050,6 +1051,49 @@ def test_project_zero_is_zero(space2):
     u_star, p_star = l2_project(space2, zero2, zero1)
     assert np.abs(u_star).max() == 0.0
     assert np.abs(p_star).max() == 0.0
+
+
+@pytest.mark.parametrize("bad", ["velocity", "pressure"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_project_rejects_a_non_finite_field_before_any_cg(
+        space2, monkeypatch, bad, value):
+    # a NaN or inf moment would run all of the mass CG's iterations
+    def no_cg(M, b):
+        raise AssertionError("mass CG started")
+
+    monkeypatch.setattr("stokesmg.assembly._mass_cg", no_cg)
+    u = lambda x, y: (np.full_like(x, value if bad == "velocity" else 1.0),
+                      np.zeros_like(x))
+    p = lambda x, y: np.full_like(x, value if bad == "pressure" else 1.0)
+    with pytest.raises(ValueError, match=f"exact {bad} field"):
+        l2_project(space2, u, p)
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_mass_cg_meets_its_residual_bound(spaces5, level):
+    space = spaces5[level]
+    rng = np.random.default_rng(level)
+    for M in (space.M, space.M_P):
+        b = rng.standard_normal(M.shape[0])
+        x = _mass_cg(M, b)
+        assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_projection_does_not_depend_on_the_blas_thread_count():
+    # the mass CG and the mean removal make no BLAS call, so a second
+    # OpenBLAS thread leaves every bit of the level-5 projection as it is
+    code = (
+        "import hashlib\n"
+        "from stokesmg.assembly import TaylorHoodSpace, l2_project\n"
+        "from stokesmg.bench import exact_pressure, exact_velocity\n"
+        "from stokesmg.mesh import build_hierarchy\n"
+        "space = TaylorHoodSpace(build_hierarchy(5)[5])\n"
+        "u, p = l2_project(space, exact_velocity, exact_pressure)\n"
+        "print(hashlib.sha1(u.tobytes() + p.tobytes()).hexdigest())\n"
+    )
+    hashes = {run_python(code, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
+              for n in ("1", "2")}
+    assert len(hashes) == 1
 
 
 def _project_with_rule(space, u_exact, p_exact, rule):

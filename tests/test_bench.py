@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stokesmg.bench import (
+    BETA_TABLE,
     CSV_HEADER,
     ExperimentGrid,
     TableRow,
@@ -220,6 +221,19 @@ def test_cli_rejects_bad_options_with_a_usage_error(capsys, argv, option):
     (["--max-level", "2", "--table", "normal", "--sigma", "0.5"], "sigma"),
     (["--max-level", "6", "--cycle", "two-grid"],
      "exact solve on level 5 needs a dense factorization of dimension 36484"),
+    # a table sets its betas and smoothers, the sweep its smoothing counts
+    (["--max-level", "2", "--table", "uzawa", "--cycle", "two-grid",
+      "--beta", "1"], "--beta does not apply to --table uzawa"),
+    (["--max-level", "2", "--table", "normal", "--smoother", "normal"],
+     "--smoother does not apply to --table normal"),
+    (["--max-level", "2", "--table", "nu-sweep", "--beta", "0"],
+     "--beta does not apply to --table nu-sweep"),
+    (["--max-level", "2", "--table", "nu-sweep", "--smoother", "uzawa"],
+     "--smoother does not apply to --table nu-sweep"),
+    (["--max-level", "2", "--table", "nu-sweep", "--nu-pre", "3"],
+     "--nu-pre does not apply to --table nu-sweep"),
+    (["--max-level", "2", "--table", "nu-sweep", "--nu-post", "3"],
+     "--nu-post does not apply to --table nu-sweep"),
 ])
 def test_cli_reports_a_run_it_cannot_make_as_a_usage_error(capsys, argv,
                                                           message):
@@ -235,6 +249,18 @@ def test_cli_reports_a_run_it_cannot_make_as_a_usage_error(capsys, argv,
     assert len(errors) == 1 and message in errors[0]
     assert errors[0].startswith("stokesmg-bench: error: ")
     assert "Traceback" not in captured.err
+
+
+def test_cli_defaults_fill_options_left_out():
+    # the options a table may reject default to None in the parser
+    def cells(argv):
+        grid = _grid(build_parser().parse_args(argv))
+        return grid.betas, [(c.smoother.kind, c.nu_pre, c.nu_post)
+                            for c in grid.configs]
+
+    assert cells([]) == ([0.0], [("normal_equation", 3, 3)])
+    assert cells(["--table", "uzawa", "--nu-pre", "2"]) == (
+        BETA_TABLE, [("uzawa", 2, 3)])
 
 
 def test_cli_nu_sweep_gives_sigma_to_its_uzawa_rows(capsys):
@@ -315,11 +341,11 @@ def test_cli_check_damping(capsys):
     ("nu-sweep", ["normal_equation", "uzawa"]),
 ])
 def test_cli_check_damping_follows_the_table(capsys, table, kinds):
-    # a preset picks its smoothers, whatever --smoother says: each one the
-    # table runs is checked once, in the order the table runs them, on
-    # level 1 for four beta, before the table
+    # a preset picks its smoothers: each one the table runs is checked
+    # once, in the order the table runs them, on level 1 for four beta,
+    # before the table
     argv = ["--table", table, "--max-level", "1", "--format", "csv"]
-    assert main(argv + ["--check-damping", "--smoother", "normal"]) == 0
+    assert main(argv + ["--check-damping"]) == 0
     out = capsys.readouterr().out
     lines = out.splitlines()
     checks = [ln for ln in lines if ln.startswith("damping ")]

@@ -15,7 +15,33 @@ from stokesmg.sparse import (
 )
 from stokesmg.transfer import prolongate, restrict
 
-from conftest import force_split_products, from_triplets, transfer_blocks
+from conftest import (force_split_products, from_triplets, run_python,
+                      transfer_blocks)
+
+
+def test_runs_load_neither_scipy_linalg_nor_sparse_linalg():
+    # importing either maps scipy's own BLAS next to numpy's, which cost
+    # about 10 MB of every run's resident memory
+    code = (
+        "import sys\n"
+        "from stokesmg import bench\n"
+        "from stokesmg.multigrid import CycleConfig, Multigrid\n"
+        "from stokesmg.smoother import SmootherConfig\n"
+        "cache = bench._HierarchyCache(3)\n"
+        "systems = cache.systems(1.0, 3)\n"
+        "u, p = cache.target(3)\n"
+        "x_star = systems[3].join(u, p)\n"
+        "rhs = bench.manufactured_rhs(systems[3], (u, p))\n"
+        "for kind in ('normal_equation', 'uzawa'):\n"
+        "    for cycle in ('V', 'W'):\n"
+        "        config = CycleConfig(SmootherConfig(kind=kind), cycle)\n"
+        "        mg = Multigrid(systems, cache.transfers, config)\n"
+        "        assert mg.solve(3, rhs, x_star).converged\n"
+        "bench.main(['--table', 'nu-sweep', '--max-level', '3'])\n"
+        "print([name for name in ('scipy.linalg', 'scipy.sparse.linalg')\n"
+        "       if name in sys.modules])\n"
+    )
+    assert run_python(code).splitlines()[-1] == "[]"
 
 
 def test_dense_solve_identity_and_diagonal():
@@ -66,6 +92,9 @@ def test_singular_matrix_raises():
         DenseFactorization(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
         DenseFactorization(np.zeros((3, 3)))
+    # invertible, but with an rcond of about 1e-16
+    with pytest.raises(SingularMatrixError, match="rcond"):
+        DenseFactorization(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -50]]))
 
 
 @pytest.mark.parametrize("matrix", [np.full((2, 2), np.nan),
