@@ -140,19 +140,17 @@ class TaylorHoodSpace:
     the scalar velocity mass M and the pressure mass M_P, for the
     quadratic/linear pair on one mesh level; the node tables are int32.
     The blocks only the systems' set-up reads are built by each pass of
-    build_systems (SetUpBlocks) and not kept."""
+    build_systems (SetUpBlocks) and not kept, and so is the table of
+    each triangle's quadratic nodes (tri_p2)."""
 
     def __init__(self, level: MeshLevel):
         self.level = level
         nv, ne = level.n_vertices, level.n_edges
         self.n_p2 = nv + ne
-        self.p2_on_boundary = np.concatenate(
+        p2_on_boundary = np.concatenate(
             [level.vertex_on_boundary, level.edge_on_boundary]
         )
-        # Global quadratic nodes of each triangle, matching the local basis
-        # ordering of p2_values.
-        self.tri_p2 = np.hstack([level.tri_vertices, nv + level.tri_edges])
-        self.interior_nodes = np.flatnonzero(~self.p2_on_boundary).astype(
+        self.interior_nodes = np.flatnonzero(~p2_on_boundary).astype(
             np.int32)
         self.n_interior = self.interior_nodes.size
         # interior index of every quadratic node, n_interior (one past the
@@ -164,6 +162,14 @@ class TaylorHoodSpace:
         )
         self.n_pressure = nv
         self.n_velocity = 2 * self.n_interior
+
+    @property
+    def tri_p2(self):
+        """Global quadratic nodes of each triangle, matching the local
+        basis ordering of p2_values; built on each request."""
+        level = self.level
+        return np.hstack([level.tri_vertices,
+                          level.n_vertices + level.tri_edges])
 
     @cached_property
     def _element_classes(self):
@@ -229,15 +235,19 @@ class SetUpBlocks:
     keeps their values and row pointers only, which is all that K's data
     is written from.  The pressure mass is built first, so its transients
     come before the pass holds anything, and the space's M is taken from
-    the mass numerators.
+    the mass numerators.  A pass for a level no solve runs on keeps no
+    velocity mass (mass False): only the error norm reads it, and its
+    systems' M is None.
     """
 
-    def __init__(self, space, betas):
+    def __init__(self, space, betas, mass=True):
         self.space = space
         space.M_P  # built first, while the pass holds nothing
         K6, M360 = _scalar_numerators(space)
-        if "M" not in vars(space):
+        if mass and "M" not in vars(space):
             space.M = _mass(space, M360)
+        # the velocity mass of the pass's systems
+        self.M = space.M if mass else None
         B = _divergence_numerators(space)
         Bt = B.T.tocsr()
         self._patterns = {}
@@ -364,10 +374,12 @@ class SaddleSystem:
     build_system stores no entry of K that is zero to working precision:
     at beta = 0, A holds the stiffness's nonzeros only.
 
-    M is the scalar velocity mass; the velocity mass M_U applies it to each
-    component.  The solver applies K, its velocity rows [A, B^T], B, B^T,
-    M and M_P, each through a product bound once (products); A and M_U
-    are built on request, for diagnostics and tests.  B is a view of K's
+    M is the scalar velocity mass, None on a level set up for no solve
+    (build_systems(..., mass=False)); the velocity mass M_U applies it to
+    each component.  The solver applies K, its velocity rows [A, B^T], B
+    and B^T, and the error norm diag(M, M, M_P), each through a product
+    bound once (products); A and M_U are built on request, for diagnostics
+    and tests.  B is a view of K's
     pressure rows, and B^T a CSC view of B's arrays, so neither holds
     memory of its own.  A system given another B
     (dataclasses.replace(system, B=...)) rebuilds K around it, so a
@@ -375,7 +387,7 @@ class SaddleSystem:
     """
 
     K: sp.csr_matrix
-    M: sp.csr_matrix
+    M: sp.csr_matrix | None
     M_P: sp.csr_matrix
     params: ProblemParams
     h: float
@@ -406,11 +418,16 @@ class SaddleSystem:
     @cached_property
     def products(self):
         """The in-place products out += mat @ x (sparse.Product) with K,
-        velocity_rows, B, Bt, M and M_P, under those names."""
-        return SimpleNamespace(**{
+        velocity_rows, B and Bt, under those names, and, on a system that
+        holds the velocity mass, mass with the error norm's
+        diag(M, M, M_P)."""
+        products = SimpleNamespace(**{
             name: Product(getattr(self, name))
-            for name in ("K", "velocity_rows", "B", "Bt", "M", "M_P")
+            for name in ("K", "velocity_rows", "B", "Bt")
         })
+        if self.M is not None:
+            products.mass = Product(self.M, self.M, self.M_P)
+        return products
 
     @property
     def A(self):
@@ -420,7 +437,16 @@ class SaddleSystem:
     @property
     def M_U(self):
         """Velocity mass matrix (both components)."""
+        self.check_mass()
         return block_diagonal(self.M, self.M)
+
+    def check_mass(self):
+        """Raise ValueError, naming the level, on a system that holds no
+        velocity mass."""
+        if self.M is None:
+            raise ValueError(
+                f"the level-{self.space.level.level_index} system holds no "
+                "velocity mass: it was set up for no solve on that level")
 
     def split(self, x):
         return x[: self.n_u], x[self.n_u:]
@@ -480,7 +506,7 @@ def build_system(space, params, blocks=None):
     np.divide(blocks.b, scale, out=data[from_a.size:])
     n = indptr.size - 1
     return SaddleSystem(
-        K=csr_view(data, indices, indptr, (n, n)), M=space.M, M_P=space.M_P,
+        K=csr_view(data, indices, indptr, (n, n)), M=blocks.M, M_P=space.M_P,
         params=params, h=space.level.h, space=space,
     )
 
@@ -501,14 +527,15 @@ def _scalar_values(blocks, beta, start, stop):
     return a
 
 
-def build_systems(space, betas):
+def build_systems(space, betas, mass=True):
     """The SaddleSystems of one level for each beta, in order, in one pass:
     the blocks only set-up reads (SetUpBlocks) are built once for all of
     them and dropped on return, so systems of another beta built later
     build them again.  The pass's systems of every beta > 0 share K's
-    index arrays, and so do those of beta = 0."""
+    index arrays, and so do those of beta = 0.  mass False builds systems
+    without the velocity mass, for a level no solve runs on."""
     params = [ProblemParams(beta=beta) for beta in betas]
-    blocks = SetUpBlocks(space, betas)
+    blocks = SetUpBlocks(space, betas, mass)
     return [build_system(space, p, blocks) for p in params]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import sys
 import time
@@ -80,6 +81,13 @@ class ExperimentGrid:
             raise ValueError("experiment grid needs at least one cycle config")
         if min(self.levels) < 1:
             raise ValueError("solver levels start at 1")
+        # a repeated value would solve its cells again, and the markdown
+        # pivot would show one of them
+        for name, values in (("level", self.levels), ("beta", self.betas)):
+            repeated = {v for v in values if values.count(v) > 1}
+            if repeated:
+                raise ValueError(f"experiment grid repeats {name} "
+                                 f"{min(repeated):g}")
 
 
 @dataclass
@@ -104,11 +112,14 @@ class _HierarchyCache:
     """Shared meshes, spaces, transfers and per-beta systems for one grid.
 
     Spaces and transfers are beta-independent; the projected target
-    solution per level is too.  The systems of every beta asked for
+    solution per level is too, held as one vector x* = (u*, p*) that every
+    solve at the level reads.  The systems of every beta asked for
     together are built level by level, each level's in one pass
     (build_systems), so they share its masses and saddle patterns, and the
     blocks only set-up reads are assembled once per level and dropped
     before the next level's.  A beta asked for later builds them again.
+    A build told the levels a grid solves on keeps the velocity mass,
+    which only the error norm reads, on those levels alone.
     """
 
     def __init__(self, max_level, solution=ExactSolution()):
@@ -122,31 +133,50 @@ class _HierarchyCache:
         self._systems = {}
         self._targets = {}
 
-    def build(self, tops):
+    def build(self, tops, solved=None):
         """Build the systems of each beta in tops up to its level there,
         from the finest level down, all of a level's in one pass: the pass
         then peaks while only the finer levels' systems are held, the
-        coarser ones not yet built."""
+        coarser ones not yet built.  Given the levels solved on, the
+        systems built on the other levels hold no velocity mass, and
+        those of a solved level that an earlier build left without it
+        are given it."""
+        built = {beta: self._systems.setdefault(beta, {}) for beta in tops}
         for level in range(max(tops.values()), -1, -1):
-            missing = [beta for beta, top in tops.items() if top >= level
-                       and level not in self._systems.setdefault(beta, {})]
+            mass = solved is None or level in solved
+            missing = [beta for beta, top in tops.items()
+                       if top >= level and level not in built[beta]]
             if missing:
                 for beta, system in zip(missing, build_systems(
-                        self.spaces[level], missing)):
-                    self._systems[beta][level] = system
+                        self.spaces[level], missing, mass)):
+                    built[beta][level] = system
+            if solved is None or not mass:
+                continue
+            # systems an earlier build left without the mass
+            for systems in built.values():
+                system = systems.get(level)
+                if system is not None and system.M is None:
+                    systems[level] = dataclasses.replace(
+                        system, M=self.spaces[level].M)
 
     def systems(self, beta, up_to_level):
         self.build({beta: up_to_level})
         return [self._systems[beta][k] for k in range(up_to_level + 1)]
 
-    def target(self, level):
+    def target_vector(self, level):
+        """x* = (u*, p*) at the level, joined, projected on first use."""
         if level not in self._targets:
-            self._targets[level] = l2_project(
+            self._targets[level] = np.concatenate(l2_project(
                 self.spaces[level],
                 self.solution.velocity,
                 self.solution.pressure,
-            )
+            ))
         return self._targets[level]
+
+    def target(self, level):
+        """(u*, p*) at the level, as views of target_vector(level)."""
+        x_star, n_u = self.target_vector(level), self.spaces[level].n_velocity
+        return x_star[:n_u], x_star[n_u:]
 
 
 def run_table(grid: ExperimentGrid, cache=None):
@@ -157,7 +187,7 @@ def run_table(grid: ExperimentGrid, cache=None):
     """
     top = max(grid.levels)
     cache = cache or _HierarchyCache(top)
-    cache.build(dict.fromkeys(grid.betas, top))
+    cache.build(dict.fromkeys(grid.betas, top), solved=grid.levels)
     rows = []
     for config in grid.configs:
         for beta in grid.betas:
@@ -166,9 +196,8 @@ def run_table(grid: ExperimentGrid, cache=None):
             systems = cache.systems(beta, top)
             mg = Multigrid(systems, cache.transfers[: top + 1], config)
             for level in grid.levels:
-                u_star, p_star = cache.target(level)
-                x_star = systems[level].join(u_star, p_star)
-                rhs = manufactured_rhs(systems[level], (u_star, p_star))
+                x_star = cache.target_vector(level)
+                rhs = manufactured_rhs(systems[level], cache.target(level))
                 start = time.perf_counter()
                 report = mg.solve(
                     level, rhs, x_star, tol=grid.tol, max_iter=grid.max_iter
@@ -347,8 +376,9 @@ def build_parser():
     parser.add_argument("--table", choices=["nu-sweep", "normal", "uzawa"],
                         help="preset experiment; omit for a single custom run")
     parser.add_argument("--max-level", type=_LEVEL, default=DEFAULT_MAX_LEVEL,
-                        help="finest level (default 6; levels 7-8 are "
-                        "expensive and opt-in)")
+                        help="finest level (default 6); an Uzawa W(3,3) "
+                        "run at beta 1 peaks near 1.0 GB of memory at level "
+                        "8 and 4.0 GB at level 9")
     # None defaults, so that a table can reject what it would not use
     parser.add_argument("--beta", type=_BETAS,
                         help="comma-separated reaction coefficients "
@@ -381,7 +411,8 @@ def _damping_report(grid, cache, out):
     top, betas = min(3, max(grid.levels)), (0.0, 1.0, 1e4, 1e10)
     # with the grid's systems, so each level is set up in one pass
     cache.build({**dict.fromkeys(betas, top),
-                 **dict.fromkeys(grid.betas, max(grid.levels))})
+                 **dict.fromkeys(grid.betas, max(grid.levels))},
+                solved=grid.levels)
     smoothers = {(c.smoother.kind, c.smoother.damping): c.smoother
                  for c in grid.configs}
     for smoother in smoothers.values():

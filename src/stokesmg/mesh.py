@@ -60,39 +60,32 @@ def _edges_from_triangles(tri_vertices):
 
 class MeshLevel:
     """One triangulation of the hierarchy, stored as numpy index arrays
-    (vertex_coords, tri_vertices, edge_vertices, tri_edges, ...).  The
-    index tables are int32: the finest supported level has 2^23 triangles
-    and about 1.3 * 10^7 edges."""
+    (vertex_coords, tri_vertices, tri_edges, ...).  The index tables are
+    int32: the finest supported level has 2^23 triangles and about
+    1.3 * 10^7 edges.  The edge table itself is not kept: tri_edges numbers
+    the edges, n_edges counts them, and refine derives their midpoints.
+    parent is the level this one refines, as refine sets it, None for a
+    level built otherwise."""
 
-    def __init__(self, level_index, vertex_coords, tri_vertices,
-                 parent_triangle=None):
+    def __init__(self, level_index, vertex_coords, tri_vertices, parent=None):
         self.level_index = int(level_index)
         self.vertex_coords = np.ascontiguousarray(vertex_coords, dtype=float)
         self.tri_vertices = np.ascontiguousarray(tri_vertices, dtype=np.int32)
-        self.parent_triangle = parent_triangle
-        self.edge_vertices, self.tri_edges, self.edge_on_boundary = (
+        self.parent = parent
+        edge_vertices, self.tri_edges, self.edge_on_boundary = (
             _edges_from_triangles(self.tri_vertices))
+        self.n_edges = edge_vertices.shape[0]
         # a vertex is on the boundary when a boundary edge ends there
         on = np.zeros(self.n_vertices, dtype=bool)
-        on[self.edge_vertices[self.edge_on_boundary]] = True
+        on[edge_vertices[self.edge_on_boundary]] = True
         self.vertex_on_boundary = on
-        self.edge_midpoints = 0.5 * (
-            self.vertex_coords[self.edge_vertices[:, 0]]
-            + self.vertex_coords[self.edge_vertices[:, 1]]
-        )
-        diffs = (
-            self.vertex_coords[self.edge_vertices[:, 1]]
-            - self.vertex_coords[self.edge_vertices[:, 0]]
-        )
+        diffs = (self.vertex_coords[edge_vertices[:, 1]]
+                 - self.vertex_coords[edge_vertices[:, 0]])
         self.h = float(np.max(np.hypot(diffs[:, 0], diffs[:, 1])))
 
     @property
     def n_vertices(self):
         return self.vertex_coords.shape[0]
-
-    @property
-    def n_edges(self):
-        return self.edge_vertices.shape[0]
 
     @property
     def n_triangles(self):
@@ -129,20 +122,21 @@ def refine(level):
     Parent vertices keep their indices; the midpoint of coarse edge e
     becomes fine vertex n_vertices + e.
     """
-    nv = level.n_vertices
-    coords = np.vstack([level.vertex_coords, level.edge_midpoints])
-
-    v = level.tri_vertices
+    nv, v, c = level.n_vertices, level.tri_vertices, level.vertex_coords
     m = nv + level.tri_edges  # m[:, i] = midpoint of edge opposite vertex i
+    coords = np.empty((nv + level.n_edges, 2))
+    coords[:nv] = c
+    # the edge opposite vertex i joins vertices i + 1 and i + 2; each
+    # triangle holding it writes its midpoint, the same bits every time,
+    # as the sum is commutative
+    coords[m] = 0.5 * (c[v[:, [1, 2, 0]]] + c[v[:, [2, 0, 1]]])
     children = np.empty((level.n_triangles, 4, 3), dtype=np.int32)
     children[:, 0] = np.stack([v[:, 0], m[:, 2], m[:, 1]], axis=1)
     children[:, 1] = np.stack([v[:, 1], m[:, 0], m[:, 2]], axis=1)
     children[:, 2] = np.stack([v[:, 2], m[:, 1], m[:, 0]], axis=1)
     children[:, 3] = np.stack([m[:, 0], m[:, 1], m[:, 2]], axis=1)
-    tris = children.reshape(-1, 3)
-
-    parent = np.repeat(np.arange(level.n_triangles, dtype=np.int32), 4)
-    return MeshLevel(level.level_index + 1, coords, tris, parent_triangle=parent)
+    return MeshLevel(level.level_index + 1, coords, children.reshape(-1, 3),
+                     parent=level)
 
 
 def build_hierarchy(max_level):

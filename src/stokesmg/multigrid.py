@@ -95,12 +95,14 @@ def triple_norm(x, system):
     """Level-scaled L2 norm of a stacked (velocity, pressure) vector on the
     level of the given SaddleSystem."""
     hm2, beta = system.h ** -2, system.params.beta
+    system.check_mass()
+    # one product with diag(M, M, M_P): M_U applies the scalar mass M to
+    # each velocity component
     u, p = system.split(x)
-    products = system.products
-    # M_U applies the scalar mass M to each velocity component
-    uu = sum(dot(c, products.M(c, np.zeros(c.size)))
-             for c in u.reshape(2, -1))
-    pp = dot(p, products.M_P(p, np.zeros(p.size)))
+    mu, mp = system.split(system.products.mass(x, np.zeros(x.size)))
+    uu = sum(dot(c, mc) for c, mc in zip(u.reshape(2, -1),
+                                         mu.reshape(2, -1)))
+    pp = dot(p, mp)
     val = (hm2 + beta) * uu + hm2 / (beta + hm2) * pp
     # tiny negative values can appear from roundoff at x ~ 0
     return float(np.sqrt(max(val, 0.0)))
@@ -111,8 +113,9 @@ class Multigrid:
 
     systems[k] is the level-k SaddleSystem; transfers[k] maps level k-1 to
     level k (transfers[0] is unused and may be None); every level has the
-    same beta.  The instance never mutates its inputs; solves on the same
-    hierarchy can run concurrently.
+    same beta; scalings[k] holds what the configured sweep reads of level
+    k's scaling (ScalingOperator.for_sweep).  The instance never mutates
+    its inputs; solves on the same hierarchy can run concurrently.
     """
 
     def __init__(self, systems, transfers, config: CycleConfig):
@@ -133,7 +136,10 @@ class Multigrid:
         self.systems = list(systems)
         self.transfers = list(transfers)
         self.config = config
-        self.scalings = [build_scaling(s) for s in self.systems]
+        # what each level's sweep reads of its scaling: d_full for the
+        # normal equation, the damped reciprocals alone for Uzawa
+        self.scalings = [build_scaling(s).for_sweep(config.smoother)
+                         for s in self.systems]
         self._exact = {}
         self._g1 = None
         # cycles that start together build each factorization and G1 once;
@@ -174,9 +180,11 @@ class Multigrid:
 
     # -- cycling -------------------------------------------------------
 
-    def project_pressure(self, level, x):
-        """Remove the weighted-mean pressure component."""
-        x = x.copy()
+    def project_pressure(self, level, x, copy=True):
+        """Remove the weighted-mean pressure component, from a copy of x,
+        or from x itself where copy is False."""
+        if copy:
+            x = x.copy()
         p = x[self.systems[level].n_u:]
         w = self._pressure_weights[level]
         p -= dot(w, p) / w.sum()
@@ -237,8 +245,11 @@ class Multigrid:
         x = np.ascontiguousarray(x, dtype=float)
         rhs = np.ascontiguousarray(rhs, dtype=float)
         self._check_shapes(level, x, rhs=rhs.shape)
-        return self.project_pressure(level, self._cycle(level, x, rhs,
-                                                         top=True))
+        # _cycle's result is always a new array (the last sweep's output,
+        # the prolongated correction or the level-0 solve), so the mean is
+        # removed in place
+        return self.project_pressure(
+            level, self._cycle(level, x, rhs, top=True), copy=False)
 
     def _system(self, level):
         if not 0 <= level < len(self.systems):

@@ -77,6 +77,37 @@ class ScalingOperator:
                                                sigma / self.d_p)
         return pair
 
+    def for_sweep(self, config):
+        """What the sweep of the given SmootherConfig reads of this
+        scaling: the scaling itself for the normal equation, which reads
+        d_full, and for Uzawa the damped reciprocals alone
+        (DampedScaling), without d_full."""
+        if config.kind == "normal_equation":
+            return self
+        return DampedScaling(*config.damping,
+                             *self.damped_reciprocals(*config.damping))
+
+
+@dataclass(frozen=True, eq=False)
+class DampedScaling:
+    """The damped reciprocals (tau / d_u, sigma / d_p) of a scaling for one
+    damping pair, without its diagonals: all that a Uzawa sweep with that
+    damping reads of it."""
+
+    tau: float
+    sigma: float
+    s_u: np.ndarray
+    s_p: np.ndarray
+
+    def damped_reciprocals(self, tau, sigma):
+        """(tau / d_u, sigma / d_p) for the damping pair they were built
+        for; ValueError for another."""
+        if (tau, sigma) != (self.tau, self.sigma):
+            raise ValueError(
+                f"scaling damped for (tau, sigma) = ({self.tau:g}, "
+                f"{self.sigma:g}), not ({tau:g}, {sigma:g})")
+        return self.s_u, self.s_p
+
 
 # each smoother's (tau, sigma) where its config gives none; the
 # normal-equation smoother has no sigma

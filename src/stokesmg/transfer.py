@@ -113,14 +113,10 @@ class TransferOperators:
 
 def build_prolongation(coarse_space: TaylorHoodSpace,
                        fine_space: TaylorHoodSpace) -> TransferOperators:
-    """Embedding operators from a space to its uniform refinement."""
+    """Embedding operators from a space to its uniform refinement: the
+    fine space's mesh must be the one refine made of the coarse space's."""
     cl, fl = coarse_space.level, fine_space.level
-    if (
-        fl.level_index != cl.level_index + 1
-        or fl.parent_triangle is None
-        or fl.n_vertices != cl.n_vertices + cl.n_edges
-        or fl.n_triangles != 4 * cl.n_triangles
-    ):
+    if fl.parent is not cl:
         raise ValueError(
             "fine space is not the uniform refinement of the coarse space"
         )

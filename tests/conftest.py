@@ -12,7 +12,7 @@ from stokesmg import sparse
 from stokesmg.assembly import (ProblemParams, TaylorHoodSpace,
                                _divergence_numerators, _scalar_numerators,
                                build_system)
-from stokesmg.mesh import build_hierarchy
+from stokesmg.mesh import _edges_from_triangles, build_hierarchy
 from stokesmg.transfer import build_prolongation
 
 
@@ -114,10 +114,32 @@ def triangle_areas(level):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def edge_vertices(level):
+    """The (E, 2) edge table of a mesh level, v0 < v1, in the numbering of
+    its tri_edges: the mesh derives it and does not keep it."""
+    return _edges_from_triangles(level.tri_vertices)[0]
+
+
+def edge_midpoints(level):
+    """Midpoint coordinates of a mesh level's edges, by the formula the
+    mesh used when it kept them: 0.5 (x_v0 + x_v1)."""
+    ends = edge_vertices(level)
+    return 0.5 * (level.vertex_coords[ends[:, 0]]
+                  + level.vertex_coords[ends[:, 1]])
+
+
 def p2_coords(space):
     """Coordinates of a space's quadratic nodes: the mesh vertices, then
     the edge midpoints."""
-    return np.vstack([space.level.vertex_coords, space.level.edge_midpoints])
+    return np.vstack([space.level.vertex_coords,
+                      edge_midpoints(space.level)])
+
+
+def p2_on_boundary(space):
+    """Whether each quadratic node of a space is on the boundary: its
+    level's vertex flags, then its edge flags."""
+    level = space.level
+    return np.concatenate([level.vertex_on_boundary, level.edge_on_boundary])
 
 
 def transfer_blocks(transfer, n_u_fine, n_u_coarse):

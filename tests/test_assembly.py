@@ -34,8 +34,8 @@ from stokesmg.bench import BETA_TABLE
 from stokesmg.mesh import CHILD_VERTEX_BARYCENTRIC, MeshLevel, build_hierarchy
 from stokesmg.sparse import Product, block_diagonal, interleave
 
-from conftest import (eval_p2_function, float_blocks, from_triplets,
-                      p2_coords, run_python)
+from conftest import (edge_vertices, eval_p2_function, float_blocks,
+                      from_triplets, p2_coords, p2_on_boundary, run_python)
 
 # Reference-element matrices from exact symbolic integration of the
 # quadratic/linear bases over the unit right triangle (frozen oracle).
@@ -200,7 +200,7 @@ def test_space_dof_counts(space2):
     assert space2.n_p2 == lv.n_vertices + lv.n_edges
     assert space2.n_pressure == lv.n_vertices
     assert space2.n_velocity == 2 * space2.n_interior
-    boundary = np.flatnonzero(space2.p2_on_boundary)
+    boundary = np.flatnonzero(p2_on_boundary(space2))
     assert np.intersect1d(space2.interior_nodes, boundary).size == 0
     assert space2.interior_nodes.size + boundary.size == space2.n_p2
 
@@ -666,9 +666,9 @@ def test_space_keeps_set_up_blocks_as_int16_and_node_tables_as_int32():
     for values in (blocks.k6, blocks.m360, blocks.b, blocks.bt):
         assert values.dtype == np.int16
     level = space.level
-    for table in (level.tri_vertices, level.tri_edges, level.edge_vertices,
-                  level.parent_triangle, space.tri_p2, space.interior_nodes,
-                  space.interior_number):
+    # the edge table is derived where needed, and not kept
+    for table in (level.tri_vertices, level.tri_edges, edge_vertices(level),
+                  space.tri_p2, space.interior_nodes, space.interior_number):
         assert table.dtype == np.int32
     # the only float64 arrays the space holds are what a solve reads, the
     # masses: no float copy of K_s, of the stiffness at beta = 0, of B or
@@ -1027,9 +1027,9 @@ def test_project_reproduces_discrete_function(space2):
         full[: space2.n_pressure] = p_coeff
         # quadratic representation of a linear function: edge values are
         # endpoint means
-        lv = space2.level
+        ends = edge_vertices(space2.level)
         full[space2.n_pressure:] = 0.5 * (
-            p_coeff[lv.edge_vertices[:, 0]] + p_coeff[lv.edge_vertices[:, 1]]
+            p_coeff[ends[:, 0]] + p_coeff[ends[:, 1]]
         )
         return eval_p2_function(space2, full, x, y)
 

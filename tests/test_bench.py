@@ -19,8 +19,8 @@ from stokesmg.bench import (
     main,
     run_table,
 )
-from stokesmg.assembly import SetUpBlocks
-from stokesmg.multigrid import CycleConfig
+from stokesmg.assembly import SetUpBlocks, manufactured_rhs
+from stokesmg.multigrid import CycleConfig, Multigrid, triple_norm
 from stokesmg.smoother import (
     SmootherConfig,
     build_scaling,
@@ -59,6 +59,11 @@ def test_grid_validation():
         ExperimentGrid(levels=[2], betas=[0.0], configs=[])
     with pytest.raises(ValueError):
         ExperimentGrid(levels=[0], betas=[0.0], configs=[cfg])
+    # a repeated level or beta would solve its cells twice
+    with pytest.raises(ValueError, match="repeats level 2"):
+        ExperimentGrid(levels=[2, 3, 2], betas=[0.0], configs=[cfg])
+    with pytest.raises(ValueError, match="repeats beta 1"):
+        ExperimentGrid(levels=[2], betas=[1.0, 0.0, 1.0], configs=[cfg])
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +239,8 @@ def test_cli_rejects_bad_options_with_a_usage_error(capsys, argv, option):
      "--nu-pre does not apply to --table nu-sweep"),
     (["--max-level", "2", "--table", "nu-sweep", "--nu-post", "3"],
      "--nu-post does not apply to --table nu-sweep"),
+    # a repeated beta would solve its cells twice
+    (["--max-level", "2", "--beta", "1,1"], "repeats beta 1"),
 ])
 def test_cli_reports_a_run_it_cannot_make_as_a_usage_error(capsys, argv,
                                                           message):
@@ -295,9 +302,9 @@ def test_cli_check_damping_sets_up_each_level_once(monkeypatch, capsys):
     passes = []
     init = SetUpBlocks.__init__
 
-    def counted(self, space, betas):
+    def counted(self, space, betas, *mass):
         passes.append(space.level.level_index)
-        init(self, space, betas)
+        init(self, space, betas, *mass)
 
     monkeypatch.setattr(SetUpBlocks, "__init__", counted)
     assert main(["--max-level", "4", "--beta", "1", "--check-damping",
@@ -407,9 +414,9 @@ def test_spaces_keep_no_set_up_block_after_the_table_is_built(monkeypatch):
     passes = []
     original = assembly.SetUpBlocks.__init__
 
-    def counted(self, space, betas):
+    def counted(self, space, betas, *mass):
         passes.append(space.level.level_index)
-        original(self, space, betas)
+        original(self, space, betas, *mass)
 
     monkeypatch.setattr(assembly.SetUpBlocks, "__init__", counted)
     cache = _HierarchyCache(3)
@@ -434,11 +441,83 @@ def test_spaces_keep_no_set_up_block_after_the_table_is_built(monkeypatch):
                 collect(list(value.values()))
 
         collect([v for k, v in vars(space).items() if k != "level"])
+        # the velocity mass only on the levels solved on
+        solved = space.level.level_index in grid.levels
         assert set(vars(space)) == {
-            "level", "n_p2", "p2_on_boundary", "tri_p2", "interior_nodes",
-            "n_interior", "interior_number", "n_pressure", "n_velocity",
-            "_element_classes", "M", "M_P"}
+            "level", "n_p2", "interior_nodes", "n_interior",
+            "interior_number", "n_pressure", "n_velocity",
+            "_element_classes", "M_P"} | ({"M"} if solved else set())
         assert not any(a.dtype == np.int16 for a in held)
-        assert [a for a in held if a.dtype == bool] == [space.p2_on_boundary]
+        # and no boundary flags
+        assert [a for a in held if a.dtype == bool] == []
         assert ({id(a) for a in held if a.dtype == np.float64}
-                == {id(space.M.data), id(space.M_P.data)})
+                == {id(m.data) for m in ([space.M] if solved else [])
+                    + [space.M_P]})
+
+
+def test_run_table_keeps_the_velocity_mass_on_solved_levels_only():
+    # after a table on levels 4 and 5, levels 0-3 hold no velocity mass,
+    # and a level-4 solve reads the same bits as on a cache that keeps
+    # every level's mass
+    config = CycleConfig(smoother=SmootherConfig(kind="uzawa"))
+    cache = _HierarchyCache(5)
+    run_table(ExperimentGrid(levels=[4, 5], betas=[1.0], configs=[config]),
+              cache=cache)
+    systems = cache.systems(1.0, 5)
+    for level, (space, system) in enumerate(zip(cache.spaces, systems)):
+        solved = level >= 4
+        assert ("M" in vars(space)) == solved
+        assert (system.M is not None) == solved
+        assert hasattr(system.products, "mass") == solved
+    with pytest.raises(ValueError, match="level-3 system holds no velocity"):
+        systems[3].M_U
+    with pytest.raises(ValueError, match="level-3 system holds no velocity"):
+        triple_norm(np.ones(systems[3].n), systems[3])
+    full = _HierarchyCache(5)
+    every = full.systems(1.0, 5)
+    assert all("M" in vars(space) for space in full.spaces)
+    reports = [
+        Multigrid(s, c.transfers, config).solve(
+            4, manufactured_rhs(s[4], c.target(4)), c.target_vector(4))
+        for c, s in ((cache, systems), (full, every))]
+    assert reports[0].history == reports[1].history
+    assert reports[0].x.tobytes() == reports[1].x.tobytes()
+
+
+def test_a_later_table_gives_its_solved_levels_the_velocity_mass():
+    config = CycleConfig(smoother=SmootherConfig(kind="uzawa"))
+    cache = _HierarchyCache(3)
+    run_table(ExperimentGrid(levels=[3], betas=[1.0], configs=[config]),
+              cache=cache)
+    assert cache.systems(1.0, 3)[2].M is None
+    rows = run_table(ExperimentGrid(levels=[2, 3], betas=[1.0],
+                                    configs=[config]), cache=cache)
+    assert all(r.converged for r in rows)
+    assert cache.systems(1.0, 3)[2].M is cache.spaces[2].M
+
+
+def test_table_cells_at_one_level_share_one_target(monkeypatch):
+    # every cell at a level reads the cache's one x* = (u*, p*), of which
+    # target's pair are views; no cell joins a copy of its own
+    seen = []
+    solve = Multigrid.solve
+
+    def recording(mg, level, rhs, x_star, **kwargs):
+        seen.append((level, x_star))
+        return solve(mg, level, rhs, x_star, **kwargs)
+
+    monkeypatch.setattr(Multigrid, "solve", recording)
+    cache = _HierarchyCache(3)
+    grid = ExperimentGrid(
+        levels=[2, 3], betas=[0.0, 1.0, 1e4],
+        configs=[CycleConfig(smoother=SmootherConfig(kind="uzawa")),
+                 CycleConfig(smoother=SmootherConfig())])
+    assert all(r.converged for r in run_table(grid, cache=cache))
+    assert len(seen) == 12
+    for level in (2, 3):
+        x_star = cache.target_vector(level)
+        assert {id(x) for k, x in seen if k == level} == {id(x_star)}
+        u_star, p_star = cache.target(level)
+        assert np.shares_memory(u_star, x_star)
+        assert np.shares_memory(p_star, x_star)
+        assert np.array_equal(np.concatenate([u_star, p_star]), x_star)

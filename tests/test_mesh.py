@@ -4,12 +4,13 @@ import pytest
 from stokesmg.mesh import (
     MeshLevel,
     ResourceLimitError,
+    _edges_from_triangles,
     build_coarse_mesh,
     build_hierarchy,
     refine,
 )
 
-from conftest import triangle_areas
+from conftest import edge_midpoints, edge_vertices, triangle_areas
 
 
 def test_coarse_mesh_counts():
@@ -132,7 +133,7 @@ def test_boundary_flags_match_the_unit_square_sides_to_level_7():
         assert np.array_equal(lv.vertex_on_boundary,
                               on_sides(lv.vertex_coords))
         assert np.array_equal(lv.edge_on_boundary,
-                              on_sides(lv.edge_midpoints))
+                              on_sides(edge_midpoints(lv)))
 
 
 def test_boundary_of_a_single_triangle():
@@ -145,9 +146,10 @@ def test_boundary_of_a_single_triangle():
 
 def test_triangle_edges_opposite_vertices():
     lv = build_hierarchy(1)[1]
+    ends = edge_vertices(lv)
     for t in range(lv.n_triangles):
         for i in range(3):
-            edge = lv.edge_vertices[lv.tri_edges[t, i]]
+            edge = ends[lv.tri_edges[t, i]]
             assert lv.tri_vertices[t, i] not in edge
             assert set(edge) <= set(lv.tri_vertices[t])
 
@@ -164,7 +166,7 @@ def test_refine_numbers_edge_midpoints_after_vertices():
     hier = build_hierarchy(2)
     for coarse, fine in zip(hier, hier[1:]):
         assert np.array_equal(
-            fine.vertex_coords[coarse.n_vertices:], coarse.edge_midpoints
+            fine.vertex_coords[coarse.n_vertices:], edge_midpoints(coarse)
         )
 
 
@@ -191,6 +193,51 @@ def _edges_by_row_unique(tri_vertices):
 
 def test_edge_table_matches_row_unique_oracle():
     for lv in build_hierarchy(5):
-        edge_vertices, tri_edges = _edges_by_row_unique(lv.tri_vertices)
-        assert np.array_equal(lv.edge_vertices, edge_vertices)
+        ends, tri_edges = _edges_by_row_unique(lv.tri_vertices)
+        assert np.array_equal(edge_vertices(lv), ends)
+        assert lv.n_edges == len(ends)
         assert np.array_equal(lv.tri_edges, tri_edges)
+
+
+def _hierarchy_by_edge_table(max_level):
+    """(vertex_coords, tri_vertices) of every level, refined as the mesh
+    did when it kept its edge table: the midpoint 0.5 (x_v0 + x_v1) of
+    each edge (v0, v1) of _edges_from_triangles is appended in edge order,
+    and each triangle splits into its corner children and the medial one."""
+    coarse = build_coarse_mesh()
+    levels = [(coarse.vertex_coords, coarse.tri_vertices)]
+    for _ in range(max_level):
+        coords, v = levels[-1]
+        ends, tri_edges, _ = _edges_from_triangles(v)
+        midpoints = 0.5 * (coords[ends[:, 0]] + coords[ends[:, 1]])
+        m = len(coords) + tri_edges
+        children = np.stack([
+            np.stack([v[:, 0], m[:, 2], m[:, 1]], axis=1),
+            np.stack([v[:, 1], m[:, 0], m[:, 2]], axis=1),
+            np.stack([v[:, 2], m[:, 1], m[:, 0]], axis=1),
+            m,
+        ], axis=1).reshape(-1, 3)
+        levels.append((np.vstack([coords, midpoints]), children))
+    return levels
+
+
+def test_hierarchy_matches_the_edge_table_construction_bitwise():
+    for lv, (coords, tris) in zip(build_hierarchy(6),
+                                  _hierarchy_by_edge_table(6)):
+        assert lv.vertex_coords.tobytes() == coords.tobytes()
+        assert np.array_equal(lv.tri_vertices, tris)
+        ends, tri_edges, on = _edges_from_triangles(tris)
+        assert lv.n_edges == len(ends)
+        assert np.array_equal(lv.tri_edges, tri_edges)
+        assert np.array_equal(lv.edge_on_boundary, on)
+        vertex_on = np.zeros(len(coords), dtype=bool)
+        vertex_on[ends[on]] = True
+        assert np.array_equal(lv.vertex_on_boundary, vertex_on)
+        d = coords[ends[:, 1]] - coords[ends[:, 0]]
+        assert lv.h == float(np.max(np.hypot(d[:, 0], d[:, 1])))
+
+
+def test_refine_records_the_level_it_refines():
+    hier = build_hierarchy(2)
+    assert hier[0].parent is None
+    assert all(fine.parent is coarse for coarse, fine in zip(hier, hier[1:]))

@@ -14,7 +14,8 @@ from stokesmg.multigrid import CycleConfig, Multigrid, triple_norm
 from stokesmg.smoother import SmootherConfig, build_scaling
 from stokesmg.transfer import prolongate, restrict
 
-from conftest import eval_p2_function, force_split_products, p2_coords
+from conftest import (eval_p2_function, force_split_products, p2_coords,
+                      p2_on_boundary)
 
 
 def make_mg(systems, transfers, level, config=None):
@@ -212,6 +213,43 @@ def test_project_pressure_returns_projected_copy(systems3_beta1,
     w = mg._pressure_weights[2]
     assert np.array_equal(u, x[: system.n_u])
     assert abs(w @ p) <= 1e-14 * (np.abs(w) @ np.abs(p))
+
+
+def test_cycle_removes_the_pressure_mean_from_its_own_result(
+        systems3_beta1, transfers3):
+    # mg_cycle projects the new array _cycle returns in place, with the
+    # bits of the public projection, which copies
+    rng = np.random.default_rng(8)
+    mg = make_mg(systems3_beta1, transfers3, 3)
+    x, rhs = rng.standard_normal((2, systems3_beta1[3].n))
+    want = mg.project_pressure(3, mg._cycle(3, x, rhs, top=True))
+    assert mg.mg_cycle(3, x, rhs).tobytes() == want.tobytes()
+    y = rng.standard_normal(systems3_beta1[3].n)
+    assert mg.project_pressure(3, y, copy=False) is y
+
+
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_multigrid_keeps_only_what_its_sweep_reads(systems3_beta1,
+                                                   transfers3, kind):
+    # the normal-equation sweep reads d_full; the Uzawa sweep its damped
+    # pair alone, built once, with no d_full beside it
+    smoother = SmootherConfig(kind=kind, tau=0.7)
+    mg = Multigrid(systems3_beta1, transfers3, CycleConfig(smoother=smoother))
+    for system, scaling in zip(systems3_beta1, mg.scalings):
+        full = build_scaling(system)
+        held = [v for v in vars(scaling).values()
+                if isinstance(v, np.ndarray)]
+        if kind == "normal_equation":
+            assert scaling.d_full.tobytes() == full.d_full.tobytes()
+            assert not scaling._damped
+            continue
+        assert not hasattr(scaling, "d_full")
+        pair = full.damped_reciprocals(*smoother.damping)
+        assert [a.tobytes() for a in held] == [a.tobytes() for a in pair]
+        assert all(a is b for a, b in zip(
+            scaling.damped_reciprocals(*smoother.damping), held))
+        with pytest.raises(ValueError, match="damped for"):
+            scaling.damped_reciprocals(0.8, 0.8)
 
 
 @pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
@@ -764,6 +802,23 @@ def test_triple_norm_properties(systems3_beta1):
     )
 
 
+@pytest.mark.parametrize("split", [False, True])
+def test_triple_norm_sums_the_three_mass_products_bitwise(
+        monkeypatch, systems3_beta1, split):
+    # the one product with diag(M, M, M_P), split over two threads or not,
+    # gives the dots of M u_x, M u_y and M_P p summed in their order
+    if split:
+        force_split_products(monkeypatch)
+    system = systems3_beta1[3]
+    x = np.random.default_rng(6).standard_normal(system.n)
+    u, p = system.split(x)
+    hm2, beta = system.h ** -2, system.params.beta
+    uu = sum(sparse.dot(c, system.M @ c) for c in u.reshape(2, -1))
+    pp = sparse.dot(p, system.M_P @ p)
+    want = np.sqrt((hm2 + beta) * uu + hm2 / (beta + hm2) * pp)
+    assert triple_norm(x, system) == want
+
+
 def test_triple_norm_beta_zero_velocity_matches_quadrature(spaces3):
     # with beta = 0 and no pressure the norm is h^-1 times the L2 norm of
     # the velocity field; cross-check against exact integration of an
@@ -778,7 +833,7 @@ def test_triple_norm_beta_zero_velocity_matches_quadrature(spaces3):
     coords = p2_coords(space)
     coeff = np.asarray(f_np(coords[:, 0], coords[:, 1]), dtype=float)
     # zero out boundary values to land in the constrained space
-    coeff[space.p2_on_boundary] = 0.0
+    coeff[p2_on_boundary(space)] = 0.0
 
     # exact L2 norm of the FE function via symbolic integration per triangle
     total = 0.0

@@ -325,10 +325,12 @@ def test_split_product_in_a_forked_child(systems3_beta1, monkeypatch):
 
 def bound_products(system, transfer):
     """(matrix, bound product) of every product a cycle makes on a level:
-    the system's K, velocity rows, B, B^T and masses, the transfer's P and
-    R."""
+    the system's K, velocity rows, B, B^T and the error norm's masses
+    diag(M, M, M_P), the transfer's P and R."""
     pairs = {name: (getattr(system, name), getattr(system.products, name))
-             for name in ("K", "velocity_rows", "B", "Bt", "M", "M_P")}
+             for name in ("K", "velocity_rows", "B", "Bt")}
+    pairs["mass"] = (block_diagonal(system.M, system.M, system.M_P),
+                     system.products.mass)
     pairs.update({name: (getattr(transfer, name),
                          getattr(transfer.products, name))
                   for name in ("P", "R")})
@@ -378,7 +380,8 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
     assert pairs["K"][1]._parts[0][4] == slice(
         0, np.searchsorted(K.indptr, K.nnz // 2))
     n = system.M.shape[0]
-    assert pairs["diag(M, M, M_P)"][1]._parts[0][3:] == (slice(0, n),) * 2
+    for name in ("mass", "diag(M, M, M_P)"):
+        assert pairs[name][1]._parts[0][3:] == (slice(0, n),) * 2
     assert sparse._worker is not None
 
 

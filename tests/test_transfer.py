@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from stokesmg import sparse
 from stokesmg.assembly import TaylorHoodSpace
-from stokesmg.mesh import build_hierarchy
+from stokesmg.mesh import MeshLevel, build_hierarchy, refine
 from stokesmg.transfer import (
     _W_P1,
     _W_P2,
@@ -13,7 +13,8 @@ from stokesmg.transfer import (
     restrict,
 )
 
-from conftest import eval_p2_function, p2_coords, transfer_blocks
+from conftest import (edge_vertices, eval_p2_function, p2_coords,
+                      transfer_blocks)
 
 
 def test_embedding_reproduces_coarse_functions(spaces3, transfers3):
@@ -57,10 +58,11 @@ def test_midpoint_row_is_half_half(spaces3, transfers3):
     T = transfers3[1]
     nv = coarse.level.n_vertices
     P_p = transfer_blocks(T, fine.n_velocity, coarse.n_velocity)[1]
+    ends = edge_vertices(coarse.level)
     for e in range(coarse.level.n_edges):
         row = P_p[nv + e].toarray().ravel()
         nz = np.flatnonzero(row)
-        assert sorted(nz) == sorted(coarse.level.edge_vertices[e])
+        assert sorted(nz) == sorted(ends[e])
         np.testing.assert_array_equal(row[nz], [0.5, 0.5])
 
 
@@ -128,6 +130,24 @@ def test_non_nested_spaces_rejected(spaces3):
         build_prolongation(spaces3[0], spaces3[2])
     with pytest.raises(ValueError):
         build_prolongation(spaces3[1], spaces3[0])
+
+
+def test_a_fine_level_not_refined_from_the_coarse_one_is_rejected(spaces3):
+    # the refinement of level 1 with its vertices renumbered has level 2's
+    # counts, and level 2's own mesh rebuilt directly has its tables; the
+    # embedding of neither is the coarse space's
+    coarse, fine = spaces3[1], spaces3[2]
+    level = coarse.level
+    perm = np.random.default_rng(5).permutation(level.n_vertices)
+    renumbered = MeshLevel(1, level.vertex_coords[perm],
+                           np.argsort(perm)[level.tri_vertices])
+    for mesh in (refine(renumbered),
+                 MeshLevel(2, fine.level.vertex_coords,
+                           fine.level.tri_vertices)):
+        assert (mesh.n_vertices, mesh.n_triangles) == (
+            fine.level.n_vertices, fine.level.n_triangles)
+        with pytest.raises(ValueError, match="uniform refinement"):
+            build_prolongation(coarse, TaylorHoodSpace(mesh))
 
 
 def test_galerkin_identity_all_blocks(spaces3, transfers3, systems3_beta1):
