@@ -107,17 +107,9 @@ def p2_values(points):
     """Quadratic basis values; local nodes 0-2 at vertices, 3+i at the
     midpoint of the edge opposite vertex i."""
     l0, l1, l2 = points[..., 0], points[..., 1], points[..., 2]
-    return np.stack(
-        [
-            l0 * (2.0 * l0 - 1.0),
-            l1 * (2.0 * l1 - 1.0),
-            l2 * (2.0 * l2 - 1.0),
-            4.0 * l1 * l2,
-            4.0 * l2 * l0,
-            4.0 * l0 * l1,
-        ],
-        axis=-1,
-    )
+    return np.stack([l0 * (2.0 * l0 - 1.0), l1 * (2.0 * l1 - 1.0),
+                     l2 * (2.0 * l2 - 1.0), 4.0 * l1 * l2, 4.0 * l2 * l0,
+                     4.0 * l0 * l1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -147,9 +139,8 @@ class TaylorHoodSpace:
         self.level = level
         nv, ne = level.n_vertices, level.n_edges
         self.n_p2 = nv + ne
-        p2_on_boundary = np.concatenate(
-            [level.vertex_on_boundary, level.edge_on_boundary]
-        )
+        p2_on_boundary = np.concatenate([level.vertex_on_boundary,
+                                         level.edge_on_boundary])
         self.interior_nodes = np.flatnonzero(~p2_on_boundary).astype(
             np.int32)
         self.n_interior = self.interior_nodes.size
@@ -158,8 +149,7 @@ class TaylorHoodSpace:
         self.interior_number = np.full(self.n_p2, self.n_interior,
                                        dtype=np.int32)
         self.interior_number[self.interior_nodes] = np.arange(
-            self.n_interior, dtype=np.int32
-        )
+            self.n_interior, dtype=np.int32)
         self.n_pressure = nv
         self.n_velocity = 2 * self.n_interior
 
@@ -173,10 +163,11 @@ class TaylorHoodSpace:
 
     @cached_property
     def _element_classes(self):
-        """(l, classes, adj): the leg length l, each triangle's class and
-        each class's integer adj(J/l).  Raises ValueError unless the vertex
-        coordinates are multiples of a power of two l and every triangle is
-        counterclockwise with det(J/l) = 1."""
+        """(l, classes, adj): the leg length l, each triangle's int8 class
+        and each class's integer adj(J/l).  Raises ValueError unless the
+        vertex coordinates are multiples of a power of two l, every
+        triangle is counterclockwise with det(J/l) = 1 and an int8 holds
+        every class."""
         coords, tv = self.level.vertex_coords, self.level.tri_vertices
         e1, e2 = coords[tv[0, 1:]] - coords[tv[0, 0]]
         ell = np.sqrt(abs(e1[0] * e2[1] - e1[1] * e2[0]))
@@ -200,10 +191,19 @@ class TaylorHoodSpace:
         _, first, classes = np.unique(
             (legs + m) @ (2 * m + 1) ** np.arange(4), return_index=True,
             return_inverse=True)
+        if first.size > np.iinfo(np.int8).max + 1:
+            raise ValueError("mesh has more triangle classes than an int8 "
+                             "holds")
         # E = [[a, b], [c, d]] has adj(E) = [[d, -b], [-c, a]]
         a, c, b, d = legs[first].T
         adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
-        return ell, classes, adj
+        return ell, classes.astype(np.int8), adj
+
+    @cached_property
+    def _most_triangles_at_a_node(self):
+        """The most triangles at a vertex, or the two at an edge midpoint."""
+        tv = self.level.tri_vertices
+        return max(int(np.bincount(tv.ravel()).max()), 2)
 
     @cached_property
     def M(self):
@@ -359,7 +359,7 @@ def _assemble_packed(space, high, low, row_nodes, col_nodes, nrows, ncols):
     +-2^15, which they do if the tables times the most triangles at a node
     (two at an edge midpoint) do."""
     classes = space._element_classes[1]
-    count = max(np.bincount(space.level.tri_vertices.ravel()).max(), 2)
+    count = space._most_triangles_at_a_node
     if count * max(np.abs(high).max(), np.abs(low).max()) >= 2 ** 15:
         raise ValueError("local tables too large to sum packed")
     packed = (high * 2 ** 16 + low).astype(np.int32)
@@ -576,27 +576,29 @@ def _mass_cg(M, b):
                        "iterations")
 
 
-# Triangles per block of exact-field evaluations in _moment_vectors: the
-# fields allocate several (triangles, quadrature points) temporaries, which
-# set the peak memory of l2_project (7.4 MB at level 6 with this block,
-# 9.8 MB with blocks of 4 096 triangles, which also took 30 % longer).
+# Triangles per block of _moment_vectors: the exact fields allocate several
+# (triangles, quadrature points) temporaries.  At level 6 the moments peak
+# at 3.1 MB with this block, 1.9 MB above their load vectors, and the mass
+# CGs set l2_project's peak of 5.9 MB; blocks of 4 096 triangles took 3 %
+# less time and peaked at 7.9 MB.
 _MOMENT_BLOCK = 1024
 
 
 def _moment_vectors(space, u_exact, p_exact, rule):
-    """Load vectors of the exact fields against all basis functions.
-    Raises ValueError, naming the field, where either takes a NaN or
-    infinite value at a quadrature point."""
+    """Load vectors of the exact fields against all basis functions, each
+    block's moments added into them as it is evaluated.  Raises
+    ValueError, naming the field, where either takes a NaN or infinite
+    value at a quadrature point."""
     wdet = rule.weights * space._element_classes[0] ** 2  # times |det J|
     vals2 = p2_values(rule.points)  # (nq, 6)
     vals1 = rule.points  # (nq, 3): the linear basis values are barycentric
-    coords, tri_vertices = space.level.vertex_coords, space.level.tri_vertices
-    n_tri = space.level.n_triangles
-    loc_ux, loc_uy = np.empty((n_tri, 6)), np.empty((n_tri, 6))
-    loc_p = np.empty((n_tri, 3))
-    for start in range(0, n_tri, _MOMENT_BLOCK):
+    level = space.level
+    b_ux, b_uy = np.zeros(space.n_p2), np.zeros(space.n_p2)
+    b_p = np.zeros(space.n_pressure)
+    for start in range(0, level.n_triangles, _MOMENT_BLOCK):
         block = slice(start, start + _MOMENT_BLOCK)
-        points = rule.points @ coords[tri_vertices[block]]  # (b, nq, 2)
+        vertices = level.tri_vertices[block]
+        points = rule.points @ level.vertex_coords[vertices]  # (b, nq, 2)
         x, y = points[..., 0], points[..., 1]
         ux, uy = u_exact(x, y)
         p = p_exact(x, y)
@@ -605,19 +607,14 @@ def _moment_vectors(space, u_exact, p_exact, rule):
             raise ValueError("the exact velocity field has non-finite values")
         if not np.isfinite(p).all():
             raise ValueError("the exact pressure field has non-finite values")
-        loc_ux[block] = (wdet * ux) @ vals2
-        loc_uy[block] = (wdet * uy) @ vals2
-        loc_p[block] = (wdet * p) @ vals1
-
-    def scatter(nodes, local, n):
-        return np.bincount(nodes.ravel(), weights=local.ravel(), minlength=n)
-
-    p2_nodes, p1_nodes = space.tri_p2, space.level.tri_vertices
-    return (
-        scatter(p2_nodes, loc_ux, space.n_p2),
-        scatter(p2_nodes, loc_uy, space.n_p2),
-        scatter(p1_nodes, loc_p, space.n_pressure),
-    )
+        # np.add.at adds in the order of one bincount over the whole
+        # table, and takes its fast path on flat arguments only
+        p2_nodes = np.hstack(
+            [vertices, level.n_vertices + level.tri_edges[block]]).ravel()
+        np.add.at(b_ux, p2_nodes, ((wdet * ux) @ vals2).ravel())
+        np.add.at(b_uy, p2_nodes, ((wdet * uy) @ vals2).ravel())
+        np.add.at(b_p, vertices.ravel(), ((wdet * p) @ vals1).ravel())
+    return b_ux, b_uy, b_p
 
 
 def l2_project(space, u_exact, p_exact):

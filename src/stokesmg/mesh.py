@@ -98,19 +98,11 @@ def build_coarse_mesh():
     4 corners, 4 side midpoints and the center; all triangles fan around
     the interior center vertex with counterclockwise orientation.
     """
-    coords = np.array(
-        [
-            [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-            [0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5],
-            [0.5, 0.5],
-        ]
-    )
-    tris = np.array(
-        [
-            [0, 4, 8], [4, 1, 8], [1, 5, 8], [5, 2, 8],
-            [2, 6, 8], [6, 3, 8], [3, 7, 8], [7, 0, 8],
-        ]
-    )
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                       [0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5],
+                       [0.5, 0.5]])
+    tris = np.array([[0, 4, 8], [4, 1, 8], [1, 5, 8], [5, 2, 8],
+                     [2, 6, 8], [6, 3, 8], [3, 7, 8], [7, 0, 8]])
     return MeshLevel(0, coords, tris)
 
 
@@ -130,11 +122,10 @@ def refine(level):
     # triangle holding it writes its midpoint, the same bits every time,
     # as the sum is commutative
     coords[m] = 0.5 * (c[v[:, [1, 2, 0]]] + c[v[:, [2, 0, 1]]])
-    children = np.empty((level.n_triangles, 4, 3), dtype=np.int32)
-    children[:, 0] = np.stack([v[:, 0], m[:, 2], m[:, 1]], axis=1)
-    children[:, 1] = np.stack([v[:, 1], m[:, 0], m[:, 2]], axis=1)
-    children[:, 2] = np.stack([v[:, 2], m[:, 1], m[:, 0]], axis=1)
-    children[:, 3] = np.stack([m[:, 0], m[:, 1], m[:, 2]], axis=1)
+    # child j's vertices among the parent's vertices (0-2) and midpoints
+    # (3 + i): (v0, m2, m1), (v1, m0, m2), (v2, m1, m0), (m0, m1, m2)
+    children = np.hstack([v, m])[:, [[0, 5, 4], [1, 3, 5], [2, 4, 3],
+                                     [3, 4, 5]]]
     return MeshLevel(level.level_index + 1, coords, children.reshape(-1, 3),
                      parent=level)
 

@@ -214,7 +214,9 @@ def packed_from_blocks(nrows, ncols, row_nodes, col_nodes, tables, classes):
     order = np.argsort(rows, kind="stable")  # (element, local row) by row
     indptr = np.zeros(nrows + 2, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=nrows + 1) * b, out=indptr[1:])
-    block_rows = (classes[:, None] * a + np.arange(a)).ravel()[order]
+    # classes may be int8, whose product with a could wrap
+    block_rows = (classes.astype(np.intp)[:, None] * a
+                  + np.arange(a)).ravel()[order]
     data = tables.reshape(-1, b)[block_rows].ravel()
     del block_rows
     indices = col_nodes[order // a].ravel()

@@ -632,6 +632,29 @@ def test_assembly_rejects_tables_too_large_to_pack(m):
         _scalar_numerators(TaylorHoodSpace(level))
 
 
+@pytest.mark.parametrize("n_classes", [128, 129])
+def test_element_classes_fit_an_int8(n_classes):
+    # disjoint sheared triangles E = [[1, k], [0, 1]] and [[1, 0], [k, 1]],
+    # each of its own class: an int8 holds 128 classes, and one more
+    # raises
+    shears = [((1, 0), (k, 1)) for k in range(-63, 64)]
+    shears += [((1, k), (0, 1)) for k in range(-63, 64) if k]
+    coords = np.array([[(0, 0), e1, e2] for e1, e2 in shears[:n_classes]],
+                      dtype=float)
+    coords[:, 1:] += coords[:, :1]
+    coords += 200.0 * np.arange(n_classes)[:, None, None] * [1.0, 0.0]
+    level = MeshLevel(0, coords.reshape(-1, 2),
+                      np.arange(3 * n_classes).reshape(-1, 3))
+    space = TaylorHoodSpace(level)
+    if n_classes == 128:
+        ell, classes, adj = space._element_classes
+        assert classes.dtype == np.int8 and len(adj) == 128
+        np.testing.assert_array_equal(np.sort(classes), np.arange(128))
+    else:
+        with pytest.raises(ValueError, match="int8"):
+            space._element_classes
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_sums_raise_before_int16_could_overflow(sign):
     # the check admits tables up to (2^15 - 1) / (most triangles at a
@@ -665,6 +688,12 @@ def test_space_keeps_set_up_blocks_as_int16_and_node_tables_as_int32():
     M_s = space.M
     for values in (blocks.k6, blocks.m360, blocks.b, blocks.bt):
         assert values.dtype == np.int16
+    # one int8 class per triangle, and the count that bounds the packed
+    # sums taken once per space, as a plain int
+    assert space._element_classes[1].dtype == np.int8
+    count = vars(space)["_most_triangles_at_a_node"]
+    assert type(count) is int
+    assert count == max(np.bincount(space.level.tri_vertices.ravel()).max(), 2)
     level = space.level
     # the edge table is derived where needed, and not kept
     for table in (level.tri_vertices, level.tri_edges, edge_vertices(level),
@@ -1055,18 +1084,85 @@ def test_project_zero_is_zero(space2):
 
 @pytest.mark.parametrize("bad", ["velocity", "pressure"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("last_block_only", [False, True])
 def test_project_rejects_a_non_finite_field_before_any_cg(
-        space2, monkeypatch, bad, value):
-    # a NaN or inf moment would run all of the mass CG's iterations
+        space2, monkeypatch, bad, value, last_block_only):
+    # a NaN or inf moment would run all of the mass CG's iterations; the
+    # moments of earlier blocks are already summed when the last block's
+    # value is met, and no CG may start on them either
     def no_cg(M, b):
         raise AssertionError("mass CG started")
 
     monkeypatch.setattr("stokesmg.assembly._mass_cg", no_cg)
-    u = lambda x, y: (np.full_like(x, value if bad == "velocity" else 1.0),
-                      np.zeros_like(x))
-    p = lambda x, y: np.full_like(x, value if bad == "pressure" else 1.0)
+    # blocks of 48 of the 128 triangles: the last block holds 32
+    monkeypatch.setattr("stokesmg.assembly._MOMENT_BLOCK", 48)
+
+    def fill(x, field):
+        if bad != field or (last_block_only and x.shape[0] != 32):
+            return np.ones_like(x)
+        return np.full_like(x, value)
+
+    u = lambda x, y: (fill(x, "velocity"), np.zeros_like(x))
+    p = lambda x, y: fill(x, "pressure")
     with pytest.raises(ValueError, match=f"exact {bad} field"):
         l2_project(space2, u, p)
+
+
+def _smooth_velocity(x, y):
+    return np.sin(np.pi * x) * np.sin(np.pi * y), x * y * (1 - x) * (1 - y)
+
+
+def _smooth_pressure(x, y):
+    return np.cos(np.pi * x) * y
+
+
+@pytest.mark.parametrize("fields", ["kinked", "smooth"])
+def test_moment_vectors_equal_one_bincount_over_the_whole_table(
+        monkeypatch, fields):
+    # the load vectors are summed block by block; np.add.at makes the
+    # same additions in the same order as one bincount over per-triangle
+    # moments of the whole table, so every bit agrees, a ragged last
+    # block (512 triangles in blocks of 100) included
+    from stokesmg import assembly
+    from stokesmg.bench import exact_pressure, exact_velocity
+
+    u_exact, p_exact = {"kinked": (exact_velocity, exact_pressure),
+                        "smooth": (_smooth_velocity, _smooth_pressure)}[fields]
+    monkeypatch.setattr(assembly, "_MOMENT_BLOCK", 100)
+    space, rule = TaylorHoodSpace(build_hierarchy(3)[3]), conical_rule()
+    level = space.level
+    wdet = rule.weights * space._element_classes[0] ** 2
+    vals2, vals1 = p2_values(rule.points), rule.points
+    n = level.n_triangles
+    loc_ux, loc_uy, loc_p = np.empty((n, 6)), np.empty((n, 6)), np.empty((n, 3))
+    for start in range(0, n, 100):
+        block = slice(start, start + 100)
+        points = rule.points @ level.vertex_coords[level.tri_vertices[block]]
+        ux, uy = u_exact(points[..., 0], points[..., 1])
+        loc_ux[block], loc_uy[block] = (wdet * ux) @ vals2, (wdet * uy) @ vals2
+        loc_p[block] = (wdet * p_exact(points[..., 0], points[..., 1])) @ vals1
+    expected = [
+        np.bincount(nodes.ravel(), weights=loc.ravel(), minlength=n)
+        for nodes, loc, n in ((space.tri_p2, loc_ux, space.n_p2),
+                              (space.tri_p2, loc_uy, space.n_p2),
+                              (level.tri_vertices, loc_p, space.n_pressure))]
+    moments = _moment_vectors(space, u_exact, p_exact, rule)
+    for got, want in zip(moments, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_projection_peaks_within_a_multiple_of_what_it_returns():
+    # the projection holds one block of per-triangle values, not tables
+    # over every triangle: at level 5 it peaks at 7.5x the bytes of
+    # (u*, p*), 9.8x while it kept 15 moments per triangle and a
+    # platform-integer copy of the quadratic-node table
+    from stokesmg.bench import exact_pressure, exact_velocity
+
+    space = TaylorHoodSpace(build_hierarchy(5)[5])
+    space.M, space.M_P  # kept by the space, not made by the projection
+    (u_star, p_star), peak = _traced_peak(
+        lambda: l2_project(space, exact_velocity, exact_pressure))
+    assert peak <= 8.5 * (u_star.nbytes + p_star.nbytes)
 
 
 @pytest.mark.parametrize("level", [3, 5])
@@ -1107,9 +1203,7 @@ def _project_with_rule(space, u_exact, p_exact, rule):
 
 
 def test_projection_two_quadrature_consistency_smooth(space2):
-    u = lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y),
-                      x * y * (1 - x) * (1 - y))
-    p = lambda x, y: np.cos(np.pi * x) * y
+    u, p = _smooth_velocity, _smooth_pressure
     ua, pa = l2_project(space2, u, p)
     ub, pb = _project_with_rule(space2, u, p,
                                 composite_rule(conical_rule(), 2))

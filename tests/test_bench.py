@@ -407,8 +407,9 @@ def test_spaces_keep_no_set_up_block_after_the_table_is_built(monkeypatch):
     # run_table builds every beta of the grid level by level, from the
     # finest down, in one pass each: the set-up blocks (int16 numerators,
     # the saddle layout's mask) die with the pass, so a space holds its
-    # node tables, its triangle classes and the two masses a solve reads,
-    # and nothing else; the blocks of each level are assembled once
+    # node tables, its triangle classes, the most triangles at a node and
+    # the two masses a solve reads, and nothing else; the blocks of each
+    # level are assembled once
     from stokesmg import assembly
 
     passes = []
@@ -446,7 +447,8 @@ def test_spaces_keep_no_set_up_block_after_the_table_is_built(monkeypatch):
         assert set(vars(space)) == {
             "level", "n_p2", "interior_nodes", "n_interior",
             "interior_number", "n_pressure", "n_velocity",
-            "_element_classes", "M_P"} | ({"M"} if solved else set())
+            "_element_classes", "_most_triangles_at_a_node",
+            "M_P"} | ({"M"} if solved else set())
         assert not any(a.dtype == np.int16 for a in held)
         # and no boundary flags
         assert [a for a in held if a.dtype == bool] == []

@@ -12,6 +12,7 @@ from stokesmg.sparse import (
     Product,
     SingularMatrixError,
     block_diagonal,
+    packed_from_blocks,
 )
 from stokesmg.transfer import prolongate, restrict
 
@@ -115,6 +116,23 @@ def test_dense_solve_shape_checks():
 def test_from_triplets_sums_duplicates():
     m = from_triplets(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
     np.testing.assert_array_equal(m.toarray(), [[0.0, 5.0], [1.0, 0.0]])
+
+
+def test_packed_blocks_read_int8_classes_without_wrapping():
+    # 128 classes of 6 x 4 tables: class 127's first table row is row 762
+    # of the stacked tables, past what an int8 product holds
+    rng = np.random.default_rng(0)
+    high, low = rng.integers(-9, 10, size=(2, 128, 6, 4))
+    classes = rng.permutation(128).astype(np.int8)
+    rows = rng.integers(0, 20, size=(128, 6)).astype(np.int32)
+    cols = rng.integers(0, 30, size=(128, 4)).astype(np.int32)
+    got = packed_from_blocks(20, 30, rows, cols, high * 2 ** 16 + low,
+                             classes)
+    r = np.broadcast_to(rows[:, :, None], (128, 6, 4)).ravel()
+    c = np.broadcast_to(cols[:, None, :], (128, 6, 4)).ravel()
+    for half, tables in zip(got, (high, low)):
+        want = from_triplets(20, 30, r, c, tables[classes].ravel())
+        np.testing.assert_array_equal(half.toarray(), want.toarray())
 
 
 def test_block_diagonal_matches_scipy():
