@@ -129,8 +129,9 @@ class ProblemParams:
 
 class TaylorHoodSpace:
     """Node bookkeeping and the beta-independent matrices a solve reads,
-    the scalar velocity mass M and the pressure mass M_P, for the
-    quadratic/linear pair on one mesh level; the node tables are int32.
+    the scalar velocity mass M and the pressure mass M_P, with the weights
+    M_P 1 of the pressure mean, for the quadratic/linear pair on one mesh
+    level; the node tables are int32.
     The blocks only the systems' set-up reads are built by each pass of
     build_systems (SetUpBlocks) and not kept, and so is the table of
     each triangle's quadratic nodes (tri_p2)."""
@@ -223,6 +224,18 @@ class TaylorHoodSpace:
                                   self.n_pressure, self.n_pressure)
         return csr_view(_scaled(M24.data, 24.0, ell ** 2), M24.indices,
                         M24.indptr, M24.shape)
+
+    @cached_property
+    def pressure_weights(self):
+        """w = M_P 1, the weights of the pressure mean w^T p."""
+        return self.M_P @ np.ones(self.n_pressure)
+
+    def remove_pressure_mean(self, p):
+        """Shift the pressure p (a vector or an (n_p, k) block), in place,
+        so that its weighted mean w^T p vanishes; returns p."""
+        w = self.pressure_weights
+        p -= dot(w, p) / w.sum()
+        return p
 
 
 class SetUpBlocks:
@@ -632,10 +645,7 @@ def l2_project(space, u_exact, p_exact):
     M = space.M
     u_star = np.concatenate([_mass_cg(M, b_ux[idx]), _mass_cg(M, b_uy[idx])])
 
-    M_P = space.M_P
-    p_star = _mass_cg(M_P, b_p)
-    w = M_P @ np.ones(space.n_pressure)
-    p_star -= dot(w, p_star) / w.sum()
+    p_star = space.remove_pressure_mean(_mass_cg(space.M_P, b_p))
     return u_star, p_star
 
 

@@ -109,13 +109,15 @@ def triple_norm(x, system):
 
 
 class Multigrid:
-    """Cycle driver owning the per-level systems, transfers and scalings.
+    """Cycle driver owning the per-level systems, transfers and sweep
+    weights.
 
     systems[k] is the level-k SaddleSystem; transfers[k] maps level k-1 to
     level k (transfers[0] is unused and may be None); every level has the
-    same beta; scalings[k] holds what the configured sweep reads of level
-    k's scaling (ScalingOperator.for_sweep).  The instance never mutates
-    its inputs; solves on the same hierarchy can run concurrently.
+    same beta; weights[k] is the one array of damped weights the
+    configured sweep multiplies by on level k (ScalingOperator.weights).
+    The instance never mutates its inputs; solves on the same hierarchy
+    can run concurrently.
     """
 
     def __init__(self, systems, transfers, config: CycleConfig):
@@ -136,19 +138,13 @@ class Multigrid:
         self.systems = list(systems)
         self.transfers = list(transfers)
         self.config = config
-        # what each level's sweep reads of its scaling: d_full for the
-        # normal equation, the damped reciprocals alone for Uzawa
-        self.scalings = [build_scaling(s).for_sweep(config.smoother)
-                         for s in self.systems]
+        self.weights = [build_scaling(s).weights(config.smoother)
+                        for s in self.systems]
         self._exact = {}
         self._g1 = None
         # cycles that start together build each factorization and G1 once;
         # reentrant, since G1's build runs exact level-0 solves
         self._build_lock = threading.RLock()
-        # weighted pressure means: w = M_P 1
-        self._pressure_weights = [
-            s.M_P @ np.ones(s.n_p) for s in self.systems
-        ]
 
     # -- exact (augmented) solves -------------------------------------
 
@@ -166,7 +162,7 @@ class Multigrid:
                 aug = np.zeros((n + 1, n + 1))
                 aug[:n, :n] = system.dense()
                 c = np.concatenate(
-                    [np.zeros(system.n_u), self._pressure_weights[level]]
+                    [np.zeros(system.n_u), system.space.pressure_weights]
                 )
                 aug[:n, n] = c
                 aug[n, :n] = c
@@ -185,15 +181,15 @@ class Multigrid:
         or from x itself where copy is False."""
         if copy:
             x = x.copy()
-        p = x[self.systems[level].n_u:]
-        w = self._pressure_weights[level]
-        p -= dot(w, p) / w.sum()
+        system = self.systems[level]
+        system.space.remove_pressure_mean(x[system.n_u:])
         return x
 
     def smooth(self, level, x, rhs, steps):
-        system, scaling = self.systems[level], self.scalings[level]
+        system, w = self.systems[level], self.weights[level]
+        kind = self.config.smoother.kind
         for _ in range(steps):
-            x = smoother_step(system, scaling, self.config.smoother, x, rhs)
+            x = smoother_step(system, w, kind, x, rhs)
         return x
 
     def _correction(self, level, rhs):

@@ -1,19 +1,24 @@
 """Damped smoothers for the coupled saddle-point system.
 
-Both smoothers are plain linear iterations built from divisions by a fixed
-positive diagonal and matvecs with the saddle operator; no inner Poisson
-or Schur solves.
+Both smoothers are plain linear iterations built from multiplications by
+a fixed positive damped diagonal W and matvecs with the saddle operator
+K = [[A, B^T], [B, 0]]; no inner Poisson or Schur solves.  A sweep reads
+W as one array of n weights (ScalingOperator.weights) and nothing else
+of the scaling.
 
 * normal-equation smoother:
-      x <- x + tau * Dinv A Dinv (rhs - A x)
-  with A the full symmetric saddle operator and D the diagonal scaling.
+      x <- x + tau * D^-1 K D^-1 (rhs - K x) = x + W K W (rhs - K x)
+  with D the diagonal scaling and W = sqrt(tau) D^-1.  K x accumulates
+  onto -rhs and is scaled by W, one product with K is made from it into
+  zeros and scaled by W, and the result is subtracted from x: a sweep
+  costs two products with K and four vector passes, and no division.
 
 * symmetric Uzawa smoother, three substeps per sweep:
       u_half <- u + tau * Du^-1 (f - A u - B^T p)
       p_new  <- p - sigma * Dp^-1 (g - B u_half)
       u_new  <- u + tau * Du^-1 (f - A u - B^T p_new)
   Note the last substep restarts from the original u, not u_half.  The
-  sweep equals x <- x + C^-1 (rhs - A x) for the block matrix
+  sweep equals x <- x + C^-1 (rhs - K x) for the block matrix
       C = [[Du / tau, B^T], [B, tau B Du^-1 B^T - Dp / sigma]].
   Because the third substep starts from the same u, its residual is
       r_u2 = f - A u - B^T p_new = r_u - B^T (p_new - p),
@@ -22,28 +27,27 @@ or Schur solves.
   in place onto an array already holding -f, -g or the velocity residual
   (the system's bound products), so beyond the three kernel calls a sweep
   makes about five passes over a velocity-sized array and no zero fill.
-  The damped reciprocals tau / Du and sigma / Dp are computed once per
-  scaling and damping pair.
+  Its weights are W = diag(tau / Du, sigma / Dp).
 
 A coarse correction starts from zero, and so does its first sweep.  Both
 sweeps take x = None for that zero iterate and skip the product with it:
 a zero Uzawa sweep makes the products with B and B^T only, a zero
-normal-equation sweep one product with the saddle operator instead of two.
-The result is that of the sweep from np.zeros, but possibly for the sign of
-zero entries.
+normal-equation sweep one product with the saddle operator instead of two
+(it is W K W rhs).  The result is that of the sweep from np.zeros, but
+possibly for the sign of zero entries.
 
 The diagonal scaling is taken from the operator itself:
       Du = diag(A),  Dp = diag(B diag(A)^-1 B^T),
-so it follows A = K + beta M across beta without a level weight.
+so it follows A = K_s + beta M_s across beta without a level weight.
 
 Both sweeps act on a vector or, column by column, on an (n, k) block of
-iterates; the diagonals then scale the block row-wise.
+iterates; the weights then scale the block row-wise.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,51 +66,23 @@ class ScalingOperator:
     d_u: np.ndarray
     d_p: np.ndarray
 
-    _damped: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-
     def __post_init__(self):
         self.d_full = np.concatenate([self.d_u, self.d_p])
         self.d_u, self.d_p = np.split(self.d_full, [self.d_u.size])
 
-    def damped_reciprocals(self, tau, sigma):
-        """(tau / d_u, sigma / d_p), memoized per damping pair."""
-        pair = self._damped.get((tau, sigma))
-        if pair is None:
-            pair = self._damped[tau, sigma] = (tau / self.d_u,
-                                               sigma / self.d_p)
-        return pair
-
-    def for_sweep(self, config):
-        """What the sweep of the given SmootherConfig reads of this
-        scaling: the scaling itself for the normal equation, which reads
-        d_full, and for Uzawa the damped reciprocals alone
-        (DampedScaling), without d_full."""
+    def weights(self, config):
+        """The damped weights W the sweep of the given SmootherConfig
+        multiplies by, as one array of n entries: sqrt(tau) / d_full for
+        the normal equation, [tau / d_u, sigma / d_p] for Uzawa."""
+        tau, sigma = config.damping
         if config.kind == "normal_equation":
-            return self
-        return DampedScaling(*config.damping,
-                             *self.damped_reciprocals(*config.damping))
-
-
-@dataclass(frozen=True, eq=False)
-class DampedScaling:
-    """The damped reciprocals (tau / d_u, sigma / d_p) of a scaling for one
-    damping pair, without its diagonals: all that a Uzawa sweep with that
-    damping reads of it."""
-
-    tau: float
-    sigma: float
-    s_u: np.ndarray
-    s_p: np.ndarray
-
-    def damped_reciprocals(self, tau, sigma):
-        """(tau / d_u, sigma / d_p) for the damping pair they were built
-        for; ValueError for another."""
-        if (tau, sigma) != (self.tau, self.sigma):
-            raise ValueError(
-                f"scaling damped for (tau, sigma) = ({self.tau:g}, "
-                f"{self.sigma:g}), not ({tau:g}, {sigma:g})")
-        return self.s_u, self.s_p
+            return np.sqrt(tau) / self.d_full
+        # each half written in place, so no n-sized temporary joins d_full
+        w = np.empty(self.d_full.size)
+        w_u, w_p = np.split(w, [self.d_u.size])
+        np.divide(tau, self.d_u, w_u)
+        np.divide(sigma, self.d_p, w_p)
+        return w
 
 
 # each smoother's (tau, sigma) where its config gives none; the
@@ -166,30 +142,36 @@ def build_scaling(system):
     return ScalingOperator(d_u=d_u, d_p=d_p)
 
 
-def normal_equation_step(system, scaling, tau, x, rhs):
-    """One damped step preconditioned by Dinv A Dinv; x None stands for
-    the zero iterate."""
-    d = scaling.d_full if rhs.ndim == 1 else scaling.d_full[:, None]
-    r = system.residual(x, rhs)
-    np.divide(r, d, r)
-    step = system.apply(r)
-    np.divide(step, d, step)
-    np.multiply(step, tau, step)
+def normal_equation_step(system, w, x, rhs):
+    """One damped step x + W K W (rhs - K x) with the weights
+    w = sqrt(tau) / d_full, written into a new array; x and rhs are left
+    untouched, and x None stands for the zero iterate."""
+    if rhs.ndim > 1:
+        w = w[:, None]
+    products = system.products
+    if x is None:
+        r = np.multiply(w, rhs)                         # W rhs
+    else:
+        # K x - rhs, accumulated onto -rhs
+        r = products.K(x, np.negative(rhs, order="C"))
+        np.multiply(w, r, r)
+    step = products.K(r, np.zeros(rhs.shape))
+    np.multiply(w, step, step)
     if x is not None:
-        np.add(step, x, step)
+        np.subtract(x, step, step)
     return step
 
 
-def uzawa_step(system, scaling, tau, sigma, x, rhs):
-    """One symmetric Uzawa sweep (three substeps), written into a new
-    array; x and rhs are left untouched, and x None stands for the zero
-    iterate."""
+def uzawa_step(system, w, x, rhs):
+    """One symmetric Uzawa sweep (three substeps) with the weights
+    w = [tau / d_u, sigma / d_p], written into a new array; x and rhs are
+    left untouched, and x None stands for the zero iterate."""
     # ufuncs take out positionally: on the small levels, a keyword or an
     # in-place operator costs as much as the arithmetic
-    s_u, s_p = scaling.damped_reciprocals(tau, sigma)
+    products, n_u = system.products, system.n_u
+    s_u, s_p = w[:n_u], w[n_u:]
     if rhs.ndim > 1:
         s_u, s_p = s_u[:, None], s_p[:, None]
-    products, n_u = system.products, system.n_u
     f, g = rhs[:n_u], rhs[n_u:]
     out = np.empty(rhs.shape)
     u_new, p_new = out[:n_u], out[n_u:]
@@ -215,11 +197,12 @@ def uzawa_step(system, scaling, tau, sigma, x, rhs):
     return out
 
 
-def smoother_step(system, scaling, config, x, rhs):
-    tau, sigma = config.damping
-    if config.kind == "normal_equation":
-        return normal_equation_step(system, scaling, tau, x, rhs)
-    return uzawa_step(system, scaling, tau, sigma, x, rhs)
+def smoother_step(system, w, kind, x, rhs):
+    """One sweep of the given kind ("normal_equation" or "uzawa") with
+    its weights w (ScalingOperator.weights)."""
+    if kind == "normal_equation":
+        return normal_equation_step(system, w, x, rhs)
+    return uzawa_step(system, w, x, rhs)
 
 
 def estimate_spectral_radius(system, scaling, tol=1e-3, max_iter=1000):

@@ -149,6 +149,7 @@ def test_criterion_7_uzawa_compact_equivalence(runner):
     for k in (1, 2, 3):
         system = systems[k]
         sc = build_scaling(system)
+        w = sc.weights(SmootherConfig(kind="uzawa", tau=0.8, sigma=0.8))
         B = system.B.toarray()
         C = np.block([
             [np.diag(sc.d_u / 0.8), B.T],
@@ -158,7 +159,7 @@ def test_criterion_7_uzawa_compact_equivalence(runner):
         for _ in range(3):
             x = rng.standard_normal(system.n)
             rhs = rng.standard_normal(system.n)
-            got = uzawa_step(system, sc, 0.8, 0.8, x, rhs)
+            got = uzawa_step(system, w, x, rhs)
             oracle = x + np.linalg.solve(C, rhs - system.dense() @ x)
             worst = max(worst,
                         np.abs(got - oracle).max() / np.abs(oracle).max())
@@ -191,13 +192,13 @@ def test_criterion_9_linearity_and_fixed_point(runner):
     sc = build_scaling(system)
     worst = 0.0
     for kind in ("normal_equation", "uzawa"):
-        cfg = SmootherConfig(kind=kind)
+        w = sc.weights(SmootherConfig(kind=kind))
         x = rng.standard_normal(system.n)
         y = rng.standard_normal(system.n)
         rhs = rng.standard_normal(system.n)
-        diff = (smoother_step(system, sc, cfg, x, rhs)
-                - smoother_step(system, sc, cfg, y, rhs)
-                - smoother_step(system, sc, cfg, x - y, np.zeros(system.n)))
+        diff = (smoother_step(system, w, kind, x, rhs)
+                - smoother_step(system, w, kind, y, rhs)
+                - smoother_step(system, w, kind, x - y, np.zeros(system.n)))
         worst = max(worst, np.abs(diff).max())
     cfg = CycleConfig(smoother=SmootherConfig(), cycle="W", nu_pre=2, nu_post=2)
     mg = Multigrid(systems, runner.cache.transfers[:4], cfg)
@@ -230,11 +231,11 @@ def test_criterion_10_two_grid_dense_realization(runner):
     rhs = rng.standard_normal(s1.n)
     got = mg.mg_cycle(1, x0, rhs)
 
-    sc = build_scaling(s1)
+    w = build_scaling(s1).weights(SmootherConfig(tau=0.35))
     dense1 = s1.dense()
     x = x0.copy()
     for _ in range(3):
-        x = normal_equation_step(s1, sc, 0.35, x, rhs)
+        x = normal_equation_step(s1, w, x, rhs)
     P = T.P.toarray()
     rc = P.T @ (rhs - dense1 @ x)
     n0 = s0.n

@@ -442,19 +442,24 @@ def test_spaces_keep_no_set_up_block_after_the_table_is_built(monkeypatch):
                 collect(list(value.values()))
 
         collect([v for k, v in vars(space).items() if k != "level"])
-        # the velocity mass only on the levels solved on
+        # the velocity mass only on the levels solved on, and the pressure
+        # mean's weights where a pressure mean is removed: on those levels
+        # and in level 0's exact solves
         solved = space.level.level_index in grid.levels
+        weighted = solved or space.level.level_index == 0
         assert set(vars(space)) == {
             "level", "n_p2", "interior_nodes", "n_interior",
             "interior_number", "n_pressure", "n_velocity",
             "_element_classes", "_most_triangles_at_a_node",
-            "M_P"} | ({"M"} if solved else set())
+            "M_P"} | ({"M"} if solved else set()) | (
+                {"pressure_weights"} if weighted else set())
         assert not any(a.dtype == np.int16 for a in held)
         # and no boundary flags
         assert [a for a in held if a.dtype == bool] == []
         assert ({id(a) for a in held if a.dtype == np.float64}
                 == {id(m.data) for m in ([space.M] if solved else [])
-                    + [space.M_P]})
+                    + [space.M_P]}
+                | ({id(space.pressure_weights)} if weighted else set()))
 
 
 def test_run_table_keeps_the_velocity_mass_on_solved_levels_only():

@@ -11,7 +11,7 @@ from stokesmg import sparse
 from stokesmg.assembly import ProblemParams, build_system, manufactured_rhs
 from stokesmg.bench import _HierarchyCache
 from stokesmg.multigrid import CycleConfig, Multigrid, triple_norm
-from stokesmg.smoother import SmootherConfig, build_scaling
+from stokesmg.smoother import ScalingOperator, SmootherConfig, build_scaling
 from stokesmg.transfer import prolongate, restrict
 
 from conftest import (eval_p2_function, force_split_products, p2_coords,
@@ -210,7 +210,7 @@ def test_project_pressure_returns_projected_copy(systems3_beta1,
     out = mg.project_pressure(2, x)
     assert np.array_equal(x, x_before) and not np.shares_memory(out, x)
     u, p = system.split(out)
-    w = mg._pressure_weights[2]
+    w = system.space.pressure_weights
     assert np.array_equal(u, x[: system.n_u])
     assert abs(w @ p) <= 1e-14 * (np.abs(w) @ np.abs(p))
 
@@ -231,25 +231,27 @@ def test_cycle_removes_the_pressure_mean_from_its_own_result(
 @pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
 def test_multigrid_keeps_only_what_its_sweep_reads(systems3_beta1,
                                                    transfers3, kind):
-    # the normal-equation sweep reads d_full; the Uzawa sweep its damped
-    # pair alone, built once, with no d_full beside it
+    # one float64 array of n damped weights per level, bitwise
+    # sqrt(tau) / d_full for the normal equation and [tau / d_u,
+    # sigma / d_p] for Uzawa, and no scaling or diagonal beside it
     smoother = SmootherConfig(kind=kind, tau=0.7)
+    tau, sigma = smoother.damping
     mg = Multigrid(systems3_beta1, transfers3, CycleConfig(smoother=smoother))
-    for system, scaling in zip(systems3_beta1, mg.scalings):
+    assert len(mg.weights) == len(systems3_beta1)
+    for system, w in zip(systems3_beta1, mg.weights):
         full = build_scaling(system)
-        held = [v for v in vars(scaling).values()
-                if isinstance(v, np.ndarray)]
         if kind == "normal_equation":
-            assert scaling.d_full.tobytes() == full.d_full.tobytes()
-            assert not scaling._damped
-            continue
-        assert not hasattr(scaling, "d_full")
-        pair = full.damped_reciprocals(*smoother.damping)
-        assert [a.tobytes() for a in held] == [a.tobytes() for a in pair]
-        assert all(a is b for a, b in zip(
-            scaling.damped_reciprocals(*smoother.damping), held))
-        with pytest.raises(ValueError, match="damped for"):
-            scaling.damped_reciprocals(0.8, 0.8)
+            want = np.sqrt(tau) / full.d_full
+        else:
+            want = np.concatenate([tau / full.d_u, sigma / full.d_p])
+        assert type(w) is np.ndarray and w.dtype == np.float64
+        assert w.shape == (system.n,) and w.base is None
+        assert w.tobytes() == want.tobytes()
+    held = [v for value in vars(mg).values()
+            for v in (value if isinstance(value, list) else [value])
+            if isinstance(v, (np.ndarray, ScalingOperator))]
+    assert len(held) == len(mg.weights)
+    assert all(a is w for a, w in zip(held, mg.weights))
 
 
 @pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])

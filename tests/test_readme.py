@@ -41,17 +41,19 @@ def measured_tables():
 @pytest.mark.parametrize("table, kind", [(0, "normal_equation"),
                                          (1, "uzawa")])
 def test_readme_beta_tables_level4_rows(table, kind):
-    # the level-4 row of each beta table, regenerated
+    # the level-4 and level-5 rows of each beta table, regenerated
     header, _, *rows = measured_tables()[table]
-    row = next(r for r in rows if r[0] == "4")
     config = CycleConfig(smoother=SmootherConfig(kind=kind), cycle="W",
                          nu_pre=3, nu_post=3)
-    got = run_table(ExperimentGrid(levels=[4], betas=list(BETA_TABLE),
+    got = run_table(ExperimentGrid(levels=[4, 5], betas=list(BETA_TABLE),
                                    configs=[config]))
-    assert header[1::2] == [f"beta={r.beta:g} n" for r in got]
-    for r, n, q in zip(got, row[1::2], row[2::2]):
-        assert r.converged and r.n == int(n)
-        assert abs(r.q - float(q)) <= 5e-4
+    for level in (4, 5):
+        row = next(r for r in rows if r[0] == str(level))
+        cells = [r for r in got if r.level == level]
+        assert header[1::2] == [f"beta={r.beta:g} n" for r in cells]
+        for r, n, q in zip(cells, row[1::2], row[2::2], strict=True):
+            assert r.converged and r.n == int(n)
+            assert abs(r.q - float(q)) <= 5e-4
 
 
 @pytest.mark.parametrize("table, kind", [(0, "normal"), (1, "uzawa")])

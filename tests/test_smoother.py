@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from conftest import force_split_products
 from stokesmg import sparse
 from stokesmg.assembly import ProblemParams, SaddleSystem, build_system
 from stokesmg.smoother import (
@@ -23,11 +24,15 @@ from stokesmg.smoother import (
 )
 
 
-def uzawa_block_apply_inverse(system, scaling, tau, sigma, r):
+UZAWA = SmootherConfig(kind="uzawa", tau=0.8, sigma=0.8)
+NORMAL = SmootherConfig(tau=0.35)
+
+
+def uzawa_block_apply_inverse(system, w, r):
     """Apply the inverse of the Uzawa sweep's block matrix C to a vector;
     equal to the update produced by one sweep from x = 0 with rhs = r."""
     r_u, r_p = system.split(r)
-    s_u, s_p = scaling.damped_reciprocals(tau, sigma)
+    s_u, s_p = system.split(w)
     dp_ = s_p * (system.B @ (s_u * r_u) - r_p)
     du_ = s_u * (r_u - system.Bt @ dp_)
     return system.join(du_, dp_)
@@ -140,13 +145,15 @@ def test_scaling_rejects_broken_diagonal():
 def test_normal_step_fixed_point_and_tau_zero(systems3_beta1):
     rng = np.random.default_rng(0)
     system = systems3_beta1[1]
-    sc = build_scaling(system)
+    w = build_scaling(system).weights(NORMAL)
     x = rng.standard_normal(system.n)
     rhs = system.apply(x)
-    out = normal_equation_step(system, sc, 0.35, x, rhs)
+    out = normal_equation_step(system, w, x, rhs)
     assert np.abs(out - x).max() <= 1e-13 * np.abs(x).max()
+    # zero weights, as tau = 0 gives
     rhs2 = rng.standard_normal(system.n)
-    assert np.array_equal(normal_equation_step(system, sc, 0.0, x, rhs2), x)
+    assert np.array_equal(
+        normal_equation_step(system, np.zeros(system.n), x, rhs2), x)
 
 
 def test_normal_step_matches_dense_oracle(systems3_beta1):
@@ -155,7 +162,7 @@ def test_normal_step_matches_dense_oracle(systems3_beta1):
     sc = build_scaling(system)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
-    got = normal_equation_step(system, sc, 0.35, x, rhs)
+    got = normal_equation_step(system, sc.weights(NORMAL), x, rhs)
     dense = system.dense()
     d = np.concatenate([sc.d_u, sc.d_p])
     oracle = x + 0.35 * (dense @ ((rhs - dense @ x) / d)) / d
@@ -165,10 +172,10 @@ def test_normal_step_matches_dense_oracle(systems3_beta1):
 def test_uzawa_fixed_point(systems3_beta1):
     rng = np.random.default_rng(2)
     system = systems3_beta1[2]
-    sc = build_scaling(system)
+    w = build_scaling(system).weights(UZAWA)
     x = rng.standard_normal(system.n)
     rhs = system.apply(x)
-    out = uzawa_step(system, sc, 0.8, 0.8, x, rhs)
+    out = uzawa_step(system, w, x, rhs)
     assert np.abs(out - x).max() <= 1e-12 * np.abs(x).max()
 
 
@@ -180,7 +187,7 @@ def test_uzawa_equals_compact_block_form(systems3_beta1, level):
     tau, sigma = 0.8, 0.8
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
-    got = uzawa_step(system, sc, tau, sigma, x, rhs)
+    got = uzawa_step(system, sc.weights(UZAWA), x, rhs)
     B = system.B.toarray()
     C = np.block([
         [np.diag(sc.d_u / tau), B.T],
@@ -211,7 +218,7 @@ def test_uzawa_matches_three_substep_reference(systems3_by_beta, level, beta):
     sc = build_scaling(system)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
-    got = uzawa_step(system, sc, 0.8, 0.8, x, rhs)
+    got = uzawa_step(system, sc.weights(UZAWA), x, rhs)
     oracle = reference_uzawa_step(system, sc, 0.8, 0.8, x, rhs)
     assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
@@ -227,8 +234,8 @@ def test_sweeps_on_a_block_match_column_sweeps(systems3_by_beta, level, beta):
     x = rng.standard_normal((system.n, 4))
     rhs = rng.standard_normal((system.n, 4))
     for step in (
-        lambda x, r: normal_equation_step(system, sc, 0.35, x, r),
-        lambda x, r: uzawa_step(system, sc, 0.8, 0.8, x, r),
+        lambda x, r: normal_equation_step(system, sc.weights(NORMAL), x, r),
+        lambda x, r: uzawa_step(system, sc.weights(UZAWA), x, r),
     ):
         block = step(x, rhs)
         columns = np.column_stack([step(x[:, j], rhs[:, j]) for j in range(4)])
@@ -240,11 +247,11 @@ def test_sweeps_on_a_block_match_column_sweeps(systems3_by_beta, level, beta):
 def test_smoother_step_leaves_inputs_untouched(systems3_beta1, kind):
     rng = np.random.default_rng(11)
     system = systems3_beta1[2]
-    sc = build_scaling(system)
+    w = build_scaling(system).weights(SmootherConfig(kind=kind))
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
     x_before, rhs_before = x.copy(), rhs.copy()
-    out = smoother_step(system, sc, SmootherConfig(kind=kind), x, rhs)
+    out = smoother_step(system, w, kind, x, rhs)
     assert np.array_equal(x, x_before) and np.array_equal(rhs, rhs_before)
     assert not np.shares_memory(out, x) and not np.shares_memory(out, rhs)
 
@@ -253,12 +260,11 @@ def test_smoother_step_leaves_inputs_untouched(systems3_beta1, kind):
 def test_uzawa_update_is_block_inverse_of_residual(systems3_by_beta, beta):
     rng = np.random.default_rng(12)
     system = systems3_by_beta[beta][3]
-    sc = build_scaling(system)
+    w = build_scaling(system).weights(UZAWA)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
-    update = uzawa_step(system, sc, 0.8, 0.8, x, rhs) - x
-    delta = uzawa_block_apply_inverse(system, sc, 0.8, 0.8,
-                                      rhs - system.apply(x))
+    update = uzawa_step(system, w, x, rhs) - x
+    delta = uzawa_block_apply_inverse(system, w, rhs - system.apply(x))
     assert np.abs(update - delta).max() <= 1e-12 * np.abs(delta).max()
 
 
@@ -288,11 +294,11 @@ def saddle_product_counts(counts, system):
 def test_uzawa_sweep_matvec_count(systems3_beta1, matvec_counts):
     # one product each with K's velocity rows [A, B^T], with B and with B^T
     system = systems3_beta1[2]
-    sc = build_scaling(system)
+    w = build_scaling(system).weights(UZAWA)
     rng = np.random.default_rng(13)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
-    uzawa_step(system, sc, 0.8, 0.8, x, rhs)
+    uzawa_step(system, w, x, rhs)
     assert saddle_product_counts(matvec_counts, system) == ((0, 1, 1, 1),
                                                             True)
 
@@ -301,7 +307,7 @@ def test_normal_sweep_and_residual_matvec_counts(systems3_beta1,
                                                  matvec_counts):
     # a residual is one product with K; a normal-equation sweep is two
     system = systems3_beta1[2]
-    sc = build_scaling(system)
+    w = build_scaling(system).weights(NORMAL)
     rng = np.random.default_rng(13)
     x = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
@@ -309,7 +315,7 @@ def test_normal_sweep_and_residual_matvec_counts(systems3_beta1,
     assert saddle_product_counts(matvec_counts, system) == ((1, 0, 0, 0),
                                                             True)
     matvec_counts.clear()
-    normal_equation_step(system, sc, 0.35, x, rhs)
+    normal_equation_step(system, w, x, rhs)
     assert saddle_product_counts(matvec_counts, system) == ((2, 0, 0, 0),
                                                             True)
 
@@ -332,14 +338,57 @@ def test_sweep_from_the_zero_iterate_is_the_sweep_from_zeros(
     # x = None skips the product with the zero iterate; == lets +0 and -0
     # agree, the one difference allowed
     system = systems4_by_beta[beta][level]
-    sc = build_scaling(system)
-    config = SmootherConfig(kind=kind)
+    w = build_scaling(system).weights(SmootherConfig(kind=kind))
     rhs = np.random.default_rng(level).standard_normal((system.n,) + shape)
-    want = smoother_step(system, sc, config, np.zeros(rhs.shape), rhs)
-    got = smoother_step(system, sc, config, None, rhs)
+    want = smoother_step(system, w, kind, np.zeros(rhs.shape), rhs)
+    got = smoother_step(system, w, kind, None, rhs)
     assert got.shape == want.shape
     assert np.all(np.isfinite(got))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("start", ["x", "None"])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "block"])
+@pytest.mark.parametrize("beta", [0.0, 1e10])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_normal_sweep_is_the_closed_form_with_divisions(
+    systems4_by_beta, level, beta, shape, start
+):
+    # multiplying by W = sqrt(tau) / D on both sides of K is the step
+    # x + tau D^-1 K D^-1 (rhs - K x) as written
+    system = systems4_by_beta[beta][level]
+    sc = build_scaling(system)
+    rng = np.random.default_rng(30 + level)
+    x = rng.standard_normal((system.n,) + shape)
+    rhs = rng.standard_normal((system.n,) + shape)
+    d = sc.d_full if not shape else sc.d_full[:, None]
+    K = system.K
+    if start == "x":
+        got = normal_equation_step(system, sc.weights(NORMAL), x, rhs)
+        want = x + 0.35 * (K @ ((rhs - K @ x) / d)) / d
+    else:
+        got = normal_equation_step(system, sc.weights(NORMAL), None, rhs)
+        want = 0.35 * (K @ (rhs / d)) / d
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("start", ["x", "None"])
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_sweeps_give_the_same_bits_serially_and_split(
+    systems3_beta1, monkeypatch, kind, start
+):
+    # a split product makes the serial kernel's additions in the same
+    # order, so a sweep of split products keeps every bit
+    system = systems3_beta1[3]
+    w = build_scaling(system).weights(SmootherConfig(kind=kind))
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal(system.n) if start == "x" else None
+    rhs = rng.standard_normal(system.n)
+    serial = smoother_step(system, w, kind, x, rhs)
+    force_split_products(monkeypatch)
+    split = smoother_step(system, w, kind, x, rhs)
+    assert split.tobytes() == serial.tobytes()
 
 
 @pytest.mark.parametrize("kind, fewer", [("uzawa", 1), ("normal_equation", 0)])
@@ -349,14 +398,13 @@ def test_sweep_from_the_zero_iterate_makes_one_product_fewer(
     # the one product skipped is the one with the iterate: the velocity
     # rows for Uzawa, K for the normal equation (its residual)
     system = systems3_beta1[2]
-    sc = build_scaling(system)
-    config = SmootherConfig(kind=kind)
+    w = build_scaling(system).weights(SmootherConfig(kind=kind))
     rhs = np.random.default_rng(15).standard_normal(system.n)
-    smoother_step(system, sc, config, np.zeros(system.n), rhs)
+    smoother_step(system, w, kind, np.zeros(system.n), rhs)
     from_zeros, only = saddle_product_counts(matvec_counts, system)
     assert only
     matvec_counts.clear()
-    smoother_step(system, sc, config, None, rhs)
+    smoother_step(system, w, kind, None, rhs)
     from_none, only = saddle_product_counts(matvec_counts, system)
     assert only
     assert [a - b for a, b in zip(from_zeros, from_none)] == [
@@ -370,9 +418,9 @@ def three_block_apply(system, x):
     return np.concatenate([A @ u + B.T @ p, B @ u])
 
 
-def three_block_uzawa_step(system, scaling, tau, sigma, x, rhs):
+def three_block_uzawa_step(system, w, x, rhs):
     """The Uzawa sweep with its first residual from A and B^T apart."""
-    s_u, s_p = scaling.damped_reciprocals(tau, sigma)
+    s_u, s_p = system.split(w)
     A, B = system.A, system.B
     u, p = system.split(x)
     f, g = system.split(rhs)
@@ -396,22 +444,13 @@ def test_saddle_products_match_three_block_formulas(systems3_by_beta, level,
     pairs = [
         (system.apply(x), Kx),
         (system.residual(x, rhs), r),
-        (normal_equation_step(system, sc, 0.35, x, rhs),
+        (normal_equation_step(system, sc.weights(NORMAL), x, rhs),
          x + 0.35 * three_block_apply(system, r / d) / d),
-        (uzawa_step(system, sc, 0.8, 0.8, x, rhs),
-         three_block_uzawa_step(system, sc, 0.8, 0.8, x, rhs)),
+        (uzawa_step(system, sc.weights(UZAWA), x, rhs),
+         three_block_uzawa_step(system, sc.weights(UZAWA), x, rhs)),
     ]
     for got, want in pairs:
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-
-
-def test_damped_reciprocals_are_memoized(systems3_beta1):
-    sc = build_scaling(systems3_beta1[1])
-    s_u, s_p = sc.damped_reciprocals(0.8, 0.7)
-    np.testing.assert_array_equal(s_u, 0.8 / sc.d_u)
-    np.testing.assert_array_equal(s_p, 0.7 / sc.d_p)
-    assert sc.damped_reciprocals(0.8, 0.7)[0] is s_u
-    assert sc.damped_reciprocals(0.5, 0.7)[0] is not s_u
 
 
 def test_uzawa_block_inverse_helper(systems3_beta1):
@@ -419,7 +458,7 @@ def test_uzawa_block_inverse_helper(systems3_beta1):
     system = systems3_beta1[1]
     sc = build_scaling(system)
     r = rng.standard_normal(system.n)
-    delta = uzawa_block_apply_inverse(system, sc, 0.8, 0.8, r)
+    delta = uzawa_block_apply_inverse(system, sc.weights(UZAWA), r)
     B = system.B.toarray()
     C = np.block([
         [np.diag(sc.d_u / 0.8), B.T],
@@ -430,14 +469,14 @@ def test_uzawa_block_inverse_helper(systems3_beta1):
 
 def test_uzawa_decoupled_pressure_update():
     system = make_fixture_system()
-    sc = unit_scaling(6, 1)
+    w = unit_scaling(6, 1).weights(UZAWA)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(7)
     rhs = np.concatenate([rng.standard_normal(6), [0.0]])
-    out = uzawa_step(system, sc, 0.8, 0.8, x, rhs)
+    out = uzawa_step(system, w, x, rhs)
     assert out[-1] == x[-1]
     rhs[-1] = 2.0
-    out = uzawa_step(system, sc, 0.8, 0.8, x, rhs)
+    out = uzawa_step(system, w, x, rhs)
     assert out[-1] != x[-1]
 
 
@@ -445,15 +484,14 @@ def test_uzawa_decoupled_pressure_update():
 def test_smoothers_are_linear_iterations(systems3_beta1, kind):
     rng = np.random.default_rng(6)
     system = systems3_beta1[2]
-    sc = build_scaling(system)
-    cfg = SmootherConfig(kind=kind)
+    w = build_scaling(system).weights(SmootherConfig(kind=kind))
     x = rng.standard_normal(system.n)
     y = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
-    lhs = smoother_step(system, sc, cfg, x, rhs) - smoother_step(
-        system, sc, cfg, y, rhs
+    lhs = smoother_step(system, w, kind, x, rhs) - smoother_step(
+        system, w, kind, y, rhs
     )
-    rhs_zero = smoother_step(system, sc, cfg, x - y, np.zeros(system.n))
+    rhs_zero = smoother_step(system, w, kind, x - y, np.zeros(system.n))
     assert np.abs(lhs - rhs_zero).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
 
 
