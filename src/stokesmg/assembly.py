@@ -476,13 +476,22 @@ class SaddleSystem:
         whose residual is rhs itself: no product is made."""
         if x is None:
             return np.array(rhs, dtype=float)
-        r = self.apply(x)
-        np.subtract(rhs, r, r)
+        r = np.empty((self.n,) + x.shape[1:])
+        self.products.K.run(_residual_rows, x, r, rhs)
         return r
 
     def dense(self):
         """Dense saddle matrix; meant for small levels and test oracles."""
         return self.K.toarray()
+
+
+def _residual_rows(part, x, r, rhs):
+    """rhs - K x on a part's rows, K x made into zeros; r and rhs hold
+    those rows."""
+    kernel, args = part[:2]
+    r.fill(0.0)
+    kernel(*args, x, r)
+    np.subtract(rhs, r, r)
 
 
 # Scalar rows per block in which build_system writes K's velocity rows, so

@@ -27,6 +27,7 @@ independent of whatever diagonal shortcut the smoother uses.
 
 from __future__ import annotations
 
+import functools
 import operator
 import threading
 from dataclasses import dataclass, field
@@ -97,15 +98,29 @@ def triple_norm(x, system):
     hm2, beta = system.h ** -2, system.params.beta
     system.check_mass()
     # one product with diag(M, M, M_P): M_U applies the scalar mass M to
-    # each velocity component
-    u, p = system.split(x)
-    mu, mp = system.split(system.products.mass(x, np.zeros(x.size)))
-    uu = sum(dot(c, mc) for c, mc in zip(u.reshape(2, -1),
-                                         mu.reshape(2, -1)))
-    pp = dot(p, mp)
+    # each velocity component; the dots of u_x, u_y and p, in that order
+    n_v = system.n_u // 2
+    body = functools.partial(_mass_dots, components=(
+        (0, n_v), (n_v, system.n_u), (system.n_u, system.n)))
+    dots = [d for part in system.products.mass.run(body, x, np.empty(x.size))
+            for d in part]
+    uu, pp = sum(dots[:2]), dots[2]
     val = (hm2 + beta) * uu + hm2 / (beta + hm2) * pp
     # tiny negative values can appear from roundoff at x ~ 0
     return float(np.sqrt(max(val, 0.0)))
+
+
+def _mass_dots(part, x, mx, components):
+    """diag(M, M, M_P) x on a part's rows, made into zeros, and the dot of
+    x with it over each (start, stop) component those rows hold; x and mx
+    hold the part's rows, which are its columns too."""
+    kernel, args, _, rows = part
+    mx.fill(0.0)
+    kernel(*args, x, mx)
+    first = rows.start
+    return [dot(x[start - first:stop - first], mx[start - first:stop - first])
+            for start, stop in components
+            if first <= start and stop <= rows.stop]
 
 
 class Multigrid:

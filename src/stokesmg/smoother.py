@@ -11,7 +11,8 @@ of the scaling.
   with D the diagonal scaling and W = sqrt(tau) D^-1.  K x accumulates
   onto -rhs and is scaled by W, one product with K is made from it into
   zeros and scaled by W, and the result is subtracted from x: a sweep
-  costs two products with K and four vector passes, and no division.
+  costs two products with K, a zero fill and four vector passes, and no
+  division.
 
 * symmetric Uzawa smoother, three substeps per sweep:
       u_half <- u + tau * Du^-1 (f - A u - B^T p)
@@ -42,6 +43,18 @@ so it follows A = K_s + beta M_s across beta without a level weight.
 
 Both sweeps act on a vector or, column by column, on an (n, k) block of
 iterates; the weights then scale the block row-wise.
+
+A sweep is row-local apart from its products' column reads, so it runs
+as row phases of its bound products (sparse.Product.run): each part of a
+product's rows is initialized, multiplied and scaled, and subtracted
+from x, in one call, the worker thread taking the first part of a
+product large enough to split.  A normal-equation sweep is two phases
+over K's rows (one from the zero iterate, after W rhs); an Uzawa sweep is
+a phase over the velocity rows [A, B^T] (skipped from the zero iterate),
+one over B's rows, then the product with B^T, a CSC matrix that
+scatters into rows, and the last scaling on this thread.  The parts sum
+each entry in the serial order, so a sweep gives the same bits on one
+core or two.
 """
 
 from __future__ import annotations
@@ -148,18 +161,34 @@ def normal_equation_step(system, w, x, rhs):
     untouched, and x None stands for the zero iterate."""
     if rhs.ndim > 1:
         w = w[:, None]
-    products = system.products
+    K = system.products.K
+    r, step = np.empty(rhs.shape), np.empty(rhs.shape)
     if x is None:
-        r = np.multiply(w, rhs)                         # W rhs
+        np.multiply(w, rhs, r)                          # W rhs
     else:
-        # K x - rhs, accumulated onto -rhs
-        r = products.K(x, np.negative(rhs, order="C"))
-        np.multiply(w, r, r)
-    step = products.K(r, np.zeros(rhs.shape))
+        K.run(_scaled_residual_rows, x, r, w, rhs)
+    K.run(_normal_step_rows, r, step, w, x)
+    return step
+
+
+def _scaled_residual_rows(part, x, r, w, rhs):
+    """W (K x - rhs) on a part's rows, K x accumulated onto -rhs; r, w and
+    rhs hold those rows."""
+    kernel, args = part[:2]
+    np.negative(rhs, r)
+    kernel(*args, x, r)
+    np.multiply(w, r, r)
+
+
+def _normal_step_rows(part, r, step, w, x):
+    """x - W K r on a part's rows, K r made into zeros, or -W K r for x
+    None; step, w and x hold those rows."""
+    kernel, args = part[:2]
+    step.fill(0.0)
+    kernel(*args, r, step)
     np.multiply(w, step, step)
     if x is not None:
         np.subtract(x, step, step)
-    return step
 
 
 def uzawa_step(system, w, x, rhs):
@@ -173,20 +202,17 @@ def uzawa_step(system, w, x, rhs):
     if rhs.ndim > 1:
         s_u, s_p = s_u[:, None], s_p[:, None]
     f, g = rhs[:n_u], rhs[n_u:]
-    out = np.empty(rhs.shape)
-    u_new, p_new = out[:n_u], out[n_u:]
-    # q = [A, B^T] x - f = -r_u, accumulated onto -f
-    q = np.negative(f, order="C")
+    out, q = np.empty(rhs.shape), np.empty(f.shape)
+    u_new, dp = out[:n_u], out[n_u:]
+    # q = [A, B^T] x - f = -r_u, and u_half
     if x is None:
-        np.multiply(s_u, f, u_new)                      # u_half
+        np.negative(f, q)
+        np.multiply(s_u, f, u_new)
     else:
         u = x[:n_u]
-        products.velocity_rows(x, q)
-        np.multiply(s_u, q, u_new)
-        np.subtract(u, u_new, u_new)                    # u_half
+        products.velocity_rows.run(_velocity_rows, x, q, u_new, s_u, f, u)
     # dp = p_new - p = sigma Dp^-1 (B u_half - g), accumulated onto -g
-    dp = products.B(u_new, np.negative(g, p_new))
-    np.multiply(dp, s_p, dp)
+    products.B.run(_pressure_rows, u_new, dp, s_p, g)
     products.Bt(dp, q)                                  # -r_u2 = -r_u + B^T dp
     np.multiply(s_u, q, u_new)
     if x is None:
@@ -195,6 +221,25 @@ def uzawa_step(system, w, x, rhs):
         np.add(dp, x[n_u:], dp)                         # p_new
         np.subtract(u, u_new, u_new)
     return out
+
+
+def _velocity_rows(part, x, q, u_half, s_u, f, u):
+    """q = [A, B^T] x - f, accumulated onto -f, and u_half = u - s_u q,
+    on a part's velocity rows; q, u_half, s_u, f and u hold those rows."""
+    kernel, args = part[:2]
+    np.negative(f, q)
+    kernel(*args, x, q)
+    np.multiply(s_u, q, u_half)
+    np.subtract(u, u_half, u_half)
+
+
+def _pressure_rows(part, u_half, dp, s_p, g):
+    """dp = s_p (B u_half - g), accumulated onto -g, on a part's pressure
+    rows; dp, s_p and g hold those rows."""
+    kernel, args = part[:2]
+    np.negative(g, dp)
+    kernel(*args, u_half, dp)
+    np.multiply(dp, s_p, dp)
 
 
 def smoother_step(system, w, kind, x, rhs):

@@ -5,9 +5,11 @@ this module holds packed integer assembly from element blocks, CSR layouts
 computed from row counts alone (column concatenation, row blocks sharing
 their parent's arrays, block diagonals), CSR and CSC matrices that hold given
 arrays without a copy, the in-place product every cycle operation goes
-through (bound once per matrix or block diagonal, a large one split over
-two threads), the dot product every reduction goes through (summed without
-BLAS), and the equilibrated dense inverse for the coarsest grid.  Nothing
+through (bound once per matrix or block diagonal; a large one runs its
+row phases, each part's initialization, product and scaling or sums of
+its own rows, on two threads), the dot product every reduction goes
+through (summed without BLAS), and the equilibrated dense inverse for the
+coarsest grid.  Nothing
 here, and nothing in the package, calls scipy.linalg or
 scipy.sparse.linalg: importing either maps scipy's own BLAS next to
 numpy's.
@@ -16,8 +18,9 @@ numpy's.
 from __future__ import annotations
 
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -31,9 +34,9 @@ _MATVEC = {
     "csc": (_sparsetools.csc_matvec, _sparsetools.csc_matvecs),
 }
 
-# A product with at least this many stored entries runs as two parts on
-# two cores.  Handing a part to the worker costs 10-20 us, so
-# splitting broke even near 100 000 entries (2-core machine: a level-6 M_P
+# A product with at least this many stored entries runs its row phases
+# as two parts on two cores.  Handing a part to the worker costs 10-20 us,
+# so splitting broke even near 100 000 entries (2-core machine: a level-6 M_P
 # of 115 457 entries took 41 serial against 38-55 us split); a level-5 K
 # at beta = 1 (494 674) took 256-283 against 138-162 us, a level-6 one
 # (2 005 074) 1 026-1 042 against 533-682 us.  Level 4's products, at most
@@ -45,7 +48,7 @@ _MATVEC = {
 _SPLIT_NNZ = 150_000
 _FLOAT64 = np.dtype(np.float64)
 
-# the worker thread for the first half of a split product, started on
+# the worker thread for the first part of a split row phase, started on
 # first use; a forked child has no thread behind its copy, so drops it
 _worker = None
 _worker_lock = threading.Lock()
@@ -68,16 +71,71 @@ def _usable_cores():
 
 
 def _get_worker():
-    """The split-product worker, or None on a single usable core."""
+    """The split-phase worker, or None on a single usable core."""
     global _worker
     if _worker is None:
         if _usable_cores() < 2:
             return None
         with _worker_lock:
             if _worker is None:
-                _worker = ThreadPoolExecutor(
-                    1, thread_name_prefix="stokesmg-matvec")
+                _worker = _Worker()
     return _worker
+
+
+class _Worker:
+    """One thread that runs the jobs put on its queue in turn; it ends once
+    the worker is dropped.  A handoff makes one job and one lock, which the
+    thread releases as its last step of the job.  A ThreadPoolExecutor's
+    future and condition made a level-5 normal sweep, two handoffs, take
+    541 against 465 us, and a level-6 one 1 682 against 1 619 us (2-core
+    machine, beta = 1, medians of 300 interleaved sweeps)."""
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(self._jobs,), daemon=True,
+                         name="stokesmg-matvec").start()
+        weakref.finalize(self, self._jobs.put, None)
+
+    def submit(self, fn, *args):
+        job = _Job(fn, args)
+        self._jobs.put(job)
+        return job
+
+
+def _serve(jobs):
+    for job in iter(jobs.get, None):
+        job.run()
+
+
+class _Job:
+    """fn(*args) on the worker; result() waits for it and returns its
+    value or raises its exception."""
+
+    __slots__ = ("_call", "_done", "_value", "_error")
+
+    def __init__(self, fn, args):
+        self._call, self._error = (fn, args), None
+        self._done = threading.Lock()
+        self._done.acquire()
+
+    def run(self):
+        fn, args = self._call
+        # the worker keeps no reference to the arrays of a job it is done
+        # with: a view it kept until its next job would keep the caller's
+        # level-6 temporaries alive, 3-4 MB more peak_rss_mb
+        self._call = None
+        try:
+            self._value = fn(*args)
+        except BaseException as error:  # raised again by result()
+            self._error = error
+        del fn, args
+        self._done.release()
+
+    def result(self):
+        self._done.acquire()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 def dot(a, b):
@@ -104,15 +162,27 @@ class Product:
     (m, k) array), as the kernels read and write past the ends of arrays
     that do not fit.
 
-    A vector product with at least _SPLIT_NNZ entries in all, on a machine
-    with two usable cores, gives the worker thread its first part and runs
-    the others here, one handoff: the parts are the blocks of a block
-    diagonal, or the two halves of a single CSR matrix's rows, split at
-    the row that halves its entries.  Each part is one serial kernel call
-    over the same rows in the same order, so the result is bitwise that of
-    one serial product.  A single CSC matrix, which scatters into rows,
-    and an (n, k) block run serially: the package's block products, which
-    build the level-1 map, are far below the split size.
+    run(body, x, out, *args) runs a row phase: for each part (kernel,
+    kernel_args, cols, rows) it calls body(part, x[cols], out[rows],
+    *args'), where args' are args cut to the part's rows (each arg is
+    None or an array that holds out's rows).  The body makes the part's
+    product kernel(*kernel_args, x[cols], out[rows]) with the
+    initialization of its rows of out before it and the scaling,
+    subtraction or sums over those rows after it; it writes no other rows
+    and allocates no array, so the caller makes every array the worker
+    writes.  Calling the product is the phase that makes the product
+    alone.  A vector phase of a product with at least _SPLIT_NNZ entries
+    in all, on a machine with two usable cores, gives the worker thread
+    its first part and runs the others here, one handoff: the parts are
+    the blocks of a block diagonal, or the two halves of a single CSR
+    matrix's rows, split at the row that halves its entries.  Each part is
+    one serial kernel call over the same rows in the same order, so every
+    entry is summed by one thread in the serial order and the result is
+    bitwise that of the serial phase.  Otherwise the phase has one part,
+    the whole product, run here by the same body on the arrays as given:
+    below the split size, on one usable core, for a single CSC matrix,
+    which scatters into rows, and for an (n, k) block (the package's block
+    products, which build the level-1 map, are far below the split size).
     """
 
     def __init__(self, *mats):
@@ -128,52 +198,60 @@ class Product:
                          slice(cols[i], cols[i + 1]),
                          slice(rows[i], rows[i + 1]))
                         for i, mat in enumerate(mats)]
-        # the serial vector product: one kernel call for a single matrix,
-        # each block's for a block diagonal
-        self._vector, _, self._args = self._blocks[0][:3]
+        # the one part of an unsplit vector or block phase: a single
+        # matrix's vector kernel, or each block's in turn
+        whole = slice(0, cols[-1]), slice(0, rows[-1])
+        vector, _, args = self._blocks[0][:3]
         if len(mats) > 1:
-            self._vector, self._args = self._serial, (self._blocks,)
+            vector, args = _serial, (self._blocks,)
+        self._whole = (vector, args, *whole)
+        self._whole_block = (_serial_block, (self._blocks,), *whole)
 
     @cached_property
     def _parts(self):
-        """The parts of a split vector product, laid out as the blocks
+        """The parts of a split vector phase, laid out as the blocks
         are, the worker's first: the blocks, or a single CSR matrix's
         halves of rows, which meet at the row that halves its entries;
         None for a single CSC matrix.  Laid out on first use: most
         products are never split."""
         if len(self._blocks) > 1:
-            return self._blocks
-        vector, block, (m, n, indptr, *arrays), cols, _ = self._blocks[0]
+            return [(vector, args, cols, rows)
+                    for vector, _, args, cols, rows in self._blocks]
+        vector, _, (m, n, indptr, *arrays), cols, _ = self._blocks[0]
         if vector is _MATVEC["csc"][0]:
             return None
         mid = int(np.searchsorted(indptr, indptr[-1] // 2))
-        return [(vector, block, (stop - start, n, indptr[start:stop + 1],
-                                 *arrays), cols, slice(start, stop))
+        return [(vector, (stop - start, n, indptr[start:stop + 1], *arrays),
+                 cols, slice(start, stop))
                 for start, stop in ((0, mid), (mid, m))]
 
     def __call__(self, x, out):
+        self.run(_product, x, out)
+        return out
+
+    def run(self, body, x, out, *args):
+        """The list of the body's results over the parts of a row phase,
+        in part order; x is the product's input."""
         if (x.shape != self._x_vector or out.shape != self._out_vector
                 or out.dtype is not _FLOAT64):
             self._check(x, out)
             if out.ndim > 1:
-                for _, block, (m, n, *arrays), cols, rows in self._blocks:
-                    block(m, n, out.shape[1], *arrays, x[cols].ravel(),
-                          out[rows].reshape(-1))
-                return out
+                return [body(self._whole_block, x, out, *args)]
         if self._nnz >= _SPLIT_NNZ and self._parts:
             worker = _get_worker()
             if worker is not None:
-                (vector, _, args, cols, rows), *rest = self._parts
-                # the worker runs its kernel alone: its arguments are made
-                # here; then it is waited for, whatever this thread raises
-                future = worker.submit(vector, *args, x[cols], out[rows])
+                first, *rest = [_cut(part, x, out, args)
+                                for part in self._parts]
+                # the worker runs its part alone, writing only into arrays
+                # this thread made; then it is waited for, whatever this
+                # thread raises
+                job = worker.submit(body, *first)
                 try:
-                    self._serial(rest, x, out)
+                    rest = [body(*call) for call in rest]
                 finally:
-                    future.result()
-                return out
-        self._vector(*self._args, x, out)
-        return out
+                    first = job.result()
+                return [first, *rest]
+        return [body(self._whole, x, out, *args)]
 
     def _check(self, x, out):
         """Raise ValueError unless x and out fit and out is float64 (a
@@ -189,11 +267,34 @@ class Product:
             raise ValueError("product: a block out must be a C-contiguous "
                              "(m, k) array")
 
-    @staticmethod
-    def _serial(parts, x, out):
-        """Each part's vector kernel on its own columns and rows."""
-        for vector, _, args, cols, rows in parts:
-            vector(*args, x[cols], out[rows])
+
+def _cut(part, x, out, args):
+    """The arguments of a part's body: the part, x cut to its columns,
+    and out and each array in args to its rows."""
+    _, _, cols, rows = part
+    return (part, x[cols], out[rows],
+            *[None if a is None else a[rows] for a in args])
+
+
+def _product(part, x, out):
+    """A part's product, the body of a phase that makes the product
+    alone."""
+    kernel, args = part[:2]
+    kernel(*args, x, out)
+
+
+def _serial(blocks, x, out):
+    """Each block's vector kernel on its own columns and rows."""
+    for vector, _, args, cols, rows in blocks:
+        vector(*args, x[cols], out[rows])
+
+
+def _serial_block(blocks, x, out):
+    """Each block's block kernel on its own columns and rows of an (n, k)
+    x and a C-contiguous (m, k) out."""
+    for _, block, (m, n, *arrays), cols, rows in blocks:
+        block(m, n, out.shape[1], *arrays, x[cols].ravel(),
+              out[rows].reshape(-1))
 
 
 def packed_from_blocks(nrows, ncols, row_nodes, col_nodes, tables, classes):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +58,13 @@ def force_split_products(monkeypatch):
     monkeypatch.setattr(sparse, "_SPLIT_NNZ", 0)
     monkeypatch.setattr(sparse, "_usable_cores", lambda: 2)
     monkeypatch.setattr(sparse, "_worker", None)
+
+
+def thread_idents():
+    """The idents of the threads alive now.  A test compares them before
+    and after a call, not their count: the workers of executors earlier
+    tests dropped exit whenever they do."""
+    return {thread.ident for thread in threading.enumerate()}
 
 
 def run_python(code, **env):

@@ -1,14 +1,16 @@
 import collections
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from conftest import force_split_products
+from conftest import force_split_products, thread_idents
 from stokesmg import sparse
 from stokesmg.assembly import ProblemParams, SaddleSystem, build_system
+from stokesmg.multigrid import triple_norm
 from stokesmg.smoother import (
     DEFAULT_SIGMA_UZAWA,
     DEFAULT_TAU_NORMAL,
@@ -270,16 +272,30 @@ def test_uzawa_update_is_block_inverse_of_residual(systems3_by_beta, beta):
 
 @pytest.fixture
 def matvec_counts(monkeypatch):
-    """Calls of every bound product (sparse.Product), keyed by the
-    product's id; a system's products are system.products."""
+    """Products made with every bound product (sparse.Product), keyed by
+    the product's id: its calls, and its row phases (Product.run) whose
+    parts call its kernel, each phase once however many parts it runs;
+    a system's products are system.products."""
     counts = collections.Counter()
-    call = sparse.Product.__call__
+    run = sparse.Product.run
 
-    def counting(product, x, out):
-        counts[id(product)] += 1
-        return call(product, x, out)
+    def counting(product, body, x, out, *args):
+        made = []
 
-    monkeypatch.setattr(sparse.Product, "__call__", counting)
+        def counted(part, *rest):
+            kernel, kernel_args, cols, rows = part
+
+            def counted_kernel(*a):
+                made.append(True)
+                return kernel(*a)
+
+            return body((counted_kernel, kernel_args, cols, rows), *rest)
+
+        results = run(product, counted, x, out, *args)
+        counts[id(product)] += any(made)
+        return results
+
+    monkeypatch.setattr(sparse.Product, "run", counting)
     return counts
 
 
@@ -389,6 +405,66 @@ def test_sweeps_give_the_same_bits_serially_and_split(
     force_split_products(monkeypatch)
     split = smoother_step(system, w, kind, x, rhs)
     assert split.tobytes() == serial.tobytes()
+    assert sparse._worker is not None
+
+
+def row_phases(system, x, rhs):
+    """Every row-owned phase a cycle runs on a level, by name: both sweeps
+    from x and from the zero iterate, the residual and, for a vector x,
+    the error norm."""
+    phases = {}
+    for kind in ("normal_equation", "uzawa"):
+        w = build_scaling(system).weights(SmootherConfig(kind=kind))
+        for start in ("x", "None"):
+            phases[f"{kind} from {start}"] = functools.partial(
+                smoother_step, system, w, kind, None if start == "None" else x,
+                rhs)
+    phases["residual"] = functools.partial(system.residual, x, rhs)
+    if x.ndim == 1:
+        phases["error norm"] = lambda: np.float64(triple_norm(x, system))
+    return phases
+
+
+def test_residual_and_error_norm_give_the_same_bits_serially_and_split(
+    systems3_beta1, monkeypatch
+):
+    # each core initializes, multiplies and subtracts (or sums) its own
+    # rows: the residual and the error norm keep every bit, the norm's
+    # component dots summed in the serial order
+    system = systems3_beta1[3]
+    rng = np.random.default_rng(41)
+    x, rhs = rng.standard_normal(system.n), rng.standard_normal(system.n)
+    phases = row_phases(system, x, rhs)
+    serial = {name: phases[name]().tobytes()
+              for name in ("residual", "error norm")}
+    force_split_products(monkeypatch)
+    assert system.products.mass._parts is not None
+    for name, want in serial.items():
+        assert phases[name]().tobytes() == want, name
+    assert sparse._worker is not None
+    assert serial["residual"] == (rhs - system.K @ x).tobytes()
+
+
+@pytest.mark.parametrize("cores, tail", [(2, (3,)), (1, ()), (1, (3,))],
+                         ids=["block", "one core", "block on one core"])
+def test_row_phases_run_inline_for_blocks_and_on_one_core(
+    systems3_beta1, monkeypatch, cores, tail
+):
+    # an (n, k) block, or any phase on one usable core, is one part run on
+    # this thread by the same body: the serial bits, and no thread started
+    system = systems3_beta1[3]
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((system.n,) + tail)
+    rhs = rng.standard_normal((system.n,) + tail)
+    phases = row_phases(system, x, rhs)
+    want = {name: phase().tobytes() for name, phase in phases.items()}
+    force_split_products(monkeypatch)
+    monkeypatch.setattr(sparse, "_usable_cores", lambda: cores)
+    before = thread_idents()
+    for name, phase in phases.items():
+        assert phase().tobytes() == want[name], name
+    assert sparse._worker is None
+    assert thread_idents() <= before
 
 
 @pytest.mark.parametrize("kind, fewer", [("uzawa", 1), ("normal_equation", 0)])

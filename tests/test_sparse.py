@@ -1,3 +1,4 @@
+import gc
 import multiprocessing
 import sys
 import threading
@@ -17,7 +18,7 @@ from stokesmg.sparse import (
 from stokesmg.transfer import prolongate, restrict
 
 from conftest import (force_split_products, from_triplets, run_python,
-                      transfer_blocks)
+                      thread_idents, transfer_blocks)
 
 
 def test_runs_load_neither_scipy_linalg_nor_sparse_linalg():
@@ -280,12 +281,12 @@ def test_block_product_runs_serially(systems3_beta1, transfers3,
     columns = [Product(mat)(x[:, j].copy(), start[:, j].copy())
                for j in range(3)]
     force_split_products(monkeypatch)
-    threads = threading.active_count()
+    before = thread_idents()
     for block in (Product(mat)(x, start.copy()), product(x, start.copy())):
         for j in range(3):
             assert np.array_equal(block[:, j], columns[j])
     assert sparse._worker is None
-    assert threading.active_count() == threads
+    assert thread_idents() <= before
 
 
 def test_split_product_rejects_a_float32_out(systems3_beta1, monkeypatch):
@@ -301,13 +302,46 @@ def test_one_usable_core_starts_no_worker(systems3_beta1, monkeypatch):
     force_split_products(monkeypatch)
     monkeypatch.setattr(sparse, "_usable_cores", lambda: 1)
     monkeypatch.setattr(sparse, "_worker", None)
-    threads = threading.active_count()
+    before = thread_idents()
     mat = systems3_beta1[3].K
     x = np.random.default_rng(14).standard_normal(mat.shape[1])
     assert np.array_equal(Product(mat)(x, np.zeros(mat.shape[0])),
                           mat @ x)
     assert sparse._worker is None
-    assert threading.active_count() == threads
+    assert thread_idents() <= before
+
+
+def test_a_raising_worker_part_raises_in_the_caller(systems3_beta1,
+                                                   monkeypatch):
+    # the worker hands its part's exception to the caller, which raises it
+    # once its own parts are done, and the worker goes on serving
+    force_split_products(monkeypatch)
+    mat = systems3_beta1[3].K
+    product, caller = Product(mat), threading.get_ident()
+    x = np.random.default_rng(20).standard_normal(mat.shape[1])
+    ran = []
+
+    def body(part, x, out):
+        ran.append(threading.get_ident() == caller)
+        if not ran[-1]:
+            raise RuntimeError("worker part")
+
+    with pytest.raises(RuntimeError, match="worker part"):
+        product.run(body, x, np.zeros(mat.shape[0]))
+    assert sorted(ran) == [False, True]
+    assert np.array_equal(product(x, np.zeros(mat.shape[0])), mat @ x)
+
+
+def test_a_dropped_worker_ends_its_thread(monkeypatch):
+    force_split_products(monkeypatch)
+    before = thread_idents()
+    assert sparse._get_worker() is not None
+    (thread,) = [t for t in threading.enumerate() if t.ident not in before]
+    # not through monkeypatch, which would keep the worker to restore it
+    sparse._worker = None
+    gc.collect()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
 
 
 def split_product_in_child(mat, x, want):
@@ -391,15 +425,15 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
     # product, runs serially; a single CSR matrix's worker takes the first
     # half of its rows, a block diagonal's its first block
     n_first = transfers3[3].P.shape[0] - system.n_p
-    assert pairs["R"][1]._parts[0][3] == slice(0, n_first // 2)
-    assert pairs["P"][1]._parts[0][4] == slice(0, n_first // 2)
+    assert pairs["R"][1]._parts[0][2] == slice(0, n_first // 2)
+    assert pairs["P"][1]._parts[0][3] == slice(0, n_first // 2)
     assert pairs["Bt"][1]._parts is None
     K = system.K
-    assert pairs["K"][1]._parts[0][4] == slice(
+    assert pairs["K"][1]._parts[0][3] == slice(
         0, np.searchsorted(K.indptr, K.nnz // 2))
     n = system.M.shape[0]
     for name in ("mass", "diag(M, M, M_P)"):
-        assert pairs[name][1]._parts[0][3:] == (slice(0, n),) * 2
+        assert pairs[name][1]._parts[0][2:] == (slice(0, n),) * 2
     assert sparse._worker is not None
 
 
@@ -438,7 +472,7 @@ def test_level6_restriction_splits_between_velocity_components(
         assert np.array_equal(product(x, start.copy()), want)
         assert np.array_equal(Product(R)(x, start.copy()), want)
         assert np.array_equal(product(x, np.zeros(want.shape)), R @ x)
-    assert product._parts[0][3] == slice(0, n_interior)
+    assert product._parts[0][2] == slice(0, n_interior)
     assert (sparse._worker is None) == (cores == 1)
 
 
@@ -489,11 +523,11 @@ def test_restriction_halves_write_disjoint_coarse_rows(transfers3):
     # worker's, may write only rows below every row its other columns write
     for transfer in transfers3[1:]:
         R, first = transfer.R, transfer.products.R._parts[0]
-        cut = first[3].stop
+        cut = first[2].stop
         assert 0 < cut < R.shape[1]
         rows = [R[:, :cut].tocoo().row, R[:, cut:].tocoo().row]
         assert rows[0].max() < rows[1].min()
-        assert rows[0].max() < first[4].stop
+        assert rows[0].max() < first[3].stop
 
 
 @pytest.mark.parametrize("bound", [True, False], ids=["bound", "matvec_add"])

@@ -94,7 +94,7 @@ def test_restrictions_are_views_of_prolongations(transfers3):
     # memory of P_2 and P_1, and are multiplied as CSC matrices
     for T in transfers3[1:]:
         assert T.R.format == "csc"
-        for (vector, _, args, _, _), mat in zip(T.products.R._parts,
+        for (vector, _, args, _, _), mat in zip(T.products.R._blocks,
                                                 (T.P2, T.P2, T.P1)):
             assert vector is sparse._MATVEC["csc"][0]
             assert args[:2] == mat.shape[::-1]
@@ -110,7 +110,7 @@ def test_velocity_components_share_one_P2(transfers3):
     # prolongation and of the restriction read its arrays
     for T in transfers3[1:]:
         for product in (T.products.P, T.products.R):
-            x_block, y_block, p_block = (part[2] for part in product._parts)
+            x_block, y_block, p_block = (block[2] for block in product._blocks)
             assert all(a is b for a, b in zip(x_block[2:], y_block[2:]))
             assert x_block[2] is T.P2.indptr and p_block[2] is T.P1.indptr
         held = {id(v) for v in vars(T).values() if sp.issparse(v)}
