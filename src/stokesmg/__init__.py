@@ -9,7 +9,7 @@ convergence-rate tables.
 from .mesh import build_coarse_mesh, build_hierarchy, refine
 from .assembly import (ProblemParams, TaylorHoodSpace, build_system,
                        build_systems)
-from .multigrid import CycleConfig, Multigrid, SolveReport
+from .multigrid import CycleConfig, Hierarchy, Multigrid, SolveReport
 from .smoother import SmootherConfig
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "build_system",
     "build_systems",
     "CycleConfig",
+    "Hierarchy",
     "Multigrid",
     "SolveReport",
     "SmootherConfig",

@@ -5,7 +5,9 @@ per node, stored component-blocked: all x-dofs, then all y-dofs), pressure
 on vertices.  Homogeneous Dirichlet conditions are imposed by eliminating
 every velocity dof on a boundary node, so the velocity blocks act on
 interior nodes only.  The pressure keeps its full coefficient space; the
-zero-mean constraint is enforced by explicit projection elsewhere.
+zero-mean constraint is enforced by explicit projection elsewhere.  In
+K = [[A, B^T], [B, 0]], B u = (div u, q) and B^T p = (p, div v) =
+-(grad p, v): K discretizes -div(grad u) + beta u - grad p = f, div u = g.
 """
 
 from __future__ import annotations
@@ -408,7 +410,7 @@ class SaddleSystem:
     B: sp.csr_matrix | None = None
 
     def __post_init__(self):
-        # plain attributes: split runs several times per smoothing sweep
+        # plain attributes: every sweep slices by them
         self.n, self.n_p = self.K.shape[0], self.M_P.shape[0]
         self.n_u = self.n - self.n_p
         B = self.B
@@ -460,9 +462,6 @@ class SaddleSystem:
             raise ValueError(
                 f"the level-{self.space.level.level_index} system holds no "
                 "velocity mass: it was set up for no solve on that level")
-
-    def split(self, x):
-        return x[: self.n_u], x[self.n_u:]
 
     def join(self, u, p):
         return np.concatenate([u, p])

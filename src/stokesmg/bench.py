@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import sys
 import time
@@ -21,16 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    TaylorHoodSpace,
-    build_systems,
-    l2_project,
-    manufactured_rhs,
-)
-from .mesh import MAX_LEVEL, build_hierarchy
-from .multigrid import CycleConfig, Multigrid
+from .assembly import l2_project, manufactured_rhs
+from .mesh import MAX_LEVEL
+from .multigrid import CycleConfig, Hierarchy, Multigrid
 from .smoother import SmootherConfig, build_scaling, damping_margins
-from .transfer import build_prolongation
 
 BETA_TABLE = [0.0, 1e2, 1e4, 1e6, 1e8, 1e10]
 NU_SWEEP = [1, 2, 3, 4, 8, 16]
@@ -108,60 +101,15 @@ class TableRow:
         return self.stop_reason == "converged"
 
 
-class _HierarchyCache:
-    """Shared meshes, spaces, transfers and per-beta systems for one grid.
-
-    Spaces and transfers are beta-independent; the projected target
-    solution per level is too, held as one vector x* = (u*, p*) that every
-    solve at the level reads.  The systems of every beta asked for
-    together are built level by level, each level's in one pass
-    (build_systems), so they share its masses and saddle patterns, and the
-    blocks only set-up reads are assembled once per level and dropped
-    before the next level's.  A beta asked for later builds them again.
-    A build told the levels a grid solves on keeps the velocity mass,
-    which only the error norm reads, on those levels alone.
-    """
+class _HierarchyCache(Hierarchy):
+    """A Hierarchy with one experiment's data: the exact solution and its
+    projected target per level, held as one vector x* = (u*, p*) that
+    every solve at the level reads."""
 
     def __init__(self, max_level, solution=ExactSolution()):
-        self.spaces = [TaylorHoodSpace(mesh)
-                       for mesh in build_hierarchy(max_level)]
-        self.transfers = [None] + [
-            build_prolongation(self.spaces[k - 1], self.spaces[k])
-            for k in range(1, len(self.spaces))
-        ]
+        super().__init__(max_level)
         self.solution = solution
-        self._systems = {}
         self._targets = {}
-
-    def build(self, tops, solved=None):
-        """Build the systems of each beta in tops up to its level there,
-        from the finest level down, all of a level's in one pass: the pass
-        then peaks while only the finer levels' systems are held, the
-        coarser ones not yet built.  Given the levels solved on, the
-        systems built on the other levels hold no velocity mass, and
-        those of a solved level that an earlier build left without it
-        are given it."""
-        built = {beta: self._systems.setdefault(beta, {}) for beta in tops}
-        for level in range(max(tops.values()), -1, -1):
-            mass = solved is None or level in solved
-            missing = [beta for beta, top in tops.items()
-                       if top >= level and level not in built[beta]]
-            if missing:
-                for beta, system in zip(missing, build_systems(
-                        self.spaces[level], missing, mass)):
-                    built[beta][level] = system
-            if solved is None or not mass:
-                continue
-            # systems an earlier build left without the mass
-            for systems in built.values():
-                system = systems.get(level)
-                if system is not None and system.M is None:
-                    systems[level] = dataclasses.replace(
-                        system, M=self.spaces[level].M)
-
-    def systems(self, beta, up_to_level):
-        self.build({beta: up_to_level})
-        return [self._systems[beta][k] for k in range(up_to_level + 1)]
 
     def target_vector(self, level):
         """x* = (u*, p*) at the level, joined, projected on first use."""

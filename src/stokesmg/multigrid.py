@@ -1,4 +1,4 @@
-"""Coupled multigrid cycles on the saddle-point hierarchy.
+"""Coupled multigrid cycles on the saddle-point level stack (Hierarchy).
 
 One cycle: pre-smoothing, residual restriction, coarse correction
 (recursive V/W or exact two-grid), prolongated update, post-smoothing.
@@ -27,6 +27,7 @@ independent of whatever diagonal shortcut the smoother uses.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import operator
 import threading
@@ -34,9 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import TaylorHoodSpace, build_systems
+from .mesh import build_hierarchy
 from .smoother import SmootherConfig, build_scaling, smoother_step
 from .sparse import DenseFactorization, dot
-from .transfer import prolongate, restrict
+from .transfer import build_prolongation, prolongate, restrict
 
 _CYCLES = ("V", "W", "two_grid")
 
@@ -121,6 +124,61 @@ def _mass_dots(part, x, mx, components):
     return [dot(x[start - first:stop - first], mx[start - first:stop - first])
             for start, stop in components
             if first <= start and stop <= rows.stop]
+
+
+class Hierarchy:
+    """The unit square's levels 0..max_level as Multigrid takes them:
+    spaces and transfers (transfers[0] is None), and systems per beta.
+
+    The systems of every beta asked for together are built level by
+    level, each level's in one pass (build_systems), so they share its
+    masses and saddle patterns, and the blocks only set-up reads are
+    assembled once per level and dropped before the next level's.  A
+    beta asked for later builds them again.  A build told the levels a
+    caller solves on keeps the velocity mass, which only the error norm
+    reads, on those levels alone.
+    """
+
+    def __init__(self, max_level):
+        self.spaces = [TaylorHoodSpace(mesh)
+                       for mesh in build_hierarchy(max_level)]
+        self.transfers = [None] + [
+            build_prolongation(self.spaces[k - 1], self.spaces[k])
+            for k in range(1, len(self.spaces))
+        ]
+        self._systems = {}
+
+    def build(self, tops, solved=None):
+        """Build the systems of each beta in tops up to its level there,
+        from the finest level down, all of a level's in one pass: the pass
+        then peaks while only the finer levels' systems are held, the
+        coarser ones not yet built.  Given the levels solved on, the
+        systems built on the other levels hold no velocity mass, and
+        those of a solved level that an earlier build left without it
+        are given it."""
+        built = {beta: self._systems.setdefault(beta, {}) for beta in tops}
+        for level in range(max(tops.values()), -1, -1):
+            mass = solved is None or level in solved
+            missing = [beta for beta, top in tops.items()
+                       if top >= level and level not in built[beta]]
+            if missing:
+                for beta, system in zip(missing, build_systems(
+                        self.spaces[level], missing, mass)):
+                    built[beta][level] = system
+            if solved is None or not mass:
+                continue
+            # systems an earlier build left without the mass
+            for systems in built.values():
+                system = systems.get(level)
+                if system is not None and system.M is None:
+                    systems[level] = dataclasses.replace(
+                        system, M=self.spaces[level].M)
+
+    def systems(self, beta, up_to_level):
+        """The systems of beta on levels 0..up_to_level, built on first
+        use."""
+        self.build({beta: up_to_level})
+        return [self._systems[beta][k] for k in range(up_to_level + 1)]
 
 
 class Multigrid:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import CHILD_VERTEX_BARYCENTRIC
-from .sparse import Product, block_diagonal, csc_view
+from .sparse import Product, csc_view
 from .assembly import TaylorHoodSpace, p2_values
 
 
@@ -80,8 +80,7 @@ class TransferOperators:
     and applied per component.  P and the restriction R = P^T are applied
     through block products bound once (products), R's blocks CSC views of
     P_2's and P_1's arrays (no copy); at level 6 the worker thread takes
-    the first velocity component, so a transfer makes one handoff.  P and
-    R as matrices are built on request, for diagnostics and tests."""
+    the first velocity component, so a transfer makes one handoff."""
 
     P2: sp.csr_matrix
     P1: sp.csr_matrix
@@ -92,14 +91,6 @@ class TransferOperators:
                                                         self.P1.shape)
         self.n_fine = 2 * n2_fine + n1_fine
         self.n_coarse = 2 * n2_coarse + n1_coarse
-
-    @property
-    def P(self):
-        return block_diagonal(self.P2, self.P2, self.P1)
-
-    @property
-    def R(self):
-        return self.P.T
 
     @cached_property
     def products(self):

@@ -10,44 +10,52 @@ import scipy.sparse as sp
 
 import stokesmg
 from stokesmg import sparse
-from stokesmg.assembly import (ProblemParams, TaylorHoodSpace,
-                               _divergence_numerators, _scalar_numerators,
-                               build_system)
-from stokesmg.mesh import _edges_from_triangles, build_hierarchy
-from stokesmg.transfer import build_prolongation
+from stokesmg.assembly import _divergence_numerators, _scalar_numerators
+from stokesmg.mesh import _edges_from_triangles
+from stokesmg.multigrid import Hierarchy
 
 
 @pytest.fixture(scope="session")
 def hierarchy3():
-    return build_hierarchy(3)
+    """The one level stack up to level 3 that the fixtures below share:
+    each beta's systems keep every level's velocity mass."""
+    return Hierarchy(3)
 
 
 @pytest.fixture(scope="session")
 def spaces3(hierarchy3):
-    return [TaylorHoodSpace(lv) for lv in hierarchy3]
+    return hierarchy3.spaces
 
 
 @pytest.fixture(scope="session")
-def transfers3(spaces3):
-    return [None] + [
-        build_prolongation(spaces3[k - 1], spaces3[k])
-        for k in range(1, len(spaces3))
-    ]
+def transfers3(hierarchy3):
+    return hierarchy3.transfers
 
 
 @pytest.fixture(scope="session")
-def systems3_beta1(spaces3):
-    params = ProblemParams(beta=1.0)
-    return [build_system(s, params) for s in spaces3]
+def systems3_beta1(hierarchy3):
+    return hierarchy3.systems(1.0, 3)
 
 
 @pytest.fixture(scope="session")
-def systems3_by_beta(spaces3, systems3_beta1):
-    by_beta = {1.0: systems3_beta1}
-    for beta in (0.0, 1e10):
-        params = ProblemParams(beta=beta)
-        by_beta[beta] = [build_system(s, params) for s in spaces3]
-    return by_beta
+def systems3_by_beta(hierarchy3):
+    return {beta: hierarchy3.systems(beta, 3) for beta in (1.0, 0.0, 1e10)}
+
+
+def velocity_pressure(system, x):
+    """The velocity and pressure blocks (u, p) of a system's stacked
+    vector or (n, k) block, as views."""
+    return x[: system.n_u], x[system.n_u:]
+
+
+def prolongation(transfer):
+    """A transfer's prolongation diag(P_2, P_2, P_1) as one CSR matrix."""
+    return sparse.block_diagonal(transfer.P2, transfer.P2, transfer.P1)
+
+
+def restriction(transfer):
+    """A transfer's restriction, the transpose of its prolongation: CSC."""
+    return prolongation(transfer).T
 
 
 def force_split_products(monkeypatch):
@@ -154,7 +162,7 @@ def transfer_blocks(transfer, n_u_fine, n_u_coarse):
     """The velocity and pressure prolongations (P_u, P_p), sliced out of a
     transfer's block-diagonal P given the fine and coarse velocity
     sizes."""
-    P = transfer.P
+    P = prolongation(transfer)
     return P[:n_u_fine, :n_u_coarse], P[n_u_fine:, n_u_coarse:]
 
 

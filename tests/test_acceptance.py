@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from stokesmg.assembly import manufactured_rhs
-from stokesmg.bench import BETA_TABLE, _HierarchyCache
-from stokesmg.multigrid import CycleConfig, Multigrid, triple_norm
+from stokesmg.assembly import l2_project, manufactured_rhs
+from stokesmg.bench import BETA_TABLE, exact_pressure, exact_velocity
+from stokesmg.multigrid import CycleConfig, Hierarchy, Multigrid, triple_norm
 from stokesmg.smoother import (
     SmootherConfig,
     build_scaling,
@@ -24,26 +24,34 @@ from stokesmg.smoother import (
     uzawa_step,
 )
 
-from conftest import transfer_blocks
+from conftest import prolongation, transfer_blocks, velocity_pressure
 
 
 class Runner:
-    """Shared hierarchy plus memoized measured solves."""
+    """Shared hierarchy plus memoized targets and measured solves."""
 
     def __init__(self, max_level=6):
-        self.cache = _HierarchyCache(max_level)
+        self.hierarchy = Hierarchy(max_level)
+        self._targets = {}
         self._solves = {}
+
+    def target(self, level):
+        """(u*, p*): the L2 projection of the reference solution."""
+        if level not in self._targets:
+            self._targets[level] = l2_project(
+                self.hierarchy.spaces[level], exact_velocity, exact_pressure)
+        return self._targets[level]
 
     def solve(self, level, beta, kind, nu, cycle="W", max_iter=200):
         key = (level, beta, kind, nu, cycle)
         if key not in self._solves:
-            systems = self.cache.systems(beta, level)
-            u_star, p_star = self.cache.target(level)
+            systems = self.hierarchy.systems(beta, level)
+            u_star, p_star = self.target(level)
             x_star = systems[level].join(u_star, p_star)
             rhs = manufactured_rhs(systems[level], (u_star, p_star))
             cfg = CycleConfig(smoother=SmootherConfig(kind=kind),
                               cycle=cycle, nu_pre=nu, nu_post=nu)
-            mg = Multigrid(systems, self.cache.transfers[: level + 1], cfg)
+            mg = Multigrid(systems, self.hierarchy.transfers[: level + 1], cfg)
             start = time.perf_counter()
             report = mg.solve(level, rhs, x_star, max_iter=max_iter)
             self._solves[key] = (report, time.perf_counter() - start)
@@ -123,9 +131,9 @@ def test_criterion_5_nu_sweep_trend(runner):
 def test_criterion_6_galerkin_identity(runner):
     worst = 0.0
     for beta in (1.0,):
-        systems = runner.cache.systems(beta, 3)
+        systems = runner.hierarchy.systems(beta, 3)
         for k in (1, 2, 3):
-            T = runner.cache.transfers[k]
+            T = runner.hierarchy.transfers[k]
             fine, coarse = systems[k], systems[k - 1]
             P_u, P_p = transfer_blocks(T, fine.n_u, coarse.n_u)
             for row_p, col_p, mat_f, mat_c in [
@@ -145,7 +153,7 @@ def test_criterion_6_galerkin_identity(runner):
 def test_criterion_7_uzawa_compact_equivalence(runner):
     rng = np.random.default_rng(11)
     worst = 0.0
-    systems = runner.cache.systems(1.0, 3)
+    systems = runner.hierarchy.systems(1.0, 3)
     for k in (1, 2, 3):
         system = systems[k]
         sc = build_scaling(system)
@@ -169,7 +177,7 @@ def test_criterion_7_uzawa_compact_equivalence(runner):
 
 
 def test_criterion_8_structural_identities(runner):
-    systems = runner.cache.systems(1.0, 2)
+    systems = runner.hierarchy.systems(1.0, 2)
     checks = []
     for k in (1, 2):
         s = systems[k]
@@ -187,7 +195,7 @@ def test_criterion_8_structural_identities(runner):
 
 def test_criterion_9_linearity_and_fixed_point(runner):
     rng = np.random.default_rng(13)
-    systems = runner.cache.systems(1.0, 3)
+    systems = runner.hierarchy.systems(1.0, 3)
     system = systems[3]
     sc = build_scaling(system)
     worst = 0.0
@@ -201,7 +209,7 @@ def test_criterion_9_linearity_and_fixed_point(runner):
                 - smoother_step(system, w, kind, x - y, np.zeros(system.n)))
         worst = max(worst, np.abs(diff).max())
     cfg = CycleConfig(smoother=SmootherConfig(), cycle="W", nu_pre=2, nu_post=2)
-    mg = Multigrid(systems, runner.cache.transfers[:4], cfg)
+    mg = Multigrid(systems, runner.hierarchy.transfers[:4], cfg)
     x = rng.standard_normal(system.n)
     y = rng.standard_normal(system.n)
     rhs = rng.standard_normal(system.n)
@@ -209,7 +217,7 @@ def test_criterion_9_linearity_and_fixed_point(runner):
             - mg.mg_cycle(3, x - y, np.zeros(system.n)))
     worst = max(worst, np.abs(diff).max())
 
-    u_star, p_star = runner.cache.target(3)
+    u_star, p_star = runner.target(3)
     x_star = system.join(u_star, p_star)
     rhs_star = manufactured_rhs(system, (u_star, p_star))
     out = mg.mg_cycle(3, x_star.copy(), rhs_star)
@@ -221,12 +229,12 @@ def test_criterion_9_linearity_and_fixed_point(runner):
 
 def test_criterion_10_two_grid_dense_realization(runner):
     rng = np.random.default_rng(17)
-    systems = runner.cache.systems(1.0, 1)
+    systems = runner.hierarchy.systems(1.0, 1)
     s1, s0 = systems[1], systems[0]
-    T = runner.cache.transfers[1]
+    T = runner.hierarchy.transfers[1]
     cfg = CycleConfig(smoother=SmootherConfig(), cycle="two_grid",
                       nu_pre=3, nu_post=0)
-    mg = Multigrid(systems, runner.cache.transfers[:2], cfg)
+    mg = Multigrid(systems, runner.hierarchy.transfers[:2], cfg)
     x0 = rng.standard_normal(s1.n)
     rhs = rng.standard_normal(s1.n)
     got = mg.mg_cycle(1, x0, rhs)
@@ -236,7 +244,7 @@ def test_criterion_10_two_grid_dense_realization(runner):
     x = x0.copy()
     for _ in range(3):
         x = normal_equation_step(s1, w, x, rhs)
-    P = T.P.toarray()
+    P = prolongation(T).toarray()
     rc = P.T @ (rhs - dense1 @ x)
     n0 = s0.n
     aug = np.zeros((n0 + 1, n0 + 1))
@@ -247,7 +255,7 @@ def test_criterion_10_two_grid_dense_realization(runner):
     z = np.linalg.solve(aug, np.concatenate([rc, [0.0]]))[:n0]
     x = x + P @ z
     w = s1.M_P @ np.ones(s1.n_p)
-    u_, p_ = s1.split(x)
+    u_, p_ = velocity_pressure(s1, x)
     oracle = s1.join(u_, p_ - (w @ p_) / w.sum())
     err = np.abs(got - oracle).max() / max(1.0, np.abs(oracle).max())
     ok = err <= 1e-10
@@ -259,7 +267,7 @@ def test_criterion_11_spectral_safety(runner):
     worst = 0.0
     worst_at = None
     for beta in (0.0, 1.0, 1e4, 1e10):
-        systems = runner.cache.systems(beta, 4)
+        systems = runner.hierarchy.systems(beta, 4)
         for k in (1, 2, 3, 4):
             sc = build_scaling(systems[k])
             val = 0.35 * estimate_spectral_radius(
@@ -285,10 +293,10 @@ def test_criterion_12_iteration_matrix_spectral_radius(runner):
     bound = {"uzawa": 0.3, "normal_equation": 0.9}
     worst = dict.fromkeys(bound, (0.0, None))
     for level, beta, kind in cells:
-        systems = runner.cache.systems(beta, level)
+        systems = runner.hierarchy.systems(beta, level)
         cfg = CycleConfig(smoother=SmootherConfig(kind=kind), cycle="W",
                           nu_pre=3, nu_post=3)
-        mg = Multigrid(systems, runner.cache.transfers[: level + 1], cfg)
+        mg = Multigrid(systems, runner.hierarchy.transfers[: level + 1], cfg)
         n = systems[level].n
         error_map = mg.mg_cycle(level, np.eye(n), np.zeros((n, n)))
         rho = float(np.abs(np.linalg.eigvals(error_map)).max())

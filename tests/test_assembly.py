@@ -35,7 +35,8 @@ from stokesmg.mesh import CHILD_VERTEX_BARYCENTRIC, MeshLevel, build_hierarchy
 from stokesmg.sparse import Product, block_diagonal, interleave
 
 from conftest import (edge_vertices, eval_p2_function, float_blocks,
-                      from_triplets, p2_coords, p2_on_boundary, run_python)
+                      from_triplets, p2_coords, p2_on_boundary, run_python,
+                      velocity_pressure)
 
 # Reference-element matrices from exact symbolic integration of the
 # quadratic/linear bases over the unit right triangle (frozen oracle).
@@ -916,7 +917,7 @@ def test_apply_matches_loop_oracle_property(loop_oracles3, level, beta, seed):
     # to roundoff of |K||x| over the velocity rows and the pressure rows
     err = np.abs(system.apply(x) - want @ x)
     bound = abs(want) @ np.abs(x)
-    for rows in system.split(np.arange(system.n)):
+    for rows in velocity_pressure(system, np.arange(system.n)):
         assert err[rows].max() <= 1e-14 * bound[rows].max()
     # B^T 1 = 0, read off K's pressure columns, to roundoff of each row
     ones = system.join(np.zeros(system.n_u), np.ones(system.n_p))
@@ -939,7 +940,7 @@ def test_systems_share_transposed_divergence(space2):
     assert np.shares_memory(scaled.Bt.data, scaled.K.data)
     # and its saddle matrix is rebuilt around that block
     x = np.random.default_rng(4).standard_normal(s0.n)
-    u, p = s0.split(x)
+    u, p = velocity_pressure(s0, x)
     want = np.concatenate([s0.A @ u + 2.0 * (B.T @ p), 2.0 * (B @ u)])
     assert np.abs(scaled.apply(x) - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -1268,3 +1269,27 @@ def test_manufactured_rhs_recovered_by_dense_solve():
 
     g = rhs[system.n_u:]
     assert abs(np.ones(system.n_p) @ g) <= 1e-11
+
+
+@pytest.mark.parametrize("component", [0, 1], ids=["p=x", "p=y"])
+def test_pressure_gradient_enters_with_a_minus_sign(spaces3, systems3_beta1,
+                                                    component):
+    # B^T p = (p, div v) = -(grad p, v) on zero-trace v, so K discretizes
+    # -div(grad u) + beta u - grad p = f: for p = x (p = y) the x-rows
+    # (y-rows) of B^T p are -(1, phi_j), the other component's rows zero
+    space, system = spaces3[3], systems3_beta1[3]
+    bt_p = system.Bt @ space.level.vertex_coords[:, component]
+
+    def unit(x, y):
+        one, zero = np.ones_like(x), np.zeros_like(x)
+        return (one, zero) if component == 0 else (zero, one)
+
+    moments = _moment_vectors(space, unit, lambda x, y: np.zeros_like(x),
+                              conical_rule())
+    idx, n = space.interior_nodes, space.n_interior
+    load = moments[component][idx]
+    rows = bt_p[component * n:(component + 1) * n]
+    other = bt_p[(1 - component) * n:(2 - component) * n]
+    assert np.abs(rows + load).max() <= 1e-15
+    assert np.abs(rows - load).max() >= 1e-3
+    assert np.abs(other).max() <= 1e-15

@@ -20,7 +20,7 @@ from stokesmg.bench import (
     run_table,
 )
 from stokesmg.assembly import SetUpBlocks, manufactured_rhs
-from stokesmg.multigrid import CycleConfig, Multigrid, triple_norm
+from stokesmg.multigrid import CycleConfig, Hierarchy, Multigrid, triple_norm
 from stokesmg.smoother import (
     SmootherConfig,
     build_scaling,
@@ -316,7 +316,7 @@ def test_cli_check_damping_sets_up_each_level_once(monkeypatch, capsys):
 
 def test_cli_check_damping(capsys):
     # each smoother is checked at the damping it is configured with
-    system = _HierarchyCache(1).systems(0.0, 1)[1]
+    system = Hierarchy(1).systems(0.0, 1)[1]
     scaling = build_scaling(system)
     for smoother, damping in (("normal", ["--tau", "0.3"]),
                               ("uzawa", ["--tau", "0.5", "--sigma", "0.25"])):

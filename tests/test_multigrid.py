@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from stokesmg import sparse
-from stokesmg.assembly import ProblemParams, build_system, manufactured_rhs
-from stokesmg.bench import _HierarchyCache
-from stokesmg.multigrid import CycleConfig, Multigrid, triple_norm
+from stokesmg.assembly import (ProblemParams, TaylorHoodSpace, build_system,
+                               manufactured_rhs)
+from stokesmg.mesh import build_hierarchy
+from stokesmg.multigrid import CycleConfig, Hierarchy, Multigrid, triple_norm
 from stokesmg.smoother import ScalingOperator, SmootherConfig, build_scaling
 from stokesmg.transfer import prolongate, restrict
 
 from conftest import (eval_p2_function, force_split_products, p2_coords,
-                      p2_on_boundary)
+                      p2_on_boundary, prolongation, velocity_pressure)
 
 
 def make_mg(systems, transfers, level, config=None):
@@ -209,7 +210,7 @@ def test_project_pressure_returns_projected_copy(systems3_beta1,
     x_before = x.copy()
     out = mg.project_pressure(2, x)
     assert np.array_equal(x, x_before) and not np.shares_memory(out, x)
-    u, p = system.split(out)
+    u, p = velocity_pressure(system, out)
     w = system.space.pressure_weights
     assert np.array_equal(u, x[: system.n_u])
     assert abs(w @ p) <= 1e-14 * (np.abs(w) @ np.abs(p))
@@ -317,7 +318,7 @@ def test_two_grid_matches_dense_oracle(systems3_beta1, transfers3):
     for _ in range(2):
         r = rhs - dense1 @ x
         x = x + 0.35 * (dense1 @ (r / d)) / d
-    P = T.P.toarray()
+    P = prolongation(T).toarray()
     rc = P.T @ (rhs - dense1 @ x)
     n0 = s0.n
     aug = np.zeros((n0 + 1, n0 + 1))
@@ -328,7 +329,7 @@ def test_two_grid_matches_dense_oracle(systems3_beta1, transfers3):
     z = np.linalg.solve(aug, np.concatenate([rc, [0.0]]))[:n0]
     x = x + P @ z
     w = s1.M_P @ np.ones(s1.n_p)
-    u_, p_ = s1.split(x)
+    u_, p_ = velocity_pressure(s1, x)
     oracle = s1.join(u_, p_ - (w @ p_) / w.sum())
     assert np.abs(got - oracle).max() <= 1e-10 * max(1.0, np.abs(oracle).max())
 
@@ -526,8 +527,8 @@ def test_cycle_recursion_counts(systems3_beta1, transfers3, cycle,
 
 @pytest.fixture(scope="module")
 def hierarchy4_beta1():
-    cache = _HierarchyCache(4)
-    return cache.systems(1.0, 4), cache.transfers
+    hierarchy = Hierarchy(4)
+    return hierarchy.systems(1.0, 4), hierarchy.transfers
 
 
 def literal_cycle(mg, level, x, rhs):
@@ -813,7 +814,7 @@ def test_triple_norm_sums_the_three_mass_products_bitwise(
         force_split_products(monkeypatch)
     system = systems3_beta1[3]
     x = np.random.default_rng(6).standard_normal(system.n)
-    u, p = system.split(x)
+    u, p = velocity_pressure(system, x)
     hm2, beta = system.h ** -2, system.params.beta
     uu = sum(sparse.dot(c, system.M @ c) for c in u.reshape(2, -1))
     pp = sparse.dot(p, system.M_P @ p)
@@ -895,3 +896,27 @@ def test_robustness_envelope_small_levels(spaces3, transfers3):
                 worst[kind] = max(worst[kind], report.q)
     assert worst["normal_equation"] <= 0.85
     assert worst["uzawa"] <= 0.45
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1e10])
+def test_hierarchy_systems_are_the_per_level_systems(beta):
+    # the level stack the test fixtures share builds, bit for bit, what a
+    # build_system call per level on spaces of its own builds
+    hierarchy = Hierarchy(3)
+    spaces = [TaylorHoodSpace(mesh) for mesh in build_hierarchy(3)]
+    for got, space in zip(hierarchy.systems(beta, 3), spaces):
+        want = build_system(space, ProblemParams(beta=beta))
+        for a, b in ((got.K, want.K), (got.M, want.M), (got.M_P, want.M_P)):
+            for name in ("data", "indices", "indptr"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_a_build_keeps_the_velocity_mass_on_solved_levels_only():
+    hierarchy = Hierarchy(3)
+    hierarchy.build({1.0: 3}, solved=[2])
+    systems = hierarchy.systems(1.0, 3)
+    assert [s.M is not None for s in systems] == [False, False, True, False]
+    assert systems[2].M is hierarchy.spaces[2].M
+    assert ["M" in vars(space) for space in hierarchy.spaces] == [
+        False, False, True, False]

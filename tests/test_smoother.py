@@ -7,10 +7,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from conftest import force_split_products, thread_idents
+from conftest import force_split_products, thread_idents, velocity_pressure
 from stokesmg import sparse
 from stokesmg.assembly import ProblemParams, SaddleSystem, build_system
-from stokesmg.multigrid import triple_norm
+from stokesmg.multigrid import Hierarchy, triple_norm
 from stokesmg.smoother import (
     DEFAULT_SIGMA_UZAWA,
     DEFAULT_TAU_NORMAL,
@@ -33,8 +33,8 @@ NORMAL = SmootherConfig(tau=0.35)
 def uzawa_block_apply_inverse(system, w, r):
     """Apply the inverse of the Uzawa sweep's block matrix C to a vector;
     equal to the update produced by one sweep from x = 0 with rhs = r."""
-    r_u, r_p = system.split(r)
-    s_u, s_p = system.split(w)
+    r_u, r_p = velocity_pressure(system, r)
+    s_u, s_p = velocity_pressure(system, w)
     dp_ = s_p * (system.B @ (s_u * r_u) - r_p)
     du_ = s_u * (r_u - system.Bt @ dp_)
     return system.join(du_, dp_)
@@ -338,10 +338,8 @@ def test_normal_sweep_and_residual_matvec_counts(systems3_beta1,
 
 @pytest.fixture(scope="module")
 def systems4_by_beta():
-    from stokesmg.bench import _HierarchyCache
-
-    cache = _HierarchyCache(4)
-    return {beta: cache.systems(beta, 4) for beta in (0.0, 1.0, 1e10)}
+    hierarchy = Hierarchy(4)
+    return {beta: hierarchy.systems(beta, 4) for beta in (0.0, 1.0, 1e10)}
 
 
 @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "block"])
@@ -490,16 +488,16 @@ def test_sweep_from_the_zero_iterate_makes_one_product_fewer(
 def three_block_apply(system, x):
     """The saddle operator as three block products."""
     A, B = system.A, system.B
-    u, p = system.split(x)
+    u, p = velocity_pressure(system, x)
     return np.concatenate([A @ u + B.T @ p, B @ u])
 
 
 def three_block_uzawa_step(system, w, x, rhs):
     """The Uzawa sweep with its first residual from A and B^T apart."""
-    s_u, s_p = system.split(w)
+    s_u, s_p = velocity_pressure(system, w)
     A, B = system.A, system.B
-    u, p = system.split(x)
-    f, g = system.split(rhs)
+    u, p = velocity_pressure(system, x)
+    f, g = velocity_pressure(system, rhs)
     r_u = f - (A @ u + B.T @ p)
     dp = s_p * (B @ (u + s_u * r_u) - g)
     return np.concatenate([u + s_u * (r_u - B.T @ dp), p + dp])

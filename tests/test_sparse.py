@@ -17,8 +17,9 @@ from stokesmg.sparse import (
 )
 from stokesmg.transfer import prolongate, restrict
 
-from conftest import (force_split_products, from_triplets, run_python,
-                      thread_idents, transfer_blocks)
+from conftest import (force_split_products, from_triplets, prolongation,
+                      restriction, run_python, thread_idents,
+                      transfer_blocks)
 
 
 def test_runs_load_neither_scipy_linalg_nor_sparse_linalg():
@@ -157,8 +158,8 @@ def cycle_matrices(system, coarse, transfer):
     P_u, P_p = transfer_blocks(transfer, system.n_u, coarse.n_u)
     return {
         "K": system.K, "velocity_rows": system.velocity_rows, "B": system.B,
-        "Bt": system.Bt, "R": transfer.R, "P": transfer.P, "R_u": P_u.T,
-        "P_p": P_p,
+        "Bt": system.Bt, "R": restriction(transfer),
+        "P": prolongation(transfer), "R_u": P_u.T, "P_p": P_p,
     }
 
 
@@ -249,7 +250,7 @@ def test_split_product_is_bitwise_serial(systems3_beta1, transfers3,
     system = systems3_beta1[3]
     mat = {"K": system.K, "velocity_rows": system.velocity_rows,
            "B": system.B, "M": system.M, "M_P": system.M_P,
-           "P": transfers3[3].P}[name]
+           "P": prolongation(transfers3[3])}[name]
     assert mat.format == "csr"
     for case, x, start in split_cases(mat, np.random.default_rng(13)):
         want = start + mat @ x.astype(float)
@@ -272,7 +273,7 @@ def test_block_product_runs_serially(systems3_beta1, transfers3,
     # a block is one call of the block kernel, never split, even where a
     # vector product with the same matrix would be: it starts no worker,
     # and each of its columns is that column's vector product to the bit
-    mat = {"K": systems3_beta1[3].K, "R": transfers3[3].R}[name]
+    mat = {"K": systems3_beta1[3].K, "R": restriction(transfers3[3])}[name]
     product = {"K": systems3_beta1[3].products.K,
                "R": transfers3[3].products.R}[name]
     rng = np.random.default_rng(18)
@@ -383,9 +384,8 @@ def bound_products(system, transfer):
              for name in ("K", "velocity_rows", "B", "Bt")}
     pairs["mass"] = (block_diagonal(system.M, system.M, system.M_P),
                      system.products.mass)
-    pairs.update({name: (getattr(transfer, name),
-                         getattr(transfer.products, name))
-                  for name in ("P", "R")})
+    pairs["P"] = (prolongation(transfer), transfer.products.P)
+    pairs["R"] = (restriction(transfer), transfer.products.R)
     return pairs
 
 
@@ -424,7 +424,7 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
     # writes both velocity components, so it has no such place and, a CSC
     # product, runs serially; a single CSR matrix's worker takes the first
     # half of its rows, a block diagonal's its first block
-    n_first = transfers3[3].P.shape[0] - system.n_p
+    n_first = prolongation(transfers3[3]).shape[0] - system.n_p
     assert pairs["R"][1]._parts[0][2] == slice(0, n_first // 2)
     assert pairs["P"][1]._parts[0][3] == slice(0, n_first // 2)
     assert pairs["Bt"][1]._parts is None
@@ -457,7 +457,7 @@ def test_level6_restriction_splits_between_velocity_components(
     # its columns split where P's first velocity block ends, and each half
     # writes its own coarse rows, so the product is the serial one
     transfer, n_interior = transfer6
-    R, product = transfer.R, transfer.products.R
+    R, product = restriction(transfer), transfer.products.R
     assert R.nnz >= sparse._SPLIT_NNZ
     rng = np.random.default_rng(17)
     monkeypatch.setattr(sparse, "_usable_cores", lambda: cores)
@@ -483,7 +483,7 @@ def test_level6_transfers_make_one_handoff(transfer6, monkeypatch, cores):
     # transfer, and both transfers are the one matrix P's and P^T's
     # products to the bit
     transfer, n_interior = transfer6
-    P = transfer.P
+    P = prolongation(transfer)
     monkeypatch.setattr(sparse, "_usable_cores", lambda: cores)
     monkeypatch.setattr(sparse, "_worker", None)
     submits = []
@@ -522,7 +522,7 @@ def test_restriction_halves_write_disjoint_coarse_rows(transfers3):
     # R's product trusts its blocks: R's columns of the first, the
     # worker's, may write only rows below every row its other columns write
     for transfer in transfers3[1:]:
-        R, first = transfer.R, transfer.products.R._parts[0]
+        R, first = restriction(transfer), transfer.products.R._parts[0]
         cut = first[2].stop
         assert 0 < cut < R.shape[1]
         rows = [R[:, :cut].tocoo().row, R[:, cut:].tocoo().row]

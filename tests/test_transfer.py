@@ -14,7 +14,7 @@ from stokesmg.transfer import (
 )
 
 from conftest import (edge_vertices, eval_p2_function, p2_coords,
-                      transfer_blocks)
+                      prolongation, restriction, transfer_blocks)
 
 
 def test_embedding_reproduces_coarse_functions(spaces3, transfers3):
@@ -29,7 +29,7 @@ def test_embedding_reproduces_coarse_functions(spaces3, transfers3):
     fine_vals = eval_p2_function(
         coarse, coeff, fine_coords[:, 0], fine_coords[:, 1],
     )
-    got = T.P[: fine.n_interior, : coarse.n_interior] @ coeff[
+    got = prolongation(T)[: fine.n_interior, : coarse.n_interior] @ coeff[
         coarse.interior_nodes
     ]
     assert np.abs(got - fine_vals).max() <= 1e-13
@@ -93,7 +93,7 @@ def test_restrictions_are_views_of_prolongations(transfers3):
     # R is the transpose of P; the restriction's blocks are stored in the
     # memory of P_2 and P_1, and are multiplied as CSC matrices
     for T in transfers3[1:]:
-        assert T.R.format == "csc"
+        assert restriction(T).format == "csc"
         for (vector, _, args, _, _), mat in zip(T.products.R._blocks,
                                                 (T.P2, T.P2, T.P1)):
             assert vector is sparse._MATVEC["csc"][0]
@@ -102,7 +102,8 @@ def test_restrictions_are_views_of_prolongations(transfers3):
             for a, b in ((data, mat.data), (indices, mat.indices),
                          (indptr, mat.indptr)):
                 assert np.shares_memory(a, b)
-        assert np.abs((T.R - T.P.T).toarray()).max() == 0.0
+        assert np.abs((restriction(T) - prolongation(T).T).toarray()
+                      ).max() == 0.0
 
 
 def test_velocity_components_share_one_P2(transfers3):
@@ -238,7 +239,8 @@ def test_prolongation_matches_pair_dedupe_oracle():
             fine.level.tri_vertices[child_ids], coarse.level.tri_vertices,
             _W_P1, fine.level.n_vertices, coarse.level.n_vertices,
         )
-        assert _same_csr(t.P, sp.block_diag([P2, P2, P_p], format="csr"))
+        assert _same_csr(prolongation(t),
+                         sp.block_diag([P2, P2, P_p], format="csr"))
 
 
 @pytest.mark.parametrize("tail", [(), (3,)])
@@ -249,7 +251,7 @@ def test_transfers_apply_each_block_bitwise(tail):
     rng = np.random.default_rng(13)
     for coarse, fine in zip(spaces, spaces[1:]):
         T = build_prolongation(coarse, fine)
-        P2 = T.P[: fine.n_interior, : coarse.n_interior]
+        P2 = prolongation(T)[: fine.n_interior, : coarse.n_interior]
         P1 = transfer_blocks(T, fine.n_velocity, coarse.n_velocity)[1]
         n = coarse.n_interior
         x = rng.standard_normal((T.n_coarse,) + tail)
