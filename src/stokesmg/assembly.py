@@ -456,12 +456,14 @@ class SaddleSystem:
         return block_diagonal(self.M, self.M)
 
     def check_mass(self):
-        """Raise ValueError, naming the level, on a system that holds no
-        velocity mass."""
+        """Raise ValueError on a system that holds no velocity mass,
+        naming its level where the system has a space."""
         if self.M is None:
+            level = ("" if self.space is None
+                     else f"level-{self.space.level.level_index} ")
             raise ValueError(
-                f"the level-{self.space.level.level_index} system holds no "
-                "velocity mass: it was set up for no solve on that level")
+                f"the {level}system holds no velocity mass: it was set up "
+                "for no solve on its level")
 
     def join(self, u, p):
         return np.concatenate([u, p])
@@ -471,10 +473,7 @@ class SaddleSystem:
         return self.products.K(x, np.zeros((self.n,) + x.shape[1:]))
 
     def residual(self, x, rhs):
-        """rhs - K x, in a new array.  x None stands for the zero iterate,
-        whose residual is rhs itself: no product is made."""
-        if x is None:
-            return np.array(rhs, dtype=float)
+        """rhs - K x, in a new array."""
         r = np.empty((self.n,) + x.shape[1:])
         self.products.K.run(_residual_rows, x, r, rhs)
         return r

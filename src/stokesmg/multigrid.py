@@ -258,18 +258,10 @@ class Multigrid:
         system.space.remove_pressure_mean(x[system.n_u:])
         return x
 
-    def smooth(self, level, x, rhs, steps):
-        system, w = self.systems[level], self.weights[level]
-        kind = self.config.smoother.kind
-        for _ in range(steps):
-            x = smoother_step(system, w, kind, x, rhs)
-        return x
-
     def _correction(self, level, rhs):
         """Coarse correction on the given level: one V or two W cycles
-        from zero, passed on as None, so that the first sweep skips its
-        product with the zero iterate."""
-        z = None
+        from zeros."""
+        z = np.zeros((self.systems[level].n,) + rhs.shape[1:])
         for _ in range(2 if self.config.cycle == "W" else 1):
             z = self._cycle(level, z, rhs)
         return z
@@ -284,15 +276,18 @@ class Multigrid:
         return self._g1
 
     def _cycle(self, level, x, rhs, top=False):
-        """One cycle on the given level; x None stands for the zero
-        iterate."""
+        """One cycle on the given level from the iterate x.  The restricted
+        residual and the coarse correction are dropped before
+        post-smoothing, and each post-sweep's input is named here alone,
+        so it is freed as the next sweep starts."""
         if level == 0:
             return self._exact_solve(0, rhs)
         cfg = self.config
-        x = self.smooth(level, x, rhs, cfg.nu_pre)
-        r_coarse = restrict(
-            self.transfers[level], self.systems[level].residual(x, rhs)
-        )
+        system, w = self.systems[level], self.weights[level]
+        kind = cfg.smoother.kind
+        for _ in range(cfg.nu_pre):
+            x = smoother_step(system, w, kind, x, rhs)
+        r_coarse = restrict(self.transfers[level], system.residual(x, rhs))
         if level == 1 or cfg.cycle == "two_grid":
             z = self._exact_solve(level - 1, r_coarse)
         elif level == 2 and not top:
@@ -300,11 +295,13 @@ class Multigrid:
         else:
             z = self._correction(level - 1, r_coarse)
         correction = prolongate(self.transfers[level], z)
-        if x is not None:
-            np.add(correction, x, correction)
-        # rebound, so the pre-smoothed iterate is freed before the sweeps
-        x = correction
-        return self.smooth(level, x, rhs, cfg.nu_post)
+        del r_coarse, z
+        # the sum is written into the correction, and only x names it
+        x = np.add(correction, x, correction)
+        del correction
+        for _ in range(cfg.nu_post):
+            x = smoother_step(system, w, kind, x, rhs)
+        return x
 
     def mg_cycle(self, level, x, rhs):
         """One multigrid cycle on the given level, for an iterate vector or

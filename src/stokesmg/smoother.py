@@ -30,13 +30,6 @@ of the scaling.
   makes about five passes over a velocity-sized array and no zero fill.
   Its weights are W = diag(tau / Du, sigma / Dp).
 
-A coarse correction starts from zero, and so does its first sweep.  Both
-sweeps take x = None for that zero iterate and skip the product with it:
-a zero Uzawa sweep makes the products with B and B^T only, a zero
-normal-equation sweep one product with the saddle operator instead of two
-(it is W K W rhs).  The result is that of the sweep from np.zeros, but
-possibly for the sign of zero entries.
-
 The diagonal scaling is taken from the operator itself:
       Du = diag(A),  Dp = diag(B diag(A)^-1 B^T),
 so it follows A = K_s + beta M_s across beta without a level weight.
@@ -49,12 +42,11 @@ as row phases of its bound products (sparse.Product.run): each part of a
 product's rows is initialized, multiplied and scaled, and subtracted
 from x, in one call, the worker thread taking the first part of a
 product large enough to split.  A normal-equation sweep is two phases
-over K's rows (one from the zero iterate, after W rhs); an Uzawa sweep is
-a phase over the velocity rows [A, B^T] (skipped from the zero iterate),
-one over B's rows, then the product with B^T, a CSC matrix that
-scatters into rows, and the last scaling on this thread.  The parts sum
-each entry in the serial order, so a sweep gives the same bits on one
-core or two.
+over K's rows; an Uzawa sweep is a phase over the velocity rows
+[A, B^T], one over B's rows, then the product with B^T, a CSC matrix
+that scatters into rows, and the last scaling and updates on this
+thread.  The parts sum each entry in the serial order, so a sweep gives
+the same bits on one core or two.
 """
 
 from __future__ import annotations
@@ -158,15 +150,12 @@ def build_scaling(system):
 def normal_equation_step(system, w, x, rhs):
     """One damped step x + W K W (rhs - K x) with the weights
     w = sqrt(tau) / d_full, written into a new array; x and rhs are left
-    untouched, and x None stands for the zero iterate."""
+    untouched."""
     if rhs.ndim > 1:
         w = w[:, None]
     K = system.products.K
     r, step = np.empty(rhs.shape), np.empty(rhs.shape)
-    if x is None:
-        np.multiply(w, rhs, r)                          # W rhs
-    else:
-        K.run(_scaled_residual_rows, x, r, w, rhs)
+    K.run(_scaled_residual_rows, x, r, w, rhs)
     K.run(_normal_step_rows, r, step, w, x)
     return step
 
@@ -181,20 +170,19 @@ def _scaled_residual_rows(part, x, r, w, rhs):
 
 
 def _normal_step_rows(part, r, step, w, x):
-    """x - W K r on a part's rows, K r made into zeros, or -W K r for x
-    None; step, w and x hold those rows."""
+    """x - W K r on a part's rows, K r made into zeros; step, w and x
+    hold those rows."""
     kernel, args = part[:2]
     step.fill(0.0)
     kernel(*args, r, step)
     np.multiply(w, step, step)
-    if x is not None:
-        np.subtract(x, step, step)
+    np.subtract(x, step, step)
 
 
 def uzawa_step(system, w, x, rhs):
     """One symmetric Uzawa sweep (three substeps) with the weights
     w = [tau / d_u, sigma / d_p], written into a new array; x and rhs are
-    left untouched, and x None stands for the zero iterate."""
+    left untouched."""
     # ufuncs take out positionally: on the small levels, a keyword or an
     # in-place operator costs as much as the arithmetic
     products, n_u = system.products, system.n_u
@@ -204,22 +192,15 @@ def uzawa_step(system, w, x, rhs):
     f, g = rhs[:n_u], rhs[n_u:]
     out, q = np.empty(rhs.shape), np.empty(f.shape)
     u_new, dp = out[:n_u], out[n_u:]
+    u = x[:n_u]
     # q = [A, B^T] x - f = -r_u, and u_half
-    if x is None:
-        np.negative(f, q)
-        np.multiply(s_u, f, u_new)
-    else:
-        u = x[:n_u]
-        products.velocity_rows.run(_velocity_rows, x, q, u_new, s_u, f, u)
+    products.velocity_rows.run(_velocity_rows, x, q, u_new, s_u, f, u)
     # dp = p_new - p = sigma Dp^-1 (B u_half - g), accumulated onto -g
     products.B.run(_pressure_rows, u_new, dp, s_p, g)
     products.Bt(dp, q)                                  # -r_u2 = -r_u + B^T dp
     np.multiply(s_u, q, u_new)
-    if x is None:
-        np.negative(u_new, u_new)                       # and p_new = dp
-    else:
-        np.add(dp, x[n_u:], dp)                         # p_new
-        np.subtract(u, u_new, u_new)
+    np.add(dp, x[n_u:], dp)                             # p_new
+    np.subtract(u, u_new, u_new)
     return out
 
 

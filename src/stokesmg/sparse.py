@@ -164,8 +164,8 @@ class Product:
 
     run(body, x, out, *args) runs a row phase: for each part (kernel,
     kernel_args, cols, rows) it calls body(part, x[cols], out[rows],
-    *args'), where args' are args cut to the part's rows (each arg is
-    None or an array that holds out's rows).  The body makes the part's
+    *args'), where args' are args cut to the part's rows (each arg an
+    array that holds out's rows).  The body makes the part's
     product kernel(*kernel_args, x[cols], out[rows]) with the
     initialization of its rows of out before it and the scaling,
     subtraction or sums over those rows after it; it writes no other rows
@@ -231,7 +231,8 @@ class Product:
 
     def run(self, body, x, out, *args):
         """The list of the body's results over the parts of a row phase,
-        in part order; x is the product's input."""
+        in part order; x is the product's input, and each of args an
+        array that holds out's rows."""
         if (x.shape != self._x_vector or out.shape != self._out_vector
                 or out.dtype is not _FLOAT64):
             self._check(x, out)
@@ -272,8 +273,7 @@ def _cut(part, x, out, args):
     """The arguments of a part's body: the part, x cut to its columns,
     and out and each array in args to its rows."""
     _, _, cols, rows = part
-    return (part, x[cols], out[rows],
-            *[None if a is None else a[rows] for a in args])
+    return (part, x[cols], out[rows], *[a[rows] for a in args])
 
 
 def _product(part, x, out):

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,8 @@ from stokesmg.assembly import (ProblemParams, TaylorHoodSpace, build_system,
                                manufactured_rhs)
 from stokesmg.mesh import build_hierarchy
 from stokesmg.multigrid import CycleConfig, Hierarchy, Multigrid, triple_norm
-from stokesmg.smoother import ScalingOperator, SmootherConfig, build_scaling
+from stokesmg.smoother import (ScalingOperator, SmootherConfig, build_scaling,
+                               smoother_step)
 from stokesmg.transfer import prolongate, restrict
 
 from conftest import (eval_p2_function, force_split_products, p2_coords,
@@ -531,11 +533,19 @@ def hierarchy4_beta1():
     return hierarchy.systems(1.0, 4), hierarchy.transfers
 
 
+def smooth(mg, level, x, rhs, steps):
+    """The given number of the configured sweeps on a level."""
+    system, w = mg.systems[level], mg.weights[level]
+    for _ in range(steps):
+        x = smoother_step(system, w, mg.config.smoother.kind, x, rhs)
+    return x
+
+
 def literal_cycle(mg, level, x, rhs):
     """Oracle: the cycle recursing down to the level-0 solve on every
     visit, with no precomputed coarse map."""
     cfg = mg.config
-    x = mg.smooth(level, x, rhs, cfg.nu_pre)
+    x = smooth(mg, level, x, rhs, cfg.nu_pre)
     r = restrict(mg.transfers[level], mg.systems[level].residual(x, rhs))
     if level == 1:
         z = mg._exact_solve(0, r)
@@ -544,18 +554,17 @@ def literal_cycle(mg, level, x, rhs):
         for _ in range(2 if cfg.cycle == "W" else 1):
             z = literal_cycle(mg, level - 1, z, r)
     x = x + prolongate(mg.transfers[level], z)
-    return mg.smooth(level, x, rhs, cfg.nu_post)
+    return smooth(mg, level, x, rhs, cfg.nu_post)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 1e10])
 @pytest.mark.parametrize("cycle", ["V", "W"])
 @pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
-def test_corrections_from_no_iterate_match_corrections_from_zeros(
+def test_level2_cycle_is_the_literal_recursion_bit_for_bit(
     systems3_by_beta, transfers3, kind, cycle, beta
 ):
-    # a level-2 cycle recurses literally; its level-1 corrections start
-    # from None, skipping the first sweep's product with the zero iterate,
-    # where the oracle's start from np.zeros: equal up to the sign of zero
+    # a level-2 cycle recurses literally, its level-1 corrections starting
+    # from zeros as the oracle's do: the same operations in the same order
     systems = systems3_by_beta[beta]
     cfg = CycleConfig(smoother=SmootherConfig(kind=kind), cycle=cycle)
     mg = make_mg(systems, transfers3, 2, config=cfg)
@@ -606,8 +615,8 @@ def test_level1_map_matches_column_recursion(systems3_by_beta, transfers3,
     assert np.abs(g1 - columns).max() <= 1e-15 * np.abs(columns).max()
 
 
-@pytest.mark.parametrize("cycle,kind", [("W", "uzawa"),
-                                        ("V", "normal_equation")])
+@pytest.mark.parametrize("cycle", ["W", "V"])
+@pytest.mark.parametrize("kind", ["uzawa", "normal_equation"])
 @pytest.mark.parametrize("level", [3, 4])
 def test_cycle_matches_literal_recursion(systems3_beta1, transfers3,
                                          hierarchy4_beta1, level, cycle, kind):
@@ -626,39 +635,86 @@ def test_cycle_matches_literal_recursion(systems3_beta1, transfers3,
         x = got
 
 
-def test_coarse_visits_apply_the_level1_map(systems3_beta1, transfers3):
-    # a level-3 W-cycle visits level 2 twice, each time inside level 3's
-    # correction; both apply G1, which the first cycle builds by two
+def test_coarse_visits_apply_the_level1_map(systems3_beta1, transfers3,
+                                            monkeypatch):
+    # a level-3 W(3,3)-cycle visits level 2 twice, each time inside level
+    # 3's correction; both apply G1, which the first cycle builds by two
     # level-1 cycles on the identity block, so level 1 is smoothed and
     # level 0 solved only then
-    mg = make_mg(systems3_beta1, transfers3, 3)
-    smoothed, solved = [], []
-    smooth, exact_solve = mg.smooth, mg._exact_solve
+    from stokesmg import multigrid
 
-    def counting_smooth(level, x, rhs, steps):
-        # x is None on a correction's first visit: rhs has its shape
-        smoothed.append((level, rhs.ndim))
-        return smooth(level, x, rhs, steps)
+    mg = make_mg(systems3_beta1, transfers3, 3)
+    level_of = {id(system): k for k, system in enumerate(mg.systems)}
+    swept, solved = [], []
+    exact_solve = mg._exact_solve
+
+    def counting_step(system, w, kind, x, rhs):
+        swept.append((level_of[id(system)], x.ndim))
+        return smoother_step(system, w, kind, x, rhs)
 
     def counting_solve(level, rhs):
         solved.append((level, rhs.shape))
         return exact_solve(level, rhs)
 
-    mg.smooth, mg._exact_solve = counting_smooth, counting_solve
+    monkeypatch.setattr(multigrid, "smoother_step", counting_step)
+    mg._exact_solve = counting_solve
     rng = np.random.default_rng(7)
     n, n1 = systems3_beta1[3].n, systems3_beta1[1].n
     x, rhs = rng.standard_normal(n), rng.standard_normal(n)
     x = mg.mg_cycle(3, x, rhs)
     identity_block = (systems3_beta1[0].n, n1)
     assert solved == [(0, identity_block)] * 2
-    assert sorted(smoothed) == sorted(
-        [(1, 2)] * 4 + [(2, 1)] * 4 + [(3, 1)] * 2
+    assert sorted(swept) == sorted(
+        [(1, 2)] * 12 + [(2, 1)] * 12 + [(3, 1)] * 6
     )
-    smoothed.clear()
+    swept.clear()
     solved.clear()
     mg.mg_cycle(3, x, rhs)
     assert solved == []
-    assert sorted(smoothed) == [(2, 1)] * 4 + [(3, 1)] * 2
+    assert sorted(swept) == [(2, 1)] * 12 + [(3, 1)] * 6
+
+
+@pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
+def test_cycle_frees_what_it_has_finished_with_before_post_smoothing(
+    hierarchy4_beta1, monkeypatch, kind
+):
+    # a level-4 W-cycle's restricted residual and coarse correction are
+    # gone by its first post-sweep, and the corrected iterate that sweep
+    # reads by its second
+    from stokesmg import multigrid
+
+    systems, transfers = hierarchy4_beta1
+    mg = make_mg(systems, transfers, 4, config=CycleConfig(
+        smoother=SmootherConfig(kind=kind), cycle="W"))
+    top_sweeps, restricted, prolongated, alive = [], [], [], {}
+
+    def watching_step(system, w, kind, x, rhs):
+        if system is systems[4]:
+            top_sweeps.append(weakref.ref(x))
+            if len(top_sweeps) == 4:  # the first post-sweep
+                alive["residual"] = restricted[0]() is not None
+                alive["correction"] = prolongated[-1]() is not None
+            if len(top_sweeps) == 5:
+                alive["iterate"] = top_sweeps[3]() is not None
+        return smoother_step(system, w, kind, x, rhs)
+
+    def watching_restrict(t, r):
+        restricted.append(weakref.ref(out := restrict(t, r)))
+        return out
+
+    def watching_prolongate(t, z):
+        prolongated.append(weakref.ref(z))
+        return prolongate(t, z)
+
+    monkeypatch.setattr(multigrid, "smoother_step", watching_step)
+    monkeypatch.setattr(multigrid, "restrict", watching_restrict)
+    monkeypatch.setattr(multigrid, "prolongate", watching_prolongate)
+    rng = np.random.default_rng(9)
+    x, rhs = rng.standard_normal((2, systems[4].n))
+    mg.mg_cycle(4, x, rhs)
+    assert len(top_sweeps) == 6
+    assert alive == {"residual": False, "correction": False,
+                     "iterate": False}
 
 
 @pytest.fixture(scope="module")
@@ -910,6 +966,16 @@ def test_hierarchy_systems_are_the_per_level_systems(beta):
             for name in ("data", "indices", "indptr"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_error_norm_without_the_mass_raises_without_a_space():
+    # a system may have no space; the error is then a ValueError that
+    # names no level
+    hierarchy = Hierarchy(2)
+    hierarchy.build({1.0: 2}, solved=[2])
+    system = dataclasses.replace(hierarchy.systems(1.0, 2)[1], space=None)
+    with pytest.raises(ValueError, match="^the system holds no velocity"):
+        triple_norm(np.zeros(system.n), system)
 
 
 def test_a_build_keeps_the_velocity_mass_on_solved_levels_only():

@@ -336,6 +336,20 @@ def test_normal_sweep_and_residual_matvec_counts(systems3_beta1,
                                                             True)
 
 
+@pytest.mark.parametrize("kind, counts", [("normal_equation", (2, 0, 0, 0)),
+                                          ("uzawa", (0, 1, 1, 1))])
+def test_sweep_from_zeros_makes_every_product_of_a_sweep(
+    systems3_beta1, matvec_counts, kind, counts
+):
+    # a coarse correction's first sweep starts from zeros and takes the one
+    # path of every sweep: no product is skipped for the zero iterate
+    system = systems3_beta1[2]
+    w = build_scaling(system).weights(SmootherConfig(kind=kind))
+    rhs = np.random.default_rng(15).standard_normal(system.n)
+    smoother_step(system, w, kind, np.zeros(system.n), rhs)
+    assert saddle_product_counts(matvec_counts, system) == (counts, True)
+
+
 @pytest.fixture(scope="module")
 def systems4_by_beta():
     hierarchy = Hierarchy(4)
@@ -346,22 +360,26 @@ def systems4_by_beta():
 @pytest.mark.parametrize("beta", [0.0, 1.0, 1e10])
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
-def test_sweep_from_the_zero_iterate_is_the_sweep_from_zeros(
+def test_sweep_from_x_is_x_plus_the_residual_sweep_from_zeros(
     systems4_by_beta, kind, level, beta, shape
 ):
-    # x = None skips the product with the zero iterate; == lets +0 and -0
-    # agree, the one difference allowed
+    # a sweep is a linear iteration, S(x, rhs) = x + S(0, rhs - K x): the
+    # identity by which a coarse correction, started from zeros, corrects
+    # the iterate
     system = systems4_by_beta[beta][level]
     w = build_scaling(system).weights(SmootherConfig(kind=kind))
-    rhs = np.random.default_rng(level).standard_normal((system.n,) + shape)
-    want = smoother_step(system, w, kind, np.zeros(rhs.shape), rhs)
-    got = smoother_step(system, w, kind, None, rhs)
+    rng = np.random.default_rng(level)
+    x = rng.standard_normal((system.n,) + shape)
+    rhs = rng.standard_normal((system.n,) + shape)
+    got = smoother_step(system, w, kind, x, rhs)
+    want = x + smoother_step(system, w, kind, np.zeros(rhs.shape),
+                             system.residual(x, rhs))
     assert got.shape == want.shape
     assert np.all(np.isfinite(got))
-    assert np.array_equal(got, want)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("start", ["x", "None"])
+@pytest.mark.parametrize("start", ["x", "zeros"])
 @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "block"])
 @pytest.mark.parametrize("beta", [0.0, 1e10])
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -369,35 +387,37 @@ def test_normal_sweep_is_the_closed_form_with_divisions(
     systems4_by_beta, level, beta, shape, start
 ):
     # multiplying by W = sqrt(tau) / D on both sides of K is the step
-    # x + tau D^-1 K D^-1 (rhs - K x) as written
+    # x + tau D^-1 K D^-1 (rhs - K x) as written, also from the zeros a
+    # coarse correction starts from
     system = systems4_by_beta[beta][level]
     sc = build_scaling(system)
     rng = np.random.default_rng(30 + level)
     x = rng.standard_normal((system.n,) + shape)
     rhs = rng.standard_normal((system.n,) + shape)
+    if start == "zeros":
+        x = np.zeros(x.shape)
     d = sc.d_full if not shape else sc.d_full[:, None]
     K = system.K
-    if start == "x":
-        got = normal_equation_step(system, sc.weights(NORMAL), x, rhs)
-        want = x + 0.35 * (K @ ((rhs - K @ x) / d)) / d
-    else:
-        got = normal_equation_step(system, sc.weights(NORMAL), None, rhs)
-        want = 0.35 * (K @ (rhs / d)) / d
+    got = normal_equation_step(system, sc.weights(NORMAL), x, rhs)
+    want = x + 0.35 * (K @ ((rhs - K @ x) / d)) / d
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("start", ["x", "None"])
+@pytest.mark.parametrize("start", ["x", "zeros"])
 @pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])
 def test_sweeps_give_the_same_bits_serially_and_split(
     systems3_beta1, monkeypatch, kind, start
 ):
     # a split product makes the serial kernel's additions in the same
-    # order, so a sweep of split products keeps every bit
+    # order, so a sweep of split products keeps every bit, from an iterate
+    # and from a coarse correction's zeros
     system = systems3_beta1[3]
     w = build_scaling(system).weights(SmootherConfig(kind=kind))
     rng = np.random.default_rng(40)
-    x = rng.standard_normal(system.n) if start == "x" else None
+    x = rng.standard_normal(system.n)
+    if start == "zeros":
+        x = np.zeros(system.n)
     rhs = rng.standard_normal(system.n)
     serial = smoother_step(system, w, kind, x, rhs)
     force_split_products(monkeypatch)
@@ -407,16 +427,13 @@ def test_sweeps_give_the_same_bits_serially_and_split(
 
 
 def row_phases(system, x, rhs):
-    """Every row-owned phase a cycle runs on a level, by name: both sweeps
-    from x and from the zero iterate, the residual and, for a vector x,
-    the error norm."""
+    """Every row-owned phase a cycle runs on a level, by name: both sweeps,
+    the residual and, for a vector x, the error norm."""
     phases = {}
     for kind in ("normal_equation", "uzawa"):
         w = build_scaling(system).weights(SmootherConfig(kind=kind))
-        for start in ("x", "None"):
-            phases[f"{kind} from {start}"] = functools.partial(
-                smoother_step, system, w, kind, None if start == "None" else x,
-                rhs)
+        phases[kind] = functools.partial(smoother_step, system, w, kind, x,
+                                         rhs)
     phases["residual"] = functools.partial(system.residual, x, rhs)
     if x.ndim == 1:
         phases["error norm"] = lambda: np.float64(triple_norm(x, system))
@@ -463,26 +480,6 @@ def test_row_phases_run_inline_for_blocks_and_on_one_core(
         assert phase().tobytes() == want[name], name
     assert sparse._worker is None
     assert thread_idents() <= before
-
-
-@pytest.mark.parametrize("kind, fewer", [("uzawa", 1), ("normal_equation", 0)])
-def test_sweep_from_the_zero_iterate_makes_one_product_fewer(
-    systems3_beta1, matvec_counts, kind, fewer
-):
-    # the one product skipped is the one with the iterate: the velocity
-    # rows for Uzawa, K for the normal equation (its residual)
-    system = systems3_beta1[2]
-    w = build_scaling(system).weights(SmootherConfig(kind=kind))
-    rhs = np.random.default_rng(15).standard_normal(system.n)
-    smoother_step(system, w, kind, np.zeros(system.n), rhs)
-    from_zeros, only = saddle_product_counts(matvec_counts, system)
-    assert only
-    matvec_counts.clear()
-    smoother_step(system, w, kind, None, rhs)
-    from_none, only = saddle_product_counts(matvec_counts, system)
-    assert only
-    assert [a - b for a, b in zip(from_zeros, from_none)] == [
-        int(i == fewer) for i in range(4)]
 
 
 def three_block_apply(system, x):
