@@ -483,12 +483,11 @@ class SaddleSystem:
         return self.K.toarray()
 
 
-def _residual_rows(part, x, r, rhs):
+def _residual_rows(product, x, r, rhs):
     """rhs - K x on a part's rows, K x made into zeros; r and rhs hold
     those rows."""
-    kernel, args = part[:2]
     r.fill(0.0)
-    kernel(*args, x, r)
+    product(x, r)
     np.subtract(rhs, r, r)
 
 

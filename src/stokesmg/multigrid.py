@@ -28,7 +28,6 @@ independent of whatever diagonal shortcut the smoother uses.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import operator
 import threading
 from dataclasses import dataclass, field
@@ -97,33 +96,20 @@ class SolveReport:
 
 def triple_norm(x, system):
     """Level-scaled L2 norm of a stacked (velocity, pressure) vector on the
-    level of the given SaddleSystem."""
+    level of the given SaddleSystem.  One product with diag(M, M, M_P),
+    into zeros, gives M u_x, M u_y and M_P p (M_U applies the scalar mass
+    M to each velocity component), split over two threads from level 5
+    up; then the dots of u_x, u_y and p with them are summed on the caller,
+    in that order."""
     hm2, beta = system.h ** -2, system.params.beta
     system.check_mass()
-    # one product with diag(M, M, M_P): M_U applies the scalar mass M to
-    # each velocity component; the dots of u_x, u_y and p, in that order
-    n_v = system.n_u // 2
-    body = functools.partial(_mass_dots, components=(
-        (0, n_v), (n_v, system.n_u), (system.n_u, system.n)))
-    dots = [d for part in system.products.mass.run(body, x, np.empty(x.size))
-            for d in part]
-    uu, pp = sum(dots[:2]), dots[2]
+    mx = system.products.mass(x, np.zeros(x.size))
+    n_v, n_u = system.n_u // 2, system.n_u
+    uu = dot(x[:n_v], mx[:n_v]) + dot(x[n_v:n_u], mx[n_v:n_u])
+    pp = dot(x[n_u:], mx[n_u:])
     val = (hm2 + beta) * uu + hm2 / (beta + hm2) * pp
     # tiny negative values can appear from roundoff at x ~ 0
     return float(np.sqrt(max(val, 0.0)))
-
-
-def _mass_dots(part, x, mx, components):
-    """diag(M, M, M_P) x on a part's rows, made into zeros, and the dot of
-    x with it over each (start, stop) component those rows hold; x and mx
-    hold the part's rows, which are its columns too."""
-    kernel, args, _, rows = part
-    mx.fill(0.0)
-    kernel(*args, x, mx)
-    first = rows.start
-    return [dot(x[start - first:stop - first], mx[start - first:stop - first])
-            for start, stop in components
-            if first <= start and stop <= rows.stop]
 
 
 class Hierarchy:

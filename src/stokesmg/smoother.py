@@ -38,10 +38,11 @@ Both sweeps act on a vector or, column by column, on an (n, k) block of
 iterates; the weights then scale the block row-wise.
 
 A sweep is row-local apart from its products' column reads, so it runs
-as row phases of its bound products (sparse.Product.run): each part of a
-product's rows is initialized, multiplied and scaled, and subtracted
-from x, in one call, the worker thread taking the first part of a
-product large enough to split.  A normal-equation sweep is two phases
+as row phases of its bound products (sparse.Product.run): a phase's body
+gets each part's product as one call, and initializes the part's rows,
+makes the product into them, scales them and subtracts them from x, the
+worker thread taking the first part of a product large enough to split.
+A sweep makes no reduction.  A normal-equation sweep is two phases
 over K's rows; an Uzawa sweep is a phase over the velocity rows
 [A, B^T], one over B's rows, then the product with B^T, a CSC matrix
 that scatters into rows, and the last scaling and updates on this
@@ -160,21 +161,19 @@ def normal_equation_step(system, w, x, rhs):
     return step
 
 
-def _scaled_residual_rows(part, x, r, w, rhs):
+def _scaled_residual_rows(product, x, r, w, rhs):
     """W (K x - rhs) on a part's rows, K x accumulated onto -rhs; r, w and
     rhs hold those rows."""
-    kernel, args = part[:2]
     np.negative(rhs, r)
-    kernel(*args, x, r)
+    product(x, r)
     np.multiply(w, r, r)
 
 
-def _normal_step_rows(part, r, step, w, x):
+def _normal_step_rows(product, r, step, w, x):
     """x - W K r on a part's rows, K r made into zeros; step, w and x
     hold those rows."""
-    kernel, args = part[:2]
     step.fill(0.0)
-    kernel(*args, r, step)
+    product(r, step)
     np.multiply(w, step, step)
     np.subtract(x, step, step)
 
@@ -204,22 +203,20 @@ def uzawa_step(system, w, x, rhs):
     return out
 
 
-def _velocity_rows(part, x, q, u_half, s_u, f, u):
+def _velocity_rows(product, x, q, u_half, s_u, f, u):
     """q = [A, B^T] x - f, accumulated onto -f, and u_half = u - s_u q,
     on a part's velocity rows; q, u_half, s_u, f and u hold those rows."""
-    kernel, args = part[:2]
     np.negative(f, q)
-    kernel(*args, x, q)
+    product(x, q)
     np.multiply(s_u, q, u_half)
     np.subtract(u, u_half, u_half)
 
 
-def _pressure_rows(part, u_half, dp, s_p, g):
+def _pressure_rows(product, u_half, dp, s_p, g):
     """dp = s_p (B u_half - g), accumulated onto -g, on a part's pressure
     rows; dp, s_p and g hold those rows."""
-    kernel, args = part[:2]
     np.negative(g, dp)
-    kernel(*args, u_half, dp)
+    product(u_half, dp)
     np.multiply(dp, s_p, dp)
 
 

@@ -6,13 +6,12 @@ computed from row counts alone (column concatenation, row blocks sharing
 their parent's arrays, block diagonals), CSR and CSC matrices that hold given
 arrays without a copy, the in-place product every cycle operation goes
 through (bound once per matrix or block diagonal; a large one runs its
-row phases, each part's initialization, product and scaling or sums of
-its own rows, on two threads), the dot product every reduction goes
-through (summed without BLAS), and the equilibrated dense inverse for the
-coarsest grid.  Nothing
-here, and nothing in the package, calls scipy.linalg or
-scipy.sparse.linalg: importing either maps scipy's own BLAS next to
-numpy's.
+row phases, each part's initialization, product and scaling of its own
+rows, on two threads), the dot product every reduction goes through
+(summed on the caller, without BLAS), and the equilibrated dense inverse
+for the coarsest grid.  Nothing here, and nothing in the package, calls
+scipy.linalg or scipy.sparse.linalg: importing either maps scipy's own
+BLAS next to numpy's.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import os
 import queue
 import threading
 import weakref
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,10 +107,10 @@ def _serve(jobs):
 
 
 class _Job:
-    """fn(*args) on the worker; result() waits for it and returns its
-    value or raises its exception."""
+    """fn(*args) on the worker; result() waits for it and raises its
+    exception, if any."""
 
-    __slots__ = ("_call", "_done", "_value", "_error")
+    __slots__ = ("_call", "_done", "_error")
 
     def __init__(self, fn, args):
         self._call, self._error = (fn, args), None
@@ -125,7 +124,7 @@ class _Job:
         # level-6 temporaries alive, 3-4 MB more peak_rss_mb
         self._call = None
         try:
-            self._value = fn(*args)
+            fn(*args)
         except BaseException as error:  # raised again by result()
             self._error = error
         del fn, args
@@ -135,7 +134,6 @@ class _Job:
         self._done.acquire()
         if self._error is not None:
             raise self._error
-        return self._value
 
 
 def dot(a, b):
@@ -162,26 +160,28 @@ class Product:
     (m, k) array), as the kernels read and write past the ends of arrays
     that do not fit.
 
-    run(body, x, out, *args) runs a row phase: for each part (kernel,
-    kernel_args, cols, rows) it calls body(part, x[cols], out[rows],
-    *args'), where args' are args cut to the part's rows (each arg an
-    array that holds out's rows).  The body makes the part's
-    product kernel(*kernel_args, x[cols], out[rows]) with the
-    initialization of its rows of out before it and the scaling,
-    subtraction or sums over those rows after it; it writes no other rows
-    and allocates no array, so the caller makes every array the worker
-    writes.  Calling the product is the phase that makes the product
-    alone.  A vector phase of a product with at least _SPLIT_NNZ entries
-    in all, on a machine with two usable cores, gives the worker thread
-    its first part and runs the others here, one handoff: the parts are
-    the blocks of a block diagonal, or the two halves of a single CSR
-    matrix's rows, split at the row that halves its entries.  Each part is
-    one serial kernel call over the same rows in the same order, so every
-    entry is summed by one thread in the serial order and the result is
-    bitwise that of the serial phase.  Otherwise the phase has one part,
-    the whole product, run here by the same body on the arrays as given:
-    below the split size, on one usable core, for a single CSC matrix,
-    which scatters into rows, and for an (n, k) block (the package's block
+    run(body, x, out, *args) runs a row phase and returns nothing: for
+    each part of the product's rows it calls body(product, x', out',
+    *args'), where x' is x cut to the part's columns, and out' and args'
+    are out and args cut to its rows (each arg an array that holds out's
+    rows).  product(x', out') is one call that makes out' += part @ x'.
+    The body makes it with the initialization of out' before it and the
+    scaling or subtraction of those rows after it; it writes no other
+    rows and allocates no array, so the caller makes every array the
+    worker writes, and it returns nothing: a reduction over the result,
+    such as a dot, runs on the caller once the phase is done.  Calling
+    the product is the phase that makes the product alone.  A vector
+    phase of a product with at least _SPLIT_NNZ entries in all, on a
+    machine with two usable cores, gives the worker thread its first part
+    and runs the others here, one handoff: the parts are the blocks of a
+    block diagonal, or the two halves of a single CSR matrix's rows, split
+    at the row that halves its entries.  Each part is one serial kernel
+    call over the same rows in the same order, so every entry is summed
+    by one thread in the serial order and the result is bitwise that of
+    the serial phase.  Otherwise the phase has one part, the whole
+    product, run here by the same body on the arrays as given: below the
+    split size, on one usable core, for a single CSC matrix, which
+    scatters into rows, and for an (n, k) block (the package's block
     products, which build the level-1 map, are far below the split size).
     """
 
@@ -198,31 +198,29 @@ class Product:
                          slice(cols[i], cols[i + 1]),
                          slice(rows[i], rows[i + 1]))
                         for i, mat in enumerate(mats)]
-        # the one part of an unsplit vector or block phase: a single
-        # matrix's vector kernel, or each block's in turn
-        whole = slice(0, cols[-1]), slice(0, rows[-1])
+        # the product of the one part of an unsplit vector or block
+        # phase: a single matrix's vector kernel, or each block's in turn
         vector, _, args = self._blocks[0][:3]
-        if len(mats) > 1:
-            vector, args = _serial, (self._blocks,)
-        self._whole = (vector, args, *whole)
-        self._whole_block = (_serial_block, (self._blocks,), *whole)
+        self._whole = (partial(vector, *args) if len(mats) == 1
+                       else partial(_serial, self._blocks))
+        self._whole_block = partial(_serial_block, self._blocks)
 
     @cached_property
     def _parts(self):
-        """The parts of a split vector phase, laid out as the blocks
-        are, the worker's first: the blocks, or a single CSR matrix's
-        halves of rows, which meet at the row that halves its entries;
-        None for a single CSC matrix.  Laid out on first use: most
-        products are never split."""
+        """The (product, columns of x, rows of out) of each part of a
+        split vector phase, the worker's first: the blocks, or a single
+        CSR matrix's halves of rows, which meet at the row that halves its
+        entries; None for a single CSC matrix.  Laid out on first use:
+        most products are never split."""
         if len(self._blocks) > 1:
-            return [(vector, args, cols, rows)
+            return [(partial(vector, *args), cols, rows)
                     for vector, _, args, cols, rows in self._blocks]
         vector, _, (m, n, indptr, *arrays), cols, _ = self._blocks[0]
         if vector is _MATVEC["csc"][0]:
             return None
         mid = int(np.searchsorted(indptr, indptr[-1] // 2))
-        return [(vector, (stop - start, n, indptr[start:stop + 1], *arrays),
-                 cols, slice(start, stop))
+        return [(partial(vector, stop - start, n, indptr[start:stop + 1],
+                         *arrays), cols, slice(start, stop))
                 for start, stop in ((0, mid), (mid, m))]
 
     def __call__(self, x, out):
@@ -230,14 +228,15 @@ class Product:
         return out
 
     def run(self, body, x, out, *args):
-        """The list of the body's results over the parts of a row phase,
-        in part order; x is the product's input, and each of args an
-        array that holds out's rows."""
+        """Run the body over the parts of a row phase; x is the
+        product's input, and each of args an array that holds out's
+        rows."""
         if (x.shape != self._x_vector or out.shape != self._out_vector
                 or out.dtype is not _FLOAT64):
             self._check(x, out)
             if out.ndim > 1:
-                return [body(self._whole_block, x, out, *args)]
+                body(self._whole_block, x, out, *args)
+                return
         if self._nnz >= _SPLIT_NNZ and self._parts:
             worker = _get_worker()
             if worker is not None:
@@ -248,11 +247,12 @@ class Product:
                 # thread raises
                 job = worker.submit(body, *first)
                 try:
-                    rest = [body(*call) for call in rest]
+                    for call in rest:
+                        body(*call)
                 finally:
-                    first = job.result()
-                return [first, *rest]
-        return [body(self._whole, x, out, *args)]
+                    job.result()
+                return
+        body(self._whole, x, out, *args)
 
     def _check(self, x, out):
         """Raise ValueError unless x and out fit and out is float64 (a
@@ -270,17 +270,15 @@ class Product:
 
 
 def _cut(part, x, out, args):
-    """The arguments of a part's body: the part, x cut to its columns,
-    and out and each array in args to its rows."""
-    _, _, cols, rows = part
-    return (part, x[cols], out[rows], *[a[rows] for a in args])
+    """The arguments of a part's body: its product, x cut to its
+    columns, and out and each array in args to its rows."""
+    product, cols, rows = part
+    return (product, x[cols], out[rows], *[a[rows] for a in args])
 
 
-def _product(part, x, out):
-    """A part's product, the body of a phase that makes the product
-    alone."""
-    kernel, args = part[:2]
-    kernel(*args, x, out)
+def _product(product, x, out):
+    """The body of a phase that makes the product alone."""
+    product(x, out)
 
 
 def _serial(blocks, x, out):

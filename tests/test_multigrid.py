@@ -861,14 +861,31 @@ def test_triple_norm_properties(systems3_beta1):
     )
 
 
-@pytest.mark.parametrize("split", [False, True])
+@pytest.fixture(scope="module")
+def system5():
+    """Level 5's system at beta = 1, whose error-norm product with
+    diag(M, M, M_P) is past the split size."""
+    space = TaylorHoodSpace(build_hierarchy(5)[5])
+    return build_system(space, ProblemParams(beta=1.0))
+
+
+@pytest.mark.parametrize("level, cores", [(3, 1), (3, "split"), (5, 1),
+                                          (5, 2)])
 def test_triple_norm_sums_the_three_mass_products_bitwise(
-        monkeypatch, systems3_beta1, split):
-    # the one product with diag(M, M, M_P), split over two threads or not,
-    # gives the dots of M u_x, M u_y and M_P p summed in their order
-    if split:
+        request, monkeypatch, systems3_beta1, level, cores):
+    # the one product with diag(M, M, M_P), on one core, split over two
+    # threads at level 3, or split as it is at level 5, gives the dots of
+    # M u_x, M u_y and M_P p summed in their order
+    if cores == "split":
         force_split_products(monkeypatch)
-    system = systems3_beta1[3]
+    else:
+        monkeypatch.setattr(sparse, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(sparse, "_worker", None)
+    system = (systems3_beta1[3] if level == 3
+              else request.getfixturevalue("system5"))
+    mass = system.products.mass
+    if level == 5:
+        assert mass._nnz >= sparse._SPLIT_NNZ and mass._parts is not None
     x = np.random.default_rng(6).standard_normal(system.n)
     u, p = velocity_pressure(system, x)
     hm2, beta = system.h ** -2, system.params.beta
@@ -876,6 +893,7 @@ def test_triple_norm_sums_the_three_mass_products_bitwise(
     pp = sparse.dot(p, system.M_P @ p)
     want = np.sqrt((hm2 + beta) * uu + hm2 / (beta + hm2) * pp)
     assert triple_norm(x, system) == want
+    assert (sparse._worker is None) == (cores == 1)
 
 
 def test_triple_norm_beta_zero_velocity_matches_quadrature(spaces3):

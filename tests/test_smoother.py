@@ -274,26 +274,23 @@ def test_uzawa_update_is_block_inverse_of_residual(systems3_by_beta, beta):
 def matvec_counts(monkeypatch):
     """Products made with every bound product (sparse.Product), keyed by
     the product's id: its calls, and its row phases (Product.run) whose
-    parts call its kernel, each phase once however many parts it runs;
-    a system's products are system.products."""
+    bodies call their part's product, each phase once however many parts
+    it runs; a system's products are system.products."""
     counts = collections.Counter()
     run = sparse.Product.run
 
-    def counting(product, body, x, out, *args):
+    def counting(bound, body, x, out, *args):
         made = []
 
-        def counted(part, *rest):
-            kernel, kernel_args, cols, rows = part
-
-            def counted_kernel(*a):
+        def counted(product, *rest):
+            def counted_product(*a):
                 made.append(True)
-                return kernel(*a)
+                product(*a)
 
-            return body((counted_kernel, kernel_args, cols, rows), *rest)
+            body(counted_product, *rest)
 
-        results = run(product, counted, x, out, *args)
-        counts[id(product)] += any(made)
-        return results
+        run(bound, counted, x, out, *args)
+        counts[id(bound)] += any(made)
 
     monkeypatch.setattr(sparse.Product, "run", counting)
     return counts
@@ -428,7 +425,8 @@ def test_sweeps_give_the_same_bits_serially_and_split(
 
 def row_phases(system, x, rhs):
     """Every row-owned phase a cycle runs on a level, by name: both sweeps,
-    the residual and, for a vector x, the error norm."""
+    the residual and, for a vector x, the error norm's mass product with
+    its dots."""
     phases = {}
     for kind in ("normal_equation", "uzawa"):
         w = build_scaling(system).weights(SmootherConfig(kind=kind))
@@ -443,9 +441,9 @@ def row_phases(system, x, rhs):
 def test_residual_and_error_norm_give_the_same_bits_serially_and_split(
     systems3_beta1, monkeypatch
 ):
-    # each core initializes, multiplies and subtracts (or sums) its own
-    # rows: the residual and the error norm keep every bit, the norm's
-    # component dots summed in the serial order
+    # each core initializes, multiplies and subtracts its own rows: the
+    # residual and the error norm, whose dots the caller sums over its
+    # split mass product, keep every bit
     system = systems3_beta1[3]
     rng = np.random.default_rng(41)
     x, rhs = rng.standard_normal(system.n), rng.standard_normal(system.n)

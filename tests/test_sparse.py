@@ -322,10 +322,11 @@ def test_a_raising_worker_part_raises_in_the_caller(systems3_beta1,
     x = np.random.default_rng(20).standard_normal(mat.shape[1])
     ran = []
 
-    def body(part, x, out):
+    def body(product, x, out):
         ran.append(threading.get_ident() == caller)
         if not ran[-1]:
             raise RuntimeError("worker part")
+        product(x, out)
 
     with pytest.raises(RuntimeError, match="worker part"):
         product.run(body, x, np.zeros(mat.shape[0]))
@@ -425,16 +426,70 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
     # product, runs serially; a single CSR matrix's worker takes the first
     # half of its rows, a block diagonal's its first block
     n_first = prolongation(transfers3[3]).shape[0] - system.n_p
-    assert pairs["R"][1]._parts[0][2] == slice(0, n_first // 2)
-    assert pairs["P"][1]._parts[0][3] == slice(0, n_first // 2)
+    assert pairs["R"][1]._parts[0][1] == slice(0, n_first // 2)
+    assert pairs["P"][1]._parts[0][2] == slice(0, n_first // 2)
     assert pairs["Bt"][1]._parts is None
     K = system.K
-    assert pairs["K"][1]._parts[0][3] == slice(
+    assert pairs["K"][1]._parts[0][2] == slice(
         0, np.searchsorted(K.indptr, K.nnz // 2))
     n = system.M.shape[0]
     for name in ("mass", "diag(M, M, M_P)"):
-        assert pairs[name][1]._parts[0][2:] == (slice(0, n),) * 2
+        assert pairs[name][1]._parts[0][1:] == (slice(0, n),) * 2
     assert sparse._worker is not None
+
+
+def first_row(view, base):
+    """The row of base at which view, a view of its rows, begins."""
+    start = (view.__array_interface__["data"][0]
+             - base.__array_interface__["data"][0])
+    return start // base.strides[0]
+
+
+@pytest.mark.parametrize("path", ["serial", "split", "block"])
+def test_a_row_phase_hands_each_body_its_parts_product(
+    systems3_beta1, transfers3, monkeypatch, path
+):
+    # run(body, x, out) calls body(product, x', out') for each part, x'
+    # cut to the part's columns and out' to its rows; product(x', out')
+    # adds exactly those rows of mat @ x into out' and writes no other
+    # row; run returns nothing, and the parts' rows cover out once
+    monkeypatch.setattr(sparse, "_worker", None)
+    if path == "split":
+        force_split_products(monkeypatch)
+    tail = (3,) if path == "block" else ()
+    rng = np.random.default_rng(21)
+    for name, (mat, bound) in bound_products(
+            systems3_beta1[3], transfers3[3]).items():
+        x = rng.standard_normal((mat.shape[1],) + tail)
+        want = mat @ x
+        out, calls = np.zeros(want.shape), []
+
+        def body(product, x_part, out_part):
+            calls.append((product, first_row(x_part, x), x_part.shape[0],
+                          first_row(out_part, out), out_part.shape[0]))
+            product(x_part, out_part)
+
+        assert bound.run(body, x, out) is None
+        assert np.array_equal(out, want), name
+        parts = bound._parts if path == "split" else None
+        assert len(calls) == (len(parts) if parts else 1), name
+        covered = np.zeros(mat.shape[0], dtype=int)
+        for product, col, n_cols, row, n_rows in calls:
+            rows, cols = slice(row, row + n_rows), slice(col, col + n_cols)
+            covered[rows] += 1
+            # from zeros, the part's rows of mat @ x to the bit, in a
+            # buffer whose other rows it leaves as they were
+            buffer = np.full(want.shape, 7.0)
+            buffer[rows] = 0.0
+            product(x[cols], buffer[rows])
+            assert np.array_equal(buffer[rows], want[rows]), name
+            assert np.all(np.delete(buffer, np.r_[rows], axis=0) == 7.0)
+            # and onto what the rows hold: it adds
+            product(x[cols], buffer[rows])
+            assert np.allclose(buffer[rows], 2.0 * want[rows], rtol=1e-14,
+                               atol=1e-14 * np.abs(want).max())
+        assert np.all(covered == 1), name
+    assert (sparse._worker is not None) == (path == "split")
 
 
 @pytest.fixture(scope="module")
@@ -472,7 +527,7 @@ def test_level6_restriction_splits_between_velocity_components(
         assert np.array_equal(product(x, start.copy()), want)
         assert np.array_equal(Product(R)(x, start.copy()), want)
         assert np.array_equal(product(x, np.zeros(want.shape)), R @ x)
-    assert product._parts[0][2] == slice(0, n_interior)
+    assert product._parts[0][1] == slice(0, n_interior)
     assert (sparse._worker is None) == (cores == 1)
 
 
@@ -523,11 +578,11 @@ def test_restriction_halves_write_disjoint_coarse_rows(transfers3):
     # worker's, may write only rows below every row its other columns write
     for transfer in transfers3[1:]:
         R, first = restriction(transfer), transfer.products.R._parts[0]
-        cut = first[2].stop
+        cut = first[1].stop
         assert 0 < cut < R.shape[1]
         rows = [R[:, :cut].tocoo().row, R[:, cut:].tocoo().row]
         assert rows[0].max() < rows[1].min()
-        assert rows[0].max() < first[3].stop
+        assert rows[0].max() < first[2].stop
 
 
 @pytest.mark.parametrize("bound", [True, False], ids=["bound", "matvec_add"])
