@@ -212,7 +212,7 @@ class TaylorHoodSpace:
     def M(self):
         """The scalar velocity mass on interior quadratic nodes, on its own
         nonzeros, each value the exact one, correctly rounded.  A pass of
-        build_systems sets it from the numerators it sums anyway."""
+        build_systems on a solved level sets it from its numerators."""
         return _mass(self, _scalar_numerators(self)[1])
 
     @cached_property
@@ -249,10 +249,10 @@ class SetUpBlocks:
     matrices (_scalar_numerators, _divergence_numerators); the pass then
     keeps their values and row pointers only, which is all that K's data
     is written from.  The pressure mass is built first, so its transients
-    come before the pass holds anything, and the space's M is taken from
-    the mass numerators.  A pass for a level no solve runs on keeps no
-    velocity mass (mass False): only the error norm reads it, and its
-    systems' M is None.
+    come before the pass holds anything.  The masses and h are the
+    space's: a pass on a solved level sets M from the mass numerators,
+    and one for a level no solve runs on (mass False) leaves it to be
+    built on first use, as only the error norm reads it.
     """
 
     def __init__(self, space, betas, mass=True):
@@ -261,8 +261,6 @@ class SetUpBlocks:
         K6, M360 = _scalar_numerators(space)
         if mass and "M" not in vars(space):
             space.M = _mass(space, M360)
-        # the velocity mass of the pass's systems
-        self.M = space.M if mass else None
         B = _divergence_numerators(space)
         Bt = B.T.tocsr()
         self._patterns = {}
@@ -385,16 +383,17 @@ def _assemble_packed(space, high, low, row_nodes, col_nodes, nrows, ncols):
 @dataclass
 class SaddleSystem:
     """One level's saddle operator K = [[A, B^T], [B, 0]], stored as a
-    single CSR matrix, plus the masses entering norms.  A system built by
+    single CSR matrix, plus the pressure mass.  A system built by
     build_system stores no entry of K that is zero to working precision:
     at beta = 0, A holds the stiffness's nonzeros only.
 
-    M is the scalar velocity mass, None on a level set up for no solve
-    (build_systems(..., mass=False)); the velocity mass M_U applies it to
-    each component.  The solver applies K, its velocity rows [A, B^T], B
-    and B^T, and the error norm diag(M, M, M_P), each through a product
-    bound once (products); A and M_U are built on request, for diagnostics
-    and tests.  B is a view of K's
+    The scalar velocity mass M and the mesh width h are the space's, as
+    M_P is unless a caller gives another: the set-up pass builds M on
+    solved levels, and the space on first use elsewhere.  The solver
+    applies K, its velocity rows [A, B^T], B and B^T, each through a
+    product bound once (products), and the error norm's diag(M, M, M_P)
+    through one bound on first use (mass_product); A and M_U = diag(M, M)
+    are built on request, for diagnostics and tests.  B is a view of K's
     pressure rows, and B^T a CSC view of B's arrays, so neither holds
     memory of its own.  A system given another B
     (dataclasses.replace(system, B=...)) rebuilds K around it, so a
@@ -402,10 +401,8 @@ class SaddleSystem:
     """
 
     K: sp.csr_matrix
-    M: sp.csr_matrix | None
     M_P: sp.csr_matrix
     params: ProblemParams
-    h: float
     space: TaylorHoodSpace | None = None
     B: sp.csr_matrix | None = None
 
@@ -433,16 +430,29 @@ class SaddleSystem:
     @cached_property
     def products(self):
         """The in-place products out += mat @ x (sparse.Product) with K,
-        velocity_rows, B and Bt, under those names, and, on a system that
-        holds the velocity mass, mass with the error norm's
-        diag(M, M, M_P)."""
-        products = SimpleNamespace(**{
+        velocity_rows, B and Bt, under those names."""
+        return SimpleNamespace(**{
             name: Product(getattr(self, name))
             for name in ("K", "velocity_rows", "B", "Bt")
         })
-        if self.M is not None:
-            products.mass = Product(self.M, self.M, self.M_P)
-        return products
+
+    @cached_property
+    def mass_product(self):
+        """The error norm's product out += diag(M, M, M_P) @ x."""
+        return Product(self._space.M, self._space.M, self.M_P)
+
+    @property
+    def _space(self):
+        """The space, owner of M and h; ValueError on a system without."""
+        if self.space is None:
+            raise ValueError("a system without a space has no velocity "
+                             "mass or h")
+        return self.space
+
+    @property
+    def h(self):
+        """The mesh width of the space's level."""
+        return self._space.level.h
 
     @property
     def A(self):
@@ -452,18 +462,7 @@ class SaddleSystem:
     @property
     def M_U(self):
         """Velocity mass matrix (both components)."""
-        self.check_mass()
-        return block_diagonal(self.M, self.M)
-
-    def check_mass(self):
-        """Raise ValueError on a system that holds no velocity mass,
-        naming its level where the system has a space."""
-        if self.M is None:
-            level = ("" if self.space is None
-                     else f"level-{self.space.level.level_index} ")
-            raise ValueError(
-                f"the {level}system holds no velocity mass: it was set up "
-                "for no solve on its level")
+        return block_diagonal(self._space.M, self._space.M)
 
     def join(self, u, p):
         return np.concatenate([u, p])
@@ -524,10 +523,8 @@ def build_system(space, params, blocks=None):
                 bt[bt_rows[first + start]:bt_rows[first + stop]], scale)
     np.divide(blocks.b, scale, out=data[from_a.size:])
     n = indptr.size - 1
-    return SaddleSystem(
-        K=csr_view(data, indices, indptr, (n, n)), M=blocks.M, M_P=space.M_P,
-        params=params, h=space.level.h, space=space,
-    )
+    return SaddleSystem(K=csr_view(data, indices, indptr, (n, n)),
+                        M_P=space.M_P, params=params, space=space)
 
 
 def _scalar_values(blocks, beta, start, stop):
@@ -551,8 +548,9 @@ def build_systems(space, betas, mass=True):
     the blocks only set-up reads (SetUpBlocks) are built once for all of
     them and dropped on return, so systems of another beta built later
     build them again.  The pass's systems of every beta > 0 share K's
-    index arrays, and so do those of beta = 0.  mass False builds systems
-    without the velocity mass, for a level no solve runs on."""
+    index arrays, and so do those of beta = 0.  The masses and h are the
+    space's: mass False, for a level no solve runs on, leaves the velocity
+    mass to be built on first use."""
     params = [ProblemParams(beta=beta) for beta in betas]
     blocks = SetUpBlocks(space, betas, mass)
     return [build_system(space, p, blocks) for p in params]

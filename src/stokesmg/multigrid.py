@@ -27,14 +27,13 @@ independent of whatever diagonal shortcut the smoother uses.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import TaylorHoodSpace, build_systems
+from .assembly import ProblemParams, TaylorHoodSpace, build_systems
 from .mesh import build_hierarchy
 from .smoother import SmootherConfig, build_scaling, smoother_step
 from .sparse import DenseFactorization, dot
@@ -94,16 +93,23 @@ class SolveReport:
         return float((last / first) ** (1.0 / self.n)) if last > 0.0 else 0.0
 
 
+def _check_level(level, n_levels):
+    """Raise ValueError unless level is one of 0..n_levels - 1."""
+    if level not in range(n_levels):
+        raise ValueError(f"level {level} not built (hierarchy has levels 0 "
+                         f"to {n_levels - 1})")
+
+
 def triple_norm(x, system):
     """Level-scaled L2 norm of a stacked (velocity, pressure) vector on the
-    level of the given SaddleSystem.  One product with diag(M, M, M_P),
-    into zeros, gives M u_x, M u_y and M_P p (M_U applies the scalar mass
-    M to each velocity component), split over two threads from level 5
-    up; then the dots of u_x, u_y and p with them are summed on the caller,
-    in that order."""
+    level of the given SaddleSystem, whose space owns h and the scalar
+    velocity mass M (built by set-up on solved levels, on first use
+    elsewhere; ValueError without a space).  One product with
+    diag(M, M, M_P), into zeros, gives M u_x, M u_y and M_P p, split over
+    two threads from level 5 up; then the dots of u_x, u_y and p with them
+    are summed on the caller, in that order."""
     hm2, beta = system.h ** -2, system.params.beta
-    system.check_mass()
-    mx = system.products.mass(x, np.zeros(x.size))
+    mx = system.mass_product(x, np.zeros(x.size))
     n_v, n_u = system.n_u // 2, system.n_u
     uu = dot(x[:n_v], mx[:n_v]) + dot(x[n_v:n_u], mx[n_v:n_u])
     pp = dot(x[n_u:], mx[n_u:])
@@ -118,11 +124,10 @@ class Hierarchy:
 
     The systems of every beta asked for together are built level by
     level, each level's in one pass (build_systems), so they share its
-    masses and saddle patterns, and the blocks only set-up reads are
-    assembled once per level and dropped before the next level's.  A
-    beta asked for later builds them again.  A build told the levels a
-    caller solves on keeps the velocity mass, which only the error norm
-    reads, on those levels alone.
+    saddle patterns, and the blocks only set-up reads are assembled once
+    per level and dropped before the next level's.  A beta asked for
+    later builds them again.  The masses and h are the spaces', the
+    velocity mass built on solved levels and elsewhere on first use.
     """
 
     def __init__(self, max_level):
@@ -138,27 +143,21 @@ class Hierarchy:
         """Build the systems of each beta in tops up to its level there,
         from the finest level down, all of a level's in one pass: the pass
         then peaks while only the finer levels' systems are held, the
-        coarser ones not yet built.  Given the levels solved on, the
-        systems built on the other levels hold no velocity mass, and
-        those of a solved level that an earlier build left without it
-        are given it."""
-        built = {beta: self._systems.setdefault(beta, {}) for beta in tops}
+        coarser ones not yet built.  The masses and h are the spaces':
+        given the levels solved on, the passes build the velocity mass
+        there alone, and a space elsewhere on first use.  A bad beta or
+        level raises ValueError before anything is built."""
+        for beta, top in tops.items():
+            ProblemParams(beta=beta)
+            _check_level(top, len(self.spaces))
         for level in range(max(tops.values()), -1, -1):
-            mass = solved is None or level in solved
-            missing = [beta for beta, top in tops.items()
-                       if top >= level and level not in built[beta]]
+            missing = [beta for beta, top in tops.items() if top >= level
+                       and level not in self._systems.get(beta, {})]
             if missing:
                 for beta, system in zip(missing, build_systems(
-                        self.spaces[level], missing, mass)):
-                    built[beta][level] = system
-            if solved is None or not mass:
-                continue
-            # systems an earlier build left without the mass
-            for systems in built.values():
-                system = systems.get(level)
-                if system is not None and system.M is None:
-                    systems[level] = dataclasses.replace(
-                        system, M=self.spaces[level].M)
+                        self.spaces[level], missing,
+                        solved is None or level in solved)):
+                    self._systems.setdefault(beta, {})[level] = system
 
     def systems(self, beta, up_to_level):
         """The systems of beta on levels 0..up_to_level, built on first
@@ -304,11 +303,7 @@ class Multigrid:
             level, self._cycle(level, x, rhs, top=True), copy=False)
 
     def _system(self, level):
-        if not 0 <= level < len(self.systems):
-            raise ValueError(
-                f"level {level} not built (hierarchy has levels 0 to "
-                f"{len(self.systems) - 1})"
-            )
+        _check_level(level, len(self.systems))
         return self.systems[level]
 
     def _check_shapes(self, level, x, **shapes):
@@ -338,8 +333,13 @@ class Multigrid:
         the solve as failed with q = inf and stop_reason "non_finite"; an
         error above _DIVERGENCE_FACTOR * err0 ends it as "diverged"."""
         system = self._system(level)
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+        try:  # Python or numpy integers: 2.5 and NaN fail before any norm
+            valid = operator.index(max_iter) >= 1
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError("max_iter must be an integer at least 1, got "
+                             f"{max_iter}")
         if not 0.0 < tol < np.inf:  # written so that NaN fails too
             raise ValueError(f"tol must be positive and finite, got {tol}")
         x = np.zeros(system.n) if x0 is None else np.array(x0, dtype=float)

@@ -749,7 +749,7 @@ def test_velocity_blocks_exactly_symmetric(level):
 def test_systems_share_beta_independent_blocks(space2):
     s0 = build_system(space2, ProblemParams(beta=0.0))
     s1 = build_system(space2, ProblemParams(beta=1e4))
-    assert s0.M is s1.M is space2.M and s0.M_P is s1.M_P
+    assert s0.space is s1.space is space2 and s0.M_P is s1.M_P
     assert not np.shares_memory(s0.K.data, s1.K.data)
     # each B is a view of its own K's pressure rows, holding the space's B
     B = float_blocks(space2).B

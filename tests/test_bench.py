@@ -462,10 +462,10 @@ def test_spaces_keep_no_set_up_block_after_the_table_is_built(monkeypatch):
                 | ({id(space.pressure_weights)} if weighted else set()))
 
 
-def test_run_table_keeps_the_velocity_mass_on_solved_levels_only():
-    # after a table on levels 4 and 5, levels 0-3 hold no velocity mass,
-    # and a level-4 solve reads the same bits as on a cache that keeps
-    # every level's mass
+def test_run_table_builds_the_velocity_mass_on_solved_levels_only():
+    # after a table on levels 4 and 5, levels 0-3 hold no velocity mass
+    # until a norm reads it; the level-3 norm and M_U, and a level-4 solve,
+    # then read the same bits as on a cache that built every level's mass
     config = CycleConfig(smoother=SmootherConfig(kind="uzawa"))
     cache = _HierarchyCache(5)
     run_table(ExperimentGrid(levels=[4, 5], betas=[1.0], configs=[config]),
@@ -474,15 +474,13 @@ def test_run_table_keeps_the_velocity_mass_on_solved_levels_only():
     for level, (space, system) in enumerate(zip(cache.spaces, systems)):
         solved = level >= 4
         assert ("M" in vars(space)) == solved
-        assert (system.M is not None) == solved
-        assert hasattr(system.products, "mass") == solved
-    with pytest.raises(ValueError, match="level-3 system holds no velocity"):
-        systems[3].M_U
-    with pytest.raises(ValueError, match="level-3 system holds no velocity"):
-        triple_norm(np.ones(systems[3].n), systems[3])
+        assert ("mass_product" in vars(system)) == solved
     full = _HierarchyCache(5)
     every = full.systems(1.0, 5)
     assert all("M" in vars(space) for space in full.spaces)
+    x = np.random.default_rng(3).standard_normal(systems[3].n)
+    assert triple_norm(x, systems[3]) == triple_norm(x, every[3])
+    assert (systems[3].M_U != every[3].M_U).nnz == 0
     reports = [
         Multigrid(s, c.transfers, config).solve(
             4, manufactured_rhs(s[4], c.target(4)), c.target_vector(4))
@@ -491,16 +489,20 @@ def test_run_table_keeps_the_velocity_mass_on_solved_levels_only():
     assert reports[0].x.tobytes() == reports[1].x.tobytes()
 
 
-def test_a_later_table_gives_its_solved_levels_the_velocity_mass():
+def test_a_later_table_reads_the_velocity_mass_of_its_solved_levels():
+    # a table on a level an earlier one left without the velocity mass
+    # builds it there on first use, and solves as a fresh cache does
     config = CycleConfig(smoother=SmootherConfig(kind="uzawa"))
+    grid = ExperimentGrid(levels=[2, 3], betas=[1.0], configs=[config])
     cache = _HierarchyCache(3)
     run_table(ExperimentGrid(levels=[3], betas=[1.0], configs=[config]),
               cache=cache)
-    assert cache.systems(1.0, 3)[2].M is None
-    rows = run_table(ExperimentGrid(levels=[2, 3], betas=[1.0],
-                                    configs=[config]), cache=cache)
+    assert "M" not in vars(cache.spaces[2])
+    rows = run_table(grid, cache=cache)
+    assert "M" in vars(cache.spaces[2])
+    fresh = run_table(grid)
+    assert [(r.n, r.q) for r in rows] == [(r.n, r.q) for r in fresh]
     assert all(r.converged for r in rows)
-    assert cache.systems(1.0, 3)[2].M is cache.spaces[2].M
 
 
 def test_table_cells_at_one_level_share_one_target(monkeypatch):

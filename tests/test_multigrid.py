@@ -168,14 +168,18 @@ def test_solve_rejects_input_of_the_wrong_length(systems3_beta1, transfers3,
     assert sweeps == []
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, np.nan])
 def test_solve_rejects_max_iter_below_one(systems3_module, transfers3,
-                                          manufactured2, max_iter):
-    # a solve that ran no cycle has no rate to report
+                                          manufactured2, monkeypatch,
+                                          max_iter):
+    # a solve that ran no cycle has no rate to report, and a count that is
+    # no integer fails before any norm or sweep, not in range()
     x_star, rhs = manufactured2
     mg = make_mg(systems3_module, transfers3, 2)
-    with pytest.raises(ValueError, match="max_iter"):
+    sweeps = count_sweeps(monkeypatch)
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
         mg.solve(2, rhs, x_star, max_iter=max_iter)
+    assert sweeps == []
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
@@ -883,13 +887,13 @@ def test_triple_norm_sums_the_three_mass_products_bitwise(
         monkeypatch.setattr(sparse, "_worker", None)
     system = (systems3_beta1[3] if level == 3
               else request.getfixturevalue("system5"))
-    mass = system.products.mass
+    mass = system.mass_product
     if level == 5:
         assert mass._nnz >= sparse._SPLIT_NNZ and mass._parts is not None
     x = np.random.default_rng(6).standard_normal(system.n)
     u, p = velocity_pressure(system, x)
     hm2, beta = system.h ** -2, system.params.beta
-    uu = sum(sparse.dot(c, system.M @ c) for c in u.reshape(2, -1))
+    uu = sum(sparse.dot(c, system.space.M @ c) for c in u.reshape(2, -1))
     pp = sparse.dot(p, system.M_P @ p)
     want = np.sqrt((hm2 + beta) * uu + hm2 / (beta + hm2) * pp)
     assert triple_norm(x, system) == want
@@ -980,27 +984,66 @@ def test_hierarchy_systems_are_the_per_level_systems(beta):
     spaces = [TaylorHoodSpace(mesh) for mesh in build_hierarchy(3)]
     for got, space in zip(hierarchy.systems(beta, 3), spaces):
         want = build_system(space, ProblemParams(beta=beta))
-        for a, b in ((got.K, want.K), (got.M, want.M), (got.M_P, want.M_P)):
+        for a, b in ((got.K, want.K), (got.space.M, want.space.M),
+                     (got.M_P, want.M_P)):
             for name in ("data", "indices", "indptr"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-def test_error_norm_without_the_mass_raises_without_a_space():
-    # a system may have no space; the error is then a ValueError that
-    # names no level
-    hierarchy = Hierarchy(2)
-    hierarchy.build({1.0: 2}, solved=[2])
-    system = dataclasses.replace(hierarchy.systems(1.0, 2)[1], space=None)
-    with pytest.raises(ValueError, match="^the system holds no velocity"):
+def test_error_norm_on_a_system_without_a_space_raises(systems3_beta1):
+    # the velocity mass and h are the space's, so a system may have no
+    # space, and then no error norm, M_U or h
+    system = dataclasses.replace(systems3_beta1[1], space=None)
+    with pytest.raises(ValueError, match="without a space"):
         triple_norm(np.zeros(system.n), system)
+    for name in ("M_U", "h", "mass_product"):
+        with pytest.raises(ValueError, match="without a space"):
+            getattr(system, name)
 
 
-def test_a_build_keeps_the_velocity_mass_on_solved_levels_only():
+def test_a_build_builds_the_velocity_mass_on_solved_levels_only():
     hierarchy = Hierarchy(3)
     hierarchy.build({1.0: 3}, solved=[2])
     systems = hierarchy.systems(1.0, 3)
-    assert [s.M is not None for s in systems] == [False, False, True, False]
-    assert systems[2].M is hierarchy.spaces[2].M
     assert ["M" in vars(space) for space in hierarchy.spaces] == [
         False, False, True, False]
+    assert all(s.space is space
+               for s, space in zip(systems, hierarchy.spaces))
+
+
+@pytest.mark.parametrize("level", [0, 1, 3])
+def test_the_error_norm_on_an_unmarked_level_is_that_of_a_marked_one(level):
+    # a level the build did not mark solved builds its velocity mass on
+    # first use, to the bits a set-up pass on a solved level gives
+    unmarked, marked = Hierarchy(3), Hierarchy(3)
+    unmarked.build({1.0: 3}, solved=[2])
+    marked.build({1.0: 3}, solved=[level])
+    got, want = (h.systems(1.0, 3)[level] for h in (unmarked, marked))
+    assert "M" not in vars(got.space) and "M" in vars(want.space)
+    x = np.random.default_rng(8).standard_normal(got.n)
+    assert triple_norm(x, got) == triple_norm(x, want)
+    for name in ("data", "indices", "indptr"):
+        assert (getattr(got.M_U, name).tobytes()
+                == getattr(want.M_U, name).tobytes())
+
+
+@pytest.mark.parametrize("beta, level, message", [
+    (1.0, 3, "level 3 not built (hierarchy has levels 0 to 2)"),
+    (1.0, -1, "level -1 not built (hierarchy has levels 0 to 2)"),
+    (1.0, 1.5, "level 1.5 not built (hierarchy has levels 0 to 2)"),
+    (-1.0, 2, "beta must be nonnegative and finite, got -1.0"),
+])
+def test_a_rejected_build_changes_nothing(beta, level, message):
+    # every beta and level is checked before anything is built, so the
+    # next valid build gives the bits of a fresh hierarchy's
+    hierarchy = Hierarchy(2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        hierarchy.build({0.0: 2, beta: level})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        hierarchy.systems(beta, level)
+    assert hierarchy._systems == {}
+    got, want = hierarchy.systems(0.0, 2), Hierarchy(2).systems(0.0, 2)
+    for a, b in zip(got, want):
+        for name in ("data", "indices", "indptr"):
+            assert getattr(a.K, name).tobytes() == getattr(b.K, name).tobytes()

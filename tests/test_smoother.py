@@ -40,10 +40,10 @@ def uzawa_block_apply_inverse(system, w, r):
     return system.join(du_, dp_)
 
 
-def system_from_blocks(A, B, M, M_P, params, h, space=None):
+def system_from_blocks(A, B, M_P, params, space=None):
     """SaddleSystem whose saddle matrix is assembled from given blocks."""
     K = sp.bmat([[A, B.T], [B, None]], format="csr")
-    return SaddleSystem(K=K, M=M, M_P=M_P, params=params, h=h, space=space)
+    return SaddleSystem(K=K, M_P=M_P, params=params, space=space)
 
 
 def make_fixture_system(n=6, A=None):
@@ -51,10 +51,8 @@ def make_fixture_system(n=6, A=None):
     return system_from_blocks(
         A=sp.identity(n, format="csr") if A is None else A,
         B=sp.csr_matrix((1, n)),
-        M=sp.identity(n // 2, format="csr"),
         M_P=sp.identity(1, format="csr"),
         params=ProblemParams(beta=0.0),
-        h=1.0,
     )
 
 
@@ -451,7 +449,7 @@ def test_residual_and_error_norm_give_the_same_bits_serially_and_split(
     serial = {name: phases[name]().tobytes()
               for name in ("residual", "error norm")}
     force_split_products(monkeypatch)
-    assert system.products.mass._parts is not None
+    assert system.mass_product._parts is not None
     for name, want in serial.items():
         assert phases[name]().tobytes() == want, name
     assert sparse._worker is not None
@@ -579,10 +577,8 @@ def test_spectral_radius_homogeneity(systems3_beta1):
     scaled = system_from_blocks(
         A=(3.0 * system.A).tocsr(),
         B=(3.0 * system.B).tocsr(),
-        M=system.M,
         M_P=system.M_P,
         params=system.params,
-        h=system.h,
         space=system.space,
     )
     rho9 = estimate_spectral_radius(scaled, sc, tol=1e-6)

@@ -249,7 +249,7 @@ def test_split_product_is_bitwise_serial(systems3_beta1, transfers3,
     # the serial one to the bit, and `@`'s from a zero start
     system = systems3_beta1[3]
     mat = {"K": system.K, "velocity_rows": system.velocity_rows,
-           "B": system.B, "M": system.M, "M_P": system.M_P,
+           "B": system.B, "M": system.space.M, "M_P": system.M_P,
            "P": prolongation(transfers3[3])}[name]
     assert mat.format == "csr"
     for case, x, start in split_cases(mat, np.random.default_rng(13)):
@@ -383,8 +383,8 @@ def bound_products(system, transfer):
     diag(M, M, M_P), the transfer's P and R."""
     pairs = {name: (getattr(system, name), getattr(system.products, name))
              for name in ("K", "velocity_rows", "B", "Bt")}
-    pairs["mass"] = (block_diagonal(system.M, system.M, system.M_P),
-                     system.products.mass)
+    M = system.space.M
+    pairs["mass"] = (block_diagonal(M, M, system.M_P), system.mass_product)
     pairs["P"] = (prolongation(transfer), transfer.products.P)
     pairs["R"] = (restriction(transfer), transfer.products.R)
     return pairs
@@ -399,7 +399,7 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
     # a CSR block diagonal that is not a transfer, diag(M, M, M_P)
     system = systems3_beta1[3]
     pairs = bound_products(system, transfers3[3])
-    blocks = (system.M, system.M, system.M_P)
+    blocks = (system.space.M, system.space.M, system.M_P)
     pairs["diag(M, M, M_P)"] = (block_diagonal(*blocks), Product(*blocks))
     rng = np.random.default_rng(16)
     cases = {name: split_cases(mat, rng) for name, (mat, _) in pairs.items()}
@@ -432,7 +432,7 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
     K = system.K
     assert pairs["K"][1]._parts[0][2] == slice(
         0, np.searchsorted(K.indptr, K.nnz // 2))
-    n = system.M.shape[0]
+    n = system.space.M.shape[0]
     for name in ("mass", "diag(M, M, M_P)"):
         assert pairs[name][1]._parts[0][1:] == (slice(0, n),) * 2
     assert sparse._worker is not None
