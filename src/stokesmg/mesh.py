@@ -11,6 +11,8 @@ level.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Hierarchies beyond this level would need tens of millions of triangles;
@@ -133,6 +135,11 @@ def refine(level):
 def build_hierarchy(max_level):
     """The MeshLevels 0..max_level of the uniformly refined hierarchy, as a
     list indexed by level."""
+    try:  # Python or numpy integers: 2.0 fails here, not in range
+        max_level = operator.index(max_level)
+    except TypeError:
+        raise ValueError(
+            f"max_level must be an integer, got {max_level!r}") from None
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
     if max_level > MAX_LEVEL:

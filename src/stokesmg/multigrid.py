@@ -94,8 +94,13 @@ class SolveReport:
 
 
 def _check_level(level, n_levels):
-    """Raise ValueError unless level is one of 0..n_levels - 1."""
-    if level not in range(n_levels):
+    """Raise ValueError unless level is an integer (a Python or numpy one:
+    1.0 fails too) among 0..n_levels - 1."""
+    try:
+        index = operator.index(level)
+    except TypeError:
+        index = None
+    if index not in range(n_levels):
         raise ValueError(f"level {level} not built (hierarchy has levels 0 "
                          f"to {n_levels - 1})")
 
@@ -146,10 +151,15 @@ class Hierarchy:
         coarser ones not yet built.  The masses and h are the spaces':
         given the levels solved on, the passes build the velocity mass
         there alone, and a space elsewhere on first use.  A bad beta or
-        level raises ValueError before anything is built."""
+        level, solved level or an empty tops raises ValueError before
+        anything is built."""
+        if not tops:
+            raise ValueError(f"no beta to build systems for: tops is {tops}")
         for beta, top in tops.items():
             ProblemParams(beta=beta)
             _check_level(top, len(self.spaces))
+        for level in () if solved is None else solved:
+            _check_level(level, len(self.spaces))
         for level in range(max(tops.values()), -1, -1):
             missing = [beta for beta, top in tops.items() if top >= level
                        and level not in self._systems.get(beta, {})]
@@ -323,7 +333,7 @@ class Multigrid:
     # -- measured iteration ---------------------------------------------
 
     def error_norm(self, level, x, x_star):
-        return triple_norm(x - x_star, self.systems[level])
+        return triple_norm(x - x_star, self._system(level))
 
     def solve(self, level, rhs, x_star, x0=None, tol=1e-9, max_iter=200):
         """Iterate cycles until the error against the known discrete

@@ -10,7 +10,8 @@ import scipy.sparse as sp
 
 import stokesmg
 from stokesmg import sparse
-from stokesmg.assembly import _divergence_numerators, _scalar_numerators
+from stokesmg.assembly import (_ROWS, _divergence_numerators,
+                               _scalar_numerators, _scalar_values)
 from stokesmg.mesh import _edges_from_triangles
 from stokesmg.multigrid import Hierarchy
 
@@ -120,6 +121,28 @@ def float_blocks(space):
         K_s=K_s, M_s=M_s, stiffness=stiffness, B=B,
         bt_values=B6.T.tocsr().data / 6.0 * ell,
     )
+
+
+def masked_saddle_data(space, blocks, beta):
+    """K's data for beta, written from a pass's SetUpBlocks as a masked
+    double loop: for each velocity component in turn, each block of _ROWS
+    scalar rows computes A's values again and writes them and B^T's
+    through boolean masks; then B's values.  The reference writer for
+    build_system, which computes each block's values once."""
+    indptr, indices, from_a = blocks.saddle_pattern(beta)
+    scale = 6.0 / space._element_classes[0]
+    data = np.zeros(indices.size)
+    n_s, bt, bt_rows = space.n_interior, blocks.bt, blocks.bt_rows
+    for first in (0, n_s):
+        for start in range(0, n_s, _ROWS):
+            stop = min(start + _ROWS, n_s)
+            rows = slice(indptr[first + start], indptr[first + stop])
+            out, to_a = data[rows], from_a[rows]
+            out[to_a] = _scalar_values(blocks, beta, start, stop)
+            out[~to_a] = np.divide(
+                bt[bt_rows[first + start]:bt_rows[first + stop]], scale)
+    np.divide(blocks.b, scale, out=data[from_a.size:])
+    return data
 
 
 def triangle_areas(level):

@@ -35,8 +35,8 @@ from stokesmg.mesh import CHILD_VERTEX_BARYCENTRIC, MeshLevel, build_hierarchy
 from stokesmg.sparse import Product, block_diagonal, interleave
 
 from conftest import (edge_vertices, eval_p2_function, float_blocks,
-                      from_triplets, p2_coords, p2_on_boundary, run_python,
-                      velocity_pressure)
+                      from_triplets, masked_saddle_data, p2_coords,
+                      p2_on_boundary, run_python, velocity_pressure)
 
 # Reference-element matrices from exact symbolic integration of the
 # quadratic/linear bases over the unit right triangle (frozen oracle).
@@ -828,13 +828,48 @@ def test_saddle_data_matches_concatenated_formula(spaces5, level, beta):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("level", range(2, 6))
+def test_saddle_data_matches_the_masked_reference_writer(spaces5, level):
+    # each block's values of A, computed once and written into both
+    # velocity components, are the bits the masked double loop writes
+    # computing them per component, for every table beta of one pass
+    space = spaces5[level]
+    blocks = SetUpBlocks(space, BETA_TABLE)
+    for beta in BETA_TABLE:
+        got = build_system(space, ProblemParams(beta=beta), blocks).K.data
+        want = masked_saddle_data(space, blocks, beta)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_build_system_computes_each_row_blocks_values_once(spaces5, beta,
+                                                           monkeypatch):
+    from stokesmg import assembly
+
+    calls, scalar_values = [], assembly._scalar_values
+
+    def counted(blocks, beta, start, stop):
+        calls.append((start, stop))
+        return scalar_values(blocks, beta, start, stop)
+
+    monkeypatch.setattr(assembly, "_scalar_values", counted)
+    space = spaces5[5]
+    build_system(space, ProblemParams(beta=beta))
+    # level 5 has four blocks of _ROWS scalar rows, each computed once
+    n_s, rows = space.n_interior, assembly._ROWS
+    assert calls == [(0, rows), (rows, 2 * rows), (2 * rows, 3 * rows),
+                     (3 * rows, n_s)]
+
+
 @pytest.mark.parametrize("beta, bound", [(0.0, 1.3), (1.0, 1.75)])
 def test_build_system_peaks_within_a_multiple_of_its_data(spaces5, beta,
                                                           bound):
-    # A's scalar values go into each velocity component's rows in turn,
-    # not concatenated for both first, and the integer numerators are
-    # scaled in K's data: level 5 peaks at 1.12x K's data at beta = 0 and
-    # 1.39x at beta > 0 (1.64x and 2.11x when concatenated)
+    # a block of A's scalar values goes into each velocity component's
+    # rows in turn, not concatenated for both first, and the integer
+    # numerators are scaled in K's data: level 5 peaks at 1.20x K's data
+    # at beta = 0 and 1.29x at beta > 0 (1.64x and 2.11x when
+    # concatenated)
     space = spaces5[5]
     blocks = SetUpBlocks(space, (beta, 2.0 * beta))
     build_system(space, ProblemParams(beta=beta), blocks)

@@ -173,6 +173,9 @@ def test_refine_numbers_edge_midpoints_after_vertices():
 def test_hierarchy_rejects_bad_levels():
     with pytest.raises(ValueError):
         build_hierarchy(-1)
+    # an integral float is no level, though 2.0 == 2
+    with pytest.raises(ValueError, match=r"integer, got 2\.0"):
+        build_hierarchy(2.0)
     with pytest.raises(ResourceLimitError) as err:
         build_hierarchy(99)
     assert "100" in str(err.value)

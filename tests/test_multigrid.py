@@ -88,15 +88,19 @@ def test_cycle_on_unbuilt_level(systems3_beta1, transfers3):
         mg.mg_cycle(3, np.zeros(1), np.zeros(1))
 
 
-@pytest.mark.parametrize("level", [-1, 3])
+@pytest.mark.parametrize("level", [-1, 3, 1.0])
 def test_cycle_and_solve_reject_a_level_outside_the_stack(
     systems3_beta1, transfers3, level
 ):
+    # an integral float is no level, though 1.0 == 1
     mg = make_mg(systems3_beta1, transfers3, 2)
-    with pytest.raises(ValueError, match="not built"):
+    message = re.escape(f"level {level} not built")
+    with pytest.raises(ValueError, match=message):
         mg.mg_cycle(level, np.zeros(1), np.zeros(1))
-    with pytest.raises(ValueError, match="not built"):
+    with pytest.raises(ValueError, match=message):
         mg.solve(level, np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError, match=message):
+        mg.error_norm(level, np.zeros(1), np.zeros(1))
 
 
 def count_sweeps(monkeypatch):
@@ -1032,6 +1036,7 @@ def test_the_error_norm_on_an_unmarked_level_is_that_of_a_marked_one(level):
     (1.0, 3, "level 3 not built (hierarchy has levels 0 to 2)"),
     (1.0, -1, "level -1 not built (hierarchy has levels 0 to 2)"),
     (1.0, 1.5, "level 1.5 not built (hierarchy has levels 0 to 2)"),
+    (1.0, 1.0, "level 1.0 not built (hierarchy has levels 0 to 2)"),
     (-1.0, 2, "beta must be nonnegative and finite, got -1.0"),
 ])
 def test_a_rejected_build_changes_nothing(beta, level, message):
@@ -1047,3 +1052,20 @@ def test_a_rejected_build_changes_nothing(beta, level, message):
     for a, b in zip(got, want):
         for name in ("data", "indices", "indptr"):
             assert getattr(a.K, name).tobytes() == getattr(b.K, name).tobytes()
+
+
+@pytest.mark.parametrize("tops, solved, message", [
+    ({}, None, "no beta to build systems for: tops is {}"),
+    ({1.0: 1}, [5], "level 5 not built (hierarchy has levels 0 to 1)"),
+    ({1.0: 1}, [0, -1], "level -1 not built (hierarchy has levels 0 to 1)"),
+])
+def test_a_build_rejects_empty_tops_and_unbuilt_solved_levels(
+        monkeypatch, tops, solved, message):
+    def no_pass(*args):
+        raise AssertionError("a set-up pass started")
+
+    monkeypatch.setattr("stokesmg.multigrid.build_systems", no_pass)
+    hierarchy = Hierarchy(1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        hierarchy.build(tops, solved)
+    assert hierarchy._systems == {}
