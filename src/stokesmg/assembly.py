@@ -22,7 +22,6 @@ import scipy.sparse as sp
 from .mesh import MeshLevel
 from .sparse import (
     Product,
-    block_diagonal,
     csc_view,
     csr_view,
     dot,
@@ -79,7 +78,6 @@ class QuadratureRule:
     physical triangle scale by |det J|.
     """
 
-    degree: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -102,7 +100,7 @@ def conical_rule():
     y = vv.ravel()
     weights = np.outer(wu, wv).ravel()
     points = np.stack([1.0 - x - y, x, y], axis=1)
-    return QuadratureRule(9, points, weights)
+    return QuadratureRule(points, weights)
 
 
 def p2_values(points):
@@ -462,7 +460,7 @@ class SaddleSystem:
     @property
     def M_U(self):
         """Velocity mass matrix (both components)."""
-        return block_diagonal(self._space.M, self._space.M)
+        return sp.block_diag((self._space.M, self._space.M), format="csr")
 
     def join(self, u, p):
         return np.concatenate([u, p])
@@ -620,8 +618,8 @@ def _moment_vectors(space, u_exact, p_exact, rule):
         vertices = level.tri_vertices[block]
         points = rule.points @ level.vertex_coords[vertices]  # (b, nq, 2)
         x, y = points[..., 0], points[..., 1]
-        ux, uy = u_exact(x, y)
-        p = p_exact(x, y)
+        ux, uy = (np.broadcast_to(v, x.shape) for v in u_exact(x, y))
+        p = np.broadcast_to(p_exact(x, y), x.shape)
         # a NaN or inf moment would run every iteration of the mass CG
         if not (np.isfinite(ux).all() and np.isfinite(uy).all()):
             raise ValueError("the exact velocity field has non-finite values")
@@ -642,8 +640,10 @@ def l2_project(space, u_exact, p_exact):
 
     The velocity is projected onto the zero-trace space directly (interior
     dofs are the only unknowns); the pressure projection is shifted so its
-    weighted mean 1^T M_P p vanishes.  Returns (u_star, p_star) with the
-    component-blocked interior velocity layout.
+    weighted mean 1^T M_P p vanishes.  Each field takes the coordinate
+    arrays x, y of quadrature points and returns arrays of their shape
+    or constants.  Returns (u_star, p_star) with the component-blocked
+    interior velocity layout.
     """
     b_ux, b_uy, b_p = _moment_vectors(space, u_exact, p_exact,
                                       conical_rule())

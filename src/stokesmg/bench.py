@@ -22,7 +22,7 @@ import numpy as np
 
 from .assembly import l2_project, manufactured_rhs
 from .mesh import MAX_LEVEL
-from .multigrid import CycleConfig, Hierarchy, Multigrid
+from .multigrid import CycleConfig, Hierarchy, Multigrid, _check_level
 from .smoother import SmootherConfig, build_scaling, damping_margins
 
 BETA_TABLE = [0.0, 1e2, 1e4, 1e6, 1e8, 1e10]
@@ -112,7 +112,9 @@ class _HierarchyCache(Hierarchy):
         self._targets = {}
 
     def target_vector(self, level):
-        """x* = (u*, p*) at the level, joined, projected on first use."""
+        """x* = (u*, p*) at the level, joined, projected on first use;
+        ValueError for a level the hierarchy does not have."""
+        _check_level(level, len(self.spaces))
         if level not in self._targets:
             self._targets[level] = np.concatenate(l2_project(
                 self.spaces[level],

@@ -244,12 +244,10 @@ class Multigrid:
 
     # -- cycling -------------------------------------------------------
 
-    def project_pressure(self, level, x, copy=True):
-        """Remove the weighted-mean pressure component, from a copy of x,
-        or from x itself where copy is False."""
-        if copy:
-            x = x.copy()
-        system = self.systems[level]
+    def project_pressure(self, level, x):
+        """Remove the weighted-mean pressure component from x itself, a
+        vector or an (n, k) block on the given level, and return x."""
+        system = self._system(level)
         system.space.remove_pressure_mean(x[system.n_u:])
         return x
 
@@ -310,7 +308,7 @@ class Multigrid:
         # the prolongated correction or the level-0 solve), so the mean is
         # removed in place
         return self.project_pressure(
-            level, self._cycle(level, x, rhs, top=True), copy=False)
+            level, self._cycle(level, x, rhs, top=True))
 
     def _system(self, level):
         _check_level(level, len(self.systems))

@@ -228,15 +228,22 @@ def smoother_step(system, w, kind, x, rhs):
     return uzawa_step(system, w, x, rhs)
 
 
-def estimate_spectral_radius(system, scaling, tol=1e-3, max_iter=1000):
+_POWER_TOL = 1e-3
+_POWER_MAX_ITER = 1000
+
+
+def estimate_spectral_radius(system, scaling):
     """Power-iteration estimate of rho(Dinv A Dinv A), the spectral radius
-    of the normal-equation smoother's preconditioned operator.
+    of the normal-equation smoother's preconditioned operator, stopped
+    once two successive estimates differ by at most _POWER_TOL relative
+    to the newer or, with a warning and the last estimate, after
+    _POWER_MAX_ITER steps.
 
     It is computed on the symmetrized similar operator
     (D^-1/2 A D^-1 A D^-1/2, which is PSD) so the Rayleigh quotient
     converges monotonically, from below: the estimate is a lower bound,
-    and at tol 1e-3 it stops short (0.35 rho reads 1.948 at level 6 and
-    beta = 1e10, where Lanczos reads 1.993).
+    and at _POWER_TOL = 1e-3 it stops short (0.35 rho reads 1.948 at
+    level 6 and beta = 1e10, where Lanczos reads 1.993).
     """
     s = 1.0 / np.sqrt(scaling.d_full)
     d = scaling.d_full
@@ -247,19 +254,19 @@ def estimate_spectral_radius(system, scaling, tol=1e-3, max_iter=1000):
     v = np.random.default_rng(1234).standard_normal(system.n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = op(v)
         lam_new = float(v @ w)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        if abs(lam_new - lam) <= tol * abs(lam_new):
+        if abs(lam_new - lam) <= _POWER_TOL * abs(lam_new):
             return lam_new
         lam = lam_new
     warnings.warn(
-        f"power iteration did not reach tol={tol} in {max_iter} steps; "
-        f"returning best estimate {lam}"
+        f"power iteration did not reach tol={_POWER_TOL} in "
+        f"{_POWER_MAX_ITER} steps; returning best estimate {lam}"
     )
     return lam
 

@@ -400,26 +400,6 @@ def interleave(from_left, left, right, out=None):
     return out
 
 
-def block_diagonal(*mats):
-    """CSR block diagonal of CSR matrices, stacked from their own arrays:
-    each block's rows, with its column indices shifted past the blocks
-    before it."""
-    indptr, indices = [mats[0].indptr[:1]], []
-    n_cols = nnz = 0
-    for mat in mats:
-        # Python int offsets, so int32 index arrays stay int32 (a numpy
-        # int64 offset would promote them, and scipy would copy them back)
-        indptr.append(mat.indptr[1:] + nnz)
-        indices.append(mat.indices + n_cols)
-        n_cols += mat.shape[1]
-        nnz += mat.nnz
-    return sp.csr_matrix(
-        (np.concatenate([mat.data for mat in mats]), np.concatenate(indices),
-         np.concatenate(indptr)),
-        shape=(sum(mat.shape[0] for mat in mats), n_cols),
-    )
-
-
 class DenseFactorization:
     """Inverse of a square dense matrix with two-sided equilibration.
 

@@ -51,7 +51,8 @@ def velocity_pressure(system, x):
 
 def prolongation(transfer):
     """A transfer's prolongation diag(P_2, P_2, P_1) as one CSR matrix."""
-    return sparse.block_diagonal(transfer.P2, transfer.P2, transfer.P1)
+    return sp.block_diag((transfer.P2, transfer.P2, transfer.P1),
+                         format="csr")
 
 
 def restriction(transfer):

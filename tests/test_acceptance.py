@@ -270,9 +270,7 @@ def test_criterion_11_spectral_safety(runner):
         systems = runner.hierarchy.systems(beta, 4)
         for k in (1, 2, 3, 4):
             sc = build_scaling(systems[k])
-            val = 0.35 * estimate_spectral_radius(
-                systems[k], sc, tol=1e-3, max_iter=1000
-            )
+            val = 0.35 * estimate_spectral_radius(systems[k], sc)
             if val > worst:
                 worst, worst_at = val, (k, beta)
     ok = worst <= 1.95

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -503,6 +504,16 @@ def test_a_later_table_reads_the_velocity_mass_of_its_solved_levels():
     fresh = run_table(grid)
     assert [(r.n, r.q) for r in rows] == [(r.n, r.q) for r in fresh]
     assert all(r.converged for r in rows)
+
+
+@pytest.mark.parametrize("level", [-1, 3, 1.0])
+def test_target_vector_rejects_a_level_outside_the_hierarchy(level):
+    # -1 would project the top level again and cache it under its own key
+    cache = _HierarchyCache(2)
+    message = re.escape(f"level {level} not built")
+    with pytest.raises(ValueError, match=message):
+        cache.target_vector(level)
+    assert cache._targets == {}
 
 
 def test_table_cells_at_one_level_share_one_target(monkeypatch):

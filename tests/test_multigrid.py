@@ -92,15 +92,20 @@ def test_cycle_on_unbuilt_level(systems3_beta1, transfers3):
 def test_cycle_and_solve_reject_a_level_outside_the_stack(
     systems3_beta1, transfers3, level
 ):
-    # an integral float is no level, though 1.0 == 1
+    # an integral float is no level, though 1.0 == 1, and -1 is not the
+    # top one; the arrays are the top level's size, and none is touched
     mg = make_mg(systems3_beta1, transfers3, 2)
-    message = re.escape(f"level {level} not built")
-    with pytest.raises(ValueError, match=message):
-        mg.mg_cycle(level, np.zeros(1), np.zeros(1))
-    with pytest.raises(ValueError, match=message):
-        mg.solve(level, np.zeros(1), np.zeros(1))
-    with pytest.raises(ValueError, match=message):
-        mg.error_norm(level, np.zeros(1), np.zeros(1))
+    x, y = np.random.default_rng(3).standard_normal((2, systems3_beta1[2].n))
+    x_before, y_before = x.copy(), y.copy()
+    for call in (lambda: mg.mg_cycle(level, x, y),
+                 lambda: mg.solve(level, y, x, x0=x),
+                 lambda: mg.error_norm(level, x, y),
+                 lambda: mg.project_pressure(level, x)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"level {level} not built")):
+            call()
+        assert x.tobytes() == x_before.tobytes()
+        assert y.tobytes() == y_before.tobytes()
 
 
 def count_sweeps(monkeypatch):
@@ -207,36 +212,37 @@ def test_zero_residual_cycle_without_smoothing(systems3_beta1, transfers3):
     x = rng.standard_normal(system.n)
     rhs = system.apply(x)
     out = mg.mg_cycle(2, x, rhs)
-    projected = mg.project_pressure(2, x)
+    projected = mg.project_pressure(2, x.copy())
     assert np.abs(out - projected).max() <= 1e-9 * np.abs(x).max()
 
 
-def test_project_pressure_returns_projected_copy(systems3_beta1,
-                                                 transfers3):
+def test_project_pressure_works_in_place(systems3_beta1, transfers3):
+    # it returns x itself, the velocity untouched and the pressure's
+    # weighted mean removed
     rng = np.random.default_rng(7)
     mg = make_mg(systems3_beta1, transfers3, 2)
     system = systems3_beta1[2]
     x = rng.standard_normal(system.n)
     x_before = x.copy()
-    out = mg.project_pressure(2, x)
-    assert np.array_equal(x, x_before) and not np.shares_memory(out, x)
-    u, p = velocity_pressure(system, out)
+    assert mg.project_pressure(2, x) is x
+    u, p = velocity_pressure(system, x)
     w = system.space.pressure_weights
-    assert np.array_equal(u, x[: system.n_u])
+    assert np.array_equal(u, x_before[: system.n_u])
+    assert not np.array_equal(p, x_before[system.n_u:])
     assert abs(w @ p) <= 1e-14 * (np.abs(w) @ np.abs(p))
 
 
 def test_cycle_removes_the_pressure_mean_from_its_own_result(
         systems3_beta1, transfers3):
-    # mg_cycle projects the new array _cycle returns in place, with the
-    # bits of the public projection, which copies
+    # mg_cycle projects the new array _cycle returns, with the bits of the
+    # public projection, and leaves its input iterate as it was
     rng = np.random.default_rng(8)
     mg = make_mg(systems3_beta1, transfers3, 3)
     x, rhs = rng.standard_normal((2, systems3_beta1[3].n))
+    x_before = x.copy()
     want = mg.project_pressure(3, mg._cycle(3, x, rhs, top=True))
     assert mg.mg_cycle(3, x, rhs).tobytes() == want.tobytes()
-    y = rng.standard_normal(systems3_beta1[3].n)
-    assert mg.project_pressure(3, y, copy=False) is y
+    assert x.tobytes() == x_before.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["normal_equation", "uzawa"])

@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from conftest import force_split_products, thread_idents, velocity_pressure
-from stokesmg import sparse
+from stokesmg import smoother, sparse
 from stokesmg.assembly import ProblemParams, SaddleSystem, build_system
 from stokesmg.multigrid import Hierarchy, triple_norm
 from stokesmg.smoother import (
@@ -570,10 +570,11 @@ def test_spectral_radius_identity_fixture():
     )
 
 
-def test_spectral_radius_homogeneity(systems3_beta1):
+def test_spectral_radius_homogeneity(systems3_beta1, monkeypatch):
+    monkeypatch.setattr(smoother, "_POWER_TOL", 1e-6)
     system = systems3_beta1[1]
     sc = build_scaling(system)
-    rho = estimate_spectral_radius(system, sc, tol=1e-6)
+    rho = estimate_spectral_radius(system, sc)
     scaled = system_from_blocks(
         A=(3.0 * system.A).tocsr(),
         B=(3.0 * system.B).tocsr(),
@@ -581,15 +582,17 @@ def test_spectral_radius_homogeneity(systems3_beta1):
         params=system.params,
         space=system.space,
     )
-    rho9 = estimate_spectral_radius(scaled, sc, tol=1e-6)
+    rho9 = estimate_spectral_radius(scaled, sc)
     assert rho9 == pytest.approx(9.0 * rho, rel=1e-4)
 
 
-def test_spectral_radius_warns_on_iteration_cap(systems3_beta1):
+def test_spectral_radius_warns_on_iteration_cap(systems3_beta1, monkeypatch):
+    monkeypatch.setattr(smoother, "_POWER_TOL", 1e-14)
+    monkeypatch.setattr(smoother, "_POWER_MAX_ITER", 3)
     system = systems3_beta1[2]
     sc = build_scaling(system)
     with pytest.warns(UserWarning, match="best estimate"):
-        rho = estimate_spectral_radius(system, sc, tol=1e-14, max_iter=3)
+        rho = estimate_spectral_radius(system, sc)
     assert np.isfinite(rho) and rho > 0
 
 

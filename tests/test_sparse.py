@@ -12,7 +12,6 @@ from stokesmg.sparse import (
     DenseFactorization,
     Product,
     SingularMatrixError,
-    block_diagonal,
     packed_from_blocks,
 )
 from stokesmg.transfer import prolongate, restrict
@@ -135,20 +134,6 @@ def test_packed_blocks_read_int8_classes_without_wrapping():
     for half, tables in zip(got, (high, low)):
         want = from_triplets(20, 30, r, c, tables[classes].ravel())
         np.testing.assert_array_equal(half.toarray(), want.toarray())
-
-
-def test_block_diagonal_matches_scipy():
-    rng = np.random.default_rng(12)
-    blocks = [sp.random(m, n, density=0.4, format="csr", random_state=rng)
-              for m, n in ((3, 5), (4, 2), (1, 3))]
-    assert all(b.indices.dtype == np.int32 for b in blocks)
-    got = block_diagonal(*blocks)
-    want = sp.block_diag(blocks, format="csr")
-    assert got.format == "csr" and got.shape == want.shape == (8, 10)
-    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
-                 (got.data, want.data)):
-        assert np.array_equal(a, b)
-    assert got.indptr.dtype == got.indices.dtype == np.int32
 
 
 def cycle_matrices(system, coarse, transfer):
@@ -384,7 +369,8 @@ def bound_products(system, transfer):
     pairs = {name: (getattr(system, name), getattr(system.products, name))
              for name in ("K", "velocity_rows", "B", "Bt")}
     M = system.space.M
-    pairs["mass"] = (block_diagonal(M, M, system.M_P), system.mass_product)
+    pairs["mass"] = (sp.block_diag((M, M, system.M_P), format="csr"),
+                     system.mass_product)
     pairs["P"] = (prolongation(transfer), transfer.products.P)
     pairs["R"] = (restriction(transfer), transfer.products.R)
     return pairs
@@ -400,7 +386,8 @@ def test_bound_products_equal_matvec_add(systems3_beta1, transfers3,
     system = systems3_beta1[3]
     pairs = bound_products(system, transfers3[3])
     blocks = (system.space.M, system.space.M, system.M_P)
-    pairs["diag(M, M, M_P)"] = (block_diagonal(*blocks), Product(*blocks))
+    pairs["diag(M, M, M_P)"] = (sp.block_diag(blocks, format="csr"),
+                                Product(*blocks))
     rng = np.random.default_rng(16)
     cases = {name: split_cases(mat, rng) for name, (mat, _) in pairs.items()}
     serial = {name: [Product(mat)(x, start.copy())
